@@ -9,7 +9,9 @@ to stdout or to ``--output``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,8 +31,8 @@ from .invariance import (
 )
 from .spectra import (
     INTERNAL_TOL,
+    RECONSTRUCT_TOL,
     JCharVector,
-    check_assignment,
     gwlp_char,
     j_characteristics,
     reconstruct,
@@ -79,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover a design from a jchar JSON report")
     p.add_argument("spectrum", help="JSON file produced by `jchar --json`")
     p.add_argument("--groups", help="override the structure assignment")
-    add_common(p, "max distance from integers (default 1e-6 * s)")
+    add_common(p, "max distance from integers (default 1e-6)")
 
     p = sub.add_parser("invariance", help="verify GWLP invariance across assignments")
     p.add_argument("design", help="design file")
@@ -160,14 +162,8 @@ def _assignment_literal(structures) -> str:
 
 
 def _labels(design: Design):
-    sizes = design.sizes
-    for index in range(design.space_size):
-        components = []
-        rem = index
-        for size in reversed(sizes):
-            rem, r = divmod(rem, size)
-            components.append(r)
-        yield index, tuple(reversed(components))
+    """Per-factor components of every element, in Yates order."""
+    return itertools.product(*map(range, design.sizes))
 
 
 def _run_gwlp(args) -> tuple[int, str]:
@@ -182,10 +178,9 @@ def _run_gwlp(args) -> tuple[int, str]:
     else:
         if not args.groups:
             raise ValueError(f"--groups is required for the {algorithm} algorithm")
-        assignment = check_assignment(design, _parse_assignment(args.groups))
-        jchar = j_characteristics(design, assignment, algorithm)
-        pattern = gwlp_char(jchar, assignment, tol=tol)
-        groups = [st.literal() for st in assignment]
+        jchar = j_characteristics(design, _parse_assignment(args.groups), algorithm)
+        pattern = gwlp_char(jchar, tol=tol)
+        groups = [st.literal() for st in jchar.structures]
     resolution, strength = resolution_and_strength(pattern)
     if args.json:
         payload = {
@@ -207,33 +202,27 @@ def _run_gwlp(args) -> tuple[int, str]:
 
 def _run_jchar(args) -> tuple[int, str]:
     design = _load_design(args.design)
-    assignment = check_assignment(design, _parse_assignment(args.groups))
-    jchar = j_characteristics(design, assignment, args.algorithm)
+    jchar = j_characteristics(design, _parse_assignment(args.groups), args.algorithm)
     if args.json:
-        values = []
-        for index, comps in _labels(design):
-            z = jchar.values[index]
-            values.append(
-                {
-                    "g": render.element_label(design.levels, comps),
-                    "re": float(z.real),
-                    "im": float(z.imag),
-                }
+        values = [
+            {"g": render.element_label(design.levels, comps), "re": re, "im": im}
+            for comps, re, im in zip(
+                _labels(design), jchar.values.real.tolist(), jchar.values.imag.tolist()
             )
+        ]
         payload = {
             "design": {
                 **_design_summary(args.design, design),
                 "symbols": [list(a) for a in design.levels],
             },
-            "groups": [st.literal() for st in assignment],
+            "groups": [st.literal() for st in jchar.structures],
             "algorithm": args.algorithm,
             "n_runs": jchar.n_runs,
             "values": values,
         }
         return 0, render.dumps(payload) + "\n"
     lines = []
-    for index, comps in _labels(design):
-        z = complex(jchar.values[index])
+    for comps, z in zip(_labels(design), jchar.values.tolist()):
         if abs(z) <= INTERNAL_TOL:
             continue  # zero entries are omitted, as spectrum tables usually are
         lines.append(f"{render.element_label(design.levels, comps)} {render.fmt_complex(z)}")
@@ -249,23 +238,35 @@ def _run_reconstruct(args) -> tuple[int, str]:
     try:
         group_literals = doc["groups"]
         entries = doc["values"]
-        n_runs = doc["n_runs"]
+        n_runs = int(doc["n_runs"])
         symbols = doc.get("design", {}).get("symbols")
         values = np.array(
             [complex(e["re"], e["im"]) for e in entries], dtype=np.complex128
         )
-    except (KeyError, TypeError) as exc:
+        structures = tuple(parse_structure(lit) for lit in group_literals)
+        orders = [st.order for st in structures]
+        if len(values) != math.prod(orders):
+            raise ValueError(f"{len(values)} values for groups of order {orders}")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        levels = None if symbols is None else tuple(tuple(a) for a in symbols)
+        if levels is not None and (
+            [len(set(a)) for a in levels] != orders
+            or not all(isinstance(sym, str) for a in levels for sym in a)
+        ):
+            raise ValueError("symbols do not fit the groups")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
-    structures = tuple(parse_structure(lit) for lit in group_literals)
-    jchar = JCharVector(values, int(n_runs), structures)
+    jchar = JCharVector(values, n_runs, structures)
     override = _parse_assignment(args.groups) if args.groups else None
-    counts = reconstruct(jchar, override, tol=args.tol)
+    tol = args.tol if args.tol is not None else RECONSTRUCT_TOL
+    counts = reconstruct(jchar, override, tol=tol)
     if not counts:
         raise InconsistentSpectrumError("spectrum reconstructs to an empty design")
     used = override if override is not None else structures
-    if symbols is None:
-        symbols = [[str(j) for j in range(st.order)] for st in used]
-    design = Design(tuple(tuple(a) for a in symbols), counts)
+    if levels is None:
+        levels = tuple(tuple(str(j) for j in range(st.order)) for st in used)
+    design = Design(levels, counts)
     if args.json:
         payload = {
             "groups": [st.literal() for st in used],
@@ -385,9 +386,8 @@ def _run_compare(args) -> tuple[int, str]:
     for path in (args.first, args.second):
         design = _load_design(path)
         if args.groups:
-            assignment = check_assignment(design, _parse_assignment(args.groups))
-            jchar = j_characteristics(design, assignment)
-            patterns.append(gwlp_char(jchar, assignment, tol=tol))
+            jchar = j_characteristics(design, _parse_assignment(args.groups))
+            patterns.append(gwlp_char(jchar, tol=tol))
         else:
             patterns.append(gwlp_margin(design, tol=tol))
     verdict = compare_aberration(patterns[0], patterns[1], tol=tol)

@@ -86,24 +86,9 @@ class Design:
         for run in sorted(self.counts):
             yield run, self.counts[run]
 
-    def run_index(self, run: Run) -> int:
-        """Yates (mixed-radix) index of a run, first factor most significant."""
-        index = 0
-        for r, size in zip(run, self.sizes):
-            index = index * size + r
-        return index
-
     def dense_counts(self, *, max_size: int = DENSIFY_CAP) -> np.ndarray:
         """Count vector O over all s cells in Yates order (refused above the cap)."""
-        s = self.space_size
-        if s > max_size:
-            raise ResourceLimitError(
-                f"dense count vector of length {s} exceeds the cap {max_size}"
-            )
-        dense = np.zeros(s, dtype=np.float64)
-        for run, mult in self.counts.items():
-            dense[self.run_index(run)] = mult
-        return dense
+        return _dense(self.counts, self.sizes, max_size, "count vector of length")
 
     def serialize(self) -> str:
         """Canonical design-file text; parse(serialize(d)) reproduces d."""
@@ -142,18 +127,20 @@ class MarginTable:
             yield cell, self.counts[cell]
 
     def dense(self, *, max_size: int = DENSIFY_CAP) -> np.ndarray:
-        size = math.prod(self.sizes)
-        if size > max_size:
-            raise ResourceLimitError(
-                f"dense margin table of size {size} exceeds the cap {max_size}"
-            )
-        dense = np.zeros(size, dtype=np.float64)
-        for cell, count in self.counts.items():
-            index = 0
-            for r, s in zip(cell, self.sizes):
-                index = index * s + r
-            dense[index] = count
-        return dense
+        return _dense(self.counts, self.sizes, max_size, "margin table of size")
+
+
+def _dense(
+    counts: Mapping[tuple[int, ...], int], sizes: tuple[int, ...], max_size: int, what: str
+) -> np.ndarray:
+    """Sparse cell counts as a dense Yates-ordered vector (numpy C order)."""
+    size = math.prod(sizes)
+    if size > max_size:
+        raise ResourceLimitError(f"dense {what} {size} exceeds the cap {max_size}")
+    dense = np.zeros(size, dtype=np.float64)
+    cells = np.array(list(counts), dtype=np.intp).reshape(len(counts), len(sizes))
+    np.put(dense, np.ravel_multi_index(cells.T, sizes), list(counts.values()))
+    return dense
 
 
 def margins(design: Design, subset: Iterable[int]) -> MarginTable:
@@ -266,8 +253,10 @@ def parse_design(text: str) -> Design:
             try:
                 run.append(alphabets[i].index(symbol))
             except ValueError:
+                # In column layout, factor i is data line i whichever run is read.
                 raise DesignParseError(
-                    f"symbol {symbol!r} not in factor {i + 1}'s alphabet", lineno
+                    f"symbol {symbol!r} not in factor {i + 1}'s alphabet",
+                    data[i][0] if columns else lineno,
                 ) from None
         run = tuple(run)
         counts[run] = counts.get(run, 0) + mult

@@ -11,7 +11,6 @@ order ``d`` the chosen primitive root of unity is ``exp(2*pi*i/d)``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -19,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
+from .kron import kron_all
 
 #: Largest group order for which a dense character table may be materialized.
 DENSE_TABLE_CAP = 2**12
@@ -127,18 +127,11 @@ class AbelianStructure:
         """Mixed-radix residues of a flat index; first cyclic part most significant."""
         if not 0 <= index < self.order:
             raise ValueError(f"element index {index} out of range for order {self.order}")
-        digits = []
-        for d in reversed(self.cyclic_orders):
-            index, r = divmod(index, d)
-            digits.append(r)
-        return tuple(reversed(digits))
+        return tuple(int(r) for r in np.unravel_index(index, self.cyclic_orders))
 
     def index_of_element(self, element: Sequence[int]) -> int:
         element = self._validated(element)
-        index = 0
-        for r, d in zip(element, self.cyclic_orders):
-            index = index * d + r
-        return index
+        return int(np.ravel_multi_index(element, self.cyclic_orders))
 
     def add(self, g: Sequence[int] | int, h: Sequence[int] | int) -> Element:
         g, h = self._coerce(g), self._coerce(h)
@@ -245,11 +238,16 @@ def character_table(
     Refuses orders above ``max_order``; at larger sizes use the factorized
     transform instead of a dense table.
     """
-    s = structure.order
+    entries = _dense_table(structure.cyclic_orders, max_order)
+    return CharacterTable(structure, entries, entries / math.sqrt(structure.order))
+
+
+def _dense_table(cyclic_orders: Sequence[int], max_order: int) -> np.ndarray:
+    """Kronecker product of the cyclic tables, refused above ``max_order`` elements."""
+    s = math.prod(cyclic_orders)
     if s > max_order:
         raise ResourceLimitError(
             f"dense character table of order {s} exceeds the cap {max_order}"
         )
-    factors = [cyclic_character_table(d) for d in structure.cyclic_orders]
-    entries = functools.reduce(np.kron, factors, np.ones((1, 1), dtype=np.complex128))
-    return CharacterTable(structure, entries, entries / math.sqrt(s))
+    tables = [cyclic_character_table(d) for d in cyclic_orders]
+    return kron_all(tables, max_entries=max(s * s, 1))

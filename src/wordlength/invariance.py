@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .design import Design, margins
 from .errors import ResourceLimitError
 from .groups import AbelianStructure, enumerate_structures
@@ -218,7 +220,7 @@ def verify_invariance(
     best_witness: tuple[int, float, int] | None = None  # (element, -delta, assignment)
     for pos, assignment in enumerate(resolved):
         jchar = j_characteristics(design, assignment)
-        gwlps.append(gwlp_char(jchar, assignment, tol=witness_tol))
+        gwlps.append(gwlp_char(jchar, tol=witness_tol))
         if pos == 0:
             first_values = jchar.values.copy()
             continue
@@ -236,7 +238,7 @@ def verify_invariance(
         jchar = j_characteristics(design, resolved[pos])
         witness = JCharWitness(
             element_index=element,
-            components=_factor_components(design.sizes, element),
+            components=tuple(int(r) for r in np.unravel_index(element, design.sizes)),
             first_assignment=resolved[0],
             other_assignment=resolved[pos],
             first_value=complex(first_values[element]),
@@ -265,11 +267,3 @@ def verify_invariance(
         resolution=resolution,
         strength=strength,
     )
-
-
-def _factor_components(sizes: Sequence[int], index: int) -> tuple[int, ...]:
-    digits = []
-    for size in reversed(sizes):
-        index, r = divmod(index, size)
-        digits.append(r)
-    return tuple(reversed(digits))

@@ -17,19 +17,25 @@ import numpy as np
 
 from . import design as design_mod
 from .design import Design
-from .errors import InconsistentSpectrumError, ResourceLimitError
+from .errors import InconsistentSpectrumError
 from .groups import (
     DENSE_TABLE_CAP,
     AbelianStructure,
+    _dense_table,
     cyclic_character_table,
     parse_structure,
 )
-from .kron import factored_apply, kron_all
+from .kron import factored_apply
 
 Assignment = tuple[AbelianStructure, ...]
 
 #: Default tolerance for internal numeric comparisons.
 INTERNAL_TOL = 1e-9
+
+#: Default largest distance of a reconstructed cell from an integer.  Spectra
+#: rendered at 12 significant digits put each cell within about 5e-12 * N of
+#: its count, whatever s is.
+RECONSTRUCT_TOL = 1e-6
 
 
 def check_assignment(
@@ -39,9 +45,7 @@ def check_assignment(
 
     Structure literals (e.g. ``"2x2"``) are accepted and parsed in place.
     """
-    resolved = tuple(
-        parse_structure(st) if isinstance(st, str) else st for st in structures
-    )
+    resolved = _resolve(structures)
     if len(resolved) != design.k:
         raise ValueError(
             f"assignment has {len(resolved)} structures for {design.k} factors"
@@ -52,6 +56,23 @@ def check_assignment(
                 f"factor {i + 1} has {size} levels but structure {st.literal()} "
                 f"has order {st.order}"
             )
+    return resolved
+
+
+def _resolve(structures: Sequence[AbelianStructure | str]) -> Assignment:
+    return tuple(parse_structure(st) if isinstance(st, str) else st for st in structures)
+
+
+def _spectrum_structures(
+    jchar: JCharVector, structures: Sequence[AbelianStructure | str] | None
+) -> Assignment:
+    """The assignment to read a spectrum under: its own unless one is given."""
+    resolved = jchar.structures if structures is None else _resolve(structures)
+    s = math.prod(st.order for st in resolved)
+    if s != jchar.space_size:
+        raise ValueError(
+            f"assignment spans {s} elements, spectrum has {jchar.space_size}"
+        )
     return resolved
 
 
@@ -74,11 +95,7 @@ def _components(
         total = math.prod(orders)
         if not 0 <= index < total:
             raise ValueError(f"element index {index} out of range for order {total}")
-        digits = []
-        for order in reversed(orders):
-            index, r = divmod(index, order)
-            digits.append(r)
-        return tuple(reversed(digits))
+        return tuple(int(r) for r in np.unravel_index(index, orders))
     g = tuple(int(c) for c in g)
     if len(g) != len(orders):
         raise ValueError(f"element {g} does not have {len(orders)} components")
@@ -166,12 +183,7 @@ def assignment_character_table(
     structures: Sequence[AbelianStructure], *, max_order: int = DENSE_TABLE_CAP
 ) -> np.ndarray:
     """Dense character table of the product group, Yates-ordered by factors."""
-    s = math.prod(st.order for st in structures)
-    if s > max_order:
-        raise ResourceLimitError(
-            f"dense character table of order {s} exceeds the cap {max_order}"
-        )
-    return kron_all(_part_tables(structures), max_entries=max(s * s, 1))
+    return _dense_table([d for st in structures for d in st.cyclic_orders], max_order)
 
 
 def j_characteristics(
@@ -205,50 +217,34 @@ def reconstruct(
     jchar: JCharVector,
     structures: Sequence[AbelianStructure | str] | None = None,
     *,
-    tol: float | None = None,
+    tol: float = RECONSTRUCT_TOL,
 ) -> dict[tuple[int, ...], int]:
     """Recover run multiplicities from a spectrum: O = H* chi / s.
 
     Returns a sparse map from runs (per-factor level indices) to
     multiplicities.  Raises InconsistentSpectrumError if any cell is farther
-    than ``tol`` (default 1e-6 * s) from a nonnegative integer; that happens
-    when the spectrum was computed under a different structure assignment
-    than the one given here.
+    than ``tol`` from a nonnegative integer; that happens when the spectrum was
+    computed under a different structure assignment than the one given here.
     """
-    if structures is None:
-        resolved = jchar.structures
-    else:
-        resolved = tuple(
-            parse_structure(st) if isinstance(st, str) else st for st in structures
-        )
-    s = math.prod(st.order for st in resolved)
-    if s != jchar.space_size:
-        raise ValueError(
-            f"assignment spans {s} elements, spectrum has {jchar.space_size}"
-        )
-    if tol is None:
-        tol = 1e-6 * s
+    resolved = _spectrum_structures(jchar, structures)
     adjoints = [t.conj().T for t in _part_tables(resolved)]
-    cells = factored_apply(adjoints, jchar.values) / s
-    orders = [st.order for st in resolved]
-    counts: dict[tuple[int, ...], int] = {}
-    for index, value in enumerate(cells):
-        mult = round(value.real)
-        if abs(value - mult) > tol:
+    cells = factored_apply(adjoints, jchar.values) / jchar.space_size
+    mults = np.rint(cells.real)
+    off = ~(np.abs(cells - mults) <= tol)  # true for non-finite cells too
+    bad = np.flatnonzero(off | (mults < 0))
+    if bad.size:
+        index = int(bad[0])
+        if off[index]:
             raise InconsistentSpectrumError(
-                f"cell {index} reconstructs to {value}, not an integer within {tol}"
+                f"cell {index} reconstructs to {cells[index]}, not an integer within {tol}"
             )
-        if mult < 0:
-            raise InconsistentSpectrumError(
-                f"cell {index} reconstructs to negative multiplicity {mult}"
-            )
-        if mult:
-            remaining, run = index, []
-            for order in reversed(orders):
-                remaining, r = divmod(remaining, order)
-                run.append(r)
-            counts[tuple(reversed(run))] = mult
-    return counts
+        raise InconsistentSpectrumError(
+            f"cell {index} reconstructs to negative multiplicity {int(mults[index])}"
+        )
+    nonzero = np.flatnonzero(mults)
+    digits = np.unravel_index(nonzero, [st.order for st in resolved])
+    runs = zip(*(d.tolist() for d in digits))
+    return dict(zip(runs, mults[nonzero].astype(np.int64).tolist()))
 
 
 def gwlp_char(
@@ -258,14 +254,7 @@ def gwlp_char(
     tol: float = INTERNAL_TOL,
 ) -> GWLP:
     """Wordlength pattern A_j = N^-2 * sum over weight-j elements of |chi_g|^2."""
-    if structures is None:
-        resolved = jchar.structures
-    else:
-        resolved = tuple(
-            parse_structure(st) if isinstance(st, str) else st for st in structures
-        )
-    if math.prod(st.order for st in resolved) != jchar.space_size:
-        raise ValueError("assignment does not match the spectrum's length")
+    resolved = _spectrum_structures(jchar, structures)
     if jchar.n_runs <= 0:
         raise ValueError("spectrum has no runs")
     weights = element_weights(resolved)

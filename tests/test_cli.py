@@ -13,6 +13,11 @@ from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
 
+# stdout and exit code of every command, text and --json, on the paper fixture
+# as recorded from an earlier build; "{spectrum}" stands for a `jchar --json`
+# report under 4,2x2,4.
+GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -138,13 +143,35 @@ class TestReconstructCommand:
         assert "integer" in err
 
     def test_malformed_spectrum_is_data_error(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+
+        def edited(edit):
+            doc = json.loads(out)
+            edit(doc)
+            return json.dumps(doc)
+
         bad = tmp_path / "bad.json"
-        bad.write_text('{"values": 3}', encoding="utf-8")
-        code, _, _ = run(capsys, "reconstruct", str(bad))
-        assert code == 2
-        bad.write_text("not json", encoding="utf-8")
-        code, _, _ = run(capsys, "reconstruct", str(bad))
-        assert code == 2
+        for text in (
+            '{"values": 3}',
+            "not json",
+            edited(lambda doc: doc["values"].pop()),
+            edited(lambda doc: doc["groups"].__setitem__(1, "zz")),
+            edited(lambda doc: doc["design"]["symbols"][2].pop()),
+            edited(lambda doc: doc["values"][5].__setitem__("re", float("nan"))),
+            edited(lambda doc: doc["values"][0].__setitem__("im", float("inf"))),
+        ):
+            bad.write_text(text, encoding="utf-8")
+            code, _, err = run(capsys, "reconstruct", str(bad))
+            assert code == 2, text
+            assert err.startswith("wordlength: ")
+
+    def test_override_of_wrong_size_is_usage_error(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text(out, encoding="utf-8")
+        code, _, err = run(capsys, "reconstruct", str(spectrum), "--groups", "2,2,2")
+        assert code == 1
+        assert "spans 8 elements" in err
 
 
 class TestInvarianceCommand:
@@ -306,6 +333,19 @@ class TestErrorsAndPlumbing:
             _, out, _ = run(capsys, "invariance", PAPER, "--json")
             results.add(out)
         assert len(results) == 2  # one string per command
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+    def test_stdout_is_byte_identical(self, capsys, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(FIXTURES.parent)
+        spectrum = tmp_path / "spectrum.json"
+        run(capsys, "jchar", "fixtures/paper_oa.txt", "--groups", "4,2x2,4", "--json",
+            "--output", str(spectrum))
+        argv = [str(spectrum) if arg == "{spectrum}" else arg for arg in case["argv"]]
+        code, out, _ = run(capsys, *argv)
+        assert code == case["code"]
+        assert out == case["stdout"]
 
 
 class TestRendering:

@@ -95,6 +95,13 @@ class TestParse:
             parse_design("layout: columns\n0 1 0\n0 1\n")
         assert err.value.line == 3
 
+    def test_columns_layout_unknown_symbol_reports_its_factor_line(self):
+        text = "symbols: a b | c d\nlayout: columns\na b a b\nc d c z\n"
+        with pytest.raises(DesignParseError) as err:
+            parse_design(text)
+        assert err.value.line == 4
+        assert "'z'" in str(err.value)
+
     def test_symbol_count_disagreement(self):
         with pytest.raises(DesignParseError):
             parse_design("symbols: 0 1 | 0 1 | 0 1\n0 1\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wordlength import (
     Design,
     InconsistentSpectrumError,
     ResourceLimitError,
+    character_table,
     check_assignment,
     element_weights,
     gwlp_char,
@@ -217,6 +219,39 @@ class TestReconstruct:
         jchar = JCharVector(np.array([-1.0, 1.0], dtype=np.complex128), 1, (parse_structure("2"),))
         with pytest.raises(InconsistentSpectrumError):
             reconstruct(jchar)
+
+    @pytest.mark.parametrize(
+        ("cells", "message"),
+        [
+            ([1, 0, 0.5, -1], "cell 2 reconstructs to (0.5"),
+            ([1, 0, -1, 0.5], "cell 2 reconstructs to negative multiplicity -1"),
+        ],
+    )
+    def test_first_bad_cell_is_named(self, cells, message):
+        table = character_table(Z4).entries
+        jchar = JCharVector(table @ np.array(cells, dtype=np.complex128), 1, (Z4,))
+        with pytest.raises(InconsistentSpectrumError, match=re.escape(message)):
+            reconstruct(jchar)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_spectrum_rejected(self, bad):
+        values = np.array([4, bad, 0, 0], dtype=np.complex128)
+        with pytest.raises(InconsistentSpectrumError, match="cell 0 reconstructs to"):
+            reconstruct(JCharVector(values, 1, (Z4,)))
+
+    def test_default_tolerance_holds_at_large_s(self):
+        # At s = 2^19 a tolerance proportional to s would exceed 1/2 and let a
+        # spectrum whose every cell is off by 0.4 through.
+        rng = np.random.default_rng(19)
+        runs = {tuple(rng.integers(0, 2, 19).tolist()): 1 for _ in range(50)}
+        design = Design((("0", "1"),) * 19, runs)
+        jchar = j_characteristics(design, ["2"] * 19)
+        assert reconstruct(jchar) == dict(design.counts)
+        shifted = jchar.values.copy()
+        shifted[0] += 0.4 * jchar.space_size
+        with pytest.raises(InconsistentSpectrumError):
+            reconstruct(JCharVector(shifted, jchar.n_runs, jchar.structures))
 
     def test_length_mismatch(self):
         jchar = JCharVector(np.ones(4, dtype=np.complex128), 1, (Z4,))

@@ -9,7 +9,6 @@ to stdout or to ``--output``.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -161,11 +160,6 @@ def _assignment_literal(structures) -> str:
     return ",".join(st.literal() for st in structures)
 
 
-def _labels(design: Design):
-    """Per-factor components of every element, in Yates order."""
-    return itertools.product(*map(range, design.sizes))
-
-
 def _run_gwlp(args) -> tuple[int, str]:
     design = _load_design(args.design)
     tol = args.tol if args.tol is not None else INTERNAL_TOL
@@ -205,9 +199,11 @@ def _run_jchar(args) -> tuple[int, str]:
     jchar = j_characteristics(design, _parse_assignment(args.groups), args.algorithm)
     if args.json:
         values = [
-            {"g": render.element_label(design.levels, comps), "re": re, "im": im}
-            for comps, re, im in zip(
-                _labels(design), jchar.values.real.tolist(), jchar.values.imag.tolist()
+            {"g": label, "re": re, "im": im}
+            for label, re, im in zip(
+                render.element_labels(design.levels),
+                jchar.values.real.tolist(),
+                jchar.values.imag.tolist(),
             )
         ]
         payload = {
@@ -222,10 +218,10 @@ def _run_jchar(args) -> tuple[int, str]:
         }
         return 0, render.dumps(payload) + "\n"
     lines = []
-    for comps, z in zip(_labels(design), jchar.values.tolist()):
+    for label, z in zip(render.element_labels(design.levels), jchar.values.tolist()):
         if abs(z) <= INTERNAL_TOL:
             continue  # zero entries are omitted, as spectrum tables usually are
-        lines.append(f"{render.element_label(design.levels, comps)} {render.fmt_complex(z)}")
+        lines.append(f"{label} {render.fmt_complex(z)}")
     return 0, "\n".join(lines) + "\n"
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -20,6 +21,11 @@ from .errors import DesignParseError, ResourceLimitError
 
 #: Largest full-factorial size for which the count vector may be densified.
 DENSIFY_CAP = 2**20
+
+# np.ravel_multi_index takes at most 32 index arrays on numpy 1.x (64 on 2.x),
+# and refuses a shape with more cells than the largest intp.
+_MAX_RAVEL_DIMS = 32
+_MAX_RAVEL_CELLS = np.iinfo(np.intp).max
 
 Run = tuple[int, ...]
 
@@ -66,20 +72,31 @@ class Design:
         """Number of factors."""
         return len(self.levels)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         """Per-factor level counts s_i."""
         return tuple(len(alphabet) for alphabet in self.levels)
 
-    @property
+    @cached_property
     def n_runs(self) -> int:
         """Total number of runs N, counting multiplicities."""
         return sum(self.counts.values())
 
-    @property
+    @cached_property
     def space_size(self) -> int:
         """Full-factorial cell count s = prod(s_i)."""
         return math.prod(self.sizes)
+
+    @cached_property
+    def _run_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct runs as an (n, k) level-index array, and their multiplicities.
+
+        Multiplicities are int64, so no margin sum can overflow, unless N
+        itself does not fit; then they are Python ints in an object array.
+        """
+        cells = np.array(list(self.counts), dtype=np.intp).reshape(-1, self.k)
+        dtype = np.int64 if self.n_runs <= np.iinfo(np.int64).max else object
+        return cells, np.array(list(self.counts.values()), dtype=dtype)
 
     def runs(self) -> Iterator[tuple[Run, int]]:
         """(run, multiplicity) pairs in Yates order of the run tuples."""
@@ -88,7 +105,8 @@ class Design:
 
     def dense_counts(self, *, max_size: int = DENSIFY_CAP) -> np.ndarray:
         """Count vector O over all s cells in Yates order (refused above the cap)."""
-        return _dense(self.counts, self.sizes, max_size, "count vector of length")
+        cells, mults = self._run_matrix
+        return _dense(cells, mults, self.sizes, max_size, "count vector of length")
 
     def serialize(self) -> str:
         """Canonical design-file text; parse(serialize(d)) reproduces d."""
@@ -127,19 +145,20 @@ class MarginTable:
             yield cell, self.counts[cell]
 
     def dense(self, *, max_size: int = DENSIFY_CAP) -> np.ndarray:
-        return _dense(self.counts, self.sizes, max_size, "margin table of size")
+        cells = np.array(list(self.counts), dtype=np.intp).reshape(-1, len(self.sizes))
+        values = list(self.counts.values())
+        return _dense(cells, values, self.sizes, max_size, "margin table of size")
 
 
 def _dense(
-    counts: Mapping[tuple[int, ...], int], sizes: tuple[int, ...], max_size: int, what: str
+    cells: np.ndarray, values, sizes: tuple[int, ...], max_size: int, what: str
 ) -> np.ndarray:
-    """Sparse cell counts as a dense Yates-ordered vector (numpy C order)."""
+    """Counts at (n, k) cells as a dense Yates-ordered vector (numpy C order)."""
     size = math.prod(sizes)
     if size > max_size:
         raise ResourceLimitError(f"dense {what} {size} exceeds the cap {max_size}")
     dense = np.zeros(size, dtype=np.float64)
-    cells = np.array(list(counts), dtype=np.intp).reshape(len(counts), len(sizes))
-    np.put(dense, np.ravel_multi_index(cells.T, sizes), list(counts.values()))
+    np.put(dense, np.ravel_multi_index(cells.T, sizes), values)
     return dense
 
 
@@ -152,12 +171,22 @@ def margins(design: Design, subset: Iterable[int]) -> MarginTable:
     positions = tuple(sorted(set(int(i) for i in subset)))
     if positions and not (0 <= positions[0] and positions[-1] < design.k):
         raise ValueError(f"subset {positions} out of range for {design.k} factors")
-    table: dict[tuple[int, ...], int] = {}
-    for run, mult in design.counts.items():
-        cell = tuple(run[i] for i in positions)
-        table[cell] = table.get(cell, 0) + mult
     sizes = tuple(design.sizes[i] for i in positions)
-    return MarginTable(positions, sizes, table, design.n_runs)
+    if not positions:
+        return MarginTable(positions, sizes, {(): design.n_runs}, design.n_runs)
+    runs, mults = design._run_matrix
+    columns = runs[:, positions]
+    if len(sizes) <= _MAX_RAVEL_DIMS and math.prod(sizes) <= _MAX_RAVEL_CELLS:
+        distinct, inverse = np.unique(
+            np.ravel_multi_index(columns.T, sizes), return_inverse=True
+        )
+        cells = zip(*(digits.tolist() for digits in np.unravel_index(distinct, sizes)))
+    else:  # too many cells for one flat index: count distinct rows instead
+        distinct, inverse = np.unique(columns, axis=0, return_inverse=True)
+        cells = map(tuple, distinct.tolist())
+    totals = np.zeros(len(distinct), dtype=mults.dtype)
+    np.add.at(totals, inverse, mults)
+    return MarginTable(positions, sizes, dict(zip(cells, totals.tolist())), design.n_runs)
 
 
 def relabel_levels(design: Design, perms: Sequence[Sequence[int] | None]) -> Design:

@@ -10,18 +10,22 @@ inversion over the subset lattice) turns the B_K into the per-subset squared
 projection norms whose weight-class totals are the A_j.  Agreement of this
 route with the character route, for every structure assignment, is exactly
 the invariance property this package exists to check.
+
+The route is exact: it works on the integers s * B_K, so each N^2 * A_j is an
+integer sum and the pattern needs one division per entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .design import Design, margins
+from .design import Design, MarginTable, margins
 from .errors import ResourceLimitError
 from .groups import AbelianStructure, enumerate_structures
 from .spectra import (
@@ -52,21 +56,16 @@ class SubsetNorm:
 def subset_norm(design: Design, subset: Iterable[int]) -> SubsetNorm:
     """B_K from the K-margins alone: sum of squared counts over the off-K size."""
     table = margins(design, subset)
-    off_size = design.space_size // math.prod(table.sizes)
-    square_sum = sum(c * c for c in table.counts.values())
-    return SubsetNorm(table.subset, square_sum / off_size)
+    return SubsetNorm(table.subset, _scaled_norm(table) / design.space_size)
 
 
-def _subset_norms_by_mask(design: Design) -> list[float]:
-    k = design.k
-    values = []
-    for mask in range(1 << k):
-        subset = [i for i in range(k) if mask >> i & 1]
-        values.append(subset_norm(design, subset).value)
-    return values
+def _scaled_norm(table: MarginTable) -> int:
+    """s * B_K = prod(sizes_K) * sum of squared K-margin counts, an exact integer."""
+    counts = table.counts.values()
+    return math.prod(table.sizes) * sum(map(operator.mul, counts, counts))
 
 
-def _mobius_alternating(values: Sequence[float], k: int) -> list[float]:
+def _mobius_alternating(values: Sequence[int], k: int) -> list[int]:
     """In-place subset-lattice Moebius transform: out[J] = sum_{K<=J} (-1)^|J\\K| in[K]."""
     out = list(values)
     for i in range(k):
@@ -77,6 +76,16 @@ def _mobius_alternating(values: Sequence[float], k: int) -> list[float]:
     return out
 
 
+def _scaled_projector_norms(design: Design) -> list[int]:
+    """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers."""
+    k = design.k
+    scaled = [
+        _scaled_norm(margins(design, [i for i in range(k) if mask >> i & 1]))
+        for mask in range(1 << k)
+    ]
+    return _mobius_alternating(scaled, k)
+
+
 def projector_norms(design: Design) -> list[float]:
     """Squared norms ||M_J U O||^2 for every factor subset J, indexed by bitmask.
 
@@ -85,20 +94,23 @@ def projector_norms(design: Design) -> list[float]:
     over the elements that are nonidentity exactly on J, under any structure
     assignment.
     """
-    return _mobius_alternating(_subset_norms_by_mask(design), design.k)
+    s = design.space_size
+    return [value / s for value in _scaled_projector_norms(design)]
 
 
 def gwlp_margin(design: Design, *, tol: float = INTERNAL_TOL) -> GWLP:
-    """Wordlength pattern computed from margins only (no characters, no dense O)."""
+    """Wordlength pattern computed from margins only (no characters, no dense O).
+
+    Exact: the integers N^2 * A_j are summed first and divided by N^2 once,
+    so each entry is the correctly rounded float of the true A_j.
+    """
     if design.n_runs <= 0:
         raise ValueError("design has no runs")
-    k = design.k
-    norms = projector_norms(design)
-    scale = design.space_size / design.n_runs**2
-    raw = [0.0] * (k + 1)
-    for mask, value in enumerate(norms):
-        raw[mask.bit_count()] += value
-    return _finish_gwlp([a * scale for a in raw], tol)
+    scaled = [0] * (design.k + 1)
+    for mask, value in enumerate(_scaled_projector_norms(design)):
+        scaled[mask.bit_count()] += value
+    n_squared = design.n_runs**2
+    return _finish_gwlp([a / n_squared for a in scaled], tol)
 
 
 def resolution_and_strength(gwlp: GWLP, tol: float | None = None) -> tuple[int | None, int]:

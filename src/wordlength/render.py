@@ -8,8 +8,9 @@ trimmed, the way spectrum tables are conventionally printed.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Iterable, Sequence
+import itertools
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Iterator, Sequence
 
 
 def fmt_float(x: float) -> str:
@@ -45,8 +46,15 @@ def dumps(payload: Any) -> str:
 
 
 def _write(value: Any, out: list[str]) -> None:
-    if value is None or isinstance(value, (bool, str, int)):
-        out.append(json.dumps(value))
+    # Each scalar is encoded as json.dumps would encode it (ASCII-escaped).
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):  # before int: bool is an int subclass
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
     elif isinstance(value, float):
         text = fmt_float(value)
         # ".12g" may produce bare exponents like 1e-09, which JSON accepts.
@@ -58,7 +66,7 @@ def _write(value: Any, out: list[str]) -> None:
         for i, (key, item) in enumerate(value.items()):
             if i:
                 out.append(", ")
-            out.append(json.dumps(str(key)))
+            out.append(encode_basestring_ascii(str(key)))
             out.append(": ")
             _write(item, out)
         out.append("}")
@@ -79,9 +87,16 @@ def element_label(levels: Sequence[Sequence[str]], components: Iterable[int]) ->
     Symbols are concatenated when every symbol is a single character
     (Table-style labels like ``aab``), otherwise joined with commas.
     """
-    symbols = [levels[i][c] for i, c in enumerate(components)]
-    joiner = "" if all(len(sym) == 1 for alphabet in levels for sym in alphabet) else ","
-    return joiner.join(symbols)
+    return _joiner(levels).join(levels[i][c] for i, c in enumerate(components))
+
+
+def element_labels(levels: Sequence[Sequence[str]]) -> Iterator[str]:
+    """``element_label`` of every element in Yates order, one joiner for all."""
+    return map(_joiner(levels).join, itertools.product(*levels))
+
+
+def _joiner(levels: Sequence[Sequence[str]]) -> str:
+    return "" if all(len(sym) == 1 for alphabet in levels for sym in alphabet) else ","
 
 
 def gwlp_text(values: Iterable[float]) -> str:

@@ -228,9 +228,11 @@ def reconstruct(
     """
     resolved = _spectrum_structures(jchar, structures)
     adjoints = [t.conj().T for t in _part_tables(resolved)]
-    cells = factored_apply(adjoints, jchar.values) / jchar.space_size
-    mults = np.rint(cells.real)
-    off = ~(np.abs(cells - mults) <= tol)  # true for non-finite cells too
+    # A non-finite spectrum makes NaN cells; they fail the check below.
+    with np.errstate(invalid="ignore"):
+        cells = factored_apply(adjoints, jchar.values) / jchar.space_size
+        mults = np.rint(cells.real)
+        off = ~(np.abs(cells - mults) <= tol)  # true for non-finite cells too
     bad = np.flatnonzero(off | (mults < 0))
     if bad.size:
         index = int(bad[0])

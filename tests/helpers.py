@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,36 @@ def oracle_margin_counts(design: Design, subset) -> dict[tuple[int, ...], int]:
         cell = tuple(run[i] for i in sorted(subset))
         table[cell] = table.get(cell, 0) + 1
     return table
+
+
+def naive_margin_counts(design: Design, subset) -> dict[tuple[int, ...], int]:
+    """Margins by one dict update per distinct run, adding its multiplicity."""
+    positions = sorted(set(subset))
+    table: dict[tuple[int, ...], int] = {}
+    for run, mult in design.counts.items():
+        cell = tuple(run[i] for i in positions)
+        table[cell] = table.get(cell, 0) + mult
+    return table
+
+
+def exact_gwlp(design: Design) -> list[Fraction]:
+    """(A_0, ..., A_k) as exact fractions, from the MacWilliams pair form.
+
+    A(z) = N^-2 * sum over run pairs (x, y) of m_x m_y prod_i p_i(z), with
+    p_i(z) = 1 + (s_i - 1) z when x_i = y_i and 1 - z otherwise; the
+    coefficient of z^j is A_j.  Integer polynomial arithmetic throughout.
+    """
+    k = design.k
+    scaled = [0] * (k + 1)
+    runs = list(design.counts.items())
+    for x, mx in runs:
+        for y, my in runs:
+            poly = [mx * my]
+            for i in range(k):
+                linear = design.sizes[i] - 1 if x[i] == y[i] else -1
+                poly = [a + linear * b for a, b in zip(poly + [0], [0] + poly)]
+            scaled = [a + b for a, b in zip(scaled, poly)]
+    return [Fraction(a, design.n_runs**2) for a in scaled]
 
 
 def random_design(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import tracemalloc
 
@@ -377,6 +378,31 @@ class TestRendering:
 
         with pytest.raises(TypeError):
             dumps(object())
+
+    def test_dumps_encodes_scalars_like_json_dumps(self):
+        from wordlength.render import dumps
+
+        scalars = [None, True, False, 0, -7, 2**70, "", 'q"b\\s', "tab\t\x01"]
+        scalars.append("\u00e4\u2028\U0001f600")
+        for value in scalars:
+            assert dumps(value) == json.dumps(value)
+            assert dumps({value: 1}) == "{" + json.dumps(str(value)) + ": 1}"
+        assert json.loads(dumps(scalars)) == scalars
+
+    @pytest.mark.parametrize(
+        "levels, first",
+        [
+            ((("0", "a"), ("x", "y", "z")), ["0x", "0y"]),
+            ((("lo", "hi"), ("0", "1")), ["lo,0", "lo,1"]),
+        ],
+    )
+    def test_element_labels_are_element_label_in_yates_order(self, levels, first):
+        from wordlength.render import element_label, element_labels
+
+        components = itertools.product(*(range(len(a)) for a in levels))
+        expected = [element_label(levels, comps) for comps in components]
+        assert list(element_labels(levels)) == expected
+        assert expected[:2] == first
 
 
 class TestMarginRouteAllocation:

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from helpers import oracle_margin_counts, random_design
+from helpers import exact_gwlp, naive_margin_counts, oracle_margin_counts, random_design
 from wordlength import (
     Design,
     DesignParseError,
     ResourceLimitError,
+    gwlp_margin,
     margins,
     parse_design,
     relabel_levels,
+    subset_norm,
 )
 
 # Runs of the fixture array, as (factor1, factor2, factor3) symbol triples.
@@ -191,6 +195,38 @@ class TestMargins:
     def test_out_of_range_subset(self, paper_design):
         with pytest.raises(ValueError):
             margins(paper_design, [3])
+
+    @pytest.mark.parametrize("sizes", [(2,) * 70, (16,) * 16], ids=["70-factors", "16^16"])
+    def test_subset_with_at_least_2_to_63_cells(self, sizes):
+        # Too many factors, or too many cells, for one flat int64 cell index.
+        rng = np.random.default_rng(63)
+        counts: dict = {}
+        for run in rng.integers(0, sizes, (40, len(sizes))).tolist():
+            counts[tuple(run)] = counts.get(tuple(run), 0) + 1
+        counts[tuple(s - 1 for s in sizes)] = 3
+        design = Design(tuple(tuple(str(j) for j in range(s)) for s in sizes), counts)
+        full = margins(design, range(len(sizes)))
+        assert full.counts == dict(design.counts)
+        assert full.sizes == sizes
+        assert margins(design, range(1, len(sizes), 2)).counts == naive_margin_counts(
+            design, range(1, len(sizes), 2)
+        )
+
+    def test_multiplicity_beyond_float_precision(self):
+        # 2^53 + 1 has no float64; its square and sums pass int64 as well.
+        big = 9007199254740993
+        design = Design((("a", "b"), ("a", "b", "c")), {(0, 1): big, (1, 1): 2, (0, 2): big})
+        assert margins(design, [0]).counts == {(0,): 2 * big, (1,): 2}
+        assert margins(design, [1]).counts == {(1,): big + 2, (2,): big}
+        assert margins(design, ()).counts == {(): 2 * big + 2}
+        n = 2 * big + 2
+        assert subset_norm(design, ()).value == float(Fraction(n * n, 6))
+        assert gwlp_margin(design).raw == tuple(float(a) for a in exact_gwlp(design))
+
+    def test_total_beyond_int64(self):
+        design = Design((("a", "b"),), {(0,): 2**63, (1,): 2**63 + 5})
+        assert margins(design, [0]).counts == {(0,): 2**63, (1,): 2**63 + 5}
+        assert margins(design, ()).counts == {(): 2**64 + 5}
 
 
 class TestRelabel:

@@ -1,4 +1,8 @@
-"""Property tests for the Yates-indexed paths: transforms, weights, densification, parsing."""
+"""Property tests for the Yates-indexed paths and the margin route.
+
+Transforms, weights, densification, parsing, margin counts, and the exact
+margin-route pattern.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +12,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import exact_gwlp, naive_margin_counts
 from wordlength import (
     Design,
     enumerate_structures,
     gwlp_margin,
     j_characteristics,
+    margins,
     parse_design,
+    projector_norms,
     reconstruct,
     relabel_levels,
     weight,
@@ -44,8 +51,13 @@ def sizes(draw) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+# Small multiplicities, and ones past 2^53 (not exact as floats) whose sums
+# can pass 2^63 (not exact as int64).
+MULTIPLICITIES = st.one_of(st.integers(1, 4), st.integers(2**53, 2**62))
+
+
 @st.composite
-def designs(draw, symbols: bool = False) -> Design:
+def designs(draw, symbols: bool = False, multiplicities=st.integers(1, 4)) -> Design:
     shape = draw(sizes())
     if symbols:
         levels = tuple(
@@ -54,7 +66,7 @@ def designs(draw, symbols: bool = False) -> Design:
     else:
         levels = tuple(tuple(str(j) for j in range(s)) for s in shape)
     run = st.tuples(*(st.integers(0, s - 1) for s in shape))
-    entries = draw(st.lists(st.tuples(run, st.integers(1, 4)), min_size=1, max_size=12))
+    entries = draw(st.lists(st.tuples(run, multiplicities), min_size=1, max_size=12))
     counts: dict[tuple[int, ...], int] = {}
     for cell, mult in entries:
         counts[cell] = counts.get(cell, 0) + mult
@@ -107,3 +119,26 @@ def test_relabelling_levels_keeps_the_margin_gwlp(data):
     design = data.draw(designs())
     perms = [data.draw(st.permutations(range(s))) for s in design.sizes]
     assert gwlp_margin(relabel_levels(design, perms)) == gwlp_margin(design)
+
+
+@PROPERTY
+@given(st.data())
+def test_margin_counts_match_a_dict_count(data):
+    design = data.draw(designs(multiplicities=MULTIPLICITIES))
+    subset = data.draw(st.sets(st.integers(0, design.k - 1)))  # may be empty
+    table = margins(design, subset)
+    assert table.counts == naive_margin_counts(design, subset)
+    assert table.subset == tuple(sorted(subset))
+    assert table.sizes == tuple(design.sizes[i] for i in sorted(subset))
+
+
+@PROPERTY
+@given(designs(multiplicities=MULTIPLICITIES))
+def test_margin_gwlp_is_the_correctly_rounded_exact_pattern(design):
+    assert gwlp_margin(design).raw == tuple(float(a) for a in exact_gwlp(design))
+
+
+@PROPERTY
+@given(designs(multiplicities=MULTIPLICITIES))
+def test_projector_norms_are_never_negative(design):
+    assert min(projector_norms(design)) >= 0

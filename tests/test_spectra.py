@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -233,12 +234,13 @@ class TestReconstruct:
         with pytest.raises(InconsistentSpectrumError, match=re.escape(message)):
             reconstruct(jchar)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_spectrum_rejected(self, bad):
         values = np.array([4, bad, 0, 0], dtype=np.complex128)
-        with pytest.raises(InconsistentSpectrumError, match="cell 0 reconstructs to"):
-            reconstruct(JCharVector(values, 1, (Z4,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(InconsistentSpectrumError, match="cell 0 reconstructs to"):
+                reconstruct(JCharVector(values, 1, (Z4,)))
 
     def test_default_tolerance_holds_at_large_s(self):
         # At s = 2^19 a tolerance proportional to s would exceed 1/2 and let a

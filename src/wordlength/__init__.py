@@ -33,7 +33,7 @@ from .invariance import (
     subset_norm,
     verify_invariance,
 )
-from .kron import FactorKind, build_projector, factored_apply, kron
+from .kron import factored_apply
 from .spectra import (
     GWLP,
     JCharVector,
@@ -53,7 +53,6 @@ __all__ = [
     "CharacterTable",
     "Design",
     "DesignParseError",
-    "FactorKind",
     "GWLP",
     "InconsistentSpectrumError",
     "InvarianceReport",
@@ -62,7 +61,6 @@ __all__ = [
     "ResourceLimitError",
     "SubsetNorm",
     "WordlengthError",
-    "build_projector",
     "character_table",
     "check_assignment",
     "compare_aberration",
@@ -72,7 +70,6 @@ __all__ = [
     "gwlp_char",
     "gwlp_margin",
     "j_characteristics",
-    "kron",
     "margins",
     "parse_design",
     "parse_structure",

@@ -55,11 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, tol_help=None):
+    def add_common(p, tol_default=None, tol_help=None):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--output", metavar="PATH", help="write the report to a file")
         if tol_help:
-            p.add_argument("--tol", type=float, default=None, help=tol_help)
+            p.add_argument("--tol", type=_tolerance, default=tol_default, help=tol_help)
 
     p = sub.add_parser("gwlp", help="generalized wordlength pattern of a design")
     p.add_argument("design", help="design file")
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dense", "factorized", "margin"],
         help="margin (default without --groups) needs no group structures",
     )
-    add_common(p, "clamping/reporting tolerance (default 1e-9)")
+    add_common(p, INTERNAL_TOL, "resolution tolerance (default 1e-9)")
 
     p = sub.add_parser("jchar", help="J-characteristics under a structure assignment")
     p.add_argument("design", help="design file")
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover a design from a jchar JSON report")
     p.add_argument("spectrum", help="JSON file produced by `jchar --json`")
     p.add_argument("--groups", help="override the structure assignment")
-    add_common(p, "max distance from integers (default 1e-6)")
+    add_common(p, RECONSTRUCT_TOL, "max distance from integers (default 1e-6)")
 
     p = sub.add_parser("invariance", help="verify GWLP invariance across assignments")
     p.add_argument("design", help="design file")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="assignment literal (repeatable) or `all`; default all",
     )
-    add_common(p, "cross-route tolerance (default 1e-8)")
+    add_common(p, CROSS_ROUTE_TOL, "cross-route tolerance (default 1e-8)")
 
     p = sub.add_parser("margins", help="margin counts over a factor subset")
     p.add_argument("design", help="design file")
@@ -100,13 +100,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first", help="first design file")
     p.add_argument("second", help="second design file")
     p.add_argument("--groups", help="structure literals applied to both designs")
-    add_common(p, "comparison tolerance (default 1e-9)")
+    add_common(p, INTERNAL_TOL, "comparison tolerance (default 1e-9)")
 
     p = sub.add_parser("enumerate-groups", help="abelian structures of a given order")
     p.add_argument("order", type=int)
     add_common(p)
 
     return parser
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"want a finite number >= 0, got {text!r}")
+    return tol
 
 
 def main(argv=None) -> int:
@@ -162,20 +173,19 @@ def _assignment_literal(structures) -> str:
 
 def _run_gwlp(args) -> tuple[int, str]:
     design = _load_design(args.design)
-    tol = args.tol if args.tol is not None else INTERNAL_TOL
     algorithm = args.algorithm or ("factorized" if args.groups else "margin")
     if algorithm == "margin":
         if args.groups:
             raise ValueError("the margin algorithm takes no --groups")
-        pattern = gwlp_margin(design, tol=tol)
+        pattern = gwlp_margin(design)
         groups = None
     else:
         if not args.groups:
             raise ValueError(f"--groups is required for the {algorithm} algorithm")
         jchar = j_characteristics(design, _parse_assignment(args.groups), algorithm)
-        pattern = gwlp_char(jchar, tol=tol)
+        pattern = gwlp_char(jchar)
         groups = [st.literal() for st in jchar.structures]
-    resolution, strength = resolution_and_strength(pattern)
+    resolution, strength = resolution_and_strength(pattern, args.tol)
     if args.json:
         payload = {
             "design": _design_summary(args.design, design),
@@ -184,7 +194,7 @@ def _run_gwlp(args) -> tuple[int, str]:
             "gwlp": [float(a) for a in pattern],
             "resolution": resolution,
             "strength": strength,
-            "tolerance": tol,
+            "tolerance": args.tol,
         }
         return 0, render.dumps(payload) + "\n"
     lines = [
@@ -235,6 +245,8 @@ def _run_reconstruct(args) -> tuple[int, str]:
         group_literals = doc["groups"]
         entries = doc["values"]
         n_runs = int(doc["n_runs"])
+        if n_runs != doc["n_runs"]:
+            raise ValueError(f"n_runs {doc['n_runs']!r} is not an integer")
         symbols = doc.get("design", {}).get("symbols")
         values = np.array(
             [complex(e["re"], e["im"]) for e in entries], dtype=np.complex128
@@ -255,8 +267,7 @@ def _run_reconstruct(args) -> tuple[int, str]:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
     jchar = JCharVector(values, n_runs, structures)
     override = _parse_assignment(args.groups) if args.groups else None
-    tol = args.tol if args.tol is not None else RECONSTRUCT_TOL
-    counts = reconstruct(jchar, override, tol=tol)
+    counts = reconstruct(jchar, override, tol=args.tol)
     if not counts:
         raise InconsistentSpectrumError("spectrum reconstructs to an empty design")
     used = override if override is not None else structures
@@ -281,7 +292,6 @@ def _run_reconstruct(args) -> tuple[int, str]:
 
 def _run_invariance(args) -> tuple[int, str]:
     design = _load_design(args.design)
-    tol = args.tol if args.tol is not None else CROSS_ROUTE_TOL
     specs = args.groups or ["all"]
     if "all" in specs:
         if len(specs) > 1:
@@ -289,7 +299,7 @@ def _run_invariance(args) -> tuple[int, str]:
         assignments = "all"
     else:
         assignments = [_parse_assignment(lit) for lit in specs]
-    report = verify_invariance(design, assignments, tol=tol)
+    report = verify_invariance(design, assignments, tol=args.tol)
     witness = report.witness
     witness_payload = None
     witness_text = f"J-characteristics agree across all assignments (within {render.fmt_float(INTERNAL_TOL)})"
@@ -316,7 +326,7 @@ def _run_invariance(args) -> tuple[int, str]:
             "margin_gwlp": [float(x) for x in report.margin_gwlp],
             "max_deviation_by_j": [float(x) for x in report.max_deviation_by_j],
             "max_deviation": report.max_deviation,
-            "tolerance": tol,
+            "tolerance": args.tol,
             "invariant": report.invariant,
             "witness": witness_payload,
             "resolution": report.resolution,
@@ -324,11 +334,11 @@ def _run_invariance(args) -> tuple[int, str]:
         }
         return code, render.dumps(payload) + "\n"
     if report.invariant:
-        deviation = f"max GWLP deviation < {render.fmt_float(tol)}"
+        deviation = f"max GWLP deviation < {render.fmt_float(args.tol)}"
     else:
         deviation = (
             f"max GWLP deviation {render.fmt_float(report.max_deviation)} "
-            f"EXCEEDS {render.fmt_float(tol)}"
+            f"EXCEEDS {render.fmt_float(args.tol)}"
         )
     lines = [
         f"{len(report.assignments)} assignments + margin route, {deviation}; {witness_text}",
@@ -377,23 +387,22 @@ def _run_margins(args) -> tuple[int, str]:
 
 
 def _run_compare(args) -> tuple[int, str]:
-    tol = args.tol if args.tol is not None else INTERNAL_TOL
     patterns = []
     for path in (args.first, args.second):
         design = _load_design(path)
         if args.groups:
             jchar = j_characteristics(design, _parse_assignment(args.groups))
-            patterns.append(gwlp_char(jchar, tol=tol))
+            patterns.append(gwlp_char(jchar))
         else:
-            patterns.append(gwlp_margin(design, tol=tol))
-    verdict = compare_aberration(patterns[0], patterns[1], tol=tol)
+            patterns.append(gwlp_margin(design))
+    verdict = compare_aberration(patterns[0], patterns[1], tol=args.tol)
     if args.json:
         payload = {
             "first": {"path": args.first, "gwlp": [float(a) for a in patterns[0]]},
             "second": {"path": args.second, "gwlp": [float(a) for a in patterns[1]]},
             "verdict": verdict.ordering,
             "index": verdict.index,
-            "tolerance": tol,
+            "tolerance": args.tol,
         }
         return 0, render.dumps(payload) + "\n"
     lines = [

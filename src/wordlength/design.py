@@ -361,11 +361,10 @@ def _resolve_alphabets(runs, k, sizes, symbols) -> list[list[str]]:
     # A levels header without symbols: factors use the numeric alphabet 0..s-1.
     if len(sizes) != k:
         raise DesignParseError(f"levels header declares {len(sizes)} factors, runs have {k}")
-    alphabets = []
-    for i, size in enumerate(sizes):
-        if not all(tok.isdigit() and int(tok) < size for tok in seen[i]):
+    alphabets = [[str(j) for j in range(size)] for size in sizes]
+    for i, alphabet in enumerate(alphabets):
+        if not seen[i] <= set(alphabet):
             raise DesignParseError(
-                f"factor {i + 1} uses non-numeric symbols; add a symbols header"
+                f"factor {i + 1} uses symbols outside 0..{sizes[i] - 1}; add a symbols header"
             )
-        alphabets.append([str(j) for j in range(size)])
     return alphabets

@@ -11,6 +11,7 @@ order ``d`` the chosen primitive root of unity is ``exp(2*pi*i/d)``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -125,50 +126,49 @@ class AbelianStructure:
 
     def element_of_index(self, index: int) -> Element:
         """Mixed-radix residues of a flat index; first cyclic part most significant."""
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range for order {self.order}")
-        return tuple(int(r) for r in np.unravel_index(index, self.cyclic_orders))
+        return element_components(int(index), self.cyclic_orders)
 
     def index_of_element(self, element: Sequence[int]) -> int:
-        element = self._validated(element)
+        element = element_components(tuple(element), self.cyclic_orders)
         return int(np.ravel_multi_index(element, self.cyclic_orders))
 
     def add(self, g: Sequence[int] | int, h: Sequence[int] | int) -> Element:
-        g, h = self._coerce(g), self._coerce(h)
-        return tuple((a + b) % d for a, b, d in zip(g, h, self.cyclic_orders))
+        orders = self.cyclic_orders
+        g, h = element_components(g, orders), element_components(h, orders)
+        return tuple((a + b) % d for a, b, d in zip(g, h, orders))
 
     def inverse(self, g: Sequence[int] | int) -> Element:
-        g = self._coerce(g)
+        g = element_components(g, self.cyclic_orders)
         return tuple((-a) % d for a, d in zip(g, self.cyclic_orders))
 
     def character_value(self, g: Sequence[int] | int, h: Sequence[int] | int) -> complex:
         """Value of the character named by g at the element h (modulus 1)."""
-        g, h = self._coerce(g), self._coerce(h)
+        orders = self.cyclic_orders
+        g, h = element_components(g, orders), element_components(h, orders)
         value = 1 + 0j
-        for a, b, d in zip(g, h, self.cyclic_orders):
+        for a, b, d in zip(g, h, orders):
             value *= root_of_unity(a * b, d)
         return value
 
-    def elements(self) -> Iterator[Element]:
-        for index in range(self.order):
-            yield self.element_of_index(index)
 
-    def _coerce(self, g: Sequence[int] | int) -> Element:
-        if isinstance(g, (int, np.integer)):
-            return self.element_of_index(int(g))
-        return self._validated(g)
+def element_components(g: Sequence[int] | int, orders: Sequence[int]) -> Element:
+    """Validated mixed-radix components of an element, first order most significant.
 
-    def _validated(self, element: Sequence[int]) -> Element:
-        element = tuple(element)
-        if len(element) != len(self.cyclic_orders):
-            raise ValueError(
-                f"element {element} has {len(element)} residues, "
-                f"structure has {len(self.cyclic_orders)} cyclic parts"
-            )
-        for r, d in zip(element, self.cyclic_orders):
-            if not 0 <= r < d:
-                raise ValueError(f"residue {r} out of range for cyclic order {d}")
-        return element
+    ``g`` is a flat index in ``[0, prod(orders))`` or a tuple of components,
+    one per order.
+    """
+    if isinstance(g, (int, np.integer)):
+        total = math.prod(orders)
+        if not 0 <= g < total:
+            raise ValueError(f"element index {g} out of range for order {total}")
+        return tuple(int(r) for r in np.unravel_index(int(g), orders))
+    g = tuple(int(c) for c in g)
+    if len(g) != len(orders):
+        raise ValueError(f"element {g} has {len(g)} components, expected {len(orders)}")
+    for c, order in zip(g, orders):
+        if not 0 <= c < order:
+            raise ValueError(f"component {c} out of range for order {order}")
+    return g
 
 
 def parse_structure(text: str) -> AbelianStructure:
@@ -196,19 +196,10 @@ def enumerate_structures(order: int) -> list[AbelianStructure]:
         per_prime.append([tuple(p**part for part in la) for la in _partitions(e)])
     structures = [
         AbelianStructure(tuple(part for group in combo for part in group))
-        for combo in _product(per_prime)
+        for combo in itertools.product(*per_prime)
     ]
     structures.sort(key=lambda st: st.cyclic_orders, reverse=True)
     return structures
-
-
-def _product(pools: list[list[tuple[int, ...]]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head, *rest)
 
 
 def cyclic_character_table(order: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from .spectra import (
     INTERNAL_TOL,
     Assignment,
     GWLP,
-    _finish_gwlp,
     check_assignment,
     gwlp_char,
     j_characteristics,
@@ -98,7 +97,7 @@ def projector_norms(design: Design) -> list[float]:
     return [value / s for value in _scaled_projector_norms(design)]
 
 
-def gwlp_margin(design: Design, *, tol: float = INTERNAL_TOL) -> GWLP:
+def gwlp_margin(design: Design) -> GWLP:
     """Wordlength pattern computed from margins only (no characters, no dense O).
 
     Exact: the integers N^2 * A_j are summed first and divided by N^2 once,
@@ -110,17 +109,15 @@ def gwlp_margin(design: Design, *, tol: float = INTERNAL_TOL) -> GWLP:
     for mask, value in enumerate(_scaled_projector_norms(design)):
         scaled[mask.bit_count()] += value
     n_squared = design.n_runs**2
-    return _finish_gwlp([a / n_squared for a in scaled], tol)
+    return GWLP([a / n_squared for a in scaled])
 
 
-def resolution_and_strength(gwlp: GWLP, tol: float | None = None) -> tuple[int | None, int]:
+def resolution_and_strength(gwlp: GWLP, tol: float = INTERNAL_TOL) -> tuple[int | None, int]:
     """Resolution = smallest j >= 1 with A_j > tol (None if all vanish).
 
     Strength is reported as resolution - 1, or k when no A_j exceeds tol.
     """
-    if tol is None:
-        tol = gwlp.tolerance
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     for j in range(1, len(gwlp)):
         if gwlp[j] > tol:
@@ -142,6 +139,8 @@ class AberrationVerdict:
 
 def compare_aberration(a: GWLP, b: GWLP, *, tol: float = INTERNAL_TOL) -> AberrationVerdict:
     """Lexicographic comparison of (A_1..A_k); the smaller first difference wins."""
+    if not tol >= 0:
+        raise ValueError("tolerance must be a number >= 0")
     if a.k != b.k:
         raise ValueError(f"patterns have different lengths ({a.k} vs {b.k})")
     for j in range(1, a.k + 1):
@@ -224,15 +223,17 @@ def verify_invariance(
     later one, the witness records the first Yates element where they do
     (taking, among later assignments, the one differing most there).
     """
+    if not tol >= 0:
+        raise ValueError("tolerance must be a number >= 0")
     resolved = expand_assignments(design, assignments, max_assignments=max_assignments)
-    margin = gwlp_margin(design, tol=witness_tol)
+    margin = gwlp_margin(design)
 
     gwlps: list[GWLP] = []
     first_values = None
     best_witness: tuple[int, float, int] | None = None  # (element, -delta, assignment)
     for pos, assignment in enumerate(resolved):
         jchar = j_characteristics(design, assignment)
-        gwlps.append(gwlp_char(jchar, tol=witness_tol))
+        gwlps.append(gwlp_char(jchar))
         if pos == 0:
             first_values = jchar.values.copy()
             continue

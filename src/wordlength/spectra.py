@@ -23,6 +23,7 @@ from .groups import (
     AbelianStructure,
     _dense_table,
     cyclic_character_table,
+    element_components,
     parse_structure,
 )
 from .kron import factored_apply
@@ -82,27 +83,8 @@ def weight(structures: Sequence[AbelianStructure], g: Sequence[int] | int) -> in
     ``g`` is a flat Yates index over the product group or a tuple of
     per-factor element indices.
     """
-    components = _components(structures, g)
+    components = element_components(g, [st.order for st in structures])
     return sum(1 for c in components if c != 0)
-
-
-def _components(
-    structures: Sequence[AbelianStructure], g: Sequence[int] | int
-) -> tuple[int, ...]:
-    orders = [st.order for st in structures]
-    if isinstance(g, (int, np.integer)):
-        index = int(g)
-        total = math.prod(orders)
-        if not 0 <= index < total:
-            raise ValueError(f"element index {index} out of range for order {total}")
-        return tuple(int(r) for r in np.unravel_index(index, orders))
-    g = tuple(int(c) for c in g)
-    if len(g) != len(orders):
-        raise ValueError(f"element {g} does not have {len(orders)} components")
-    for c, order in zip(g, orders):
-        if not 0 <= c < order:
-            raise ValueError(f"component {c} out of range for order {order}")
-    return g
 
 
 def element_weights(structures: Sequence[AbelianStructure]) -> np.ndarray:
@@ -133,21 +115,26 @@ class JCharVector:
 
 @dataclass(frozen=True)
 class GWLP:
-    """Generalized wordlength pattern (A_0, A_1, ..., A_k).
+    """Generalized wordlength pattern (A_0, A_1, ..., A_k) of a design.
 
-    A_0 is pinned to 1; tiny negative values from floating-point noise are
-    clamped to 0 in ``values`` while ``raw`` keeps them as computed.
+    A plain value: every route computes it without a tolerance, A_0 comes out
+    as exactly 1 and no entry is negative.  Tolerances belong to the
+    decisions made from a pattern (resolution, aberration order, cross-route
+    agreement), which take them as arguments.  ``raw`` is another name for
+    ``values``.
     """
 
     values: tuple[float, ...]
-    raw: tuple[float, ...] = field(repr=False)
-    tolerance: float = INTERNAL_TOL
 
     def __post_init__(self):
-        if any(a < -self.tolerance for a in self.raw):
-            raise ValueError(
-                f"wordlength pattern has an entry below -{self.tolerance}: {self.raw}"
-            )
+        values = tuple(float(a) for a in self.values)
+        if any(a < 0 for a in values):
+            raise ValueError(f"wordlength pattern has a negative entry: {values}")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def raw(self) -> tuple[float, ...]:
+        return self.values
 
     @property
     def k(self) -> int:
@@ -166,11 +153,6 @@ class GWLP:
 
     def __iter__(self):
         return iter(self.values)
-
-
-def _finish_gwlp(raw, tol: float) -> GWLP:
-    values = [1.0] + [max(float(a), 0.0) for a in raw[1:]]
-    return GWLP(tuple(values), tuple(float(a) for a in raw), tol)
 
 
 def _part_tables(structures: Sequence[AbelianStructure]) -> list[np.ndarray]:
@@ -223,8 +205,9 @@ def reconstruct(
 
     Returns a sparse map from runs (per-factor level indices) to
     multiplicities.  Raises InconsistentSpectrumError if any cell is farther
-    than ``tol`` from a nonnegative integer; that happens when the spectrum was
-    computed under a different structure assignment than the one given here.
+    than ``tol`` from a nonnegative integer, which happens when the spectrum
+    was computed under a different structure assignment than the one given
+    here, or if the multiplicities do not add up to ``jchar.n_runs``.
     """
     resolved = _spectrum_structures(jchar, structures)
     adjoints = [t.conj().T for t in _part_tables(resolved)]
@@ -246,14 +229,18 @@ def reconstruct(
     nonzero = np.flatnonzero(mults)
     digits = np.unravel_index(nonzero, [st.order for st in resolved])
     runs = zip(*(d.tolist() for d in digits))
-    return dict(zip(runs, mults[nonzero].astype(np.int64).tolist()))
+    counts = mults[nonzero].astype(np.int64).tolist()
+    total = sum(counts)
+    if total != jchar.n_runs:
+        raise InconsistentSpectrumError(
+            f"spectrum reconstructs to {total} runs, not its n_runs {jchar.n_runs}"
+        )
+    return dict(zip(runs, counts))
 
 
 def gwlp_char(
     jchar: JCharVector,
     structures: Sequence[AbelianStructure | str] | None = None,
-    *,
-    tol: float = INTERNAL_TOL,
 ) -> GWLP:
     """Wordlength pattern A_j = N^-2 * sum over weight-j elements of |chi_g|^2."""
     resolved = _spectrum_structures(jchar, structures)
@@ -262,5 +249,4 @@ def gwlp_char(
     weights = element_weights(resolved)
     k = len(resolved)
     power = np.abs(jchar.values) ** 2
-    raw = np.bincount(weights, weights=power, minlength=k + 1) / jchar.n_runs**2
-    return _finish_gwlp(raw, tol)
+    return GWLP(np.bincount(weights, weights=power, minlength=k + 1) / jchar.n_runs**2)

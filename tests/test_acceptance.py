@@ -18,7 +18,6 @@ import pytest
 from helpers import FIXTURES, all_assignments, random_design
 from wordlength import (
     Design,
-    build_projector,
     character_table,
     enumerate_structures,
     gwlp_char,
@@ -28,6 +27,7 @@ from wordlength import (
     projector_norms,
     reconstruct,
 )
+from wordlength.kron import build_projector
 from wordlength.spectra import assignment_character_table
 
 Z4 = parse_structure("4")

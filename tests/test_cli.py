@@ -50,6 +50,16 @@ class TestGwlpCommand:
             outputs.add(out.splitlines()[0])
         assert outputs == {"A = (1, 0, 0, 3)"}
 
+    def test_tol_is_the_resolution_threshold(self, capsys, tmp_path):
+        design = tmp_path / "design.txt"
+        design.write_text("levels: 2 2\n0 1\n1 0 x2\n", encoding="utf-8")  # A = (1, 2/9, 1)
+        code, out, _ = run(capsys, "gwlp", str(design))
+        assert code == 0
+        assert "resolution = 1, strength = 0" in out
+        code, out, _ = run(capsys, "gwlp", str(design), "--tol", "0.5")
+        assert code == 0
+        assert "resolution = 2, strength = 1" in out
+
     def test_margin_with_groups_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gwlp", PAPER, "--groups", "4,4,4", "--algorithm", "margin")
         assert code == 1
@@ -160,6 +170,8 @@ class TestReconstructCommand:
             edited(lambda doc: doc["design"]["symbols"][2].pop()),
             edited(lambda doc: doc["values"][5].__setitem__("re", float("nan"))),
             edited(lambda doc: doc["values"][0].__setitem__("im", float("inf"))),
+            edited(lambda doc: doc.__setitem__("n_runs", 99)),
+            edited(lambda doc: doc.__setitem__("n_runs", 16.5)),
         ):
             bad.write_text(text, encoding="utf-8")
             code, _, err = run(capsys, "reconstruct", str(bad))
@@ -301,6 +313,39 @@ class TestEnumerateGroupsCommand:
 
 
 class TestErrorsAndPlumbing:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-9x"])
+    def test_tol_must_be_a_finite_nonnegative_number(self, capsys, tmp_path, tol):
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text(out, encoding="utf-8")
+        for argv in (
+            ["gwlp", PAPER],
+            ["compare", PAPER, PAPER],
+            ["invariance", PAPER],
+            ["reconstruct", str(spectrum)],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--tol={tol}"])
+            assert exc.value.code == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--tol: want a finite number >= 0" in captured.err
+
+    def test_zero_tol_means_exact_comparison(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text(out, encoding="utf-8")
+        for argv in (
+            ["compare", PAPER, PAPER],
+            ["invariance", PAPER],
+            ["reconstruct", str(spectrum)],
+        ):
+            code, _, _ = run(capsys, *argv, "--tol", "0")
+            assert code == 0, argv
+        code, _, err = run(capsys, "gwlp", PAPER, "--tol", "0")  # resolution needs tol > 0
+        assert code == 1
+        assert "tolerance must be positive" in err
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "gwlp", "/nonexistent/design.txt")
         assert code == 2

@@ -93,6 +93,10 @@ class TestParse:
     def test_levels_header_rejects_nonnumeric(self):
         with pytest.raises(DesignParseError):
             parse_design("levels: 2 2\nx y\n")
+        # Digits outside "0".."s-1", including non-ASCII ones that str.isdigit accepts.
+        for symbol in ("3", "01", "\u00b2", "\u0661"):
+            with pytest.raises(DesignParseError, match="outside 0..2"):
+                parse_design(f"levels: 3 3\n0 {symbol}\n")
 
     def test_columns_layout_ragged(self):
         with pytest.raises(DesignParseError) as err:

@@ -13,7 +13,6 @@ from wordlength import (
     Design,
     GWLP,
     ResourceLimitError,
-    build_projector,
     compare_aberration,
     gwlp_char,
     gwlp_margin,
@@ -26,6 +25,7 @@ from wordlength import (
     subset_norm,
     verify_invariance,
 )
+from wordlength.kron import build_projector
 from wordlength.spectra import assignment_character_table
 
 Z4 = parse_structure("4")
@@ -33,8 +33,7 @@ V = parse_structure("2x2")
 
 
 def gwlp_of(*wordlengths: float) -> GWLP:
-    values = (1.0, *map(float, wordlengths))
-    return GWLP(values, values, 1e-9)
+    return GWLP((1.0, *wordlengths))
 
 
 class TestSubsetNorm:
@@ -231,6 +230,12 @@ class TestVerifyInvariance:
         with pytest.raises(ValueError):
             verify_invariance(paper_design, [[Z4, Z4, parse_structure("3")]])
 
+    def test_tolerance_must_be_a_number_at_least_zero(self, paper_design):
+        assert verify_invariance(paper_design, [[Z4] * 3], tol=0).invariant
+        for tol in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                verify_invariance(paper_design, [[Z4] * 3], tol=tol)
+
     def test_random_designs_are_invariant(self):
         rng = np.random.default_rng(49)
         for _ in range(10):
@@ -257,6 +262,8 @@ class TestResolutionAndStrength:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             resolution_and_strength(gwlp_of(0.0, 1.0), 0.0)
+        with pytest.raises(ValueError):
+            resolution_and_strength(gwlp_of(0.0, 1.0), math.nan)
 
 
 class TestCompareAberration:
@@ -286,3 +293,9 @@ class TestCompareAberration:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compare_aberration(gwlp_of(0, 0), gwlp_of(0, 0, 0))
+
+    def test_tolerance_must_be_a_number_at_least_zero(self):
+        assert compare_aberration(gwlp_of(0, 3), gwlp_of(0, 3), tol=0).ordering == "tie"
+        for tol in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                compare_aberration(gwlp_of(0, 3), gwlp_of(0, 3), tol=tol)

@@ -1,7 +1,7 @@
 """Property tests for the Yates-indexed paths and the margin route.
 
-Transforms, weights, densification, parsing, margin counts, and the exact
-margin-route pattern.
+Transforms, weights, densification, parsing, margin counts, the exact
+margin-route pattern, and the A_0 and sign of every route's pattern.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from helpers import exact_gwlp, naive_margin_counts
 from wordlength import (
     Design,
     enumerate_structures,
+    gwlp_char,
     gwlp_margin,
     j_characteristics,
     margins,
@@ -96,6 +97,19 @@ def test_flat_index_weight_matches_component_weight(case):
         digits = digits_of(index, orders)
         assert weight(assignment, index) == weight(assignment, digits)
         assert weight(assignment, index) == sum(1 for d in digits if d)
+
+
+@PROPERTY
+@given(designs_with_assignment())
+def test_every_route_gives_a0_one_and_no_negative_entry(case):
+    design, assignment = case
+    patterns = [gwlp_margin(design)] + [
+        gwlp_char(j_characteristics(design, assignment, algorithm))
+        for algorithm in ("factorized", "dense")
+    ]
+    for pattern in patterns:
+        assert pattern[0] == 1.0
+        assert min(pattern) >= 0
 
 
 @PROPERTY

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import FIXTURES, all_assignments, oracle_gwlp, oracle_jchar, random_design
 from wordlength import (
+    GWLP,
     Design,
     InconsistentSpectrumError,
     ResourceLimitError,
@@ -93,6 +94,10 @@ class TestWeight:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             weight((Z4,), 4)
+        with pytest.raises(ValueError, match="component 4 out of range"):
+            weight((Z4,), (4,))
+        with pytest.raises(ValueError, match="2 components, expected 1"):
+            weight((Z4,), (1, 0))
         with pytest.raises(ValueError):
             weight((Z4,), (4,))
 
@@ -259,6 +264,18 @@ class TestReconstruct:
         jchar = JCharVector(np.ones(4, dtype=np.complex128), 1, (Z4,))
         with pytest.raises(ValueError):
             reconstruct(jchar, (V, V))
+
+
+class TestGwlp:
+    def test_entries_are_floats_and_raw_is_values(self):
+        pattern = GWLP([1, 0, 3])
+        assert pattern.values == (1.0, 0.0, 3.0)
+        assert pattern.raw == pattern.values
+        assert pattern.k == 2
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="negative entry"):
+            GWLP((1.0, -1e-300))
 
 
 class TestGwlpChar:

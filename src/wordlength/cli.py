@@ -89,7 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="assignment literal (repeatable) or `all`; default all",
     )
-    add_common(p, CROSS_ROUTE_TOL, "cross-route tolerance (default 1e-8)")
+    add_common(
+        p,
+        CROSS_ROUTE_TOL,
+        "cross-route tolerance (default 1e-8); resolution and the witness use 1e-9",
+    )
 
     p = sub.add_parser("margins", help="margin counts over a factor subset")
     p.add_argument("design", help="design file")
@@ -267,6 +271,14 @@ def _run_reconstruct(args) -> tuple[int, str]:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
     jchar = JCharVector(values, n_runs, structures)
     override = _parse_assignment(args.groups) if args.groups else None
+    if override is not None and levels is not None:
+        orders = [st.order for st in override]
+        sizes = [len(a) for a in levels]
+        if orders != sizes:
+            raise ValueError(
+                f"--groups {args.groups} has orders {orders} and spans "
+                f"{math.prod(orders)} elements, but the report's symbols have sizes {sizes}"
+            )
     counts = reconstruct(jchar, override, tol=args.tol)
     if not counts:
         raise InconsistentSpectrumError("spectrum reconstructs to an empty design")

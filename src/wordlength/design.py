@@ -8,7 +8,9 @@ densifies unless explicitly asked to (and even then only below a cap).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,10 +59,20 @@ class Design:
         counts = dict(self.counts)
         if not counts:
             raise ValueError("a design needs at least one run")
+        try:  # any integer, numpy's included, is stored as a Python int
+            types = set(map(type, itertools.chain.from_iterable(counts)))
+            if types | set(map(type, counts.values())) != {int}:
+                counts = {
+                    tuple(map(operator.index, run)): operator.index(mult)
+                    for run, mult in counts.items()
+                }
+        except TypeError:
+            raise ValueError("runs and multiplicities must be integers") from None
+        sizes = [len(alphabet) for alphabet in levels]
         for run, mult in counts.items():
             if len(run) != len(levels):
                 raise ValueError(f"run {run} does not have {len(levels)} coordinates")
-            if any(not 0 <= r < len(levels[i]) for i, r in enumerate(run)):
+            if min(run) < 0 or not all(map(operator.lt, run, sizes)):
                 raise ValueError(f"run {run} has a level index out of range")
             if mult < 1:
                 raise ValueError(f"run {run} has multiplicity {mult} < 1")
@@ -103,10 +115,10 @@ class Design:
         for run in sorted(self.counts):
             yield run, self.counts[run]
 
-    def dense_counts(self, *, max_size: int = DENSIFY_CAP) -> np.ndarray:
-        """Count vector O over all s cells in Yates order (refused above the cap)."""
+    def dense_counts(self) -> np.ndarray:
+        """Count vector O over all s cells in Yates order (refused above ``DENSIFY_CAP``)."""
         cells, mults = self._run_matrix
-        return _dense(cells, mults, self.sizes, max_size, "count vector of length")
+        return _dense(cells, mults, self.sizes, "count vector of length")
 
     def serialize(self) -> str:
         """Canonical design-file text; parse(serialize(d)) reproduces d."""
@@ -144,19 +156,17 @@ class MarginTable:
         for cell in sorted(self.counts):
             yield cell, self.counts[cell]
 
-    def dense(self, *, max_size: int = DENSIFY_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         cells = np.array(list(self.counts), dtype=np.intp).reshape(-1, len(self.sizes))
         values = list(self.counts.values())
-        return _dense(cells, values, self.sizes, max_size, "margin table of size")
+        return _dense(cells, values, self.sizes, "margin table of size")
 
 
-def _dense(
-    cells: np.ndarray, values, sizes: tuple[int, ...], max_size: int, what: str
-) -> np.ndarray:
+def _dense(cells: np.ndarray, values, sizes: tuple[int, ...], what: str) -> np.ndarray:
     """Counts at (n, k) cells as a dense Yates-ordered vector (numpy C order)."""
     size = math.prod(sizes)
-    if size > max_size:
-        raise ResourceLimitError(f"dense {what} {size} exceeds the cap {max_size}")
+    if size > DENSIFY_CAP:
+        raise ResourceLimitError(f"dense {what} {size} exceeds the cap {DENSIFY_CAP}")
     dense = np.zeros(size, dtype=np.float64)
     np.put(dense, np.ravel_multi_index(cells.T, sizes), values)
     return dense

@@ -221,24 +221,21 @@ class CharacterTable:
     normalized: np.ndarray = field(repr=False)
 
 
-def character_table(
-    structure: AbelianStructure, *, max_order: int = DENSE_TABLE_CAP
-) -> CharacterTable:
+def character_table(structure: AbelianStructure) -> CharacterTable:
     """Materialize the full character table (Kronecker product over cyclic parts).
 
-    Refuses orders above ``max_order``; at larger sizes use the factorized
-    transform instead of a dense table.
+    Refuses orders above ``DENSE_TABLE_CAP``; at larger sizes use the
+    factorized transform instead of a dense table.
     """
-    entries = _dense_table(structure.cyclic_orders, max_order)
+    entries = _dense_table(structure.cyclic_orders)
     return CharacterTable(structure, entries, entries / math.sqrt(structure.order))
 
 
-def _dense_table(cyclic_orders: Sequence[int], max_order: int) -> np.ndarray:
-    """Kronecker product of the cyclic tables, refused above ``max_order`` elements."""
+def _dense_table(cyclic_orders: Sequence[int]) -> np.ndarray:
+    """Kronecker product of the cyclic tables, refused above the table cap."""
     s = math.prod(cyclic_orders)
-    if s > max_order:
+    if s > DENSE_TABLE_CAP:
         raise ResourceLimitError(
-            f"dense character table of order {s} exceeds the cap {max_order}"
+            f"dense character table of order {s} exceeds the cap {DENSE_TABLE_CAP}"
         )
-    tables = [cyclic_character_table(d) for d in cyclic_orders]
-    return kron_all(tables, max_entries=max(s * s, 1))
+    return kron_all([cyclic_character_table(d) for d in cyclic_orders])  # s*s <= kron cap

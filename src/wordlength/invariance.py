@@ -40,7 +40,7 @@ from .spectra import (
 #: Default tolerance when comparing the margin route against character routes.
 CROSS_ROUTE_TOL = 1e-8
 
-#: Default cap on the number of assignments an "all" sweep may expand to.
+#: Largest number of assignments one invariance check may compare.
 MAX_ASSIGNMENTS = 256
 
 
@@ -153,28 +153,24 @@ def compare_aberration(a: GWLP, b: GWLP, *, tol: float = INTERNAL_TOL) -> Aberra
 def expand_assignments(
     design: Design,
     assignments: str | Sequence[Sequence[AbelianStructure | str]] = "all",
-    *,
-    max_assignments: int = MAX_ASSIGNMENTS,
 ) -> list[Assignment]:
     """Resolve an assignment list, or "all" = every per-factor structure choice."""
     if isinstance(assignments, str):
         if assignments != "all":
             raise ValueError(f"unknown assignment sweep {assignments!r}")
         per_factor = [enumerate_structures(size) for size in design.sizes]
+        candidates = itertools.product(*per_factor)
         total = math.prod(len(choices) for choices in per_factor)
-        if total > max_assignments:
-            raise ResourceLimitError(
-                f"sweep expands to {total} assignments, above the cap {max_assignments}"
-            )
-        return [tuple(combo) for combo in itertools.product(*per_factor)]
-    resolved = [check_assignment(design, a) for a in assignments]
-    if len(resolved) > max_assignments:
-        raise ResourceLimitError(
-            f"{len(resolved)} assignments exceed the cap {max_assignments}"
-        )
-    if not resolved:
+        excess = f"sweep expands to {total} assignments, above the cap"
+    else:
+        candidates = [check_assignment(design, a) for a in assignments]
+        total = len(candidates)
+        excess = f"{total} assignments exceed the cap"
+    if total > MAX_ASSIGNMENTS:
+        raise ResourceLimitError(f"{excess} {MAX_ASSIGNMENTS}")
+    if not total:
         raise ValueError("need at least one assignment")
-    return resolved
+    return [tuple(combo) for combo in candidates]
 
 
 @dataclass(frozen=True)
@@ -212,8 +208,6 @@ def verify_invariance(
     assignments: str | Sequence[Sequence[AbelianStructure | str]] = "all",
     *,
     tol: float = CROSS_ROUTE_TOL,
-    witness_tol: float = INTERNAL_TOL,
-    max_assignments: int = MAX_ASSIGNMENTS,
 ) -> InvarianceReport:
     """Compare the wordlength pattern across structure assignments and routes.
 
@@ -221,11 +215,13 @@ def verify_invariance(
     the margin-route pattern once, and reports the largest pairwise deviation
     per weight class.  When spectra differ between the first assignment and a
     later one, the witness records the first Yates element where they do
-    (taking, among later assignments, the one differing most there).
+    (taking, among later assignments, the one differing most there).  ``tol``
+    decides only cross-route agreement; the witness and the resolution are
+    decided at ``INTERNAL_TOL``.
     """
     if not tol >= 0:
         raise ValueError("tolerance must be a number >= 0")
-    resolved = expand_assignments(design, assignments, max_assignments=max_assignments)
+    resolved = expand_assignments(design, assignments)
     margin = gwlp_margin(design)
 
     gwlps: list[GWLP] = []
@@ -238,7 +234,7 @@ def verify_invariance(
             first_values = jchar.values.copy()
             continue
         deltas = abs(jchar.values - first_values)
-        differing = (deltas > witness_tol).nonzero()[0]
+        differing = (deltas > INTERNAL_TOL).nonzero()[0]
         if differing.size:
             element = int(differing[0])
             candidate = (element, -float(deltas[element]), pos)
@@ -265,7 +261,7 @@ def verify_invariance(
         column = [p[j] for p in patterns]
         by_j.append(max(column) - min(column))
     max_dev = max(by_j)
-    resolution, strength = resolution_and_strength(margin, witness_tol)
+    resolution, strength = resolution_and_strength(margin)
     return InvarianceReport(
         design_sizes=design.sizes,
         n_runs=design.n_runs,

@@ -7,7 +7,6 @@ owns the most significant mixed-radix digit, matching ``numpy.kron``.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -18,35 +17,23 @@ from .errors import ResourceLimitError
 DENSE_KRON_CAP = 2**24
 
 
-class FactorKind(Enum):
-    """Per-coordinate factor of an axis projector.
-
-    P projects onto the first coordinate axis (single 1 at position (0, 0)),
-    Q = I - P onto its complement, I is the identity.
-    """
-
-    P = "P"
-    Q = "Q"
-    I = "I"  # noqa: E741 - the conventional name
-
-
-def kron(a: np.ndarray, b: np.ndarray, *, max_entries: int = DENSE_KRON_CAP) -> np.ndarray:
-    """Dense Kronecker product with a size guard."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense Kronecker product, refused above ``DENSE_KRON_CAP`` entries."""
     a = np.asarray(a)
     b = np.asarray(b)
     entries = a.size * b.size
-    if entries > max_entries:
+    if entries > DENSE_KRON_CAP:
         raise ResourceLimitError(
-            f"kron result with {entries} entries exceeds the cap {max_entries}"
+            f"kron result with {entries} entries exceeds the cap {DENSE_KRON_CAP}"
         )
     return np.kron(a, b)
 
 
-def kron_all(factors: Sequence[np.ndarray], *, max_entries: int = DENSE_KRON_CAP) -> np.ndarray:
+def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence of matrices (empty product is [[1]])."""
     result = np.ones((1, 1), dtype=np.complex128)
     for f in factors:
-        result = kron(result, f, max_entries=max_entries)
+        result = kron(result, f)
     return result
 
 
@@ -74,31 +61,29 @@ def factored_apply(factors: Sequence[np.ndarray], v: Sequence[complex]) -> np.nd
     return w.reshape(-1)
 
 
-def projector_factors(
-    kinds: Sequence[FactorKind | str], sizes: Sequence[int]
-) -> list[np.ndarray]:
-    """The per-coordinate matrices of an axis projector (testing aid)."""
+def projector_factors(kinds: Sequence[str], sizes: Sequence[int]) -> list[np.ndarray]:
+    """The per-coordinate matrices of an axis projector (testing aid).
+
+    Kind ``"P"`` projects onto the first coordinate axis (a single 1 at
+    (0, 0)), ``"Q"`` = I - P onto its complement, and ``"I"`` is the identity.
+    """
     if len(kinds) != len(sizes):
         raise ValueError("one kind per coordinate required")
     factors = []
     for kind, size in zip(kinds, sizes):
-        kind = FactorKind(kind) if not isinstance(kind, FactorKind) else kind
+        if kind not in ("P", "Q", "I"):
+            raise ValueError(f"projector kind must be P, Q or I, got {kind!r}")
         if size < 1:
             raise ValueError(f"coordinate size must be positive, got {size}")
-        if kind is FactorKind.I:
+        if kind == "I":
             factors.append(np.eye(size, dtype=np.complex128))
         else:
             p = np.zeros((size, size), dtype=np.complex128)
             p[0, 0] = 1.0
-            factors.append(p if kind is FactorKind.P else np.eye(size) - p)
+            factors.append(p if kind == "P" else np.eye(size) - p)
     return factors
 
 
-def build_projector(
-    kinds: Sequence[FactorKind | str],
-    sizes: Sequence[int],
-    *,
-    max_entries: int = DENSE_KRON_CAP,
-) -> np.ndarray:
+def build_projector(kinds: Sequence[str], sizes: Sequence[int]) -> np.ndarray:
     """Dense Kronecker product of P/Q/I coordinate factors (testing aid only)."""
-    return kron_all(projector_factors(kinds, sizes), max_entries=max_entries)
+    return kron_all(projector_factors(kinds, sizes))

@@ -15,11 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import design as design_mod
 from .design import Design
 from .errors import InconsistentSpectrumError
 from .groups import (
-    DENSE_TABLE_CAP,
     AbelianStructure,
     _dense_table,
     cyclic_character_table,
@@ -161,32 +159,27 @@ def _part_tables(structures: Sequence[AbelianStructure]) -> list[np.ndarray]:
     ]
 
 
-def assignment_character_table(
-    structures: Sequence[AbelianStructure], *, max_order: int = DENSE_TABLE_CAP
-) -> np.ndarray:
+def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.ndarray:
     """Dense character table of the product group, Yates-ordered by factors."""
-    return _dense_table([d for st in structures for d in st.cyclic_orders], max_order)
+    return _dense_table([d for st in structures for d in st.cyclic_orders])
 
 
 def j_characteristics(
     design: Design,
     structures: Sequence[AbelianStructure | str],
     algorithm: str = "factorized",
-    *,
-    max_dense_order: int = DENSE_TABLE_CAP,
-    max_size: int = design_mod.DENSIFY_CAP,
 ) -> JCharVector:
     """Spectrum chi with chi[g] = sum_h O(h) chi_g(h).
 
     ``algorithm="dense"`` materializes the full character table (capped at
-    ``max_dense_order``); ``"factorized"`` applies the per-part tables as a
-    mixed-radix transform and only needs the dense count vector (capped at
-    ``max_size``).
+    ``groups.DENSE_TABLE_CAP``); ``"factorized"`` applies the per-part tables
+    as a mixed-radix transform and only needs the dense count vector (capped
+    at ``design.DENSIFY_CAP``).
     """
     structures = check_assignment(design, structures)
-    counts = design.dense_counts(max_size=max_size).astype(np.complex128)
+    counts = design.dense_counts().astype(np.complex128)
     if algorithm == "dense":
-        table = assignment_character_table(structures, max_order=max_dense_order)
+        table = assignment_character_table(structures)
         values = table @ counts
     elif algorithm == "factorized":
         values = factored_apply(_part_tables(structures), counts)

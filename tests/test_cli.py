@@ -185,6 +185,14 @@ class TestReconstructCommand:
         code, _, err = run(capsys, "reconstruct", str(spectrum), "--groups", "2,2,2")
         assert code == 1
         assert "spans 8 elements" in err
+        # Same total size, but the factor orders do not match the report's symbols.
+        design = tmp_path / "mixed.txt"
+        design.write_text("symbols: p q r s | u v\np u\nq v\nr u\ns v\n", encoding="utf-8")
+        _, out, _ = run(capsys, "jchar", str(design), "--groups", "4,2", "--json")
+        spectrum.write_text(out, encoding="utf-8")
+        code, out, err = run(capsys, "reconstruct", str(spectrum), "--groups", "2,4")
+        assert (code, out) == (1, "")
+        assert "[2, 4]" in err and "[4, 2]" in err
 
 
 class TestInvarianceCommand:

@@ -125,6 +125,17 @@ class TestDesignType:
             Design((("0", "1"),), {(0,): 0})
         with pytest.raises(ValueError):
             Design((("0", "0"),), {(0,): 1})
+        for counts in [{(1,): 1.5}, {(0.5,): 1}, {(1.0,): 1}, {(1,): 2.0}, {(1,): "2"}]:
+            with pytest.raises(ValueError, match="must be integers"):
+                Design((("a", "b"),), counts)
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        design = Design((("a", "b"),), {(np.int64(1),): np.int32(3)})
+        ((run, mult),) = design.counts.items()
+        assert type(run[0]) is int and type(mult) is int
+        assert type(design.n_runs) is int
+        assert design.serialize() == "symbols: a b\nb x3\n"
+        assert parse_design(design.serialize()) == design
 
     def test_counts_are_read_only(self, paper_design):
         with pytest.raises(TypeError):
@@ -136,9 +147,10 @@ class TestDesignType:
         assert dense[0] == 1  # run (0,0,0) sits at Yates index 0
         assert (dense >= 0).all()
 
-    def test_dense_counts_cap(self, paper_design):
+    def test_dense_counts_cap(self):
+        one_run = Design((("0", "1"),) * 21, {(0,) * 21: 1})  # 2^21 cells
         with pytest.raises(ResourceLimitError):
-            paper_design.dense_counts(max_size=63)
+            one_run.dense_counts()
 
     def test_serialize_round_trip(self, paper_design):
         assert parse_design(paper_design.serialize()) == paper_design

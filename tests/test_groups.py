@@ -222,6 +222,6 @@ class TestCharacterTables:
             assert np.abs(dense - product).max() < 1e-12
 
     def test_dense_cap(self):
-        big = parse_structure("5")
+        big = parse_structure("4097")
         with pytest.raises(ResourceLimitError):
-            character_table(big, max_order=4)
+            character_table(big)

@@ -222,9 +222,12 @@ class TestVerifyInvariance:
         assert report.witness is None
         assert report.invariant
 
-    def test_assignment_cap(self, paper_design):
+    def test_assignment_cap(self):
+        six_octal = Design((tuple("01234567"),) * 6, {(0,) * 6: 1})  # 3^6 = 729
         with pytest.raises(ResourceLimitError):
-            verify_invariance(paper_design, "all", max_assignments=7)
+            verify_invariance(six_octal, "all")
+        with pytest.raises(ResourceLimitError):
+            verify_invariance(six_octal, [["8"] * 6] * 257)
 
     def test_size_mismatch_rejected(self, paper_design):
         with pytest.raises(ValueError):

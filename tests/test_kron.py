@@ -37,9 +37,9 @@ class TestKron:
         assert kron(a, b).shape == (10, 21)
 
     def test_cap(self):
-        a = np.ones((100, 100))
+        a = np.ones((65, 65))  # 65^4 entries, just above 2^24
         with pytest.raises(ResourceLimitError):
-            kron(a, a, max_entries=10**6)
+            kron(a, a)
 
     def test_norm_multiplicativity(self):
         rng = np.random.default_rng(7)
@@ -154,4 +154,9 @@ class TestProjectors:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            build_projector(["I"] * 4, [10, 10, 10, 10], max_entries=10**6)
+            build_projector(["I"] * 2, [65, 65])
+
+    @pytest.mark.parametrize("kind", ["X", "p", "", None])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="P, Q or I"):
+            projector_factors([kind], [2])

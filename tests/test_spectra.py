@@ -173,11 +173,13 @@ class TestJCharacteristics:
             assert np.abs(jchar.values).max() <= design.n_runs + 1e-9
             assert jchar.values[0] == design.n_runs
 
-    def test_densification_cap(self, paper_design):
+    def test_densification_cap(self):
+        too_many_cells = Design((tuple("0123"),) * 11, {(0,) * 11: 1})  # 4^11 = 2^22 cells
         with pytest.raises(ResourceLimitError):
-            j_characteristics(paper_design, [Z4] * 3, max_size=63)
+            j_characteristics(too_many_cells, [Z4] * 11)
+        too_big_table = Design((tuple("0123"),) * 7, {(0,) * 7: 1})  # order 4^7 > 2^12
         with pytest.raises(ResourceLimitError):
-            j_characteristics(paper_design, [Z4] * 3, "dense", max_dense_order=63)
+            j_characteristics(too_big_table, [Z4] * 7, "dense")
 
     def test_assignment_validation(self, paper_design):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from .invariance import (
     compare_aberration,
     gwlp_margin,
     resolution_and_strength,
-    subset_norm,
+    table_norm,
     verify_invariance,
 )
 from .spectra import (
@@ -212,14 +212,6 @@ def _run_jchar(args) -> tuple[int, str]:
     design = _load_design(args.design)
     jchar = j_characteristics(design, _parse_assignment(args.groups), args.algorithm)
     if args.json:
-        values = [
-            {"g": label, "re": re, "im": im}
-            for label, re, im in zip(
-                render.element_labels(design.levels),
-                jchar.values.real.tolist(),
-                jchar.values.imag.tolist(),
-            )
-        ]
         payload = {
             "design": {
                 **_design_summary(args.design, design),
@@ -228,7 +220,7 @@ def _run_jchar(args) -> tuple[int, str]:
             "groups": [st.literal() for st in jchar.structures],
             "algorithm": args.algorithm,
             "n_runs": jchar.n_runs,
-            "values": values,
+            "values": render.Spectrum(design.levels, jchar.values),
         }
         return 0, render.dumps(payload) + "\n"
     lines = []
@@ -373,7 +365,7 @@ def _run_margins(args) -> tuple[int, str]:
     else:
         positions = []
     table = margins(design, positions)
-    norm = subset_norm(design, positions)
+    norm = table_norm(table, design.space_size)
     if args.json:
         payload = {
             "design": _design_summary(args.design, design),

@@ -54,8 +54,12 @@ class SubsetNorm:
 
 def subset_norm(design: Design, subset: Iterable[int]) -> SubsetNorm:
     """B_K from the K-margins alone: sum of squared counts over the off-K size."""
-    table = margins(design, subset)
-    return SubsetNorm(table.subset, _scaled_norm(table) / design.space_size)
+    return table_norm(margins(design, subset), design.space_size)
+
+
+def table_norm(table: MarginTable, space_size: int) -> SubsetNorm:
+    """``subset_norm`` from a K-margin table of a design with ``space_size`` cells."""
+    return SubsetNorm(table.subset, _scaled_norm(table) / space_size)
 
 
 def _scaled_norm(table: MarginTable) -> int:

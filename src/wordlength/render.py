@@ -12,6 +12,8 @@ import itertools
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 def fmt_float(x: float) -> str:
     x = float(x)
@@ -38,6 +40,21 @@ def complex_json(z: complex) -> dict[str, float]:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+class Spectrum:
+    """Complex values over a design's group elements, in Yates order.
+
+    ``dumps`` writes it as the list ``[{"g": label, "re": x, "im": y}, ...]``
+    with ``element_labels(levels)`` as the labels, one format call per entry.
+    """
+
+    # A plain class: a dataclass would add about 1 ms to every command's import.
+    __slots__ = ("levels", "values")
+
+    def __init__(self, levels: Sequence[Sequence[str]], values: np.ndarray) -> None:
+        self.levels = levels
+        self.values = values
+
+
 def dumps(payload: Any) -> str:
     """Canonical JSON: insertion-ordered keys, floats at 12 significant digits."""
     pieces: list[str] = []
@@ -59,8 +76,6 @@ def _write(value: Any, out: list[str]) -> None:
         text = fmt_float(value)
         # ".12g" may produce bare exponents like 1e-09, which JSON accepts.
         out.append(text)
-    elif isinstance(value, complex):
-        _write(complex_json(value), out)
     elif isinstance(value, dict):
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
@@ -77,8 +92,24 @@ def _write(value: Any, out: list[str]) -> None:
                 out.append(", ")
             _write(item, out)
         out.append("]")
+    elif isinstance(value, Spectrum):  # after the common types, which then pay nothing
+        _write_spectrum(value, out)
     else:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def _write_spectrum(spectrum: Spectrum, out: list[str]) -> None:
+    # One format call per entry; "+ 0.0" drops the sign of -0.0 as fmt_float does.
+    entries = [
+        '{"g": %s, "re": %s, "im": %s}'
+        % (encode_basestring_ascii(label), format(re + 0.0, ".12g"), format(im + 0.0, ".12g"))
+        for label, re, im in zip(
+            element_labels(spectrum.levels),
+            spectrum.values.real.tolist(),
+            spectrum.values.imag.tolist(),
+        )
+    ]
+    out.extend(("[", ", ".join(entries), "]"))
 
 
 def element_label(levels: Sequence[Sequence[str]], components: Iterable[int]) -> str:

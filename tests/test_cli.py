@@ -16,7 +16,9 @@ PAPER = str(FIXTURES / "paper_oa.txt")
 
 # stdout and exit code of every command, text and --json, on the paper fixture
 # as recorded from an earlier build; "{spectrum}" stands for a `jchar --json`
-# report under 4,2x2,4.
+# report under 4,2x2,4.  The mixed_symbols.txt entries pin spectrum rendering
+# (irrational values, 1e-16 residues, comma-joined and \u-escaped labels) and
+# the margins command.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -429,8 +431,9 @@ class TestRendering:
     def test_dumps_rejects_unknown_types(self):
         from wordlength.render import dumps
 
-        with pytest.raises(TypeError):
-            dumps(object())
+        for value in (object(), 1j):
+            with pytest.raises(TypeError):
+                dumps(value)
 
     def test_dumps_encodes_scalars_like_json_dumps(self):
         from wordlength.render import dumps

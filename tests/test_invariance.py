@@ -17,6 +17,7 @@ from wordlength import (
     gwlp_char,
     gwlp_margin,
     j_characteristics,
+    margins,
     parse_design,
     parse_structure,
     projector_norms,
@@ -25,6 +26,7 @@ from wordlength import (
     subset_norm,
     verify_invariance,
 )
+from wordlength.invariance import table_norm
 from wordlength.kron import build_projector
 from wordlength.spectra import assignment_character_table
 
@@ -68,6 +70,15 @@ class TestSubsetNorm:
                 for sub in range(1 << k):
                     if sub & mask == sub:
                         assert values[sub] <= values[mask] + 1e-9
+
+    def test_table_norm_is_subset_norm_of_the_same_margins(self):
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            design = random_design(rng, max_k=3)
+            for mask in range(1 << design.k):
+                subset = [i for i in range(design.k) if mask >> i & 1]
+                table = margins(design, subset)
+                assert table_norm(table, design.space_size) == subset_norm(design, subset)
 
 
 class TestMobius:

@@ -1,11 +1,13 @@
 """Property tests for the Yates-indexed paths and the margin route.
 
 Transforms, weights, densification, parsing, margin counts, the exact
-margin-route pattern, and the A_0 and sign of every route's pattern.
+margin-route pattern, the A_0 and sign of every route's pattern, and the
+rendering of spectra.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from wordlength import (
     relabel_levels,
     weight,
 )
+from wordlength.render import Spectrum, dumps, element_labels, fmt_float
 
 MAX_SPACE = 4096
 SIZES = (1, 2, 3, 4, 6, 8, 9)
@@ -156,3 +159,45 @@ def test_margin_gwlp_is_the_correctly_rounded_exact_pattern(design):
 @given(designs(multiplicities=MULTIPLICITIES))
 def test_projector_norms_are_never_negative(design):
     assert min(projector_norms(design)) >= 0
+
+
+# Floats that reach every branch of ".12g" with -0 dropped: signed zeros,
+# subnormals, exponent forms on both sides, and exact ties at the 12th digit.
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.220446049250313e-16, -1e-16,
+    1e20, -1e20, 1e-20, -1e-20, 1e12, 123456789012.5, 123456789013.5, -0.5, 1 / 3,
+)
+FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# Any non-empty text: multi-character, non-ASCII, quotes and control characters.
+LABEL_SYMBOLS = st.text(min_size=1, max_size=3)
+
+
+@st.composite
+def spectra(draw) -> Spectrum:
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    levels = tuple(
+        tuple(draw(st.lists(LABEL_SYMBOLS, min_size=s, max_size=s, unique=True))) for s in shape
+    )
+    parts = st.lists(FINITE, min_size=math.prod(shape), max_size=math.prod(shape))
+    values = np.empty(math.prod(shape), dtype=np.complex128)
+    values.real, values.imag = draw(parts), draw(parts)  # no arithmetic: keeps -0.0
+    return Spectrum(levels, values)
+
+
+@PROPERTY
+@given(spectra())
+def test_spectrum_renders_as_its_list_of_entries(spectrum):
+    entries = [
+        {"g": label, "re": re, "im": im}
+        for label, re, im in zip(
+            element_labels(spectrum.levels),
+            spectrum.values.real.tolist(),
+            spectrum.values.imag.tolist(),
+        )
+    ]
+    text = dumps(spectrum)
+    assert text == dumps(entries)
+    assert json.loads(text) == [
+        {"g": e["g"], "re": float(fmt_float(e["re"])), "im": float(fmt_float(e["im"]))}
+        for e in entries
+    ]

@@ -375,14 +375,14 @@ def _run_margins(args) -> tuple[int, str]:
                     "levels": [design.levels[i][r] for i, r in zip(table.subset, cell)],
                     "count": count,
                 }
-                for cell, count in table.cells()
+                for cell, count in table.items()
             ],
             "n_runs": table.n_runs,
             "subset_norm": norm.value,
         }
         return 0, render.dumps(payload) + "\n"
     lines = []
-    for cell, count in table.cells():
+    for cell, count in table.items():
         symbols = [design.levels[i][r] for i, r in zip(table.subset, cell)]
         label = "()" if not symbols else " ".join(symbols)
         lines.append(f"{label} {count}")

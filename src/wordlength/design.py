@@ -131,35 +131,28 @@ class Design:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginTable:
     """Run counts marginalized to a subset of factor positions (0-based).
 
-    Only nonzero cells are stored; each cell is a tuple of level indices for
-    the factors in ``subset`` (ascending).  The empty subset yields the single
-    cell ``()`` holding N.
+    Only nonzero cells are stored, in Yates order: row j of ``cells`` holds
+    the level indices of the factors in ``subset`` (ascending) and
+    ``counts[j]`` its total, with the dtype of the design's multiplicities.
+    The empty subset yields one empty cell holding N.
     """
 
     subset: tuple[int, ...]
     sizes: tuple[int, ...]
-    counts: Mapping[tuple[int, ...], int] = field(repr=False)
+    cells: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
     n_runs: int
 
-    def __getitem__(self, cell: Sequence[int]) -> int:
-        return self.counts.get(tuple(cell), 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def cells(self) -> Iterator[tuple[tuple[int, ...], int]]:
+    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Nonzero (cell, count) pairs in Yates order."""
-        for cell in sorted(self.counts):
-            yield cell, self.counts[cell]
+        return zip(map(tuple, self.cells.tolist()), self.counts.tolist())
 
     def dense(self) -> np.ndarray:
-        cells = np.array(list(self.counts), dtype=np.intp).reshape(-1, len(self.sizes))
-        values = list(self.counts.values())
-        return _dense(cells, values, self.sizes, "margin table of size")
+        return _dense(self.cells, self.counts, self.sizes, "margin table of size")
 
 
 def _dense(cells: np.ndarray, values, sizes: tuple[int, ...], what: str) -> np.ndarray:
@@ -182,21 +175,21 @@ def margins(design: Design, subset: Iterable[int]) -> MarginTable:
     if positions and not (0 <= positions[0] and positions[-1] < design.k):
         raise ValueError(f"subset {positions} out of range for {design.k} factors")
     sizes = tuple(design.sizes[i] for i in positions)
-    if not positions:
-        return MarginTable(positions, sizes, {(): design.n_runs}, design.n_runs)
     runs, mults = design._run_matrix
+    if not positions:
+        total = np.array([design.n_runs], dtype=mults.dtype)
+        return MarginTable(positions, sizes, np.zeros((1, 0), np.intp), total, design.n_runs)
     columns = runs[:, positions]
     if len(sizes) <= _MAX_RAVEL_DIMS and math.prod(sizes) <= _MAX_RAVEL_CELLS:
         distinct, inverse = np.unique(
             np.ravel_multi_index(columns.T, sizes), return_inverse=True
         )
-        cells = zip(*(digits.tolist() for digits in np.unravel_index(distinct, sizes)))
+        cells = np.stack(np.unravel_index(distinct, sizes), axis=1)
     else:  # too many cells for one flat index: count distinct rows instead
-        distinct, inverse = np.unique(columns, axis=0, return_inverse=True)
-        cells = map(tuple, distinct.tolist())
-    totals = np.zeros(len(distinct), dtype=mults.dtype)
+        cells, inverse = np.unique(columns, axis=0, return_inverse=True)
+    totals = np.zeros(len(cells), dtype=mults.dtype)
     np.add.at(totals, inverse, mults)
-    return MarginTable(positions, sizes, dict(zip(cells, totals.tolist())), design.n_runs)
+    return MarginTable(positions, sizes, cells, totals, design.n_runs)
 
 
 def relabel_levels(design: Design, perms: Sequence[Sequence[int] | None]) -> Design:

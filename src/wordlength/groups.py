@@ -205,11 +205,8 @@ def enumerate_structures(order: int) -> list[AbelianStructure]:
 def cyclic_character_table(order: int) -> np.ndarray:
     """Character table of the cyclic group Z_order: entry (g, h) is exp(2*pi*i*g*h/order)."""
     roots = [root_of_unity(m, order) for m in range(order)]
-    table = np.empty((order, order), dtype=np.complex128)
-    for g in range(order):
-        for h in range(order):
-            table[g, h] = roots[(g * h) % order]
-    return table
+    r = np.arange(order)
+    return np.asarray(roots, dtype=np.complex128)[np.outer(r, r) % order]
 
 
 @dataclass(frozen=True, eq=False)

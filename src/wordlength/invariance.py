@@ -64,7 +64,7 @@ def table_norm(table: MarginTable, space_size: int) -> SubsetNorm:
 
 def _scaled_norm(table: MarginTable) -> int:
     """s * B_K = prod(sizes_K) * sum of squared K-margin counts, an exact integer."""
-    counts = table.counts.values()
+    counts = table.counts.tolist()
     return math.prod(table.sizes) * sum(map(operator.mul, counts, counts))
 
 

@@ -87,15 +87,11 @@ def weight(structures: Sequence[AbelianStructure], g: Sequence[int] | int) -> in
 
 def element_weights(structures: Sequence[AbelianStructure]) -> np.ndarray:
     """Vector of nonidentity weights for all s Yates-ordered elements."""
-    orders = [st.order for st in structures]
-    s = math.prod(orders)
-    weights = np.zeros(s, dtype=np.int64)
-    indices = np.arange(s)
-    stride = s
-    for order in orders:
-        stride //= order
-        weights += (indices // stride) % order != 0
-    return weights
+    weights = np.zeros([st.order for st in structures], dtype=np.int64)
+    # Factor i's digit varies along axis i; C order is Yates order.
+    for digits in np.ix_(*(np.arange(st.order) for st in structures)):
+        weights += digits != 0
+    return weights.ravel()
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,8 @@ PAPER = str(FIXTURES / "paper_oa.txt")
 # as recorded from an earlier build; "{spectrum}" stands for a `jchar --json`
 # report under 4,2x2,4.  The mixed_symbols.txt entries pin spectrum rendering
 # (irrational values, 1e-16 residues, comma-joined and \u-escaped labels) and
-# the margins command.
+# the margins command; the wide_binary.txt entries pin margins over more than
+# 32 factors, which are counted as distinct rows, and over the empty subset.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 
 

@@ -163,24 +163,24 @@ class TestDesignType:
 class TestMargins:
     def test_empty_subset_is_n(self, paper_design):
         table = margins(paper_design, ())
-        assert table.counts == {(): 16}
-        assert table.total() == 16
+        assert dict(table.items()) == {(): 16}
+        assert sum(table.counts.tolist()) == 16
 
     def test_singleton_margins_uniform(self, paper_design):
         table = margins(paper_design, [0])
-        assert sorted(table.counts.values()) == [4, 4, 4, 4]
+        assert sorted(dict(table.items()).values()) == [4, 4, 4, 4]
         assert np.array_equal(table.dense(), np.full(4, 4.0))
 
     def test_pair_margins_all_one(self, paper_design):
         # Strength-2, index-1 property of the fixture, checked by direct count.
         for pair in ([0, 1], [0, 2], [1, 2]):
             table = margins(paper_design, pair)
-            assert len(table.counts) == 16
-            assert set(table.counts.values()) == {1}
+            assert len(dict(table.items())) == 16
+            assert set(dict(table.items()).values()) == {1}
 
     def test_full_subset_is_counts(self, paper_design):
         table = margins(paper_design, range(3))
-        assert dict(table.counts) == dict(paper_design.counts)
+        assert dict(table.items()) == dict(paper_design.counts)
 
     def test_against_expansion_oracle(self):
         rng = np.random.default_rng(22)
@@ -189,8 +189,8 @@ class TestMargins:
             for mask in range(1 << design.k):
                 subset = [i for i in range(design.k) if mask >> i & 1]
                 table = margins(design, subset)
-                assert dict(table.counts) == oracle_margin_counts(design, subset)
-                assert table.total() == design.n_runs
+                assert dict(table.items()) == oracle_margin_counts(design, subset)
+                assert sum(table.counts.tolist()) == design.n_runs
 
     def test_marginalization_consistency(self):
         # margins(D, K) must equal the K-marginalization of margins(D, K') for K <= K'.
@@ -203,10 +203,10 @@ class TestMargins:
                 subset = tuple(i for i in range(k) if mask >> i & 1)
                 table = margins(design, subset)
                 collapsed: dict = {}
-                for cell, count in full.counts.items():
+                for cell, count in full.items():
                     key = tuple(cell[i] for i in subset)
                     collapsed[key] = collapsed.get(key, 0) + count
-                assert dict(table.counts) == collapsed
+                assert dict(table.items()) == collapsed
 
     def test_out_of_range_subset(self, paper_design):
         with pytest.raises(ValueError):
@@ -222,9 +222,9 @@ class TestMargins:
         counts[tuple(s - 1 for s in sizes)] = 3
         design = Design(tuple(tuple(str(j) for j in range(s)) for s in sizes), counts)
         full = margins(design, range(len(sizes)))
-        assert full.counts == dict(design.counts)
+        assert dict(full.items()) == dict(design.counts)
         assert full.sizes == sizes
-        assert margins(design, range(1, len(sizes), 2)).counts == naive_margin_counts(
+        assert dict(margins(design, range(1, len(sizes), 2)).items()) == naive_margin_counts(
             design, range(1, len(sizes), 2)
         )
 
@@ -232,17 +232,30 @@ class TestMargins:
         # 2^53 + 1 has no float64; its square and sums pass int64 as well.
         big = 9007199254740993
         design = Design((("a", "b"), ("a", "b", "c")), {(0, 1): big, (1, 1): 2, (0, 2): big})
-        assert margins(design, [0]).counts == {(0,): 2 * big, (1,): 2}
-        assert margins(design, [1]).counts == {(1,): big + 2, (2,): big}
-        assert margins(design, ()).counts == {(): 2 * big + 2}
+        assert dict(margins(design, [0]).items()) == {(0,): 2 * big, (1,): 2}
+        assert dict(margins(design, [1]).items()) == {(1,): big + 2, (2,): big}
+        assert dict(margins(design, ()).items()) == {(): 2 * big + 2}
         n = 2 * big + 2
         assert subset_norm(design, ()).value == float(Fraction(n * n, 6))
         assert gwlp_margin(design).raw == tuple(float(a) for a in exact_gwlp(design))
 
     def test_total_beyond_int64(self):
         design = Design((("a", "b"),), {(0,): 2**63, (1,): 2**63 + 5})
-        assert margins(design, [0]).counts == {(0,): 2**63, (1,): 2**63 + 5}
-        assert margins(design, ()).counts == {(): 2**64 + 5}
+        assert dict(margins(design, [0]).items()) == {(0,): 2**63, (1,): 2**63 + 5}
+        assert dict(margins(design, ()).items()) == {(): 2**64 + 5}
+        assert gwlp_margin(design).raw == tuple(float(a) for a in exact_gwlp(design))
+
+    def test_table_arrays(self, paper_design):
+        table = margins(paper_design, [2, 0])
+        assert table.cells.shape == (16, 2)
+        assert table.counts.dtype == np.int64
+        assert table.cells.tolist() == sorted(table.cells.tolist())
+        empty = margins(paper_design, ())
+        assert empty.cells.shape == (1, 0)
+        assert np.array_equal(empty.dense(), [16.0])
+        huge = Design((("a", "b"),), {(0,): 2**63, (1,): 1})
+        assert margins(huge, [0]).counts.dtype == object
+        assert np.array_equal(margins(huge, [0]).dense(), [2.0**63, 1.0])
 
 
 class TestRelabel:
@@ -261,7 +274,7 @@ class TestRelabel:
         cycle = [1, 2, 3, 0]  # 0 -> a -> b -> c -> 0
         moved = relabel_levels(paper_design, [cycle, None, None])
         assert moved.n_runs == 16
-        assert sorted(margins(moved, [0]).counts.values()) == [4, 4, 4, 4]
+        assert sorted(dict(margins(moved, [0]).items()).values()) == [4, 4, 4, 4]
 
     def test_multiset_of_multiplicities_preserved(self):
         rng = np.random.default_rng(24)

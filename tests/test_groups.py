@@ -16,7 +16,7 @@ from wordlength import (
     enumerate_structures,
     parse_structure,
 )
-from wordlength.groups import canonical_cyclic_orders, cyclic_character_table
+from wordlength.groups import canonical_cyclic_orders, cyclic_character_table, root_of_unity
 
 
 def all_structures_up_to(max_order):
@@ -220,6 +220,15 @@ class TestCharacterTables:
             for p in parts[1:]:
                 product = np.kron(product, p)
             assert np.abs(dense - product).max() < 1e-12
+
+    def test_cyclic_table_entries_are_the_roots(self):
+        # Entry (g, h) is root_of_unity(g*h, d) itself: exact 1, i, -1, -i.
+        for order in range(1, 25):
+            table = cyclic_character_table(order)
+            assert table.dtype == np.complex128
+            for g, h in itertools.product(range(order), repeat=2):
+                assert table[g, h] == root_of_unity(g * h, order)
+        assert set(cyclic_character_table(4).ravel().tolist()) == {1, 1j, -1, -1j}
 
     def test_dense_cap(self):
         big = parse_structure("4097")

@@ -144,7 +144,7 @@ def test_margin_counts_match_a_dict_count(data):
     design = data.draw(designs(multiplicities=MULTIPLICITIES))
     subset = data.draw(st.sets(st.integers(0, design.k - 1)))  # may be empty
     table = margins(design, subset)
-    assert table.counts == naive_margin_counts(design, subset)
+    assert list(table.items()) == sorted(naive_margin_counts(design, subset).items())
     assert table.subset == tuple(sorted(subset))
     assert table.sizes == tuple(design.sizes[i] for i in sorted(subset))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 import warnings
 
@@ -90,6 +91,15 @@ class TestWeight:
         weights = element_weights(structures)
         assert weights.shape == (48,)
         assert all(weights[i] == weight(structures, i) for i in range(48))
+
+    @pytest.mark.parametrize("literals", ["4,2x2,4,4,4,4,4", "16,8,4,9", "3,5,2x2"])
+    def test_element_weights_count_nonzero_digits(self, literals):
+        structures = [parse_structure(lit) for lit in literals.split(",")]
+        orders = [st.order for st in structures]
+        digits = np.unravel_index(np.arange(math.prod(orders)), orders)
+        weights = element_weights(structures)
+        assert weights.dtype == np.int64
+        assert np.array_equal(weights, np.count_nonzero(np.stack(digits), axis=0))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

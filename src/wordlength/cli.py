@@ -143,19 +143,26 @@ def main(argv=None) -> int:
     except (ResourceLimitError, ValueError) as exc:
         print(f"wordlength: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.output:
-        Path(args.output).write_text(report, encoding="utf-8")
-    else:
+    if not args.output:
         sys.stdout.write(report)
+        return code
+    try:
+        Path(args.output).write_text(report, encoding="utf-8")
+    except OSError as exc:
+        print(f"wordlength: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return DATA_ERROR
     return code
 
 
-def _load_design(path: str) -> Design:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DesignParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return parse_design(text)
+
+
+def _load_design(path: str) -> Design:
+    return parse_design(_read_text(path))
 
 
 def _design_summary(path: str, design: Design) -> dict:
@@ -232,11 +239,7 @@ def _run_jchar(args) -> tuple[int, str]:
 
 
 def _run_reconstruct(args) -> tuple[int, str]:
-    try:
-        raw = Path(args.spectrum).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DesignParseError(f"cannot read {args.spectrum}: {exc.strerror or exc}") from exc
-    doc = json.loads(raw)
+    doc = json.loads(_read_text(args.spectrum))
     try:
         group_literals = doc["groups"]
         entries = doc["values"]
@@ -362,6 +365,10 @@ def _run_margins(args) -> tuple[int, str]:
             raise ValueError(f"bad subset {args.subset!r}; want 1-based positions like 1,3")
         if any(p < 0 for p in positions):
             raise ValueError("subset positions are 1-based")
+        if max(positions) >= design.k:
+            raise ValueError(
+                f"subset position {max(positions) + 1} out of range for {design.k} factors"
+            )
     else:
         positions = []
     table = margins(design, positions)

@@ -268,45 +268,50 @@ def parse_design(text: str) -> Design:
         if [len(a) for a in declared_symbols] != declared_sizes:
             raise DesignParseError("symbols header disagrees with levels header")
 
-    if columns:
-        runs = _runs_from_columns(data, declared_sizes, declared_symbols)
-    else:
-        runs = _runs_from_rows(data, declared_sizes, declared_symbols)
-    if not runs:
+    declared = declared_symbols or declared_sizes  # neither is ever an empty list
+    k = len(declared) if declared else None
+    layout = _runs_from_columns if columns else _runs_from_rows
+    tallies: dict[tuple[str, ...], int] = {}
+    for row, mult in layout(data, k):
+        tallies[row] = tallies.get(row, 0) + mult
+    if not tallies:
         raise DesignParseError("no runs found")
 
-    k = len(runs[0][1])
-    alphabets = _resolve_alphabets(runs, k, declared_sizes, declared_symbols)
+    if declared_symbols is not None:
+        alphabets = declared_symbols
+    else:
+        seen = [set(column) for column in zip(*tallies)]
+        if declared_sizes is None:
+            alphabets = [sorted(symbols) for symbols in seen]
+        else:  # a levels header without symbols: the numeric alphabets 0..s-1
+            alphabets = [[str(j) for j in range(size)] for size in declared_sizes]
+            for i, symbols in enumerate(seen):
+                if not symbols <= set(alphabets[i]):
+                    raise DesignParseError(
+                        f"factor {i + 1} uses symbols outside 0..{declared_sizes[i] - 1}; "
+                        "add a symbols header"
+                    )
 
-    counts: dict[Run, int] = {}
-    for lineno, symbols, mult in runs:
-        run = []
-        for i, symbol in enumerate(symbols):
-            try:
-                run.append(alphabets[i].index(symbol))
-            except ValueError:
-                # In column layout, factor i is data line i whichever run is read.
-                raise DesignParseError(
-                    f"symbol {symbol!r} not in factor {i + 1}'s alphabet",
-                    data[i][0] if columns else lineno,
-                ) from None
-        run = tuple(run)
-        counts[run] = counts.get(run, 0) + mult
-    return Design(tuple(tuple(a) for a in alphabets), counts)
+    # Distinct symbol rows are distinct runs: each is looked up once.
+    index = [{symbol: j for j, symbol in enumerate(a)} for a in alphabets]
+    try:
+        runs = [tuple(map(operator.getitem, index, row)) for row in tallies]
+    except KeyError:  # name the first unknown symbol in file order
+        n, i, symbol = next(
+            (n, i, symbol)
+            for n, (row, _) in enumerate(layout(data, k))
+            for i, symbol in enumerate(row)
+            if symbol not in index[i]
+        )
+        # In column layout, factor i is data line i whichever run is read.
+        raise DesignParseError(
+            f"symbol {symbol!r} not in factor {i + 1}'s alphabet", data[i if columns else n][0]
+        ) from None
+    return Design(tuple(map(tuple, alphabets)), dict(zip(runs, tallies.values())))
 
 
-def _known_k(sizes: list[int] | None, symbols: list[list[str]] | None) -> int | None:
-    if symbols is not None:
-        return len(symbols)
-    if sizes is not None:
-        return len(sizes)
-    return None
-
-
-def _runs_from_rows(data, sizes, symbols) -> list[tuple[int, list[str], int]]:
+def _runs_from_rows(data, k) -> Iterator[tuple[tuple[str, ...], int]]:
     """Row layout: each data line is one run, optionally ending in x<mult>."""
-    k = _known_k(sizes, symbols)
-    runs = []
     for lineno, tokens in data:
         mult = 1
         m = _MULTIPLIER_RE.match(tokens[-1]) if len(tokens) > 1 else None
@@ -318,56 +323,17 @@ def _runs_from_rows(data, sizes, symbols) -> list[tuple[int, list[str], int]]:
         if k is None:
             k = len(tokens)
         if len(tokens) != k:
-            raise DesignParseError(
-                f"expected {k} symbols, got {len(tokens)}", lineno
-            )
-        runs.append((lineno, tokens, mult))
-    return runs
+            raise DesignParseError(f"expected {k} symbols, got {len(tokens)}", lineno)
+        yield tuple(tokens), mult
 
 
-def _runs_from_columns(data, sizes, symbols) -> list[tuple[int, list[str], int]]:
+def _runs_from_columns(data, k) -> Iterator[tuple[tuple[str, ...], int]]:
     """Column layout: one line per factor, runs are the columns."""
-    k = _known_k(sizes, symbols)
     if k is not None and data and len(data) != k:
-        raise DesignParseError(
-            f"expected {k} factor lines, got {len(data)}", data[-1][0]
-        )
-    width = None
-    for lineno, tokens in data:
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+        raise DesignParseError(f"expected {k} factor lines, got {len(data)}", data[-1][0])
+    for lineno, tokens in data[1:]:
+        if len(tokens) != len(data[0][1]):
             raise DesignParseError(
-                f"expected {width} columns, got {len(tokens)}", lineno
+                f"expected {len(data[0][1])} columns, got {len(tokens)}", lineno
             )
-    if not data:
-        return []
-    first_line = data[0][0]
-    return [
-        (first_line, [tokens[j] for _, tokens in data], 1) for j in range(width)
-    ]
-
-
-def _resolve_alphabets(runs, k, sizes, symbols) -> list[list[str]]:
-    if symbols is not None:
-        if len(symbols) != k:
-            raise DesignParseError(
-                f"symbols header declares {len(symbols)} factors, runs have {k}"
-            )
-        return symbols
-    seen: list[set[str]] = [set() for _ in range(k)]
-    for _, tokens, _ in runs:
-        for i, symbol in enumerate(tokens):
-            seen[i].add(symbol)
-    if sizes is None:
-        return [sorted(s) for s in seen]
-    # A levels header without symbols: factors use the numeric alphabet 0..s-1.
-    if len(sizes) != k:
-        raise DesignParseError(f"levels header declares {len(sizes)} factors, runs have {k}")
-    alphabets = [[str(j) for j in range(size)] for size in sizes]
-    for i, alphabet in enumerate(alphabets):
-        if not seen[i] <= set(alphabet):
-            raise DesignParseError(
-                f"factor {i + 1} uses symbols outside 0..{sizes[i] - 1}; add a symbols header"
-            )
-    return alphabets
+    return zip(zip(*(tokens for _, tokens in data)), itertools.repeat(1))

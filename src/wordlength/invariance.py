@@ -43,6 +43,9 @@ CROSS_ROUTE_TOL = 1e-8
 #: Largest number of assignments one invariance check may compare.
 MAX_ASSIGNMENTS = 256
 
+#: Largest number of factor subsets, 2^k, the margin route may count.
+MARGIN_SUBSET_CAP = 2**20
+
 
 @dataclass(frozen=True)
 class SubsetNorm:
@@ -82,6 +85,11 @@ def _mobius_alternating(values: Sequence[int], k: int) -> list[int]:
 def _scaled_projector_norms(design: Design) -> list[int]:
     """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers."""
     k = design.k
+    if 1 << k > MARGIN_SUBSET_CAP:
+        raise ResourceLimitError(
+            f"margin route over k = {k} factors needs 2^{k} subsets, "
+            f"above the cap {MARGIN_SUBSET_CAP}"
+        )
     scaled = [
         _scaled_norm(margins(design, [i for i in range(k) if mask >> i & 1]))
         for mask in range(1 << k)
@@ -181,7 +189,6 @@ def expand_assignments(
 class JCharWitness:
     """Two assignments disagreeing on one spectrum entry (so chi is not invariant)."""
 
-    element_index: int
     components: tuple[int, ...]
     first_assignment: Assignment
     other_assignment: Assignment
@@ -193,14 +200,11 @@ class JCharWitness:
 class InvarianceReport:
     """Outcome of checking wordlength-pattern invariance across assignments."""
 
-    design_sizes: tuple[int, ...]
-    n_runs: int
     assignments: tuple[Assignment, ...]
     gwlps: tuple[GWLP, ...]
     margin_gwlp: GWLP
     max_deviation_by_j: tuple[float, ...]
     max_deviation: float
-    tolerance: float
     invariant: bool
     witness: JCharWitness | None
     resolution: int | None
@@ -235,7 +239,7 @@ def verify_invariance(
         jchar = j_characteristics(design, assignment)
         gwlps.append(gwlp_char(jchar))
         if pos == 0:
-            first_values = jchar.values.copy()
+            first_values = jchar.values
             continue
         deltas = abs(jchar.values - first_values)
         differing = (deltas > INTERNAL_TOL).nonzero()[0]
@@ -250,7 +254,6 @@ def verify_invariance(
         element, neg_delta, pos = best_witness
         jchar = j_characteristics(design, resolved[pos])
         witness = JCharWitness(
-            element_index=element,
             components=tuple(int(r) for r in np.unravel_index(element, design.sizes)),
             first_assignment=resolved[0],
             other_assignment=resolved[pos],
@@ -267,14 +270,11 @@ def verify_invariance(
     max_dev = max(by_j)
     resolution, strength = resolution_and_strength(margin)
     return InvarianceReport(
-        design_sizes=design.sizes,
-        n_runs=design.n_runs,
         assignments=tuple(resolved),
         gwlps=tuple(gwlps),
         margin_gwlp=margin,
         max_deviation_by_j=tuple(by_j),
         max_deviation=max_dev,
-        tolerance=tol,
         invariant=max_dev <= tol,
         witness=witness,
         resolution=resolution,

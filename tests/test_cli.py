@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,13 +16,16 @@ from helpers import FIXTURES
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
+WIDE = str(FIXTURES / "wide_binary.txt")
 
 # stdout and exit code of every command, text and --json, on the paper fixture
 # as recorded from an earlier build; "{spectrum}" stands for a `jchar --json`
 # report under 4,2x2,4.  The mixed_symbols.txt entries pin spectrum rendering
 # (irrational values, 1e-16 residues, comma-joined and \u-escaped labels) and
 # the margins command; the wide_binary.txt entries pin margins over more than
-# 32 factors, which are counted as distinct rows, and over the empty subset.
+# 32 factors, which are counted as distinct rows, and over the empty subset;
+# the tally_rows.txt entries pin the parse of repeated, shuffled and
+# multiplied run lines under inferred alphabets.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -280,6 +286,9 @@ class TestMarginsCommand:
         assert code == 1
         code, _, _ = run(capsys, "margins", PAPER, "--subset", "4")
         assert code == 1
+        code, _, err = run(capsys, "margins", PAPER, "--subset", "9")
+        assert code == 1
+        assert err == "wordlength: subset position 9 out of range for 3 factors\n"
 
 
 class TestCompareCommand:
@@ -380,6 +389,30 @@ class TestErrorsAndPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["gwlp"] == [1, 0, 0, 3]
+
+    def test_unwritable_output_is_data_error(self, capsys, tmp_path):
+        for target in (tmp_path / "missing" / "report.txt", tmp_path):
+            code, out, err = run(capsys, "gwlp", PAPER, "--output", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"wordlength: cannot write {target}: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["gwlp"], ["invariance"], ["compare", WIDE]])
+    def test_margin_route_refuses_forty_factors(self, argv):
+        # A fresh process with a timeout, so that an uncapped 2^40-subset loop
+        # fails the test instead of hanging the suite.
+        result = subprocess.run(
+            [sys.executable, "-m", "wordlength.cli", *argv, WIDE],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")},
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "wordlength: margin route over k = 40 factors needs 2^40 subsets, "
+            "above the cap 1048576\n"
+        )
 
     def test_json_is_byte_identical_across_runs(self, capsys):
         results = set()

@@ -64,10 +64,18 @@ class TestParse:
         assert err.value.line == 2
 
     def test_unknown_symbol_under_header(self):
-        with pytest.raises(DesignParseError) as err:
-            parse_design("symbols: 0 1 | 0 1\n0 1\n0 z\n")
-        assert err.value.line == 3
-        assert "z" in str(err.value)
+        cases = [
+            ("0 1\n0 z\n", 3, "'z' not in factor 2's"),
+            # Two bad lines: the earlier one is named, whichever factor it fails in.
+            ("0 1\n0 y\nz 1\n0 y\n", 3, "'y' not in factor 2's"),
+            # A bad line after a repeated good line.
+            ("1 0\n1 0 x2\n1 0\n1 w x3\n", 5, "'w' not in factor 2's"),
+        ]
+        for body, line, message in cases:
+            with pytest.raises(DesignParseError) as err:
+                parse_design("symbols: 0 1 | 0 1\n" + body)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: symbol {message} alphabet"
 
     def test_zero_runs(self):
         with pytest.raises(DesignParseError):

@@ -26,6 +26,7 @@ from wordlength import (
     subset_norm,
     verify_invariance,
 )
+from wordlength import invariance
 from wordlength.invariance import table_norm
 from wordlength.kron import build_projector
 from wordlength.spectra import assignment_character_table
@@ -206,6 +207,15 @@ class TestGwlpMargin:
         )
         assert shuffled == paper_design
         assert gwlp_margin(shuffled).raw == gwlp_margin(paper_design).raw
+
+    def test_subset_cap(self, monkeypatch):
+        # 2^21 subsets are refused before the first margin is counted.
+        one_run = Design((("0", "1"),) * 21, {(0,) * 21: 1})
+        assert subset_norm(one_run, range(21)).value == 1.0  # margins stay uncapped
+        monkeypatch.setattr(invariance, "margins", None)
+        for route in (gwlp_margin, projector_norms):
+            with pytest.raises(ResourceLimitError, match=r"k = 21 factors .* cap 1048576"):
+                route(one_run)
 
 
 class TestVerifyInvariance:

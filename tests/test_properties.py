@@ -11,6 +11,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,52 @@ def test_dense_counts_nonzeros_are_the_runs(design):
 @given(designs(symbols=True))
 def test_serialize_round_trips(design):
     assert parse_design(design.serialize()) == design
+
+
+def used_symbols_only(design: Design) -> Design:
+    """The design a header-less file gives: alphabets are the sorted used symbols."""
+    used = [sorted({design.levels[i][run[i]] for run in design.counts}) for i in range(design.k)]
+    counts = {
+        tuple(used[i].index(design.levels[i][r]) for i, r in enumerate(run)): mult
+        for run, mult in design.counts.items()
+    }
+    return Design(tuple(map(tuple, used)), counts)
+
+
+@PROPERTY
+@pytest.mark.parametrize("header", ["symbols", "levels", "none", "columns"])
+@given(data=st.data())
+def test_shuffled_split_run_lines_parse_back(header, data):
+    design = data.draw(designs(symbols=header != "levels"))
+    lines = []  # (symbols, multiplier or None for a bare line)
+    for run, mult in design.counts.items():
+        symbols = [design.levels[i][r] for i, r in enumerate(run)]
+        cuts = data.draw(st.sets(st.integers(1, mult - 1))) if mult > 1 else set()
+        bounds = [0, *sorted(cuts), mult]
+        for part in (b - a for a, b in zip(bounds, bounds[1:])):
+            if header == "columns" or data.draw(st.booleans()):
+                lines += [(symbols, None)] * part  # repeated lines
+            else:
+                lines.append((symbols, part))
+    lines = data.draw(st.permutations(lines))
+    if header == "none" and lines[0][1] is None:
+        lines[0] = (lines[0][0], 1)  # the first line's count of symbols sets k
+    if header == "columns":
+        text = "symbols: " + " | ".join(" ".join(a) for a in design.levels) + "\n"
+        text += "layout: columns\n"
+        text += "".join(" ".join(column) + "\n" for column in zip(*(s for s, _ in lines)))
+    else:
+        text = {
+            "symbols": "symbols: " + " | ".join(" ".join(a) for a in design.levels) + "\n",
+            "levels": "levels: " + " ".join(map(str, design.sizes)) + "\n",
+            "none": "",
+        }[header]
+        text += "".join(
+            " ".join(symbols) + ("" if mult is None else f" x{mult}") + "\n"
+            for symbols, mult in lines
+        )
+    expected = used_symbols_only(design) if header == "none" else design
+    assert parse_design(text) == expected
 
 
 @PROPERTY

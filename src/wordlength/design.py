@@ -46,6 +46,13 @@ class Design:
 
     levels: tuple[tuple[str, ...], ...]
     counts: Mapping[Run, int] = field(repr=False)
+    #: The distinct runs as a C-contiguous (k, n) level-index array, factor-major
+    #: so that a subset's rows are contiguous, and their multiplicities: int64,
+    #: so no margin sum can overflow, unless N itself does not fit; then Python
+    #: ints in an object array.
+    _run_matrix: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         levels = tuple(tuple(alphabet) for alphabet in self.levels)
@@ -68,16 +75,14 @@ class Design:
                 }
         except TypeError:
             raise ValueError("runs and multiplicities must be integers") from None
-        sizes = [len(alphabet) for alphabet in levels]
-        for run, mult in counts.items():
-            if len(run) != len(levels):
-                raise ValueError(f"run {run} does not have {len(levels)} coordinates")
-            if min(run) < 0 or not all(map(operator.lt, run, sizes)):
-                raise ValueError(f"run {run} has a level index out of range")
-            if mult < 1:
-                raise ValueError(f"run {run} has multiplicity {mult} < 1")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "counts", MappingProxyType(counts))
+        runs = _factor_major(counts, self.sizes)
+        if runs is None or min(counts.values()) < 1:
+            raise ValueError(_first_bad_run(counts, self.sizes))
+        dtype = np.int64 if self.n_runs <= np.iinfo(np.int64).max else object
+        mults = np.fromiter(counts.values(), dtype, len(counts))
+        object.__setattr__(self, "_run_matrix", (runs, mults))
 
     @property
     def k(self) -> int:
@@ -99,17 +104,6 @@ class Design:
         """Full-factorial cell count s = prod(s_i)."""
         return math.prod(self.sizes)
 
-    @cached_property
-    def _run_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct runs as an (n, k) level-index array, and their multiplicities.
-
-        Multiplicities are int64, so no margin sum can overflow, unless N
-        itself does not fit; then they are Python ints in an object array.
-        """
-        cells = np.array(list(self.counts), dtype=np.intp).reshape(-1, self.k)
-        dtype = np.int64 if self.n_runs <= np.iinfo(np.int64).max else object
-        return cells, np.array(list(self.counts.values()), dtype=dtype)
-
     def runs(self) -> Iterator[tuple[Run, int]]:
         """(run, multiplicity) pairs in Yates order of the run tuples."""
         for run in sorted(self.counts):
@@ -117,8 +111,8 @@ class Design:
 
     def dense_counts(self) -> np.ndarray:
         """Count vector O over all s cells in Yates order (refused above ``DENSIFY_CAP``)."""
-        cells, mults = self._run_matrix
-        return _dense(cells, mults, self.sizes, "count vector of length")
+        runs, mults = self._run_matrix
+        return _dense(runs.T, mults, self.sizes, "count vector of length")
 
     def serialize(self) -> str:
         """Canonical design-file text; parse(serialize(d)) reproduces d."""
@@ -129,6 +123,33 @@ class Design:
                 tokens.append(f"x{mult}")
             lines.append(" ".join(tokens))
         return "\n".join(lines) + "\n"
+
+
+def _factor_major(counts: Mapping[Run, int], sizes: tuple[int, ...]) -> np.ndarray | None:
+    """The runs as a (k, n) array, or None unless each has k in-range indices."""
+    k = len(sizes)
+    if set(map(len, counts)) != {k}:
+        return None
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(counts), np.intp, len(counts) * k)
+    except OverflowError:  # an index past intp
+        return None
+    runs = flat.reshape(-1, k)
+    if not ((runs >= 0).all() and (runs < sizes).all()):
+        return None
+    return np.ascontiguousarray(runs.T)
+
+
+def _first_bad_run(counts: Mapping[Run, int], sizes: tuple[int, ...]) -> str:
+    """What is wrong with the first invalid run, in insertion order."""
+    for run, mult in counts.items():
+        if len(run) != len(sizes):
+            return f"run {run} does not have {len(sizes)} coordinates"
+        if min(run) < 0 or not all(map(operator.lt, run, sizes)):
+            return f"run {run} has a level index out of range"
+        if mult < 1:
+            return f"run {run} has multiplicity {mult} < 1"
+    raise AssertionError("every run is valid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,24 +192,34 @@ def margins(design: Design, subset: Iterable[int]) -> MarginTable:
     ``subset`` holds 0-based factor positions; the empty subset gives the
     scalar N and the full set reproduces the counting function itself.
     """
-    positions = tuple(sorted(set(int(i) for i in subset)))
+    try:
+        positions = tuple(sorted(set(map(operator.index, subset))))
+    except TypeError:
+        raise ValueError("subset positions must be integers") from None
     if positions and not (0 <= positions[0] and positions[-1] < design.k):
         raise ValueError(f"subset {positions} out of range for {design.k} factors")
-    sizes = tuple(design.sizes[i] for i in positions)
+    sizes = tuple(map(design.sizes.__getitem__, positions))
     runs, mults = design._run_matrix
     if not positions:
         total = np.array([design.n_runs], dtype=mults.dtype)
         return MarginTable(positions, sizes, np.zeros((1, 0), np.intp), total, design.n_runs)
-    columns = runs[:, positions]
-    if len(sizes) <= _MAX_RAVEL_DIMS and math.prod(sizes) <= _MAX_RAVEL_CELLS:
-        distinct, inverse = np.unique(
-            np.ravel_multi_index(columns.T, sizes), return_inverse=True
-        )
-        cells = np.stack(np.unravel_index(distinct, sizes), axis=1)
-    else:  # too many cells for one flat index: count distinct rows instead
-        cells, inverse = np.unique(columns, axis=0, return_inverse=True)
-    totals = np.zeros(len(cells), dtype=mults.dtype)
-    np.add.at(totals, inverse, mults)
+    rows = runs.take(positions, axis=0)
+    if len(sizes) > _MAX_RAVEL_DIMS or math.prod(sizes) > _MAX_RAVEL_CELLS:
+        # Too many cells for one flat index: count distinct rows instead.
+        cells, inverse = np.unique(rows.T, axis=0, return_inverse=True)
+        totals = np.zeros(len(cells), dtype=mults.dtype)
+        np.add.at(totals, inverse, mults)
+        return MarginTable(positions, sizes, cells, totals, design.n_runs)
+    # Sort the flat cell codes into Yates order; each stretch of one code is a cell.
+    codes = np.ravel_multi_index(rows, sizes)
+    order = codes.argsort()
+    codes = codes[order]
+    first = np.empty(len(codes), dtype=bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    totals = np.add.reduceat(mults[order], starts)
+    cells = rows[:, order[starts]].T  # each cell is read off its first run
     return MarginTable(positions, sizes, cells, totals, design.n_runs)
 
 

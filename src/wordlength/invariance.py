@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,6 +45,10 @@ MAX_ASSIGNMENTS = 256
 #: Largest number of factor subsets, 2^k, the margin route may count.
 MARGIN_SUBSET_CAP = 2**20
 
+# Largest N whose square fits int64; margin counts of such a design square
+# and sum exactly in int64.
+_MAX_INT64_ROOT = math.isqrt(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class SubsetNorm:
@@ -67,34 +70,42 @@ def table_norm(table: MarginTable, space_size: int) -> SubsetNorm:
 
 def _scaled_norm(table: MarginTable) -> int:
     """s * B_K = prod(sizes_K) * sum of squared K-margin counts, an exact integer."""
-    counts = table.counts.tolist()
-    return math.prod(table.sizes) * sum(map(operator.mul, counts, counts))
+    counts = table.counts
+    if table.n_runs > _MAX_INT64_ROOT:  # the sum of squares, at most N^2, may pass int64
+        counts = counts.astype(object)
+    return math.prod(table.sizes) * int(counts @ counts)
 
 
 def _mobius_alternating(values: Sequence[int], k: int) -> list[int]:
-    """In-place subset-lattice Moebius transform: out[J] = sum_{K<=J} (-1)^|J\\K| in[K]."""
-    out = list(values)
-    for i in range(k):
-        bit = 1 << i
-        for mask in range(len(out)):
-            if mask & bit:
-                out[mask] -= out[mask ^ bit]
-    return out
+    """Subset-lattice Moebius transform: out[J] = sum_{K<=J} (-1)^|J\\K| in[K].
+
+    The 2^k values, indexed by bitmask, become a (2,)*k array of Python ints
+    whose axis k-1-i is bit i, so each factor's step is one exact subtraction.
+    """
+    out = np.array(values, dtype=object).reshape((2,) * k)
+    for axis in range(k):
+        index = (slice(None),) * axis
+        out[index + (1,)] -= out[index + (0,)]
+    return out.ravel().tolist()
 
 
-def _scaled_projector_norms(design: Design) -> list[int]:
-    """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers."""
+def _scaled_subset_norms(design: Design) -> list[int]:
+    """s * B_K for every factor subset K (bit i = factor i), as integers."""
     k = design.k
     if 1 << k > MARGIN_SUBSET_CAP:
         raise ResourceLimitError(
             f"margin route over k = {k} factors needs 2^{k} subsets, "
             f"above the cap {MARGIN_SUBSET_CAP}"
         )
-    scaled = [
+    return [
         _scaled_norm(margins(design, [i for i in range(k) if mask >> i & 1]))
         for mask in range(1 << k)
     ]
-    return _mobius_alternating(scaled, k)
+
+
+def _scaled_projector_norms(design: Design) -> list[int]:
+    """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers."""
+    return _mobius_alternating(_scaled_subset_norms(design), design.k)
 
 
 def projector_norms(design: Design) -> list[float]:

@@ -9,6 +9,7 @@ pattern derived from it does not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -86,12 +87,23 @@ def weight(structures: Sequence[AbelianStructure], g: Sequence[int] | int) -> in
 
 
 def element_weights(structures: Sequence[AbelianStructure]) -> np.ndarray:
-    """Vector of nonidentity weights for all s Yates-ordered elements."""
-    weights = np.zeros([st.order for st in structures], dtype=np.int64)
+    """Vector of nonidentity weights for all s Yates-ordered elements (read-only).
+
+    The weights depend on the factor orders only, so one vector is kept per
+    order tuple: every assignment of an invariance sweep shares it.
+    """
+    return _order_weights(tuple(st.order for st in structures))
+
+
+@functools.lru_cache(maxsize=2)
+def _order_weights(orders: tuple[int, ...]) -> np.ndarray:
+    weights = np.zeros(orders, dtype=np.int64)
     # Factor i's digit varies along axis i; C order is Yates order.
-    for digits in np.ix_(*(np.arange(st.order) for st in structures)):
+    for digits in np.ix_(*map(np.arange, orders)):
         weights += digits != 0
-    return weights.ravel()
+    weights = weights.ravel()
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +162,15 @@ class GWLP:
 
 
 def _part_tables(structures: Sequence[AbelianStructure]) -> list[np.ndarray]:
-    return [
-        cyclic_character_table(d) for st in structures for d in st.cyclic_orders
-    ]
+    return [_part_table(d) for st in structures for d in st.cyclic_orders]
+
+
+@functools.lru_cache(maxsize=64)
+def _part_table(order: int) -> np.ndarray:
+    """``cyclic_character_table(order)``, built once per order and read-only."""
+    table = cyclic_character_table(order)
+    table.flags.writeable = False
+    return table
 
 
 def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.ndarray:

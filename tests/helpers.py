@@ -84,6 +84,30 @@ def naive_margin_counts(design: Design, subset) -> dict[tuple[int, ...], int]:
     return table
 
 
+def pair_subset_norm(design: Design, subset) -> int:
+    """s * B_K from run pairs: prod(sizes_K) * sum of m_x m_y over pairs agreeing on K."""
+    positions = sorted(set(subset))
+    runs = list(design.counts.items())
+    agreeing = sum(
+        mx * my
+        for x, mx in runs
+        for y, my in runs
+        if all(x[i] == y[i] for i in positions)
+    )
+    return math.prod(design.sizes[i] for i in positions) * agreeing
+
+
+def mobius_alternating_list(values, k: int) -> list[int]:
+    """Subset-lattice Moebius transform by one pass per bit over a flat list."""
+    out = list(values)
+    for i in range(k):
+        bit = 1 << i
+        for mask in range(len(out)):
+            if mask & bit:
+                out[mask] -= out[mask ^ bit]
+    return out
+
+
 def exact_gwlp(design: Design) -> list[Fraction]:
     """(A_0, ..., A_k) as exact fractions, from the MacWilliams pair form.
 

@@ -137,6 +137,35 @@ class TestDesignType:
             with pytest.raises(ValueError, match="must be integers"):
                 Design((("a", "b"),), counts)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({(0, 1): 1, (1,): 2}, "run (1,) does not have 2 coordinates"),
+            ({(0, 1): 1, (0, 1, 1): 2}, "run (0, 1, 1) does not have 2 coordinates"),
+            ({(0, 1): 1, (2, 0): 1}, "run (2, 0) has a level index out of range"),
+            ({(0, 1): 1, (0, -1): 1}, "run (0, -1) has a level index out of range"),
+            ({(2**64, 0): 1}, f"run ({2**64}, 0) has a level index out of range"),
+            ({(0, 1): 1, (1, 0): 0}, "run (1, 0) has multiplicity 0 < 1"),
+            ({(1, 1): -(2**70)}, f"run (1, 1) has multiplicity {-(2**70)} < 1"),
+            # The first invalid run in insertion order is named, whatever is wrong with it.
+            ({(0, 0): 0, (5, 5): 1}, "run (0, 0) has multiplicity 0 < 1"),
+            ({(0, 0): 1, (0, 9): 1, (0,): 1}, "run (0, 9) has a level index out of range"),
+            ({(0, 0): 1, (1, 0): 1.5}, "runs and multiplicities must be integers"),
+            ({(0, 0): 1, (1, 0.0): 1}, "runs and multiplicities must be integers"),
+        ],
+    )
+    def test_invalid_run_messages(self, counts, message):
+        with pytest.raises(ValueError) as err:
+            Design((("a", "b"), ("a", "b")), counts)
+        assert str(err.value) == message
+
+    def test_runs_are_kept_factor_major(self):
+        design = Design((("a", "b"), ("a", "b", "c")), {(1, 2): 3, (0, 1): 2**63})
+        runs, mults = design._run_matrix
+        assert runs.tolist() == [[1, 0], [2, 1]]
+        assert runs.flags.c_contiguous
+        assert mults.dtype == object and mults.tolist() == [3, 2**63]
+
     def test_numpy_integers_are_stored_as_python_ints(self):
         design = Design((("a", "b"),), {(np.int64(1),): np.int32(3)})
         ((run, mult),) = design.counts.items()
@@ -219,6 +248,50 @@ class TestMargins:
     def test_out_of_range_subset(self, paper_design):
         with pytest.raises(ValueError):
             margins(paper_design, [3])
+
+    def test_non_integer_positions_are_refused(self, paper_design):
+        for subset in ([1.5], [np.float64(1)], [0, 2.0], ["1"]):
+            with pytest.raises(ValueError, match="subset positions must be integers"):
+                margins(paper_design, subset)
+        assert margins(paper_design, [np.int64(1), np.uint8(0)]).subset == (0, 1)
+
+    def test_one_distinct_run(self):
+        design = Design((("a", "b"), ("a", "b", "c"), ("a", "b")), {(1, 2, 0): 7})
+        for mask in range(1 << 3):
+            subset = [i for i in range(3) if mask >> i & 1]
+            table = margins(design, subset)
+            assert list(table.items()) == [(tuple((1, 2, 0)[i] for i in subset), 7)]
+            assert table.cells.shape == (1, len(subset))
+
+    def test_every_run_in_one_cell(self):
+        # All runs agree on factors 0 and 2, so that margin has a single cell.
+        counts = {(1, j, 2): j + 1 for j in range(5)}
+        design = Design((("a", "b"), tuple("vwxyz"), ("a", "b", "c")), counts)
+        assert list(margins(design, [0, 2]).items()) == [((1, 2), 15)]
+        assert list(margins(design, [1]).items()) == [((j,), j + 1) for j in range(5)]
+
+    @pytest.mark.parametrize("width", [32, 33])
+    def test_flat_index_and_row_fallback_agree_at_32_factors(self, width):
+        # 32 positions still use one flat index; 33 count distinct rows instead.
+        rng = np.random.default_rng(width)
+        counts: dict = {}
+        for run in rng.integers(0, 2, (60, 40)).tolist():
+            counts[tuple(run)] = 2**62 + int(rng.integers(1, 100))
+        for run in list(counts)[:5]:  # repeats in the subset, summing past int64
+            counts[run[:width] + (1 - run[width],) + run[width + 1 :]] = 2**62
+        design = Design((("0", "1"),) * 40, counts)
+        table = margins(design, range(width))
+        expected = sorted(naive_margin_counts(design, range(width)).items())
+        assert list(table.items()) == expected
+        assert table.counts.dtype == object and max(table.counts) > 2**63
+
+    def test_object_counts_past_int64_are_summed_exactly(self):
+        counts = {(i, j): 2**62 + 3 * i + j for i in range(3) for j in range(4)}
+        design = Design((("a", "b", "c"), ("a", "b", "c", "d")), counts)
+        for subset in ([0], [1], [0, 1], []):
+            table = margins(design, subset)
+            assert table.counts.dtype == object
+            assert list(table.items()) == sorted(naive_margin_counts(design, subset).items())
 
     @pytest.mark.parametrize("sizes", [(2,) * 70, (16,) * 16], ids=["70-factors", "16^16"])
     def test_subset_with_at_least_2_to_63_cells(self, sizes):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import all_assignments, random_design
+from helpers import all_assignments, mobius_alternating_list, pair_subset_norm, random_design
 from wordlength import (
     Design,
     GWLP,
@@ -58,6 +58,13 @@ class TestSubsetNorm:
             full = subset_norm(design, range(design.k)).value
             assert full == pytest.approx(sum(m * m for m in design.counts.values()))
 
+    def test_squares_past_int64_are_exact(self):
+        # N = 2^33 + 1 fits int64 but N^2 does not.
+        design = Design((("a", "b"),), {(0,): 2**33, (1,): 1})
+        assert margins(design, ()).counts.dtype == np.int64
+        assert invariance._scaled_norm(margins(design, ())) == (2**33 + 1) ** 2
+        assert invariance._scaled_norm(margins(design, [0])) == 2 * (2**66 + 1)
+
     def test_monotone_under_refinement(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -100,6 +107,25 @@ class TestMobius:
                         break
                     sub = (sub - 1) & mask
                 assert total == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
+    def test_matches_the_list_transform_past_int64(self, k):
+        rng = np.random.default_rng(k)
+        pairs = rng.integers(-(2**62), 2**62, (1 << k, 2)).tolist()
+        values = [v * 2**70 + w for v, w in pairs]  # about 2^132, exact only as ints
+        got = invariance._mobius_alternating(values, k)
+        assert got == mobius_alternating_list(values, k)
+        assert all(type(v) is int for v in got)
+        assert values == [v * 2**70 + w for v, w in pairs]  # the input is not modified
+
+    def test_scaled_subset_norms_follow_the_bitmask(self):
+        # Subsets of one weight class have different norms here; a swap would show.
+        counts = {(0, 0, 0): 1, (1, 0, 3): 2, (1, 2, 3): 4}
+        design = Design((("a", "b"), ("a", "b", "c"), tuple("abcd")), counts)
+        scaled = invariance._scaled_subset_norms(design)
+        subsets = [[i for i in range(3) if mask >> i & 1] for mask in range(8)]
+        assert scaled == [pair_subset_norm(design, subset) for subset in subsets]
+        assert len(set(scaled[1:7])) == 6
 
     def test_projector_norms_nonnegative(self):
         rng = np.random.default_rng(44)

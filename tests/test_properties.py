@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_gwlp, naive_margin_counts
+from helpers import exact_gwlp, naive_margin_counts, pair_subset_norm
 from wordlength import (
     Design,
     enumerate_structures,
@@ -29,6 +29,7 @@ from wordlength import (
     relabel_levels,
     weight,
 )
+from wordlength.invariance import _scaled_subset_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
 
 MAX_SPACE = 4096
@@ -200,6 +201,15 @@ def test_margin_counts_match_a_dict_count(data):
 @given(designs(multiplicities=MULTIPLICITIES))
 def test_margin_gwlp_is_the_correctly_rounded_exact_pattern(design):
     assert gwlp_margin(design).raw == tuple(float(a) for a in exact_gwlp(design))
+
+
+@PROPERTY
+@given(designs(multiplicities=MULTIPLICITIES))
+def test_scaled_subset_norms_are_exact_pair_sums(design):
+    # s * B_K for bitmask K, before the Moebius step, subset by subset: the
+    # pattern alone would not notice two subsets of one size swapped.
+    subsets = [[i for i in range(design.k) if mask >> i & 1] for mask in range(1 << design.k)]
+    assert _scaled_subset_norms(design) == [pair_subset_norm(design, K) for K in subsets]
 
 
 @PROPERTY

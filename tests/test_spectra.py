@@ -27,7 +27,8 @@ from wordlength import (
     relabel_levels,
     weight,
 )
-from wordlength.spectra import JCharVector
+from wordlength.groups import cyclic_character_table
+from wordlength.spectra import JCharVector, _part_tables
 
 Z4 = parse_structure("4")
 V = parse_structure("2x2")
@@ -100,6 +101,22 @@ class TestWeight:
         weights = element_weights(structures)
         assert weights.dtype == np.int64
         assert np.array_equal(weights, np.count_nonzero(np.stack(digits), axis=0))
+
+    def test_element_weights_are_shared_per_order_tuple(self):
+        # Every assignment of a sweep has the same orders, so one vector serves all.
+        weights = element_weights((Z4, parse_structure("3"), V))
+        assert element_weights((V, parse_structure("3"), Z4)) is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1
+
+    def test_part_tables_are_shared_and_read_only(self):
+        first = _part_tables((Z4, V, parse_structure("8x2")))
+        again = _part_tables((parse_structure("2x2x2"), Z4))
+        assert again[0] is first[1] and again[3] is first[0]
+        for table, order in zip(first, (4, 2, 2, 8, 2)):
+            assert not table.flags.writeable
+            assert np.array_equal(table, cyclic_character_table(order))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

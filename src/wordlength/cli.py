@@ -243,13 +243,14 @@ def _run_reconstruct(args) -> tuple[int, str]:
     try:
         group_literals = doc["groups"]
         entries = doc["values"]
-        n_runs = int(doc["n_runs"])
-        if n_runs != doc["n_runs"]:
-            raise ValueError(f"n_runs {doc['n_runs']!r} is not an integer")
+        raw_runs = doc["n_runs"]
+        if isinstance(raw_runs, bool):  # before int(): bool is an int subclass
+            raise TypeError(f"n_runs {raw_runs!r} is not a number")
+        n_runs = int(raw_runs)
+        if n_runs != raw_runs:
+            raise ValueError(f"n_runs {raw_runs!r} is not an integer")
         symbols = doc.get("design", {}).get("symbols")
-        values = np.array(
-            [complex(e["re"], e["im"]) for e in entries], dtype=np.complex128
-        )
+        values = _read_values(entries)
         structures = tuple(parse_structure(lit) for lit in group_literals)
         orders = [st.order for st in structures]
         if len(values) != math.prod(orders):
@@ -262,7 +263,7 @@ def _run_reconstruct(args) -> tuple[int, str]:
             or not all(isinstance(sym, str) for a in levels for sym in a)
         ):
             raise ValueError("symbols do not fit the groups")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
     jchar = JCharVector(values, n_runs, structures)
     override = _parse_assignment(args.groups) if args.groups else None
@@ -295,6 +296,22 @@ def _run_reconstruct(args) -> tuple[int, str]:
         }
         return 0, render.dumps(payload) + "\n"
     return 0, design.serialize()
+
+
+def _read_values(entries) -> np.ndarray:
+    """The ``re`` and ``im`` of a report's entries as one complex array.
+
+    JSON numbers load as int or float; true, false, null and strings are
+    rejected with a TypeError.
+    """
+    res = [e["re"] for e in entries]
+    ims = [e["im"] for e in entries]
+    if not set(map(type, res)) | set(map(type, ims)) <= {int, float}:
+        bad = next(x for x in res + ims if type(x) not in (int, float))
+        raise TypeError(f"value {bad!r} is not a number")
+    values = np.empty(len(res), dtype=np.complex128)
+    values.real, values.imag = res, ims
+    return values
 
 
 def _run_invariance(args) -> tuple[int, str]:

@@ -44,7 +44,8 @@ class Spectrum:
     """Complex values over a design's group elements, in Yates order.
 
     ``dumps`` writes it as the list ``[{"g": label, "re": x, "im": y}, ...]``
-    with ``element_labels(levels)`` as the labels, one format call per entry.
+    with ``element_labels(levels)`` as the labels, in bulk: each symbol is
+    escaped once and each distinct real or imaginary part formatted once.
     """
 
     # A plain class: a dataclass would add about 1 ms to every command's import.
@@ -99,17 +100,32 @@ def _write(value: Any, out: list[str]) -> None:
 
 
 def _write_spectrum(spectrum: Spectrum, out: list[str]) -> None:
-    # One format call per entry; "+ 0.0" drops the sign of -0.0 as fmt_float does.
-    entries = [
-        '{"g": %s, "re": %s, "im": %s}'
-        % (encode_basestring_ascii(label), format(re + 0.0, ".12g"), format(im + 0.0, ".12g"))
-        for label, re, im in zip(
-            element_labels(spectrum.levels),
-            spectrum.values.real.tolist(),
-            spectrum.values.imag.tolist(),
-        )
-    ]
-    out.extend(("[", ", ".join(entries), "]"))
+    # Escaping maps each character on its own, so escaped symbols join into
+    # the escaped label.
+    escaped = [[encode_basestring_ascii(sym)[1:-1] for sym in a] for a in spectrum.levels]
+    # One row of pieces per entry; the first row has no leading separator.
+    pieces = np.empty((len(spectrum.values), 7), dtype=object)
+    pieces[:, 0] = ', {"g": "'
+    pieces[:1, 0] = '{"g": "'
+    pieces[:, 1] = list(map(_joiner(spectrum.levels).join, itertools.product(*escaped)))
+    pieces[:, 2] = '", "re": '
+    pieces[:, 3] = _formatted(spectrum.values.real)
+    pieces[:, 4] = ', "im": '
+    pieces[:, 5] = _formatted(spectrum.values.imag)
+    pieces[:, 6] = "}"
+    out.extend(("[", "".join(pieces.ravel().tolist()), "]"))
+
+
+def _formatted(parts: np.ndarray) -> np.ndarray:
+    """``fmt_float`` of every part, as an object array, formatting each distinct value once.
+
+    Spectra of integer counts repeat few values; "+ 0.0" drops the sign of
+    -0.0 as ``fmt_float`` does, and one "%.12g" template (the same digits as
+    ``format(x, ".12g")``) formats all distinct values in one call.
+    """
+    distinct, inverse = np.unique(parts + 0.0, return_inverse=True)
+    text = ("%.12g," * len(distinct))[:-1] % tuple(distinct.tolist())
+    return np.array(text.split(","), dtype=object)[inverse]
 
 
 def element_label(levels: Sequence[Sequence[str]], components: Iterable[int]) -> str:

@@ -186,6 +186,31 @@ class TestReconstructCommand:
             code, _, err = run(capsys, "reconstruct", str(bad))
             assert code == 2, text
             assert err.startswith("wordlength: ")
+        # JSON booleans are not numbers, although Python's bool is an int.
+        for edit in (
+            lambda doc: doc["values"][3].__setitem__("im", False),
+            lambda doc: doc["values"][0].__setitem__("re", True),
+            lambda doc: doc.__setitem__("n_runs", True),
+        ):
+            bad.write_text(edited(edit), encoding="utf-8")
+            code, _, err = run(capsys, "reconstruct", str(bad))
+            assert code == 2
+            assert err.startswith(f"wordlength: {bad} is not a jchar report: ")
+        # A float that is an integer is still a run count.
+        bad.write_text(edited(lambda doc: doc.__setitem__("n_runs", 16.0)), encoding="utf-8")
+        assert run(capsys, "reconstruct", str(bad))[0] == 0
+
+    @pytest.mark.parametrize("value", ["1", None, True, False, [1], {"re": 1}])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_numeric_value_is_data_error(self, capsys, tmp_path, part, value):
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+        doc = json.loads(out)
+        doc["values"][7][part] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, text, err = run(capsys, "reconstruct", str(bad))
+        assert (code, text) == (2, "")
+        assert f"is not a jchar report: value {value!r} is not a number" in err
 
     def test_override_of_wrong_size_is_usage_error(self, capsys, tmp_path):
         _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
@@ -493,6 +518,45 @@ class TestRendering:
         expected = [element_label(levels, comps) for comps in components]
         assert list(element_labels(levels)) == expected
         assert expected[:2] == first
+
+
+    @staticmethod
+    def entries_text(levels, values):
+        # json.dumps escapes each whole label; the writer escapes each symbol once.
+        from wordlength.render import element_labels, fmt_float
+
+        entries = [
+            f'{{"g": {json.dumps(label)}, "re": {fmt_float(z.real)}, "im": {fmt_float(z.imag)}}}'
+            for label, z in zip(element_labels(levels), values.tolist())
+        ]
+        return "[" + ", ".join(entries) + "]"
+
+    def test_one_element_spectrum(self):
+        from wordlength.render import Spectrum, dumps
+
+        values = np.array([complex(-0.0, 2.5)])
+        assert dumps(Spectrum((("a",),), values)) == '[{"g": "a", "re": 0, "im": 2.5}]'
+
+    def test_all_distinct_spectrum(self):
+        from wordlength.render import Spectrum, dumps
+
+        levels = (("0", "a", "b"), ("x", "y"))
+        values = np.arange(6) / 3 + 1j * (np.arange(6) + 0.5) * 1e-20  # no value repeats
+        text = dumps(Spectrum(levels, values))
+        assert text == self.entries_text(levels, values)
+        first_two = '[{"g": "0x", "re": 0, "im": 5e-21}, {"g": "0y", "re": 0.333333333333, '
+        assert text.startswith(first_two)
+
+    def test_comma_joined_labels_escape_every_symbol(self):
+        from wordlength.render import Spectrum, dumps
+
+        levels = (('q"', "\\t\t"), ("\x01\u2028", "\U0001f600", "lo"))
+        values = np.array([1, -0.0, 2, 1, 1j, 2 - 1j])
+        text = dumps(Spectrum(levels, values))
+        assert text == self.entries_text(levels, values)
+        assert text.isascii()
+        assert '"g": "q\\",\\ud83d\\ude00"' in text
+        assert [e["g"] for e in json.loads(text)][:2] == ['q",\x01\u2028', 'q",\U0001f600']
 
 
 class TestMarginRouteAllocation:

@@ -1,8 +1,8 @@
 """Property tests for the Yates-indexed paths and the margin route.
 
 Transforms, weights, densification, parsing, margin counts, the exact
-margin-route pattern, the A_0 and sign of every route's pattern, and the
-rendering of spectra.
+margin-route pattern, the A_0 and sign of every route's pattern, the
+rendering of spectra, and the reading of spectrum reports.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from wordlength import (
     relabel_levels,
     weight,
 )
+from wordlength.cli import _read_values
 from wordlength.invariance import _scaled_subset_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
 
@@ -230,20 +231,26 @@ LABEL_SYMBOLS = st.text(min_size=1, max_size=3)
 
 
 @st.composite
-def spectra(draw) -> Spectrum:
+def spectra(draw, parts=FINITE) -> Spectrum:
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     levels = tuple(
         tuple(draw(st.lists(LABEL_SYMBOLS, min_size=s, max_size=s, unique=True))) for s in shape
     )
-    parts = st.lists(FINITE, min_size=math.prod(shape), max_size=math.prod(shape))
+    column = st.lists(parts, min_size=math.prod(shape), max_size=math.prod(shape))
     values = np.empty(math.prod(shape), dtype=np.complex128)
-    values.real, values.imag = draw(parts), draw(parts)  # no arithmetic: keeps -0.0
+    values.real, values.imag = draw(column), draw(column)  # no arithmetic: keeps -0.0
     return Spectrum(levels, values)
 
 
-@PROPERTY
-@given(spectra())
-def test_spectrum_renders_as_its_list_of_entries(spectrum):
+@st.composite
+def repeating_spectra(draw) -> Spectrum:
+    """Real and imaginary parts from one small pool, so values repeat across entries and parts."""
+    extra = draw(st.lists(FINITE, max_size=3))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS + tuple(extra)), min_size=1, max_size=4))
+    return draw(spectra(st.sampled_from(pool)))
+
+
+def assert_renders_as_its_list_of_entries(spectrum: Spectrum) -> None:
     entries = [
         {"g": label, "re": re, "im": im}
         for label, re, im in zip(
@@ -258,3 +265,34 @@ def test_spectrum_renders_as_its_list_of_entries(spectrum):
         {"g": e["g"], "re": float(fmt_float(e["re"])), "im": float(fmt_float(e["im"]))}
         for e in entries
     ]
+
+
+@PROPERTY
+@given(spectra())
+def test_spectrum_renders_as_its_list_of_entries(spectrum):
+    assert_renders_as_its_list_of_entries(spectrum)
+
+
+@PROPERTY
+@given(repeating_spectra())
+def test_spectrum_with_repeated_values_renders_as_its_list_of_entries(spectrum):
+    assert_renders_as_its_list_of_entries(spectrum)
+
+
+# JSON numbers as json.loads returns them: ints past 2**53 and 2**64 round
+# on conversion, and floats include -0.0 and subnormals.
+JSON_NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(JSON_NUMBERS, JSON_NUMBERS), max_size=20))
+def test_report_values_read_as_complex_of_each_entry(pairs):
+    values = _read_values([{"g": "x", "re": re, "im": im} for re, im in pairs])
+    expected = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    assert values.dtype == np.complex128
+    assert values.view(np.float64).tobytes() == expected.view(np.float64).tobytes()

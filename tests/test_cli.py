@@ -547,6 +547,14 @@ class TestRendering:
         first_two = '[{"g": "0x", "re": 0, "im": 5e-21}, {"g": "0y", "re": 0.333333333333, '
         assert text.startswith(first_two)
 
+    def test_spectrum_of_several_blocks(self):
+        from wordlength.render import Spectrum, dumps
+
+        # 9000 entries span three blocks of the writer, the last one partial.
+        levels = tuple(tuple("0123456789"[:s]) for s in (9, 10, 10, 10))
+        values = np.arange(9000) % 7 - 2j * (np.arange(9000) % 3)
+        assert dumps(Spectrum(levels, values)) == self.entries_text(levels, values)
+
     def test_comma_joined_labels_escape_every_symbol(self):
         from wordlength.render import Spectrum, dumps
 

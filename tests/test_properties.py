@@ -245,8 +245,7 @@ def spectra(draw, parts=FINITE) -> Spectrum:
 @st.composite
 def repeating_spectra(draw) -> Spectrum:
     """Real and imaginary parts from one small pool, so values repeat across entries and parts."""
-    extra = draw(st.lists(FINITE, max_size=3))
-    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS + tuple(extra)), min_size=1, max_size=4))
+    pool = [0.0, -0.0, *draw(st.lists(FINITE, min_size=1, max_size=3))]
     return draw(spectra(st.sampled_from(pool)))
 
 
@@ -279,14 +278,9 @@ def test_spectrum_with_repeated_values_renders_as_its_list_of_entries(spectrum):
     assert_renders_as_its_list_of_entries(spectrum)
 
 
-# JSON numbers as json.loads returns them: ints past 2**53 and 2**64 round
-# on conversion, and floats include -0.0 and subnormals.
-JSON_NUMBERS = st.one_of(
-    st.integers(-(2**70), 2**70),
-    st.sampled_from(SPECIAL_FLOATS),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(-1e-300, 1e-300),
-)
+# JSON numbers as json.loads returns them: ints past 2**53 and 2**64 round on
+# conversion, and FINITE holds -0.0 and subnormals.
+JSON_NUMBERS = st.one_of(st.integers(-(2**70), 2**70), FINITE)
 
 
 @PROPERTY

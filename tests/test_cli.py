@@ -519,7 +519,6 @@ class TestRendering:
         assert list(element_labels(levels)) == expected
         assert expected[:2] == first
 
-
     @staticmethod
     def entries_text(levels, values):
         # json.dumps escapes each whole label; the writer escapes each symbol once.

@@ -1,15 +1,28 @@
 """Character-free wordlength patterns, invariance verification, and ranking.
 
-The margin route computes the wordlength pattern from run-count margins only:
-for a factor subset K,
+The margin route computes the wordlength pattern from run counts only: for a
+factor subset K,
 
-    B_K = (1 / prod_{i not in K} s_i) * sum of squared margin counts,
+    B_K = (1 / prod_{i not in K} s_i) * sum of squared K-margin counts,
 
 which never references a group structure.  An alternating subset sum (Moebius
 inversion over the subset lattice) turns the B_K into the per-subset squared
 projection norms whose weight-class totals are the A_j.  Agreement of this
 route with the character route, for every structure assignment, is exactly
 the invariance property this package exists to check.
+
+Two exact kernels give the integers s * B_K.  The margin kernel counts the
+2^k margin tables.  The pair kernel uses the pair form of the same sum (Xu and
+Wu, Ann. Statist. 29 (2001)): a squared K-margin total counts the ordered run
+pairs (x, y) that agree on K, so
+
+    s * B_K = prod_{i in K} s_i * sum_{J >= K} h[J],
+
+where h[J] totals m_x * m_y over the pairs that agree on exactly the factors
+in J.  Its cost grows with the n^2 / 2 pairs of the n distinct runs, against
+2^k sorts of n runs for the margins, so it runs when n <= 2 * 2^k (and N^2
+fits int64); the margin kernel runs otherwise.  Both give the same integers,
+so the kernel choice never shows in a result.
 
 The route is exact: it works on the integers s * B_K, so each N^2 * A_j is an
 integer sum and the pattern needs one division per entry.
@@ -46,8 +59,16 @@ MAX_ASSIGNMENTS = 256
 MARGIN_SUBSET_CAP = 2**20
 
 # Largest N whose square fits int64; margin counts of such a design square
-# and sum exactly in int64.
+# and sum exactly in int64, and so do its pair weights m_x * m_y.
 _MAX_INT64_ROOT = math.isqrt(np.iinfo(np.int64).max)
+
+# The pair kernel runs when the distinct runs are at most this many per factor
+# subset: at n = 2 * 2^k it took 0.2-0.5 of the margin kernel's time, and
+# 0.6-1.1 of it at n = 4 * 2^k (k = 6-12, random designs).
+_PAIR_RUNS_PER_SUBSET = 2
+
+# Run pairs per block of the pair kernel, which bounds its working memory.
+_PAIR_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -97,10 +118,60 @@ def _scaled_subset_norms(design: Design) -> list[int]:
             f"margin route over k = {k} factors needs 2^{k} subsets, "
             f"above the cap {MARGIN_SUBSET_CAP}"
         )
+    if len(design.counts) <= _PAIR_RUNS_PER_SUBSET << k and design.n_runs <= _MAX_INT64_ROOT:
+        return _pair_subset_norms(design)
+    return _margin_subset_norms(design)
+
+
+def _margin_subset_norms(design: Design) -> list[int]:
+    """s * B_K for every subset K, from the 2^k margin tables."""
+    k = design.k
     return [
         _scaled_norm(margins(design, [i for i in range(k) if mask >> i & 1]))
         for mask in range(1 << k)
     ]
+
+
+def _pair_subset_norms(design: Design) -> list[int]:
+    """s * B_K for every subset K, from the agreement masks of the run pairs.
+
+    h[J] is the total m_x * m_y over the ordered pairs of distinct runs (x, y)
+    that agree on exactly J; then s * B_K = prod(sizes_K) * sum_{J >= K} h[J].
+    The upper triangle of pairs is read in blocks of at most
+    ``_PAIR_BLOCK_CELLS`` pairs: as many rows as fit, or part of one row when
+    n is larger.  A pair past the block's own rows stands for both of its
+    orders.  The cap keeps k <= 20, so a mask fits int32.
+    """
+    runs, mults = design._run_matrix
+    k, n = runs.shape
+    dtype = np.int64 if design.n_runs <= _MAX_INT64_ROOT else object  # h sums to N^2
+    mults = mults.astype(dtype, copy=False)
+    agree = np.zeros(1 << k, dtype)
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _PAIR_BLOCK_CELLS // (n - start)))
+        width = _PAIR_BLOCK_CELLS // (stop - start)
+        for first in range(start, n, width):
+            last = min(n, first + width)
+            masks = np.zeros((stop - start, last - first), np.int32)
+            bit = np.empty_like(masks)
+            for i in range(k):
+                np.equal(runs[i, start:stop, None], runs[i, None, first:last], out=bit)
+                bit <<= i
+                masks |= bit
+            weights = mults[start:stop, None] * mults[None, first:last]
+            weights[:, max(0, stop - first) :] *= 2  # x != y there, so 2 m_x m_y <= N^2 / 2
+            np.add.at(agree, masks.ravel(), weights.ravel())
+        start = stop
+    # Superset sums, the mirror of _mobius_alternating; each stays <= N^2.
+    sums = agree.reshape((2,) * k)
+    for axis in range(k):
+        index = (slice(None),) * axis
+        sums[index + (0,)] += sums[index + (1,)]
+    scales = [1]  # prod(sizes_K), indexed by bitmask
+    for size in design.sizes:
+        scales += [scale * size for scale in scales]
+    return [total * scale for total, scale in zip(sums.ravel().tolist(), scales)]
 
 
 def _scaled_projector_norms(design: Design) -> list[int]:
@@ -111,20 +182,23 @@ def _scaled_projector_norms(design: Design) -> list[int]:
 def projector_norms(design: Design) -> list[float]:
     """Squared norms ||M_J U O||^2 for every factor subset J, indexed by bitmask.
 
-    Bit i of the mask selects factor i.  Computed entirely from margins via
-    the alternating subset sum; multiplying by s gives the total |chi_g|^2
-    over the elements that are nonidentity exactly on J, under any structure
-    assignment.
+    Bit i of the mask selects factor i.  Computed from run counts alone, by
+    the alternating subset sum over the B_K of the margin or the pair kernel
+    (pairs when n <= 2 * 2^k; see the module docstring); multiplying by s
+    gives the total |chi_g|^2 over the elements that are nonidentity exactly
+    on J, under any structure assignment.
     """
     s = design.space_size
     return [value / s for value in _scaled_projector_norms(design)]
 
 
 def gwlp_margin(design: Design) -> GWLP:
-    """Wordlength pattern computed from margins only (no characters, no dense O).
+    """Wordlength pattern from run counts only (no characters, no dense O).
 
-    Exact: the integers N^2 * A_j are summed first and divided by N^2 once,
-    so each entry is the correctly rounded float of the true A_j.
+    The B_K come from the margin tables, or from the run-pair agreement masks
+    when n <= 2 * 2^k; both kernels give the same integers.  Exact: the
+    integers N^2 * A_j are summed first and divided by N^2 once, so each entry
+    is the correctly rounded float of the true A_j.
     """
     if design.n_runs <= 0:
         raise ValueError("design has no runs")

@@ -1,14 +1,21 @@
-"""Margin-route GWLP, the projector oracle, invariance reports, and ranking."""
+"""Margin-route GWLP and its two kernels, the projector oracle, invariance reports, and ranking."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import all_assignments, mobius_alternating_list, pair_subset_norm, random_design
+from helpers import (
+    all_assignments,
+    exact_gwlp,
+    mobius_alternating_list,
+    pair_subset_norm,
+    random_design,
+)
 from wordlength import (
     Design,
     GWLP,
@@ -235,13 +242,81 @@ class TestGwlpMargin:
         assert gwlp_margin(shuffled).raw == gwlp_margin(paper_design).raw
 
     def test_subset_cap(self, monkeypatch):
-        # 2^21 subsets are refused before the first margin is counted.
+        # 2^21 subsets are refused before either kernel starts: one run would
+        # take the pair kernel, N past _MAX_INT64_ROOT the margin kernel.
         one_run = Design((("0", "1"),) * 21, {(0,) * 21: 1})
+        heavy_run = Design((("0", "1"),) * 21, {(0,) * 21: invariance._MAX_INT64_ROOT + 1})
         assert subset_norm(one_run, range(21)).value == 1.0  # margins stay uncapped
         monkeypatch.setattr(invariance, "margins", None)
-        for route in (gwlp_margin, projector_norms):
-            with pytest.raises(ResourceLimitError, match=r"k = 21 factors .* cap 1048576"):
-                route(one_run)
+        monkeypatch.setattr(invariance, "_margin_subset_norms", None)
+        monkeypatch.setattr(invariance, "_pair_subset_norms", None)
+        for design in (one_run, heavy_run):
+            for route in (gwlp_margin, projector_norms):
+                with pytest.raises(ResourceLimitError, match=r"k = 21 factors .* cap 1048576"):
+                    route(design)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this kernel should not run")
+
+
+def _distinct_runs(n: int, sizes: tuple[int, ...], first_mult: int = 1) -> Design:
+    """The first n cells of the full factorial in Yates order, once each but the first."""
+    runs = itertools.islice(itertools.product(*map(range, sizes)), n)
+    counts = {run: 1 for run in runs}
+    counts[(0,) * len(sizes)] = first_mult
+    return Design(tuple(tuple(map(str, range(s))) for s in sizes), counts)
+
+
+def _sampled_runs(seed: int, n: int, sizes: tuple[int, ...], max_mult: int) -> Design:
+    """n distinct cells drawn at random, each with multiplicity 1..max_mult."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(math.prod(sizes), n, replace=False)
+    runs = np.array(np.unravel_index(codes, sizes)).T.tolist()
+    mults = rng.integers(1, max_mult + 1, n).tolist()
+    return Design(tuple(tuple(map(str, range(s))) for s in sizes), dict(zip(map(tuple, runs), mults)))
+
+
+class TestKernelSwitch:
+    SIZES = (4, 4, 2)  # k = 3, 32 cells
+
+    def test_pairs_up_to_the_crossover(self, monkeypatch):
+        n = invariance._PAIR_RUNS_PER_SUBSET << 3
+        design = _distinct_runs(n, self.SIZES)
+        monkeypatch.setattr(invariance, "margins", _refuse)
+        assert gwlp_margin(design).values == tuple(map(float, exact_gwlp(design)))
+
+    def test_margins_past_the_crossover(self, monkeypatch):
+        n = (invariance._PAIR_RUNS_PER_SUBSET << 3) + 1
+        design = _distinct_runs(n, self.SIZES)
+        monkeypatch.setattr(invariance, "_pair_subset_norms", _refuse)
+        assert gwlp_margin(design).values == tuple(map(float, exact_gwlp(design)))
+
+    def test_margins_when_n_squared_passes_int64(self, monkeypatch):
+        # Two distinct runs would take pairs, but N = _MAX_INT64_ROOT + 1.
+        design = _distinct_runs(2, self.SIZES, first_mult=invariance._MAX_INT64_ROOT)
+        assert design.n_runs == invariance._MAX_INT64_ROOT + 1
+        monkeypatch.setattr(invariance, "_pair_subset_norms", _refuse)
+        assert gwlp_margin(design).values == tuple(map(float, exact_gwlp(design)))
+
+    def test_pair_kernel_over_several_blocks(self):
+        # 600 runs make 180,300 pairs, about three blocks of 2^16 pairs; the
+        # margin kernel is the reference.
+        design = _sampled_runs(49, 600, (2, 3, 4, 8, 9, 12, 2, 3), max_mult=3)
+        assert invariance._pair_subset_norms(design) == invariance._margin_subset_norms(design)
+
+    def test_pair_side_memory_is_bounded_by_the_block(self):
+        # k = 12, n = 2048 is on the pair side; 2048 rows of masks alone
+        # would take 16 MiB.
+        design = _sampled_runs(50, 2048, (4,) * 12, max_mult=1)
+        assert len(design.counts) <= invariance._PAIR_RUNS_PER_SUBSET << design.k
+        tracemalloc.start()
+        try:
+            gwlp_margin(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestVerifyInvariance:

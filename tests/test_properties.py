@@ -1,14 +1,16 @@
 """Property tests for the Yates-indexed paths and the margin route.
 
 Transforms, weights, densification, parsing, margin counts, the exact
-margin-route pattern, the A_0 and sign of every route's pattern, the
-rendering of spectra, and the reading of spectrum reports.
+margin-route pattern and the agreement of its two kernels, the A_0 and sign
+of every route's pattern, the rendering of spectra, and the reading of
+spectrum reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from wordlength import (
     relabel_levels,
     weight,
 )
+from wordlength import invariance
 from wordlength.cli import _read_values
 from wordlength.invariance import _scaled_subset_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
@@ -211,6 +214,38 @@ def test_scaled_subset_norms_are_exact_pair_sums(design):
     # pattern alone would not notice two subsets of one size swapped.
     subsets = [[i for i in range(design.k) if mask >> i & 1] for mask in range(1 << design.k)]
     assert _scaled_subset_norms(design) == [pair_subset_norm(design, K) for K in subsets]
+
+
+KERNEL_SIZES = (2, 3, 4, 8, 9, 12)
+
+
+@st.composite
+def kernel_designs(draw) -> Design:
+    """Up to 8 factors and 300 distinct runs, with N below, at or past _MAX_INT64_ROOT."""
+    shape = tuple(draw(st.lists(st.sampled_from(KERNEL_SIZES), min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drawn = draw(st.integers(1, 300))
+    runs = map(tuple, np.array([rng.integers(0, s, drawn) for s in shape]).T.tolist())
+    counts = dict.fromkeys(runs, 1)
+    mults = draw(st.sampled_from(["small", "guard", "huge"]))
+    if mults == "small":
+        counts = {run: int(rng.integers(1, 5)) for run in counts}
+    elif mults == "guard":  # N is _MAX_INT64_ROOT - 1, + 0 or + 1
+        offset = draw(st.integers(-1, 1))
+        counts[next(iter(counts))] += invariance._MAX_INT64_ROOT + offset - len(counts)
+    else:  # N past int64 too
+        counts = {run: int(rng.integers(2**53, 2**62)) for run in counts}
+    return Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
+
+
+@PROPERTY
+@given(kernel_designs(), st.sampled_from([16, 256, 2**16]))
+def test_pair_and_margin_kernels_give_the_same_integers(design, block_cells):
+    # Both kernels, whichever the switch would pick; small blocks split the
+    # pairs into many blocks and some rows into parts.
+    with mock.patch.object(invariance, "_PAIR_BLOCK_CELLS", block_cells):
+        pairs = invariance._pair_subset_norms(design)
+    assert pairs == invariance._margin_subset_norms(design)
 
 
 @PROPERTY

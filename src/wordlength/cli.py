@@ -263,7 +263,9 @@ def _run_reconstruct(args) -> tuple[int, str]:
             or not all(isinstance(sym, str) for a in levels for sym in a)
         ):
             raise ValueError("symbols do not fit the groups")
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (  # ResourceLimitError: a group past groups.MAX_ORDER, which no report lists
+        AttributeError, KeyError, OverflowError, ResourceLimitError, TypeError, ValueError
+    ) as exc:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
     jchar = JCharVector(values, n_runs, structures)
     override = _parse_assignment(args.groups) if args.groups else None

@@ -29,6 +29,9 @@ DENSIFY_CAP = 2**20
 _MAX_RAVEL_DIMS = 32
 _MAX_RAVEL_CELLS = np.iinfo(np.intp).max
 
+# Largest N whose square fits int64: the width rule of Design's multiplicities.
+_MAX_INT64_ROOT = math.isqrt(np.iinfo(np.int64).max)
+
 Run = tuple[int, ...]
 
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(.*)$")
@@ -47,9 +50,9 @@ class Design:
     levels: tuple[tuple[str, ...], ...]
     counts: Mapping[Run, int] = field(repr=False)
     #: The distinct runs as a C-contiguous (k, n) level-index array, factor-major
-    #: so that a subset's rows are contiguous, and their multiplicities: int64,
-    #: so no margin sum can overflow, unless N itself does not fit; then Python
-    #: ints in an object array.
+    #: so that a subset's rows are contiguous, and their multiplicities: int64
+    #: while N^2 fits int64, so no margin total, pair product or sum of squares
+    #: can overflow; past that, Python ints in an object array.
     _run_matrix: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False
     )
@@ -80,7 +83,7 @@ class Design:
         runs = _factor_major(counts, self.sizes)
         if runs is None or min(counts.values()) < 1:
             raise ValueError(_first_bad_run(counts, self.sizes))
-        dtype = np.int64 if self.n_runs <= np.iinfo(np.int64).max else object
+        dtype = np.int64 if self.n_runs <= _MAX_INT64_ROOT else object
         mults = np.fromiter(counts.values(), dtype, len(counts))
         object.__setattr__(self, "_run_matrix", (runs, mults))
 

@@ -24,11 +24,16 @@ from .kron import kron_all
 #: Largest group order for which a dense character table may be materialized.
 DENSE_TABLE_CAP = 2**12
 
+#: Largest group or cyclic order that may be factored (by trial division).
+MAX_ORDER = 2**32
+
 Element = tuple[int, ...]
 
 
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as an ascending {prime: exponent} map."""
+    if n > MAX_ORDER:
+        raise ResourceLimitError(f"order {n} exceeds the cap {MAX_ORDER} on group orders")
     factors: dict[int, int] = {}
     d = 2
     while d * d <= n:

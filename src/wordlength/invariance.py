@@ -11,21 +11,24 @@ projection norms whose weight-class totals are the A_j.  Agreement of this
 route with the character route, for every structure assignment, is exactly
 the invariance property this package exists to check.
 
-Two exact kernels give the integers s * B_K.  The margin kernel counts the
-2^k margin tables.  The pair kernel uses the pair form of the same sum (Xu and
-Wu, Ann. Statist. 29 (2001)): a squared K-margin total counts the ordered run
-pairs (x, y) that agree on K, so
+Two exact kernels give the agreement totals G[K], the sums of squared
+K-margin counts, so that s * B_K = prod_{i in K} s_i * G[K].  The margin
+kernel counts the 2^k margin tables.  The pair kernel uses the pair form of
+the same sum (Xu and Wu, Ann. Statist. 29 (2001)): a squared K-margin total
+counts the ordered run pairs (x, y) that agree on K, so
 
-    s * B_K = prod_{i in K} s_i * sum_{J >= K} h[J],
+    G[K] = sum_{x, y agree on K} m_x * m_y = sum_{J >= K} h[J],
 
 where h[J] totals m_x * m_y over the pairs that agree on exactly the factors
 in J.  Its cost grows with the n^2 / 2 pairs of the n distinct runs, against
-2^k sorts of n runs for the margins, so it runs when n <= 2 * 2^k (and N^2
-fits int64); the margin kernel runs otherwise.  Both give the same integers,
-so the kernel choice never shows in a result.
+2^k sorts of n runs for the margins, so it runs when n <= 2 * 2^k; the margin
+kernel runs otherwise.  The switch reads only n and k.  Both kernels work in
+the dtype of the design's multiplicities, which is exact for these sums, and
+give the same integers, so the kernel choice never shows in a result.
 
-The route is exact: it works on the integers s * B_K, so each N^2 * A_j is an
-integer sum and the pattern needs one division per entry.
+The route is exact: one integer step per factor scales the G[K] and inverts
+them into s * ||M_J U O||^2, so each N^2 * A_j is an integer sum and the
+pattern needs one division per entry.
 """
 
 from __future__ import annotations
@@ -58,10 +61,6 @@ MAX_ASSIGNMENTS = 256
 #: Largest number of factor subsets, 2^k, the margin route may count.
 MARGIN_SUBSET_CAP = 2**20
 
-# Largest N whose square fits int64; margin counts of such a design square
-# and sum exactly in int64, and so do its pair weights m_x * m_y.
-_MAX_INT64_ROOT = math.isqrt(np.iinfo(np.int64).max)
-
 # The pair kernel runs when the distinct runs are at most this many per factor
 # subset: at n = 2 * 2^k it took 0.2-0.5 of the margin kernel's time, and
 # 0.6-1.1 of it at n = 4 * 2^k (k = 6-12, random designs).
@@ -86,107 +85,93 @@ def subset_norm(design: Design, subset: Iterable[int]) -> SubsetNorm:
 
 def table_norm(table: MarginTable, space_size: int) -> SubsetNorm:
     """``subset_norm`` from a K-margin table of a design with ``space_size`` cells."""
-    return SubsetNorm(table.subset, _scaled_norm(table) / space_size)
+    scaled = math.prod(table.sizes) * int(table.counts @ table.counts)  # s * B_K, exact
+    return SubsetNorm(table.subset, scaled / space_size)
 
 
-def _scaled_norm(table: MarginTable) -> int:
-    """s * B_K = prod(sizes_K) * sum of squared K-margin counts, an exact integer."""
-    counts = table.counts
-    if table.n_runs > _MAX_INT64_ROOT:  # the sum of squares, at most N^2, may pass int64
-        counts = counts.astype(object)
-    return math.prod(table.sizes) * int(counts @ counts)
+def _scale_and_invert(totals: Sequence[int], sizes: Sequence[int]) -> list[int]:
+    """s * ||M_J U O||^2 for every subset J from the agreement totals G[K].
 
-
-def _mobius_alternating(values: Sequence[int], k: int) -> list[int]:
-    """Subset-lattice Moebius transform: out[J] = sum_{K<=J} (-1)^|J\\K| in[K].
-
-    The 2^k values, indexed by bitmask, become a (2,)*k array of Python ints
-    whose axis k-1-i is bit i, so each factor's step is one exact subtraction.
+    Scaling G[K] by prod(sizes_K) gives s * B_K, and the subset-lattice
+    Moebius transform out[J] = sum_{K<=J} (-1)^|J\\K| s * B_K gives the
+    projector norms.  Both act factor by factor, so on the 2^k totals, as a
+    (2,)*k array of Python ints whose axis k-1-i is bit i, factor i's step is
+    the exact (a0, a1) -> (a0, s_i * a1 - a0).
     """
-    out = np.array(values, dtype=object).reshape((2,) * k)
-    for axis in range(k):
+    k = len(sizes)
+    out = np.array(totals, dtype=object).reshape((2,) * k)
+    for axis, size in enumerate(reversed(sizes)):
         index = (slice(None),) * axis
+        out[index + (1,)] *= size
         out[index + (1,)] -= out[index + (0,)]
     return out.ravel().tolist()
 
 
-def _scaled_subset_norms(design: Design) -> list[int]:
-    """s * B_K for every factor subset K (bit i = factor i), as integers."""
+def _margin_subset_norms(design: Design) -> list[int]:
+    """G[K], the sum of squared K-margin counts, for every subset K."""
+    tables = (
+        margins(design, [i for i in range(design.k) if mask >> i & 1])
+        for mask in range(1 << design.k)
+    )
+    return [int(t.counts @ t.counts) for t in tables]
+
+
+def _pair_subset_norms(design: Design) -> list[int]:
+    """G[K] for every subset K, from the agreement masks of the run pairs.
+
+    h[J] is the total m_x * m_y over the ordered pairs of distinct runs (x, y)
+    that agree on exactly J; then G[K] = sum_{J >= K} h[J].  The upper
+    triangle of pairs is read in blocks of whole rows, as many as fit in
+    ``_PAIR_BLOCK_CELLS`` pairs and at least one.  A pair past the block's
+    own rows stands for both of its orders.  The cap keeps k <= 20, so a
+    mask fits int32.
+    """
+    runs, mults = design._run_matrix
+    k, n = runs.shape
+    agree = np.zeros(1 << k, mults.dtype)  # h sums to N^2, which the dtype holds
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _PAIR_BLOCK_CELLS // (n - start)))
+        masks = np.zeros((stop - start, n - start), np.int32)
+        bit = np.empty_like(masks)
+        for i in range(k):
+            np.equal(runs[i, start:stop, None], runs[i, None, start:], out=bit)
+            bit <<= i
+            masks |= bit
+        weights = mults[start:stop, None] * mults[None, start:]
+        weights[:, stop - start :] *= 2  # x != y there, so 2 m_x m_y <= N^2 / 2
+        np.add.at(agree, masks.ravel(), weights.ravel())
+        start = stop
+    # Superset sums, the mirror of the Moebius step; each stays <= N^2.
+    sums = agree.reshape((2,) * k)
+    for axis in range(k):
+        index = (slice(None),) * axis
+        sums[index + (0,)] += sums[index + (1,)]
+    return sums.ravel().tolist()
+
+
+def _scaled_projector_norms(design: Design) -> list[int]:
+    """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers."""
     k = design.k
     if 1 << k > MARGIN_SUBSET_CAP:
         raise ResourceLimitError(
             f"margin route over k = {k} factors needs 2^{k} subsets, "
             f"above the cap {MARGIN_SUBSET_CAP}"
         )
-    if len(design.counts) <= _PAIR_RUNS_PER_SUBSET << k and design.n_runs <= _MAX_INT64_ROOT:
-        return _pair_subset_norms(design)
-    return _margin_subset_norms(design)
-
-
-def _margin_subset_norms(design: Design) -> list[int]:
-    """s * B_K for every subset K, from the 2^k margin tables."""
-    k = design.k
-    return [
-        _scaled_norm(margins(design, [i for i in range(k) if mask >> i & 1]))
-        for mask in range(1 << k)
-    ]
-
-
-def _pair_subset_norms(design: Design) -> list[int]:
-    """s * B_K for every subset K, from the agreement masks of the run pairs.
-
-    h[J] is the total m_x * m_y over the ordered pairs of distinct runs (x, y)
-    that agree on exactly J; then s * B_K = prod(sizes_K) * sum_{J >= K} h[J].
-    The upper triangle of pairs is read in blocks of at most
-    ``_PAIR_BLOCK_CELLS`` pairs: as many rows as fit, or part of one row when
-    n is larger.  A pair past the block's own rows stands for both of its
-    orders.  The cap keeps k <= 20, so a mask fits int32.
-    """
-    runs, mults = design._run_matrix
-    k, n = runs.shape
-    dtype = np.int64 if design.n_runs <= _MAX_INT64_ROOT else object  # h sums to N^2
-    mults = mults.astype(dtype, copy=False)
-    agree = np.zeros(1 << k, dtype)
-    start = 0
-    while start < n:
-        stop = min(n, start + max(1, _PAIR_BLOCK_CELLS // (n - start)))
-        width = _PAIR_BLOCK_CELLS // (stop - start)
-        for first in range(start, n, width):
-            last = min(n, first + width)
-            masks = np.zeros((stop - start, last - first), np.int32)
-            bit = np.empty_like(masks)
-            for i in range(k):
-                np.equal(runs[i, start:stop, None], runs[i, None, first:last], out=bit)
-                bit <<= i
-                masks |= bit
-            weights = mults[start:stop, None] * mults[None, first:last]
-            weights[:, max(0, stop - first) :] *= 2  # x != y there, so 2 m_x m_y <= N^2 / 2
-            np.add.at(agree, masks.ravel(), weights.ravel())
-        start = stop
-    # Superset sums, the mirror of _mobius_alternating; each stays <= N^2.
-    sums = agree.reshape((2,) * k)
-    for axis in range(k):
-        index = (slice(None),) * axis
-        sums[index + (0,)] += sums[index + (1,)]
-    scales = [1]  # prod(sizes_K), indexed by bitmask
-    for size in design.sizes:
-        scales += [scale * size for scale in scales]
-    return [total * scale for total, scale in zip(sums.ravel().tolist(), scales)]
-
-
-def _scaled_projector_norms(design: Design) -> list[int]:
-    """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers."""
-    return _mobius_alternating(_scaled_subset_norms(design), design.k)
+    pairs = len(design.counts) <= _PAIR_RUNS_PER_SUBSET << k
+    kernel = _pair_subset_norms if pairs else _margin_subset_norms
+    return _scale_and_invert(kernel(design), design.sizes)
 
 
 def projector_norms(design: Design) -> list[float]:
     """Squared norms ||M_J U O||^2 for every factor subset J, indexed by bitmask.
 
-    Bit i of the mask selects factor i.  Computed from run counts alone, by
-    the alternating subset sum over the B_K of the margin or the pair kernel
-    (pairs when n <= 2 * 2^k; see the module docstring); multiplying by s
-    gives the total |chi_g|^2 over the elements that are nonidentity exactly
-    on J, under any structure assignment.
+    Bit i of the mask selects factor i.  Computed from run counts alone: the
+    margin or the pair kernel gives the agreement totals G[K] (pairs when
+    n <= 2 * 2^k; see the module docstring), and one exact step per factor
+    scales and inverts them.  Multiplying by s gives the total |chi_g|^2 over
+    the elements that are nonidentity exactly on J, under any structure
+    assignment.
     """
     s = design.space_size
     return [value / s for value in _scaled_projector_norms(design)]
@@ -195,13 +180,11 @@ def projector_norms(design: Design) -> list[float]:
 def gwlp_margin(design: Design) -> GWLP:
     """Wordlength pattern from run counts only (no characters, no dense O).
 
-    The B_K come from the margin tables, or from the run-pair agreement masks
-    when n <= 2 * 2^k; both kernels give the same integers.  Exact: the
-    integers N^2 * A_j are summed first and divided by N^2 once, so each entry
-    is the correctly rounded float of the true A_j.
+    The agreement totals come from the margin tables, or from the run-pair
+    agreement masks when n <= 2 * 2^k; both kernels give the same integers.
+    Exact: the integers N^2 * A_j are summed first and divided by N^2 once,
+    so each entry is the correctly rounded float of the true A_j.
     """
-    if design.n_runs <= 0:
-        raise ValueError("design has no runs")
     scaled = [0] * (design.k + 1)
     for mask, value in enumerate(_scaled_projector_norms(design)):
         scaled[mask.bit_count()] += value

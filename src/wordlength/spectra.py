@@ -63,19 +63,6 @@ def _resolve(structures: Sequence[AbelianStructure | str]) -> Assignment:
     return tuple(parse_structure(st) if isinstance(st, str) else st for st in structures)
 
 
-def _spectrum_structures(
-    jchar: JCharVector, structures: Sequence[AbelianStructure | str] | None
-) -> Assignment:
-    """The assignment to read a spectrum under: its own unless one is given."""
-    resolved = jchar.structures if structures is None else _resolve(structures)
-    s = math.prod(st.order for st in resolved)
-    if s != jchar.space_size:
-        raise ValueError(
-            f"assignment spans {s} elements, spectrum has {jchar.space_size}"
-        )
-    return resolved
-
-
 def weight(structures: Sequence[AbelianStructure], g: Sequence[int] | int) -> int:
     """Number of nonidentity components of g under the per-factor structures.
 
@@ -216,7 +203,12 @@ def reconstruct(
     was computed under a different structure assignment than the one given
     here, or if the multiplicities do not add up to ``jchar.n_runs``.
     """
-    resolved = _spectrum_structures(jchar, structures)
+    resolved = jchar.structures if structures is None else _resolve(structures)
+    orders = [st.order for st in resolved]
+    if math.prod(orders) != jchar.space_size:
+        raise ValueError(
+            f"assignment spans {math.prod(orders)} elements, spectrum has {jchar.space_size}"
+        )
     adjoints = [t.conj().T for t in _part_tables(resolved)]
     # A non-finite spectrum makes NaN cells; they fail the check below.
     with np.errstate(invalid="ignore"):
@@ -234,9 +226,9 @@ def reconstruct(
             f"cell {index} reconstructs to negative multiplicity {int(mults[index])}"
         )
     nonzero = np.flatnonzero(mults)
-    digits = np.unravel_index(nonzero, [st.order for st in resolved])
+    digits = np.unravel_index(nonzero, orders)
     runs = zip(*(d.tolist() for d in digits))
-    counts = mults[nonzero].astype(np.int64).tolist()
+    counts = list(map(int, mults[nonzero].tolist()))  # exact past int64 too
     total = sum(counts)
     if total != jchar.n_runs:
         raise InconsistentSpectrumError(
@@ -245,15 +237,11 @@ def reconstruct(
     return dict(zip(runs, counts))
 
 
-def gwlp_char(
-    jchar: JCharVector,
-    structures: Sequence[AbelianStructure | str] | None = None,
-) -> GWLP:
+def gwlp_char(jchar: JCharVector) -> GWLP:
     """Wordlength pattern A_j = N^-2 * sum over weight-j elements of |chi_g|^2."""
-    resolved = _spectrum_structures(jchar, structures)
     if jchar.n_runs <= 0:
         raise ValueError("spectrum has no runs")
-    weights = element_weights(resolved)
-    k = len(resolved)
+    weights = element_weights(jchar.structures)
+    k = len(jchar.structures)
     power = np.abs(jchar.values) ** 2
     return GWLP(np.bincount(weights, weights=power, minlength=k + 1) / jchar.n_runs**2)

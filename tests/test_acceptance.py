@@ -87,7 +87,7 @@ def test_criterion_2_gwlp_reproduction(paper_design):
         assert len(assignments) == 8
         for assignment in assignments:
             jchar = j_characteristics(paper_design, assignment)
-            patterns.append(gwlp_char(jchar, assignment))
+            patterns.append(gwlp_char(jchar))
         for pattern in patterns:
             assert pattern[0] == 1.0
             for j, expected in zip((1, 2, 3), (0.0, 0.0, 3.0)):
@@ -103,7 +103,7 @@ def test_criterion_3_invariance_property_suite(random_suite):
         for design in random_suite:
             margin = gwlp_margin(design)
             for assignment in all_assignments(design):
-                char = gwlp_char(j_characteristics(design, assignment), assignment)
+                char = gwlp_char(j_characteristics(design, assignment))
                 deviation = max(
                     abs(a - b) for a, b in zip(char.values, margin.values)
                 )
@@ -172,7 +172,7 @@ def test_criterion_6_character_table_laws():
 def test_criterion_7_parseval(paper_design, random_suite):
     with criterion(7, "Parseval identity"):
         jchar = j_characteristics(paper_design, [Z4] * 3)
-        total = sum(gwlp_char(jchar, [Z4] * 3).raw)
+        total = sum(gwlp_char(jchar).raw)
         assert abs(total - 4.0) < 1e-9
         for design in random_suite:
             expected = (
@@ -181,7 +181,7 @@ def test_criterion_7_parseval(paper_design, random_suite):
                 * sum(m * m for m in design.counts.values())
             )
             assignment = all_assignments(design)[0]
-            pattern = gwlp_char(j_characteristics(design, assignment), assignment)
+            pattern = gwlp_char(j_characteristics(design, assignment))
             assert abs(sum(pattern.raw) - expected) <= 1e-8 * max(1.0, expected)
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,7 @@ class TestReconstructCommand:
             "not json",
             edited(lambda doc: doc["values"].pop()),
             edited(lambda doc: doc["groups"].__setitem__(1, "zz")),
+            edited(lambda doc: doc["groups"].__setitem__(1, "100000000000031")),
             edited(lambda doc: doc["design"]["symbols"][2].pop()),
             edited(lambda doc: doc["values"][5].__setitem__("re", float("nan"))),
             edited(lambda doc: doc["values"][0].__setitem__("im", float("inf"))),
@@ -200,6 +202,18 @@ class TestReconstructCommand:
         # A float that is an integer is still a run count.
         bad.write_text(edited(lambda doc: doc.__setitem__("n_runs", 16.0)), encoding="utf-8")
         assert run(capsys, "reconstruct", str(bad))[0] == 0
+
+    def test_counts_past_int64_are_exact(self, capsys, tmp_path):
+        # Each cell reconstructs to 1e19, past the largest int64.
+        spectrum = tmp_path / "huge.json"
+        spectrum.write_text(
+            '{"groups": ["2"], "n_runs": 20000000000000000000, "values": '
+            '[{"g": "0", "re": 2e19, "im": 0}, {"g": "1", "re": 0, "im": 0}]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "reconstruct", str(spectrum))
+        assert (code, err) == (0, "")
+        assert out == "symbols: 0 1\n0 x10000000000000000000\n1 x10000000000000000000\n"
 
     @pytest.mark.parametrize("value", ["1", None, True, False, [1], {"re": 1}])
     @pytest.mark.parametrize("part", ["re", "im"])
@@ -356,6 +370,20 @@ class TestEnumerateGroupsCommand:
     def test_zero_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate-groups", "0")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, order",
+        [
+            (["enumerate-groups", "1000000000000000003"], 1000000000000000003),
+            (["gwlp", PAPER, "--groups", "100000000000031,4,4"], 100000000000031),
+        ],
+    )
+    def test_orders_past_the_cap_are_refused_before_factoring(self, capsys, argv, order):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"wordlength: order {order} exceeds the cap 4294967296 on group orders\n"
 
 
 class TestErrorsAndPlumbing:

@@ -16,7 +16,12 @@ from wordlength import (
     enumerate_structures,
     parse_structure,
 )
-from wordlength.groups import canonical_cyclic_orders, cyclic_character_table, root_of_unity
+from wordlength.groups import (
+    MAX_ORDER,
+    canonical_cyclic_orders,
+    cyclic_character_table,
+    root_of_unity,
+)
 
 
 def all_structures_up_to(max_order):
@@ -47,6 +52,12 @@ class TestEnumerate:
     def test_zero_order_rejected(self):
         with pytest.raises(ValueError):
             enumerate_structures(0)
+
+    def test_orders_past_the_cap_are_refused(self):
+        # A prime just below the cap still factors; the next order past it does not.
+        assert [s.cyclic_orders for s in enumerate_structures(4294967291)] == [(4294967291,)]
+        with pytest.raises(ResourceLimitError, match=f"order {MAX_ORDER + 1} exceeds the cap"):
+            enumerate_structures(MAX_ORDER + 1)
 
     def test_counts_match_partition_products(self):
         # Independent oracle: the class count is the product over primes of

@@ -34,6 +34,7 @@ from wordlength import (
     verify_invariance,
 )
 from wordlength import invariance
+from wordlength.design import _MAX_INT64_ROOT
 from wordlength.invariance import table_norm
 from wordlength.kron import build_projector
 from wordlength.spectra import assignment_character_table
@@ -66,11 +67,12 @@ class TestSubsetNorm:
             assert full == pytest.approx(sum(m * m for m in design.counts.values()))
 
     def test_squares_past_int64_are_exact(self):
-        # N = 2^33 + 1 fits int64 but N^2 does not.
+        # N = 2^33 + 1 fits int64 but N^2 does not, so the counts are Python ints.
         design = Design((("a", "b"),), {(0,): 2**33, (1,): 1})
-        assert margins(design, ()).counts.dtype == np.int64
-        assert invariance._scaled_norm(margins(design, ())) == (2**33 + 1) ** 2
-        assert invariance._scaled_norm(margins(design, [0])) == 2 * (2**66 + 1)
+        assert margins(design, ()).counts.dtype == object
+        totals = invariance._margin_subset_norms(design)  # the empty subset, then {0}
+        assert totals == [(2**33 + 1) ** 2, 2**66 + 1]
+        assert all(type(total) is int for total in totals)
 
     def test_monotone_under_refinement(self):
         rng = np.random.default_rng(42)
@@ -120,8 +122,13 @@ class TestMobius:
         rng = np.random.default_rng(k)
         pairs = rng.integers(-(2**62), 2**62, (1 << k, 2)).tolist()
         values = [v * 2**70 + w for v, w in pairs]  # about 2^132, exact only as ints
-        got = invariance._mobius_alternating(values, k)
-        assert got == mobius_alternating_list(values, k)
+        sizes = rng.integers(1, 13, k).tolist()
+        got = invariance._scale_and_invert(values, sizes)
+        scaled = [
+            math.prod(s for i, s in enumerate(sizes) if mask >> i & 1) * value
+            for mask, value in enumerate(values)
+        ]
+        assert got == mobius_alternating_list(scaled, k)
         assert all(type(v) is int for v in got)
         assert values == [v * 2**70 + w for v, w in pairs]  # the input is not modified
 
@@ -129,9 +136,9 @@ class TestMobius:
         # Subsets of one weight class have different norms here; a swap would show.
         counts = {(0, 0, 0): 1, (1, 0, 3): 2, (1, 2, 3): 4}
         design = Design((("a", "b"), ("a", "b", "c"), tuple("abcd")), counts)
-        scaled = invariance._scaled_subset_norms(design)
         subsets = [[i for i in range(3) if mask >> i & 1] for mask in range(8)]
-        assert scaled == [pair_subset_norm(design, subset) for subset in subsets]
+        scaled = [pair_subset_norm(design, subset) for subset in subsets]
+        assert invariance._scaled_projector_norms(design) == mobius_alternating_list(scaled, 3)
         assert len(set(scaled[1:7])) == 6
 
     def test_projector_norms_nonnegative(self):
@@ -203,7 +210,7 @@ class TestGwlpMargin:
             design = random_design(rng)
             margin = gwlp_margin(design)
             for assignment in all_assignments(design):
-                char = gwlp_char(j_characteristics(design, assignment), assignment)
+                char = gwlp_char(j_characteristics(design, assignment))
                 assert list(char.values) == pytest.approx(list(margin.values), abs=1e-8)
 
     def test_invariant_under_relabeling_and_reference_choice(self, paper_design):
@@ -242,10 +249,10 @@ class TestGwlpMargin:
         assert gwlp_margin(shuffled).raw == gwlp_margin(paper_design).raw
 
     def test_subset_cap(self, monkeypatch):
-        # 2^21 subsets are refused before either kernel starts: one run would
-        # take the pair kernel, N past _MAX_INT64_ROOT the margin kernel.
+        # 2^21 subsets are refused before either kernel starts, whether the
+        # multiplicities are int64 or, with N past _MAX_INT64_ROOT, Python ints.
         one_run = Design((("0", "1"),) * 21, {(0,) * 21: 1})
-        heavy_run = Design((("0", "1"),) * 21, {(0,) * 21: invariance._MAX_INT64_ROOT + 1})
+        heavy_run = Design((("0", "1"),) * 21, {(0,) * 21: _MAX_INT64_ROOT + 1})
         assert subset_norm(one_run, range(21)).value == 1.0  # margins stay uncapped
         monkeypatch.setattr(invariance, "margins", None)
         monkeypatch.setattr(invariance, "_margin_subset_norms", None)
@@ -292,15 +299,16 @@ class TestKernelSwitch:
         monkeypatch.setattr(invariance, "_pair_subset_norms", _refuse)
         assert gwlp_margin(design).values == tuple(map(float, exact_gwlp(design)))
 
-    def test_margins_when_n_squared_passes_int64(self, monkeypatch):
-        # Two distinct runs would take pairs, but N = _MAX_INT64_ROOT + 1.
-        design = _distinct_runs(2, self.SIZES, first_mult=invariance._MAX_INT64_ROOT)
-        assert design.n_runs == invariance._MAX_INT64_ROOT + 1
-        monkeypatch.setattr(invariance, "_pair_subset_norms", _refuse)
+    def test_pairs_when_n_squared_passes_int64(self, monkeypatch):
+        # Two distinct runs take pairs whatever N is, here _MAX_INT64_ROOT + 1,
+        # with Python-int multiplicities.
+        design = _distinct_runs(2, self.SIZES, first_mult=_MAX_INT64_ROOT)
+        assert design.n_runs == _MAX_INT64_ROOT + 1
+        monkeypatch.setattr(invariance, "margins", _refuse)
         assert gwlp_margin(design).values == tuple(map(float, exact_gwlp(design)))
 
     def test_pair_kernel_over_several_blocks(self):
-        # 600 runs make 180,300 pairs, about three blocks of 2^16 pairs; the
+        # 600 runs make 180,300 pairs, read in four blocks of whole rows; the
         # margin kernel is the reference.
         design = _sampled_runs(49, 600, (2, 3, 4, 8, 9, 12, 2, 3), max_mult=3)
         assert invariance._pair_subset_norms(design) == invariance._margin_subset_norms(design)

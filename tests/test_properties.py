@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_gwlp, naive_margin_counts, pair_subset_norm
+from helpers import exact_gwlp, mobius_alternating_list, naive_margin_counts, pair_subset_norm
 from wordlength import (
     Design,
     enumerate_structures,
@@ -33,7 +33,8 @@ from wordlength import (
 )
 from wordlength import invariance
 from wordlength.cli import _read_values
-from wordlength.invariance import _scaled_subset_norms
+from wordlength.design import _MAX_INT64_ROOT
+from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
 
 MAX_SPACE = 4096
@@ -210,10 +211,12 @@ def test_margin_gwlp_is_the_correctly_rounded_exact_pattern(design):
 @PROPERTY
 @given(designs(multiplicities=MULTIPLICITIES))
 def test_scaled_subset_norms_are_exact_pair_sums(design):
-    # s * B_K for bitmask K, before the Moebius step, subset by subset: the
-    # pattern alone would not notice two subsets of one size swapped.
+    # s * B_K for bitmask K, through the one-to-one scale-and-invert step, so
+    # subset by subset: the pattern alone would not notice two subsets of one
+    # size swapped.
     subsets = [[i for i in range(design.k) if mask >> i & 1] for mask in range(1 << design.k)]
-    assert _scaled_subset_norms(design) == [pair_subset_norm(design, K) for K in subsets]
+    scaled = [pair_subset_norm(design, K) for K in subsets]
+    assert _scaled_projector_norms(design) == mobius_alternating_list(scaled, design.k)
 
 
 KERNEL_SIZES = (2, 3, 4, 8, 9, 12)
@@ -232,7 +235,7 @@ def kernel_designs(draw) -> Design:
         counts = {run: int(rng.integers(1, 5)) for run in counts}
     elif mults == "guard":  # N is _MAX_INT64_ROOT - 1, + 0 or + 1
         offset = draw(st.integers(-1, 1))
-        counts[next(iter(counts))] += invariance._MAX_INT64_ROOT + offset - len(counts)
+        counts[next(iter(counts))] += _MAX_INT64_ROOT + offset - len(counts)
     else:  # N past int64 too
         counts = {run: int(rng.integers(2**53, 2**62)) for run in counts}
     return Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
@@ -242,7 +245,7 @@ def kernel_designs(draw) -> Design:
 @given(kernel_designs(), st.sampled_from([16, 256, 2**16]))
 def test_pair_and_margin_kernels_give_the_same_integers(design, block_cells):
     # Both kernels, whichever the switch would pick; small blocks split the
-    # pairs into many blocks and some rows into parts.
+    # pairs into many blocks, down to one row each.
     with mock.patch.object(invariance, "_PAIR_BLOCK_CELLS", block_cells):
         pairs = invariance._pair_subset_norms(design)
     assert pairs == invariance._margin_subset_norms(design)

@@ -311,14 +311,14 @@ class TestGwlpChar:
     def test_paper_values_both_structures(self, paper_design):
         for assignment in ([Z4] * 3, [V] * 3):
             jchar = j_characteristics(paper_design, assignment)
-            pattern = gwlp_char(jchar, assignment)
+            pattern = gwlp_char(jchar)
             assert pattern.values == (1.0, 0.0, 0.0, 3.0)
 
     def test_full_factorial_vanishes(self):
         design = full_factorial((2, 3))
         for assignment in all_assignments(design):
             jchar = j_characteristics(design, assignment)
-            pattern = gwlp_char(jchar, assignment)
+            pattern = gwlp_char(jchar)
             assert pattern[0] == 1.0
             assert max(pattern.wordlengths) < 1e-12
 
@@ -326,7 +326,7 @@ class TestGwlpChar:
         design = half_fraction()
         assignment = check_assignment(design, ["2", "2", "2"])
         jchar = j_characteristics(design, assignment)
-        pattern = gwlp_char(jchar, assignment)
+        pattern = gwlp_char(jchar)
         assert pattern.values == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-12)
         # Independent derivation by direct summation over all 8 characters.
         assert oracle_gwlp(design, assignment) == pytest.approx(
@@ -339,7 +339,7 @@ class TestGwlpChar:
         design = Design((("0", "1", "2", "3"),) * 3, {(1, 2, 3): 1})
         assignment = (Z4, Z4, Z4)
         jchar = j_characteristics(design, assignment)
-        pattern = gwlp_char(jchar, assignment)
+        pattern = gwlp_char(jchar)
         assert pattern.values == pytest.approx((1.0, 9.0, 27.0, 27.0), abs=1e-9)
 
     def test_matches_oracle_on_random_designs(self):
@@ -348,20 +348,20 @@ class TestGwlpChar:
             design = random_design(rng, max_k=3, sizes_pool=(2, 3, 4), max_distinct=8)
             for assignment in all_assignments(design):
                 jchar = j_characteristics(design, assignment)
-                got = gwlp_char(jchar, assignment)
+                got = gwlp_char(jchar)
                 expected = oracle_gwlp(design, assignment)
                 assert list(got.raw) == pytest.approx(expected, abs=1e-8)
 
     def test_parseval(self, paper_design):
         # sum_j A_j = (s/N^2) * sum O(g)^2; equals 4 for the fixture array.
         jchar = j_characteristics(paper_design, [Z4] * 3)
-        pattern = gwlp_char(jchar, [Z4] * 3)
+        pattern = gwlp_char(jchar)
         assert sum(pattern.raw) == pytest.approx(4.0, abs=1e-9)
         rng = np.random.default_rng(37)
         for _ in range(15):
             design = random_design(rng, max_k=3, sizes_pool=(2, 3, 4, 6))
             assignment = all_assignments(design)[0]
-            pattern = gwlp_char(j_characteristics(design, assignment), assignment)
+            pattern = gwlp_char(j_characteristics(design, assignment))
             expected = (
                 design.space_size
                 / design.n_runs**2
@@ -374,8 +374,8 @@ class TestGwlpChar:
         perms = [list(rng.permutation(4)) for _ in range(3)]
         moved = relabel_levels(paper_design, perms)
         for assignment in ([Z4] * 3, [V] * 3):
-            a = gwlp_char(j_characteristics(paper_design, assignment), assignment)
-            b = gwlp_char(j_characteristics(moved, assignment), assignment)
+            a = gwlp_char(j_characteristics(paper_design, assignment))
+            b = gwlp_char(j_characteristics(moved, assignment))
             assert list(a.values) == pytest.approx(list(b.values), abs=1e-9)
         # ... while the spectra themselves move: relabeling is not chi-invariant.
         jchar_a = j_characteristics(paper_design, [Z4] * 3)
@@ -386,7 +386,7 @@ class TestGwlpChar:
         rng = np.random.default_rng(39)
         design = random_design(rng, max_k=2, sizes_pool=(3, 4))
         assignment = all_assignments(design)[0]
-        pattern = gwlp_char(j_characteristics(design, assignment), assignment)
+        pattern = gwlp_char(j_characteristics(design, assignment))
         assert pattern[0] == 1.0
 
     def test_no_runs_rejected(self):

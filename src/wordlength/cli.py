@@ -174,28 +174,30 @@ def _design_summary(path: str, design: Design) -> dict:
     }
 
 
-def _parse_assignment(literal: str) -> list[AbelianStructure]:
-    return [parse_structure(chunk) for chunk in literal.split(",")]
+def _parse_assignment(literal: str) -> tuple[AbelianStructure, ...]:
+    return tuple(parse_structure(chunk) for chunk in literal.split(","))
 
 
 def _assignment_literal(structures) -> str:
     return ",".join(st.literal() for st in structures)
 
 
+def _pattern(design: Design, groups: str | None, algorithm: str):
+    """The pattern by ``algorithm`` and the structure literals used (None for margin)."""
+    if algorithm == "margin":
+        if groups:
+            raise ValueError("the margin algorithm takes no --groups")
+        return gwlp_margin(design), None
+    if not groups:
+        raise ValueError(f"--groups is required for the {algorithm} algorithm")
+    jchar = j_characteristics(design, _parse_assignment(groups), algorithm)
+    return gwlp_char(jchar), [st.literal() for st in jchar.structures]
+
+
 def _run_gwlp(args) -> tuple[int, str]:
     design = _load_design(args.design)
     algorithm = args.algorithm or ("factorized" if args.groups else "margin")
-    if algorithm == "margin":
-        if args.groups:
-            raise ValueError("the margin algorithm takes no --groups")
-        pattern = gwlp_margin(design)
-        groups = None
-    else:
-        if not args.groups:
-            raise ValueError(f"--groups is required for the {algorithm} algorithm")
-        jchar = j_characteristics(design, _parse_assignment(args.groups), algorithm)
-        pattern = gwlp_char(jchar)
-        groups = [st.literal() for st in jchar.structures]
+    pattern, groups = _pattern(design, args.groups, algorithm)
     resolution, strength = resolution_and_strength(pattern, args.tol)
     if args.json:
         payload = {
@@ -241,8 +243,7 @@ def _run_jchar(args) -> tuple[int, str]:
 def _run_reconstruct(args) -> tuple[int, str]:
     doc = json.loads(_read_text(args.spectrum))
     try:
-        group_literals = doc["groups"]
-        entries = doc["values"]
+        structures = tuple(map(parse_structure, _strings(doc["groups"], "groups")))
         raw_runs = doc["n_runs"]
         if isinstance(raw_runs, bool):  # before int(): bool is an int subclass
             raise TypeError(f"n_runs {raw_runs!r} is not a number")
@@ -250,43 +251,37 @@ def _run_reconstruct(args) -> tuple[int, str]:
         if n_runs != raw_runs:
             raise ValueError(f"n_runs {raw_runs!r} is not an integer")
         symbols = doc.get("design", {}).get("symbols")
-        values = _read_values(entries)
-        structures = tuple(parse_structure(lit) for lit in group_literals)
-        orders = [st.order for st in structures]
-        if len(values) != math.prod(orders):
-            raise ValueError(f"{len(values)} values for groups of order {orders}")
+        values = _read_values(doc["values"])
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        levels = None if symbols is None else tuple(tuple(a) for a in symbols)
-        if levels is not None and (
-            [len(set(a)) for a in levels] != orders
-            or not all(isinstance(sym, str) for a in levels for sym in a)
-        ):
-            raise ValueError("symbols do not fit the groups")
+        jchar = JCharVector(values, n_runs, structures)
+        if symbols is not None:
+            if not isinstance(symbols, list):
+                raise TypeError(f"symbols {symbols!r} is not a list of lists")
+            symbols = [_strings(a, "a symbols entry") for a in symbols]
+            orders = [st.order for st in structures]
+            if list(map(len, symbols)) != orders or [len(set(a)) for a in symbols] != orders:
+                raise ValueError("symbols do not fit the groups")
     except (  # ResourceLimitError: a group past groups.MAX_ORDER, which no report lists
         AttributeError, KeyError, OverflowError, ResourceLimitError, TypeError, ValueError
     ) as exc:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
-    jchar = JCharVector(values, n_runs, structures)
-    override = _parse_assignment(args.groups) if args.groups else None
-    if override is not None and levels is not None:
+    if args.groups:
+        override = _parse_assignment(args.groups)
         orders = [st.order for st in override]
-        sizes = [len(a) for a in levels]
-        if orders != sizes:
+        if symbols is not None and orders != list(map(len, symbols)):
             raise ValueError(
-                f"--groups {args.groups} has orders {orders} and spans "
-                f"{math.prod(orders)} elements, but the report's symbols have sizes {sizes}"
+                f"--groups {args.groups} has orders {orders} and spans {math.prod(orders)} "
+                f"elements, but the report's symbols have sizes {list(map(len, symbols))}"
             )
-    counts = reconstruct(jchar, override, tol=args.tol)
-    if not counts:
-        raise InconsistentSpectrumError("spectrum reconstructs to an empty design")
-    used = override if override is not None else structures
-    if levels is None:
-        levels = tuple(tuple(str(j) for j in range(st.order)) for st in used)
-    design = Design(levels, counts)
+        jchar = JCharVector(jchar.values, jchar.n_runs, override)
+    counts = reconstruct(jchar, tol=args.tol)
+    if symbols is None:
+        symbols = [[str(j) for j in range(st.order)] for st in jchar.structures]
+    design = Design(symbols, counts)
     if args.json:
         payload = {
-            "groups": [st.literal() for st in used],
+            "groups": [st.literal() for st in jchar.structures],
             "n_runs": design.n_runs,
             "counts": [
                 {
@@ -298,6 +293,13 @@ def _run_reconstruct(args) -> tuple[int, str]:
         }
         return 0, render.dumps(payload) + "\n"
     return 0, design.serialize()
+
+
+def _strings(value, name: str) -> list[str]:
+    """``value`` if it is a JSON list of strings; a TypeError naming ``name`` if not."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise TypeError(f"{name} {value!r} is not a list of strings")
+    return value
 
 
 def _read_values(entries) -> np.ndarray:
@@ -417,14 +419,11 @@ def _run_margins(args) -> tuple[int, str]:
 
 
 def _run_compare(args) -> tuple[int, str]:
-    patterns = []
-    for path in (args.first, args.second):
-        design = _load_design(path)
-        if args.groups:
-            jchar = j_characteristics(design, _parse_assignment(args.groups))
-            patterns.append(gwlp_char(jchar))
-        else:
-            patterns.append(gwlp_margin(design))
+    algorithm = "factorized" if args.groups else "margin"
+    patterns = [
+        _pattern(_load_design(path), args.groups, algorithm)[0]
+        for path in (args.first, args.second)
+    ]
     verdict = compare_aberration(patterns[0], patterns[1], tol=args.tol)
     if args.json:
         payload = {

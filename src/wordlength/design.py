@@ -229,8 +229,8 @@ def margins(design: Design, subset: Iterable[int]) -> MarginTable:
 def relabel_levels(design: Design, perms: Sequence[Sequence[int] | None]) -> Design:
     """Permute each factor's levels; ``perms[i][old] = new`` (None = identity).
 
-    The multiset of multiplicities and N are preserved; symbols stay attached
-    to their positions, runs are re-indexed.
+    Bijections keep the runs distinct, so the multiset of multiplicities and N
+    are preserved; symbols stay attached to their positions, runs are re-indexed.
     """
     if len(perms) != design.k:
         raise ValueError(f"need {design.k} permutations, got {len(perms)}")
@@ -244,11 +244,10 @@ def relabel_levels(design: Design, perms: Sequence[Sequence[int] | None]) -> Des
         if sorted(perm) != list(range(size)):
             raise ValueError(f"perms[{i}] is not a bijection on {size} levels")
         mappings.append(perm)
-    counts: dict[Run, int] = {}
-    for run, mult in design.counts.items():
-        new_run = tuple(mappings[i][r] for i, r in enumerate(run))
-        counts[new_run] = counts.get(new_run, 0) + mult
-    return Design(design.levels, counts)
+    return Design(
+        design.levels,
+        {tuple(m[r] for m, r in zip(mappings, run)): mult for run, mult in design.counts.items()},
+    )
 
 
 def parse_design(text: str) -> Design:

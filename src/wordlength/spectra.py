@@ -4,7 +4,8 @@ Assigning an abelian group structure to every factor turns a design's count
 vector O into a spectrum chi = H O, where H is the character table of the
 product group in Yates order.  The spectrum determines the design (O can be
 recovered as H* chi / s) but depends on the chosen structures; the wordlength
-pattern derived from it does not.
+pattern derived from it does not.  So a ``JCharVector`` carries its structures
+and ``N`` and checks that they fit its values; its consumers trust it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import Design
+from .design import Design, Run
 from .errors import InconsistentSpectrumError
 from .groups import (
     AbelianStructure,
@@ -45,7 +46,7 @@ def check_assignment(
 
     Structure literals (e.g. ``"2x2"``) are accepted and parsed in place.
     """
-    resolved = _resolve(structures)
+    resolved = tuple(parse_structure(st) if isinstance(st, str) else st for st in structures)
     if len(resolved) != design.k:
         raise ValueError(
             f"assignment has {len(resolved)} structures for {design.k} factors"
@@ -57,10 +58,6 @@ def check_assignment(
                 f"has order {st.order}"
             )
     return resolved
-
-
-def _resolve(structures: Sequence[AbelianStructure | str]) -> Assignment:
-    return tuple(parse_structure(st) if isinstance(st, str) else st for st in structures)
 
 
 def weight(structures: Sequence[AbelianStructure], g: Sequence[int] | int) -> int:
@@ -95,11 +92,26 @@ def _order_weights(orders: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JCharVector:
-    """Spectrum of a design: chi[g] for all s elements g in Yates order."""
+    """Spectrum of a design: chi[g] for all s elements g in Yates order.
+
+    Raises ValueError unless there is a structure, one value per element and
+    a run.  ``JCharVector(chi.values, chi.n_runs, other)`` re-pairs a spectrum.
+    """
 
     values: np.ndarray = field(repr=False)
     n_runs: int
     structures: Assignment
+
+    def __post_init__(self):
+        if not self.structures:
+            raise ValueError("a spectrum needs at least one structure")
+        size = math.prod(st.order for st in self.structures)
+        if np.ndim(self.values) != 1:
+            raise ValueError(f"spectrum values have shape {np.shape(self.values)}, not one axis")
+        if len(self.values) != size:
+            raise ValueError(f"assignment spans {size} elements, spectrum has {len(self.values)}")
+        if self.n_runs < 1:
+            raise ValueError(f"a spectrum needs at least one run, not n_runs {self.n_runs}")
 
     @property
     def space_size(self) -> int:
@@ -189,27 +201,18 @@ def j_characteristics(
     return JCharVector(values, design.n_runs, structures)
 
 
-def reconstruct(
-    jchar: JCharVector,
-    structures: Sequence[AbelianStructure | str] | None = None,
-    *,
-    tol: float = RECONSTRUCT_TOL,
-) -> dict[tuple[int, ...], int]:
+def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run, int]:
     """Recover run multiplicities from a spectrum: O = H* chi / s.
 
-    Returns a sparse map from runs (per-factor level indices) to
-    multiplicities.  Raises InconsistentSpectrumError if any cell is farther
-    than ``tol`` from a nonnegative integer, which happens when the spectrum
-    was computed under a different structure assignment than the one given
-    here, or if the multiplicities do not add up to ``jchar.n_runs``.
+    The spectrum is read under its own ``jchar.structures``.  Returns a sparse
+    map from runs (per-factor level indices) to multiplicities.  Raises
+    InconsistentSpectrumError if any cell is farther than ``tol`` from a
+    nonnegative integer, which happens when the values were computed under a
+    different structure assignment than the one they are paired with, or if
+    the multiplicities do not add up to ``jchar.n_runs``.
     """
-    resolved = jchar.structures if structures is None else _resolve(structures)
-    orders = [st.order for st in resolved]
-    if math.prod(orders) != jchar.space_size:
-        raise ValueError(
-            f"assignment spans {math.prod(orders)} elements, spectrum has {jchar.space_size}"
-        )
-    adjoints = [t.conj().T for t in _part_tables(resolved)]
+    orders = [st.order for st in jchar.structures]
+    adjoints = [t.conj().T for t in _part_tables(jchar.structures)]
     # A non-finite spectrum makes NaN cells; they fail the check below.
     with np.errstate(invalid="ignore"):
         cells = factored_apply(adjoints, jchar.values) / jchar.space_size
@@ -239,8 +242,6 @@ def reconstruct(
 
 def gwlp_char(jchar: JCharVector) -> GWLP:
     """Wordlength pattern A_j = N^-2 * sum over weight-j elements of |chi_g|^2."""
-    if jchar.n_runs <= 0:
-        raise ValueError("spectrum has no runs")
     weights = element_weights(jchar.structures)
     k = len(jchar.structures)
     power = np.abs(jchar.values) ** 2

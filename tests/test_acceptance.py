@@ -151,7 +151,7 @@ def test_criterion_5_reconstruction(paper_design, random_suite):
         for design in designs:
             for assignment in all_assignments(design):
                 jchar = j_characteristics(design, assignment)
-                assert reconstruct(jchar, assignment) == dict(design.counts)
+                assert reconstruct(jchar) == dict(design.counts)
 
 
 def test_criterion_6_character_table_laws():

@@ -189,16 +189,35 @@ class TestReconstructCommand:
             code, _, err = run(capsys, "reconstruct", str(bad))
             assert code == 2, text
             assert err.startswith("wordlength: ")
-        # JSON booleans are not numbers, although Python's bool is an int.
-        for edit in (
-            lambda doc: doc["values"][3].__setitem__("im", False),
-            lambda doc: doc["values"][0].__setitem__("re", True),
-            lambda doc: doc.__setitem__("n_runs", True),
+
+        def zero_runs(doc):
+            doc["n_runs"] = 0
+            for entry in doc["values"]:
+                entry.update(re=0, im=0)
+
+        for text, message in (
+            # JSON booleans are not numbers, although Python's bool is an int.
+            (edited(lambda doc: doc["values"][3].__setitem__("im", False)), "not a number"),
+            (edited(lambda doc: doc["values"][0].__setitem__("re", True)), "not a number"),
+            (edited(lambda doc: doc.__setitem__("n_runs", True)), "not a number"),
+            # A string is not a list, although Python splits it into one.
+            (edited(lambda doc: doc.__setitem__("groups", "444")), "not a list of strings"),
+            (edited(lambda doc: doc["design"].__setitem__("symbols", ["0abc"] * 3)), "'0abc'"),
+            (edited(lambda doc: doc["design"].__setitem__("symbols", 3)), "not a list of lists"),
+            # Each alphabet has one distinct symbol per element of its group.
+            (edited(lambda doc: doc["design"]["symbols"][0].append("c")), "do not fit"),
+            (edited(lambda doc: doc["design"]["symbols"][0].__setitem__(3, "b")), "do not fit"),
+            (
+                '{"groups": [], "n_runs": 1, "values": [{"g": "", "re": 1, "im": 0}]}',
+                "a spectrum needs at least one structure",
+            ),
+            (edited(zero_runs), "a spectrum needs at least one run"),
         ):
-            bad.write_text(edited(edit), encoding="utf-8")
+            bad.write_text(text, encoding="utf-8")
             code, _, err = run(capsys, "reconstruct", str(bad))
-            assert code == 2
+            assert code == 2, text
             assert err.startswith(f"wordlength: {bad} is not a jchar report: ")
+            assert message in err
         # A float that is an integer is still a run count.
         bad.write_text(edited(lambda doc: doc.__setitem__("n_runs", 16.0)), encoding="utf-8")
         assert run(capsys, "reconstruct", str(bad))[0] == 0

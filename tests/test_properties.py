@@ -1,9 +1,9 @@
 """Property tests for the Yates-indexed paths and the margin route.
 
-Transforms, weights, densification, parsing, margin counts, the exact
-margin-route pattern and the agreement of its two kernels, the A_0 and sign
-of every route's pattern, the rendering of spectra, and the reading of
-spectrum reports.
+Transforms, spectra re-paired with another assignment, weights,
+densification, parsing, margin counts, the exact margin-route pattern and the
+agreement of its two kernels, the A_0 and sign of every route's pattern, the
+rendering of spectra, and the reading of spectrum reports.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 from helpers import exact_gwlp, mobius_alternating_list, naive_margin_counts, pair_subset_norm
 from wordlength import (
     Design,
+    InconsistentSpectrumError,
+    JCharVector,
     enumerate_structures,
+    factored_apply,
     gwlp_char,
     gwlp_margin,
     j_characteristics,
@@ -36,6 +39,7 @@ from wordlength.cli import _read_values
 from wordlength.design import _MAX_INT64_ROOT
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
+from wordlength.spectra import RECONSTRUCT_TOL, _part_tables
 
 MAX_SPACE = 4096
 SIZES = (1, 2, 3, 4, 6, 8, 9)
@@ -96,6 +100,52 @@ def designs_with_assignment(draw):
 def test_reconstruct_inverts_the_transform(case):
     design, assignment = case
     assert reconstruct(j_characteristics(design, assignment)) == dict(design.counts)
+
+
+def reconstruct_under(structures, values, n_runs, tol=RECONSTRUCT_TOL):
+    """Reference reading of ``values`` under ``structures``, one cell at a time.
+
+    It applies the same factored adjoint as ``reconstruct``, so the cells agree
+    bit for bit and so must the first bad cell and its message.
+    """
+    orders = [structure.order for structure in structures]
+    adjoints = [table.conj().T for table in _part_tables(structures)]
+    counts = {}
+    for index, cell in enumerate(factored_apply(adjoints, values) / len(values)):
+        mult = round(cell.real)
+        if not abs(cell - mult) <= tol:
+            raise InconsistentSpectrumError(
+                f"cell {index} reconstructs to {cell}, not an integer within {tol}"
+            )
+        if mult < 0:
+            raise InconsistentSpectrumError(
+                f"cell {index} reconstructs to negative multiplicity {mult}"
+            )
+        if mult:
+            counts[digits_of(index, orders)] = mult
+    if sum(counts.values()) != n_runs:
+        raise InconsistentSpectrumError(
+            f"spectrum reconstructs to {sum(counts.values())} runs, not its n_runs {n_runs}"
+        )
+    return counts
+
+
+@PROPERTY
+@given(designs_with_assignment(), st.data())
+def test_repaired_spectrum_reads_under_its_new_assignment(case, data):
+    design, assignment = case
+    other = tuple(data.draw(st.sampled_from(enumerate_structures(n))) for n in design.sizes)
+    jchar = j_characteristics(design, assignment)
+    outcomes = []
+    for read in (
+        lambda: reconstruct(JCharVector(jchar.values, jchar.n_runs, other)),
+        lambda: reconstruct_under(other, jchar.values, jchar.n_runs),
+    ):
+        try:
+            outcomes.append(read())
+        except InconsistentSpectrumError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @PROPERTY

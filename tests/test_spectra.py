@@ -217,6 +217,22 @@ class TestJCharacteristics:
             j_characteristics(paper_design, [Z4] * 3, "quantum")
 
 
+class TestJCharVector:
+    @pytest.mark.parametrize(
+        ("shape", "n_runs", "structures", "message"),
+        [
+            ((1,), 1, (), "a spectrum needs at least one structure"),
+            ((8,), 1, (Z4,), "assignment spans 4 elements, spectrum has 8"),
+            ((2, 2), 1, (Z4,), "spectrum values have shape (2, 2), not one axis"),
+            ((4,), 0, (Z4,), "a spectrum needs at least one run, not n_runs 0"),
+            ((4,), -1, (Z4,), "a spectrum needs at least one run, not n_runs -1"),
+        ],
+    )
+    def test_construction_checks_the_fit(self, shape, n_runs, structures, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JCharVector(np.ones(shape, dtype=np.complex128), n_runs, structures)
+
+
 class TestReconstruct:
     def test_round_trip_paper(self, paper_design):
         for assignment in ([Z4] * 3, [V] * 3, [Z4, V, Z4]):
@@ -229,7 +245,7 @@ class TestReconstruct:
             design = random_design(rng, max_k=3, sizes_pool=(2, 3, 4, 6))
             for assignment in all_assignments(design):
                 jchar = j_characteristics(design, assignment)
-                assert reconstruct(jchar, assignment) == dict(design.counts)
+                assert reconstruct(jchar) == dict(design.counts)
 
     def test_all_ones_spectrum_is_single_identity_run(self):
         structures = (Z4, V)
@@ -239,7 +255,7 @@ class TestReconstruct:
     def test_spectrum_under_wrong_assignment_never_gives_the_design(self, paper_design):
         jchar = j_characteristics(paper_design, [V] * 3)
         try:
-            counts = reconstruct(jchar, [Z4] * 3)
+            counts = reconstruct(JCharVector(jchar.values, jchar.n_runs, (Z4,) * 3))
         except InconsistentSpectrumError:
             return
         assert counts != dict(paper_design.counts)
@@ -290,9 +306,8 @@ class TestReconstruct:
             reconstruct(JCharVector(shifted, jchar.n_runs, jchar.structures))
 
     def test_length_mismatch(self):
-        jchar = JCharVector(np.ones(4, dtype=np.complex128), 1, (Z4,))
         with pytest.raises(ValueError):
-            reconstruct(jchar, (V, V))
+            JCharVector(np.ones(4, dtype=np.complex128), 1, (V, V))
 
 
 class TestGwlp:
@@ -390,9 +405,8 @@ class TestGwlpChar:
         assert pattern[0] == 1.0
 
     def test_no_runs_rejected(self):
-        jchar = JCharVector(np.zeros(4, dtype=np.complex128), 0, (Z4,))
         with pytest.raises(ValueError):
-            gwlp_char(jchar)
+            JCharVector(np.zeros(4, dtype=np.complex128), 0, (Z4,))
 
 
 class TestTable1Fixture:

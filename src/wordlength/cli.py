@@ -159,6 +159,10 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DesignParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DesignParseError(
+            f"cannot read {path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+        ) from exc
 
 
 def _load_design(path: str) -> Design:
@@ -243,6 +247,8 @@ def _run_jchar(args) -> tuple[int, str]:
 def _run_reconstruct(args) -> tuple[int, str]:
     doc = json.loads(_read_text(args.spectrum))
     try:
+        if not isinstance(doc, dict):
+            raise TypeError("report is not a JSON object")
         structures = tuple(map(parse_structure, _strings(doc["groups"], "groups")))
         raw_runs = doc["n_runs"]
         if isinstance(raw_runs, bool):  # before int(): bool is an int subclass
@@ -250,7 +256,10 @@ def _run_reconstruct(args) -> tuple[int, str]:
         n_runs = int(raw_runs)
         if n_runs != raw_runs:
             raise ValueError(f"n_runs {raw_runs!r} is not an integer")
-        symbols = doc.get("design", {}).get("symbols")
+        summary = doc.get("design", {})
+        if not isinstance(summary, dict):
+            raise TypeError("design is not an object")
+        symbols = summary.get("symbols")
         values = _read_values(doc["values"])
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
@@ -306,10 +315,21 @@ def _read_values(entries) -> np.ndarray:
     """The ``re`` and ``im`` of a report's entries as one complex array.
 
     JSON numbers load as int or float; true, false, null and strings are
-    rejected with a TypeError.
+    rejected with a TypeError, as is an entry that is not an object with both.
     """
-    res = [e["re"] for e in entries]
-    ims = [e["im"] for e in entries]
+    if not isinstance(entries, list):
+        raise TypeError("values is not a list")
+    try:
+        res = [e["re"] for e in entries]
+        ims = [e["im"] for e in entries]
+    except (KeyError, TypeError):  # name the first bad entry
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise TypeError(f"values entry {i} is not an object") from None
+            for part in ("re", "im"):
+                if part not in entry:
+                    raise TypeError(f"values entry {i} has no {part!r}") from None
+        raise
     if not set(map(type, res)) | set(map(type, ims)) <= {int, float}:
         bad = next(x for x in res + ims if type(x) not in (int, float))
         raise TypeError(f"value {bad!r} is not a number")

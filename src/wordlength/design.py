@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -259,43 +260,61 @@ def parse_design(text: str) -> Design:
     per factor); then one run per line, whitespace-separated symbols with an
     optional trailing ``x<m>`` multiplier.  Without a ``symbols`` header the
     alphabets are the sorted distinct symbols per factor.
+
+    Lines naming the same run add their multiplicities.  Identical row-layout
+    lines are read once, so an error in one is reported at its first
+    occurrence, the earliest bad line in the file.  Column layout reads every
+    line, since two factors may have identical lines.
     """
     declared_sizes: list[int] | None = None
     declared_symbols: list[list[str]] | None = None
     columns = False
-    data: list[tuple[int, list[str]]] = []
+    lines = text.splitlines()
+    start = len(lines)  # index of the first data line
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        header = _HEADER_RE.match(line) if not data else None
-        if header:
-            name, rest = header.group(1), header.group(2).strip()
-            if name == "levels":
-                try:
-                    declared_sizes = [int(tok) for tok in rest.split()]
-                except ValueError:
-                    raise DesignParseError("levels header must list integers", lineno)
-                if not declared_sizes or any(s < 1 for s in declared_sizes):
-                    raise DesignParseError("levels header must list positive sizes", lineno)
-            elif name == "symbols":
-                declared_symbols = [chunk.split() for chunk in rest.split("|")]
-                for i, alphabet in enumerate(declared_symbols):
-                    if not alphabet:
-                        raise DesignParseError(f"factor {i + 1} has no symbols", lineno)
-                    if len(set(alphabet)) != len(alphabet):
-                        raise DesignParseError(
-                            f"factor {i + 1} has duplicate symbols", lineno
-                        )
-            elif name == "layout":
-                if rest not in ("rows", "columns"):
-                    raise DesignParseError(f"unknown layout {rest!r}", lineno)
-                columns = rest == "columns"
-            else:
-                raise DesignParseError(f"unknown header {name!r}", lineno)
-            continue
-        data.append((lineno, line.split()))
+        header = _HEADER_RE.match(line)
+        if not header:
+            start = lineno - 1
+            break
+        name, rest = header.group(1), header.group(2).strip()
+        if name == "levels":
+            try:
+                declared_sizes = [int(tok) for tok in rest.split()]
+            except ValueError:
+                raise DesignParseError("levels header must list integers", lineno)
+            if not declared_sizes or any(s < 1 for s in declared_sizes):
+                raise DesignParseError("levels header must list positive sizes", lineno)
+        elif name == "symbols":
+            declared_symbols = [chunk.split() for chunk in rest.split("|")]
+            for i, alphabet in enumerate(declared_symbols):
+                if not alphabet:
+                    raise DesignParseError(f"factor {i + 1} has no symbols", lineno)
+                if len(set(alphabet)) != len(alphabet):
+                    raise DesignParseError(f"factor {i + 1} has duplicate symbols", lineno)
+        elif name == "layout":
+            if rest not in ("rows", "columns"):
+                raise DesignParseError(f"unknown layout {rest!r}", lineno)
+            columns = rest == "columns"
+        else:
+            raise DesignParseError(f"unknown header {name!r}", lineno)
+
+    # Row layout reads each distinct line once, at its first occurrence, and
+    # counts its repeats; identical factor lines are still distinct factors.
+    body = lines[start:]
+    if columns:
+        numbered = zip(body, range(start + 1, len(lines) + 1), itertools.repeat(1))
+    else:
+        first = dict(zip(reversed(body), range(len(lines), start, -1)))
+        numbered = ((raw, first[raw], repeats) for raw, repeats in Counter(body).items())
+    data = [  # (line number, tokens, repeats) per data line
+        (lineno, tokens, repeats)
+        for raw, lineno, repeats in numbered
+        if (tokens := raw.split("#", 1)[0].split())
+    ]
 
     if declared_symbols is not None and declared_sizes is not None:
         if [len(a) for a in declared_symbols] != declared_sizes:
@@ -344,8 +363,9 @@ def parse_design(text: str) -> Design:
 
 
 def _runs_from_rows(data, k) -> Iterator[tuple[tuple[str, ...], int]]:
-    """Row layout: each data line is one run, optionally ending in x<mult>."""
-    for lineno, tokens in data:
+    """Row layout: each data line is one run, optionally ending in x<mult>,
+    and a line that repeats counts once per repeat."""
+    for lineno, tokens, repeats in data:
         mult = 1
         m = _MULTIPLIER_RE.match(tokens[-1]) if len(tokens) > 1 else None
         if m and (k is None or len(tokens) == k + 1):
@@ -357,16 +377,16 @@ def _runs_from_rows(data, k) -> Iterator[tuple[tuple[str, ...], int]]:
             k = len(tokens)
         if len(tokens) != k:
             raise DesignParseError(f"expected {k} symbols, got {len(tokens)}", lineno)
-        yield tuple(tokens), mult
+        yield tuple(tokens), mult * repeats
 
 
 def _runs_from_columns(data, k) -> Iterator[tuple[tuple[str, ...], int]]:
     """Column layout: one line per factor, runs are the columns."""
     if k is not None and data and len(data) != k:
         raise DesignParseError(f"expected {k} factor lines, got {len(data)}", data[-1][0])
-    for lineno, tokens in data[1:]:
+    for lineno, tokens, _ in data[1:]:
         if len(tokens) != len(data[0][1]):
             raise DesignParseError(
                 f"expected {len(data[0][1])} columns, got {len(tokens)}", lineno
             )
-    return zip(zip(*(tokens for _, tokens in data)), itertools.repeat(1))
+    return zip(zip(*(tokens for _, tokens, _ in data)), itertools.repeat(1))

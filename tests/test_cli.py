@@ -212,6 +212,13 @@ class TestReconstructCommand:
                 "a spectrum needs at least one structure",
             ),
             (edited(zero_runs), "a spectrum needs at least one run"),
+            # A wrongly shaped report names what is wrong with it.
+            ("[1]", "report is not a JSON object"),
+            (edited(lambda doc: doc.__setitem__("design", [])), "design is not an object"),
+            (edited(lambda doc: doc.__setitem__("values", {"x": 1})), "values is not a list"),
+            (edited(lambda doc: doc.__setitem__("values", [1, 2])), "values entry 0 is not an object"),
+            (edited(lambda doc: doc["values"][0].pop("im")), "values entry 0 has no 'im'"),
+            (edited(lambda doc: doc["values"][9].pop("re")), "values entry 9 has no 're'"),
         ):
             bad.write_text(text, encoding="utf-8")
             code, _, err = run(capsys, "reconstruct", str(bad))
@@ -221,6 +228,13 @@ class TestReconstructCommand:
         # A float that is an integer is still a run count.
         bad.write_text(edited(lambda doc: doc.__setitem__("n_runs", 16.0)), encoding="utf-8")
         assert run(capsys, "reconstruct", str(bad))[0] == 0
+
+    def test_undecodable_report_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"groups": ["\xff"]}')
+        code, out, err = run(capsys, "reconstruct", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"wordlength: cannot read {bad}: byte 13 is not UTF-8 (invalid start byte)\n"
 
     def test_counts_past_int64_are_exact(self, capsys, tmp_path):
         # Each cell reconstructs to 1e19, past the largest int64.
@@ -443,6 +457,13 @@ class TestErrorsAndPlumbing:
         code, _, err = run(capsys, "gwlp", "/nonexistent/design.txt")
         assert code == 2
         assert "cannot read" in err
+
+    def test_undecodable_design_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"levels: 2 2\n0 1\n\xff 0\n")
+        code, out, err = run(capsys, "gwlp", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"wordlength: cannot read {bad}: byte 16 is not UTF-8 (invalid start byte)\n"
 
     def test_parse_error_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

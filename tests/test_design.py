@@ -53,6 +53,11 @@ class TestParse:
         assert design.counts == {(0, 0): 3}
         assert design.n_runs == 3
 
+    def test_lines_naming_one_run_tally_into_it(self):
+        # Differing spacing or comments: distinct lines, one run.
+        design = parse_design("symbols: a b | c d\na c\n a  c # one\na\tc#two\na c \nb d\n")
+        assert design.counts == {(0, 0): 4, (1, 1): 1}
+
     def test_multiplier_suffix(self):
         design = parse_design("levels: 2 2\n0 1 x3\n1 0\n")
         assert design.counts == {(0, 1): 3, (1, 0): 1}
@@ -62,6 +67,12 @@ class TestParse:
         with pytest.raises(DesignParseError) as err:
             parse_design("a b c\na b\n")
         assert err.value.line == 2
+
+    def test_repeated_bad_row_is_reported_at_its_first_occurrence(self):
+        text = "levels: 2 2\n0 1\n1 0\n0 1 1\n0 0\n0 x0\n1 1 x2\n0 1\n0 1 1\n"
+        with pytest.raises(DesignParseError) as err:
+            parse_design(text)
+        assert str(err.value) == "line 4: expected 2 symbols, got 3"
 
     def test_unknown_symbol_under_header(self):
         cases = [
@@ -117,6 +128,24 @@ class TestParse:
             parse_design(text)
         assert err.value.line == 4
         assert "'z'" in str(err.value)
+
+    def test_columns_layout_identical_factor_lines_are_distinct_factors(self):
+        design = parse_design("layout: columns\na b a\na b a\n")
+        assert design.levels == (("a", "b"), ("a", "b"))
+        assert design.counts == {(0, 0): 2, (1, 1): 1}
+        # Each bad factor line is named by its own number, not by an earlier copy.
+        cases = [
+            (
+                "symbols: a b | c d | a b\nlayout: columns\na b\nc d\nc d\n",
+                5,
+                "symbol 'c' not in factor 3's alphabet",
+            ),
+            ("levels: 2 2\nlayout: columns\n0 1\n0 1\n0 1\n", 5, "expected 2 factor lines, got 3"),
+        ]
+        for text, line, message in cases:
+            with pytest.raises(DesignParseError) as err:
+                parse_design(text)
+            assert str(err.value) == f"line {line}: {message}"
 
     def test_symbol_count_disagreement(self):
         with pytest.raises(DesignParseError):

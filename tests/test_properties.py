@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpers import exact_gwlp, mobius_alternating_list, naive_margin_counts, pair_subset_norm
 from wordlength import (
     Design,
+    DesignParseError,
     InconsistentSpectrumError,
     JCharVector,
     enumerate_structures,
@@ -231,6 +232,30 @@ def test_shuffled_split_run_lines_parse_back(header, data):
         )
     expected = used_symbols_only(design) if header == "none" else design
     assert parse_design(text) == expected
+
+
+@PROPERTY
+@given(designs(symbols=True), st.data())
+def test_a_bad_line_planted_several_times_is_reported_at_the_first(design, data):
+    header, *lines = design.serialize().splitlines()
+    lines += data.draw(st.lists(st.sampled_from(lines), max_size=6))  # repeated good lines
+    lines = data.draw(st.permutations(lines))
+    symbols = [design.levels[i][r] for i, r in enumerate(next(iter(design.counts)))]
+    bad, message = data.draw(
+        st.sampled_from(
+            [  # "?" is in no alphabet
+                (["?", *symbols[1:]], "symbol '?' not in factor 1's alphabet"),
+                ([*symbols, "?", "?"], f"expected {design.k} symbols, got {design.k + 2}"),
+                ([*symbols, "x0"], "multiplier must be at least 1"),
+            ]
+        )
+    )
+    positions = data.draw(st.lists(st.integers(0, len(lines)), min_size=1, max_size=4))
+    for position in sorted(positions, reverse=True):
+        lines.insert(position, " ".join(bad))
+    with pytest.raises(DesignParseError) as err:
+        parse_design("\n".join([header, *lines]))
+    assert str(err.value) == f"line {min(positions) + 2}: {message}"
 
 
 @PROPERTY

@@ -25,7 +25,6 @@ from .groups import (
 from .invariance import (
     AberrationVerdict,
     InvarianceReport,
-    SubsetNorm,
     compare_aberration,
     gwlp_margin,
     projector_norms,
@@ -59,7 +58,6 @@ __all__ = [
     "JCharVector",
     "MarginTable",
     "ResourceLimitError",
-    "SubsetNorm",
     "WordlengthError",
     "character_table",
     "check_assignment",

@@ -155,8 +155,13 @@ def main(argv=None) -> int:
 
 
 def _read_text(path: str) -> str:
+    """The file's text without a leading byte-order mark.
+
+    Decoded as ``utf-8`` and then stripped, not as ``utf-8-sig``, so that a
+    decode error names its byte offset in the file.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise DesignParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -249,6 +254,9 @@ def _run_reconstruct(args) -> tuple[int, str]:
     try:
         if not isinstance(doc, dict):
             raise TypeError("report is not a JSON object")
+        for key in ("groups", "n_runs", "values"):
+            if key not in doc:
+                raise ValueError(f"no {key!r} key")
         structures = tuple(map(parse_structure, _strings(doc["groups"], "groups")))
         raw_runs = doc["n_runs"]
         if isinstance(raw_runs, bool):  # before int(): bool is an int subclass
@@ -426,7 +434,7 @@ def _run_margins(args) -> tuple[int, str]:
                 for cell, count in table.items()
             ],
             "n_runs": table.n_runs,
-            "subset_norm": norm.value,
+            "subset_norm": norm,
         }
         return 0, render.dumps(payload) + "\n"
     lines = []
@@ -434,7 +442,7 @@ def _run_margins(args) -> tuple[int, str]:
         symbols = [design.levels[i][r] for i, r in zip(table.subset, cell)]
         label = "()" if not symbols else " ".join(symbols)
         lines.append(f"{label} {count}")
-    lines.append(f"subset_norm = {render.fmt_float(norm.value)}")
+    lines.append(f"subset_norm = {render.fmt_float(norm)}")
     return 0, "\n".join(lines) + "\n"
 
 

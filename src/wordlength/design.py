@@ -269,6 +269,7 @@ def parse_design(text: str) -> Design:
     declared_sizes: list[int] | None = None
     declared_symbols: list[list[str]] | None = None
     columns = False
+    header_lines: dict[str, int] = {}  # the last line of each header name
     lines = text.splitlines()
     start = len(lines)  # index of the first data line
 
@@ -281,6 +282,7 @@ def parse_design(text: str) -> Design:
             start = lineno - 1
             break
         name, rest = header.group(1), header.group(2).strip()
+        header_lines[name] = lineno
         if name == "levels":
             try:
                 declared_sizes = [int(tok) for tok in rest.split()]
@@ -318,7 +320,10 @@ def parse_design(text: str) -> Design:
 
     if declared_symbols is not None and declared_sizes is not None:
         if [len(a) for a in declared_symbols] != declared_sizes:
-            raise DesignParseError("symbols header disagrees with levels header")
+            raise DesignParseError(
+                "symbols header disagrees with levels header",
+                max(header_lines["levels"], header_lines["symbols"]),
+            )
 
     declared = declared_symbols or declared_sizes  # neither is ever an empty list
     k = len(declared) if declared else None

@@ -1,12 +1,12 @@
 """Finite abelian group structures, Yates-ordered elements, and character tables.
 
 A structure is a list of cyclic orders in primary-decomposition form.  Elements
-are addressed either by a flat index in ``[0, order)`` or by their mixed-radix
-residues, with the first cyclic part most significant and index 0 the identity.
-Characters are indexed by group elements; the element ``g`` names the character
-``h -> prod_j exp(2*pi*i * g_j*h_j / d_j)``.  This fixes one of the many
-isomorphisms between the group and its character group: per cyclic part of
-order ``d`` the chosen primitive root of unity is ``exp(2*pi*i/d)``.
+are Yates indices: an element's index in ``[0, order)`` is the mixed-radix
+number of its residues, first cyclic part most significant, so index 0 is the
+identity.  Characters are indexed by group elements; the element ``g`` names
+the character ``h -> prod_j exp(2*pi*i * g_j*h_j / d_j)``.  This fixes one of
+the many isomorphisms between the group and its character group: per cyclic
+part of order ``d`` the chosen primitive root of unity is ``exp(2*pi*i/d)``.
 """
 
 from __future__ import annotations
@@ -94,66 +94,26 @@ def root_of_unity(numerator: int, denominator: int) -> complex:
 class AbelianStructure:
     """A finite abelian group as a tuple of cyclic orders in canonical form.
 
-    The empty tuple is the trivial group of order 1.  Use :meth:`from_orders`
-    (or :func:`parse_structure`) to canonicalize arbitrary cyclic orders;
-    the constructor insists on already-canonical input so that equality of
-    structures is equality of tuples.
+    The constructor canonicalizes the orders it is given, so
+    ``AbelianStructure((2, 4)) == AbelianStructure((4, 2))`` and equality of
+    structures is isomorphism.  The empty tuple is the trivial group of order
+    1.  Elements are Yates indices in ``[0, order)``, index 0 the identity.
     """
 
     cyclic_orders: tuple[int, ...]
 
     def __post_init__(self):
-        canonical = canonical_cyclic_orders(self.cyclic_orders)
-        if tuple(self.cyclic_orders) != canonical:
-            raise ValueError(
-                f"{tuple(self.cyclic_orders)} is not canonical (expected {canonical}); "
-                "build structures with AbelianStructure.from_orders"
-            )
-        object.__setattr__(self, "cyclic_orders", canonical)
-
-    @classmethod
-    def from_orders(cls, orders: Iterable[int]) -> "AbelianStructure":
-        return cls(canonical_cyclic_orders(orders))
+        object.__setattr__(self, "cyclic_orders", canonical_cyclic_orders(self.cyclic_orders))
 
     @property
     def order(self) -> int:
         return math.prod(self.cyclic_orders)
-
-    @property
-    def identity(self) -> Element:
-        return (0,) * len(self.cyclic_orders)
 
     def literal(self) -> str:
         """Structure literal for CLI/config use, e.g. ``2x2``; ``1`` if trivial."""
         if not self.cyclic_orders:
             return "1"
         return "x".join(str(d) for d in self.cyclic_orders)
-
-    def element_of_index(self, index: int) -> Element:
-        """Mixed-radix residues of a flat index; first cyclic part most significant."""
-        return element_components(int(index), self.cyclic_orders)
-
-    def index_of_element(self, element: Sequence[int]) -> int:
-        element = element_components(tuple(element), self.cyclic_orders)
-        return int(np.ravel_multi_index(element, self.cyclic_orders))
-
-    def add(self, g: Sequence[int] | int, h: Sequence[int] | int) -> Element:
-        orders = self.cyclic_orders
-        g, h = element_components(g, orders), element_components(h, orders)
-        return tuple((a + b) % d for a, b, d in zip(g, h, orders))
-
-    def inverse(self, g: Sequence[int] | int) -> Element:
-        g = element_components(g, self.cyclic_orders)
-        return tuple((-a) % d for a, d in zip(g, self.cyclic_orders))
-
-    def character_value(self, g: Sequence[int] | int, h: Sequence[int] | int) -> complex:
-        """Value of the character named by g at the element h (modulus 1)."""
-        orders = self.cyclic_orders
-        g, h = element_components(g, orders), element_components(h, orders)
-        value = 1 + 0j
-        for a, b, d in zip(g, h, orders):
-            value *= root_of_unity(a * b, d)
-        return value
 
 
 def element_components(g: Sequence[int] | int, orders: Sequence[int]) -> Element:
@@ -185,7 +145,7 @@ def parse_structure(text: str) -> AbelianStructure:
         raise ValueError(f"bad structure literal {text!r}") from None
     if any(d < 1 for d in orders) or not orders:
         raise ValueError(f"bad structure literal {text!r}")
-    return AbelianStructure.from_orders(orders)
+    return AbelianStructure(tuple(orders))
 
 
 def enumerate_structures(order: int) -> list[AbelianStructure]:
@@ -216,11 +176,10 @@ def cyclic_character_table(order: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Dense character table H of a structure, plus its unitary normalization U = H/sqrt(s)."""
+    """Dense character table H of a structure; H/sqrt(s) is unitary."""
 
     structure: AbelianStructure
     entries: np.ndarray = field(repr=False)
-    normalized: np.ndarray = field(repr=False)
 
 
 def character_table(structure: AbelianStructure) -> CharacterTable:
@@ -229,8 +188,7 @@ def character_table(structure: AbelianStructure) -> CharacterTable:
     Refuses orders above ``DENSE_TABLE_CAP``; at larger sizes use the
     factorized transform instead of a dense table.
     """
-    entries = _dense_table(structure.cyclic_orders)
-    return CharacterTable(structure, entries, entries / math.sqrt(structure.order))
+    return CharacterTable(structure, _dense_table(structure.cyclic_orders))
 
 
 def _dense_table(cyclic_orders: Sequence[int]) -> np.ndarray:

@@ -70,23 +70,15 @@ _PAIR_RUNS_PER_SUBSET = 2
 _PAIR_BLOCK_CELLS = 2**16
 
 
-@dataclass(frozen=True)
-class SubsetNorm:
-    """B_K for a factor subset K: a squared projected-transform norm, group-free."""
-
-    subset: tuple[int, ...]
-    value: float
-
-
-def subset_norm(design: Design, subset: Iterable[int]) -> SubsetNorm:
+def subset_norm(design: Design, subset: Iterable[int]) -> float:
     """B_K from the K-margins alone: sum of squared counts over the off-K size."""
     return table_norm(margins(design, subset), design.space_size)
 
 
-def table_norm(table: MarginTable, space_size: int) -> SubsetNorm:
+def table_norm(table: MarginTable, space_size: int) -> float:
     """``subset_norm`` from a K-margin table of a design with ``space_size`` cells."""
     scaled = math.prod(table.sizes) * int(table.counts @ table.counts)  # s * B_K, exact
-    return SubsetNorm(table.subset, scaled / space_size)
+    return scaled / space_size
 
 
 def _scale_and_invert(totals: Sequence[int], sizes: Sequence[int]) -> list[int]:

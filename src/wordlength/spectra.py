@@ -145,11 +145,6 @@ class GWLP:
     def k(self) -> int:
         return len(self.values) - 1
 
-    @property
-    def wordlengths(self) -> tuple[float, ...]:
-        """(A_1, ..., A_k): the entries that aberration comparison uses."""
-        return self.values[1:]
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -26,6 +26,15 @@ def oracle_character(structure_orders, g, h) -> complex:
     return cmath.exp(2j * math.pi * phase)
 
 
+def yates_elements(orders):
+    """Residues of every element of prod Z_d, one row per Yates index, and the
+    Yates index of residue rows taken mod ``orders``; () has the one row ()."""
+    orders = np.array(orders, dtype=np.int64)
+    digits = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    places = np.array([math.prod(orders[i + 1 :]) for i in range(orders.size)], np.int64)
+    return digits, lambda rows: (rows % orders) @ places
+
+
 def oracle_jchar(design: Design, structures) -> np.ndarray:
     """Direct-summation spectrum: chi[g] = sum_h O(h) * prod_i chi_{g_i}(h_i)."""
     factor_elements = [

@@ -174,7 +174,6 @@ class TestReconstructCommand:
 
         bad = tmp_path / "bad.json"
         for text in (
-            '{"values": 3}',
             "not json",
             edited(lambda doc: doc["values"].pop()),
             edited(lambda doc: doc["groups"].__setitem__(1, "zz")),
@@ -214,6 +213,9 @@ class TestReconstructCommand:
             (edited(zero_runs), "a spectrum needs at least one run"),
             # A wrongly shaped report names what is wrong with it.
             ("[1]", "report is not a JSON object"),
+            ('{"values": 3}', "is not a jchar report: no 'groups' key"),
+            (edited(lambda doc: doc.pop("n_runs")), "is not a jchar report: no 'n_runs' key"),
+            (edited(lambda doc: doc.pop("values")), "is not a jchar report: no 'values' key"),
             (edited(lambda doc: doc.__setitem__("design", [])), "design is not an object"),
             (edited(lambda doc: doc.__setitem__("values", {"x": 1})), "values is not a list"),
             (edited(lambda doc: doc.__setitem__("values", [1, 2])), "values entry 0 is not an object"),
@@ -465,12 +467,29 @@ class TestErrorsAndPlumbing:
         assert (code, out) == (2, "")
         assert err == f"wordlength: cannot read {bad}: byte 16 is not UTF-8 (invalid start byte)\n"
 
+    def test_leading_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        _, report, _ = run(capsys, "jchar", PAPER, "--groups", "4,2x2,4", "--json")
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        for command, text in (("gwlp", "levels: 2 2\n0 1\n1 0\n"), ("reconstruct", report)):
+            plain.write_bytes(text.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            expected = run(capsys, command, str(plain))
+            assert expected[0] == 0 and expected[1]
+            assert run(capsys, command, str(marked)) == expected
+
     def test_parse_error_reports_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n0\n", encoding="utf-8")
         code, _, err = run(capsys, "gwlp", str(bad))
         assert code == 2
         assert "line 2" in err
+
+    def test_package_exports_resolve_and_are_sorted(self):
+        import wordlength
+
+        assert [name for name in wordlength.__all__ if not hasattr(wordlength, name)] == []
+        assert wordlength.__all__ == sorted(wordlength.__all__)
+        assert "SubsetNorm" not in wordlength.__all__
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -147,6 +147,35 @@ class TestParse:
                 parse_design(text)
             assert str(err.value) == f"line {line}: {message}"
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("levels: 2 x\n0 1\n", 1, "levels header must list integers"),
+            ("# sizes\nlevels: 2 0\n0 1\n", 2, "levels header must list positive sizes"),
+            ("levels:\n0\n", 1, "levels header must list positive sizes"),
+            ("symbols: a b | | c d\na c\n", 1, "factor 2 has no symbols"),
+            ("symbols: a b | c c\na c\n", 1, "factor 2 has duplicate symbols"),
+            ("layout: rows\nlayout: diagonal\n0 1\n", 2, "unknown layout 'diagonal'"),
+            ("shape: wide\n0 1\n", 1, "unknown header 'shape'"),
+            # The disagreement is named at whichever header comes second.
+            (
+                "levels: 2 2\nsymbols: a b | c d e\na c\n",
+                2,
+                "symbols header disagrees with levels header",
+            ),
+            (
+                "symbols: a b | c d\n\nlevels: 2 3\na c\n",
+                3,
+                "symbols header disagrees with levels header",
+            ),
+        ],
+    )
+    def test_header_errors_name_their_line(self, text, line, message):
+        with pytest.raises(DesignParseError) as err:
+            parse_design(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
     def test_symbol_count_disagreement(self):
         with pytest.raises(DesignParseError):
             parse_design("symbols: 0 1 | 0 1 | 0 1\n0 1\n")
@@ -162,6 +191,10 @@ class TestDesignType:
             Design((("0", "1"),), {(0,): 0})
         with pytest.raises(ValueError):
             Design((("0", "0"),), {(0,): 1})
+        with pytest.raises(ValueError, match="factor 0 has an empty level alphabet"):
+            Design(((),), {(0,): 1})
+        with pytest.raises(ValueError, match="a design needs at least one factor"):
+            Design((), {(): 1})
         for counts in [{(1,): 1.5}, {(0.5,): 1}, {(1.0,): 1}, {(1,): 2.0}, {(1,): "2"}]:
             with pytest.raises(ValueError, match="must be integers"):
                 Design((("a", "b"),), counts)
@@ -346,7 +379,7 @@ class TestMargins:
         assert dict(margins(design, [1]).items()) == {(1,): big + 2, (2,): big}
         assert dict(margins(design, ()).items()) == {(): 2 * big + 2}
         n = 2 * big + 2
-        assert subset_norm(design, ()).value == float(Fraction(n * n, 6))
+        assert subset_norm(design, ()) == float(Fraction(n * n, 6))
         assert gwlp_margin(design).raw == tuple(float(a) for a in exact_gwlp(design))
 
     def test_total_beyond_int64(self):

@@ -49,21 +49,21 @@ def gwlp_of(*wordlengths: float) -> GWLP:
 
 class TestSubsetNorm:
     def test_paper_empty_subset(self, paper_design):
-        assert subset_norm(paper_design, ()).value == pytest.approx(4.0)
+        assert subset_norm(paper_design, ()) == pytest.approx(4.0)
 
     def test_paper_singleton(self, paper_design):
-        assert subset_norm(paper_design, [0]).value == pytest.approx(4.0)
+        assert subset_norm(paper_design, [0]) == pytest.approx(4.0)
 
     def test_paper_full_subset(self, paper_design):
-        assert subset_norm(paper_design, [0, 1, 2]).value == pytest.approx(16.0)
+        assert subset_norm(paper_design, [0, 1, 2]) == pytest.approx(16.0)
 
     def test_boundary_identities(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             design = random_design(rng, max_k=3)
             n, s = design.n_runs, design.space_size
-            assert subset_norm(design, ()).value == pytest.approx(n * n / s)
-            full = subset_norm(design, range(design.k)).value
+            assert subset_norm(design, ()) == pytest.approx(n * n / s)
+            full = subset_norm(design, range(design.k))
             assert full == pytest.approx(sum(m * m for m in design.counts.values()))
 
     def test_squares_past_int64_are_exact(self):
@@ -82,7 +82,7 @@ class TestSubsetNorm:
             values = {}
             for mask in range(1 << k):
                 subset = [i for i in range(k) if mask >> i & 1]
-                values[mask] = subset_norm(design, subset).value
+                values[mask] = subset_norm(design, subset)
             for mask in range(1 << k):
                 for sub in range(1 << k):
                     if sub & mask == sub:
@@ -108,7 +108,7 @@ class TestMobius:
             norms = projector_norms(design)
             for mask in range(1 << k):
                 subset = [i for i in range(k) if mask >> i & 1]
-                expected = subset_norm(design, subset).value
+                expected = subset_norm(design, subset)
                 total, sub = 0.0, mask
                 while True:
                     total += norms[sub]
@@ -202,7 +202,7 @@ class TestGwlpMargin:
         )
         pattern = gwlp_margin(design)
         assert pattern[0] == 1.0
-        assert max(pattern.wordlengths) < 1e-12
+        assert max(pattern.values[1:]) < 1e-12
 
     def test_agrees_with_character_route_everywhere(self):
         rng = np.random.default_rng(46)
@@ -253,7 +253,7 @@ class TestGwlpMargin:
         # multiplicities are int64 or, with N past _MAX_INT64_ROOT, Python ints.
         one_run = Design((("0", "1"),) * 21, {(0,) * 21: 1})
         heavy_run = Design((("0", "1"),) * 21, {(0,) * 21: _MAX_INT64_ROOT + 1})
-        assert subset_norm(one_run, range(21)).value == 1.0  # margins stay uncapped
+        assert subset_norm(one_run, range(21)) == 1.0  # margins stay uncapped
         monkeypatch.setattr(invariance, "margins", None)
         monkeypatch.setattr(invariance, "_margin_subset_norms", None)
         monkeypatch.setattr(invariance, "_pair_subset_norms", None)
@@ -362,6 +362,10 @@ class TestVerifyInvariance:
     def test_size_mismatch_rejected(self, paper_design):
         with pytest.raises(ValueError):
             verify_invariance(paper_design, [[Z4, Z4, parse_structure("3")]])
+        with pytest.raises(ValueError, match="unknown assignment sweep 'some'"):
+            invariance.expand_assignments(paper_design, "some")
+        with pytest.raises(ValueError, match="need at least one assignment"):
+            invariance.expand_assignments(paper_design, [])
 
     def test_tolerance_must_be_a_number_at_least_zero(self, paper_design):
         assert verify_invariance(paper_design, [[Z4] * 3], tol=0).invariant

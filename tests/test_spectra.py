@@ -11,7 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, all_assignments, oracle_gwlp, oracle_jchar, random_design
+from helpers import (
+    FIXTURES,
+    all_assignments,
+    oracle_gwlp,
+    oracle_jchar,
+    random_design,
+    yates_elements,
+)
 from wordlength import (
     GWLP,
     Design,
@@ -177,19 +184,10 @@ class TestJCharacteristics:
                 design, [st.literal() for st in all_assignments(design)[0]]
             )
             jchar = j_characteristics(design, assignment)
-            orders = [st.order for st in assignment]
-            for index in range(design.space_size):
-                digits, rem = [], index
-                for s, st in zip(reversed(orders), reversed(assignment)):
-                    rem, r = divmod(rem, s)
-                    digits.append(st.index_of_element(st.inverse(r)))
-                digits.reverse()
-                neg = 0
-                for r, s in zip(digits, orders):
-                    neg = neg * s + r
-                assert jchar.values[neg] == pytest.approx(
-                    jchar.values[index].conjugate(), abs=1e-9
-                )
+            # Factors' element indices are Yates over their parts, so -g is per part.
+            digits, index = yates_elements([d for st in assignment for d in st.cyclic_orders])
+            neg = index(-digits)
+            assert np.abs(jchar.values[neg] - jchar.values.conj()).max() < 1e-9
 
     def test_bounded_by_n(self):
         rng = np.random.default_rng(34)
@@ -335,7 +333,7 @@ class TestGwlpChar:
             jchar = j_characteristics(design, assignment)
             pattern = gwlp_char(jchar)
             assert pattern[0] == 1.0
-            assert max(pattern.wordlengths) < 1e-12
+            assert max(pattern.values[1:]) < 1e-12
 
     def test_half_fraction(self):
         design = half_fraction()

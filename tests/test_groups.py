@@ -1,4 +1,4 @@
-"""Structure enumeration, canonical form, and character-table laws."""
+"""Structure enumeration, canonical form, element indexing, and character-table laws."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from wordlength.groups import (
     MAX_ORDER,
     canonical_cyclic_orders,
     cyclic_character_table,
+    element_components,
     root_of_unity,
 )
 
@@ -115,6 +116,42 @@ class TestStructureForm:
         for text in ("", "x", "4x", "0", "-2", "2,2"):
             with pytest.raises(ValueError):
                 parse_structure(text)
+
+
+class TestElements:
+    # Element indices are Yates: element_components reads one as its residues.
+    def test_identity_is_index_zero(self):
+        assert element_components(0, parse_structure("2x2").cyclic_orders) == (0, 0)
+
+    def test_first_digit_most_significant(self):
+        assert element_components(2, parse_structure("2x2").cyclic_orders) == (1, 0)
+
+    def test_single_part(self):
+        assert element_components(3, parse_structure("4").cyclic_orders) == (3,)
+
+    def test_round_trip(self):
+        for st in all_structures_up_to(24):
+            digits, index = yates_elements(st.cyclic_orders)
+            for i in range(st.order):
+                residues = element_components(i, st.cyclic_orders)
+                assert residues == tuple(digits[i])
+                assert element_components(residues, st.cyclic_orders) == residues
+                assert index(np.array([residues], dtype=np.int64))[0] == i
+
+    def test_out_of_range(self):
+        orders = parse_structure("4").cyclic_orders
+        for index in (4, -1):
+            with pytest.raises(ValueError, match=f"element index {index} out of range"):
+                element_components(index, orders)
+
+
+class TestCharacterValues:
+    def test_fourth_root_is_i(self):
+        assert character_table(parse_structure("4")).entries[1, 1] == 1j
+
+    def test_klein_group_product(self):
+        # Character (0, 1) at element (1, 1): Yates indices 1 and 3.
+        assert character_table(parse_structure("2x2")).entries[1, 3] == -1
 
 
 class TestCharacterTables:

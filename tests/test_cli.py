@@ -26,7 +26,9 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # the margins command; the wide_binary.txt entries pin margins over more than
 # 32 factors, which are counted as distinct rows, and over the empty subset;
 # the tally_rows.txt entries pin the parse of repeated, shuffled and
-# multiplied run lines under inferred alphabets; the pb12.txt entries (12
+# multiplied run lines under inferred alphabets; the columns_oa.txt entries
+# pin the column layout with inferred alphabets and repeated columns, so both
+# layouts are gated byte for byte; the pb12.txt entries (12
 # runs, k = 11) pin the group-free commands where the pair kernel runs.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 

@@ -1,8 +1,8 @@
 """Multiset factorial designs: level alphabets, run multiplicities, margins.
 
-Designs are immutable after construction.  Runs are stored sparsely as a map
-from level-index tuples to multiplicities; the full-factorial cell count s may
-be astronomically larger than the number of distinct runs, so nothing here
+Designs are immutable.  Runs are stored sparsely, as the level indices of the
+distinct runs and their multiplicities, in arrays; the full-factorial cell count
+s may be astronomically larger than the number of distinct runs, so nothing here
 densifies unless explicitly asked to (and even then only below a cap).
 """
 
@@ -39,35 +39,33 @@ _HEADER_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(.*)$")
 _MULTIPLIER_RE = re.compile(r"^x(\d+)$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Design:
     """A multiset of runs over per-factor level alphabets.
 
     ``levels[i]`` lists factor i's symbols in order; position 0 is the
     reference level (the group identity once a structure is assigned).
-    ``counts`` maps runs, as tuples of level indices, to multiplicities >= 1.
+    ``Design(levels, counts)`` takes a map from runs, as tuples of level
+    indices, to multiplicities >= 1; ``counts`` gives that map back.
     """
 
     levels: tuple[tuple[str, ...], ...]
-    counts: Mapping[Run, int] = field(repr=False)
-    #: The distinct runs as a C-contiguous (k, n) level-index array, factor-major
-    #: so that a subset's rows are contiguous, and their multiplicities: int64
-    #: while N^2 fits int64, so no margin total, pair product or sum of squares
-    #: can overflow; past that, Python ints in an object array.
-    _run_matrix: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False
-    )
+    #: The runs' only stored form: the distinct runs as a C-contiguous (k, n)
+    #: level-index array, factor-major so that a subset's rows are contiguous,
+    #: and their multiplicities: int64 while N^2 fits int64, so no margin total,
+    #: pair product or sum of squares can overflow; past that, Python ints.
+    _run_matrix: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        levels = tuple(tuple(alphabet) for alphabet in self.levels)
+    def __init__(self, levels: Iterable[Iterable[str]], counts: Mapping[Run, int]):
+        levels = tuple(tuple(alphabet) for alphabet in levels)
         if not levels:
             raise ValueError("a design needs at least one factor")
-        for i, alphabet in enumerate(levels):
+        for i, alphabet in enumerate(levels, start=1):
             if not alphabet:
                 raise ValueError(f"factor {i} has an empty level alphabet")
             if len(set(alphabet)) != len(alphabet):
                 raise ValueError(f"factor {i} has duplicate level symbols")
-        counts = dict(self.counts)
+        counts = dict(counts)
         if not counts:
             raise ValueError("a design needs at least one run")
         try:  # any integer, numpy's included, is stored as a Python int
@@ -79,14 +77,29 @@ class Design:
                 }
         except TypeError:
             raise ValueError("runs and multiplicities must be integers") from None
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "counts", MappingProxyType(counts))
-        runs = _factor_major(counts, self.sizes)
+        sizes = tuple(map(len, levels))
+        runs = _factor_major(counts, sizes)
         if runs is None or min(counts.values()) < 1:
-            raise ValueError(_first_bad_run(counts, self.sizes))
-        dtype = np.int64 if self.n_runs <= _MAX_INT64_ROOT else object
-        mults = np.fromiter(counts.values(), dtype, len(counts))
-        object.__setattr__(self, "_run_matrix", (runs, mults))
+            raise ValueError(_first_bad_run(counts, sizes))
+        self.__dict__.update(levels=levels, _run_matrix=(runs, _multiplicities(counts.values())))
+
+    @classmethod
+    def _from_runs(cls, levels, runs: np.ndarray, mults: np.ndarray) -> Design:
+        """A design from valid alphabets, distinct (k, n) runs and their multiplicities."""
+        design = cls.__new__(cls)
+        design.__dict__.update(levels=levels, _run_matrix=(np.ascontiguousarray(runs), mults))
+        return design
+
+    def __eq__(self, other):
+        if not isinstance(other, Design):
+            return NotImplemented
+        return self.levels == other.levels and self.counts == other.counts
+
+    @cached_property
+    def counts(self) -> Mapping[Run, int]:
+        """Read-only view of the runs, derived on first access; no pattern route reads it."""
+        runs, mults = self._run_matrix
+        return MappingProxyType(dict(zip(map(tuple, runs.T.tolist()), mults.tolist())))
 
     @property
     def k(self) -> int:
@@ -101,7 +114,7 @@ class Design:
     @cached_property
     def n_runs(self) -> int:
         """Total number of runs N, counting multiplicities."""
-        return sum(self.counts.values())
+        return int(self._run_matrix[1].sum())
 
     @cached_property
     def space_size(self) -> int:
@@ -110,8 +123,7 @@ class Design:
 
     def runs(self) -> Iterator[tuple[Run, int]]:
         """(run, multiplicity) pairs in Yates order of the run tuples."""
-        for run in sorted(self.counts):
-            yield run, self.counts[run]
+        return iter(sorted(self.counts.items()))
 
     def dense_counts(self) -> np.ndarray:
         """Count vector O over all s cells in Yates order (refused above ``DENSIFY_CAP``)."""
@@ -127,6 +139,12 @@ class Design:
                 tokens.append(f"x{mult}")
             lines.append(" ".join(tokens))
         return "\n".join(lines) + "\n"
+
+
+def _multiplicities(values: Iterable[int]) -> np.ndarray:
+    """Python-int multiplicities as an int64 array while N^2 fits int64, else objects."""
+    values = list(values)
+    return np.array(values, np.int64 if sum(values) <= _MAX_INT64_ROOT else object)
 
 
 def _factor_major(counts: Mapping[Run, int], sizes: tuple[int, ...]) -> np.ndarray | None:
@@ -207,24 +225,26 @@ def margins(design: Design, subset: Iterable[int]) -> MarginTable:
     if not positions:
         total = np.array([design.n_runs], dtype=mults.dtype)
         return MarginTable(positions, sizes, np.zeros((1, 0), np.intp), total, design.n_runs)
-    rows = runs.take(positions, axis=0)
+    cells, totals = _tally(runs.take(positions, axis=0), mults, sizes)
+    return MarginTable(positions, sizes, cells.T, totals, design.n_runs)
+
+
+def _tally(rows: np.ndarray, mults: np.ndarray, sizes: tuple[int, ...]):
+    """The distinct columns of the (k, n) level codes ``rows``, in Yates order,
+    and the total multiplicity of each: a (k, m) array and m totals."""
     if len(sizes) > _MAX_RAVEL_DIMS or math.prod(sizes) > _MAX_RAVEL_CELLS:
-        # Too many cells for one flat index: count distinct rows instead.
-        cells, inverse = np.unique(rows.T, axis=0, return_inverse=True)
-        totals = np.zeros(len(cells), dtype=mults.dtype)
-        np.add.at(totals, inverse, mults)
-        return MarginTable(positions, sizes, cells, totals, design.n_runs)
-    # Sort the flat cell codes into Yates order; each stretch of one code is a cell.
-    codes = np.ravel_multi_index(rows, sizes)
+        # Too many cells for one flat index: rank the distinct columns instead.
+        codes = np.unique(rows.T, axis=0, return_inverse=True)[1].ravel()
+    else:
+        codes = np.ravel_multi_index(rows, sizes)
+    # Sort the codes into Yates order; each stretch of one code is a cell.
     order = codes.argsort()
     codes = codes[order]
     first = np.empty(len(codes), dtype=bool)
     first[0] = True
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    totals = np.add.reduceat(mults[order], starts)
-    cells = rows[:, order[starts]].T  # each cell is read off its first run
-    return MarginTable(positions, sizes, cells, totals, design.n_runs)
+    return rows[:, order[starts]], np.add.reduceat(mults[order], starts)
 
 
 def relabel_levels(design: Design, perms: Sequence[Sequence[int] | None]) -> Design:
@@ -245,10 +265,8 @@ def relabel_levels(design: Design, perms: Sequence[Sequence[int] | None]) -> Des
         if sorted(perm) != list(range(size)):
             raise ValueError(f"perms[{i}] is not a bijection on {size} levels")
         mappings.append(perm)
-    return Design(
-        design.levels,
-        {tuple(m[r] for m, r in zip(mappings, run)): mult for run, mult in design.counts.items()},
-    )
+    runs = [np.take(m, row) for m, row in zip(mappings, design._run_matrix[0])]
+    return Design._from_runs(design.levels, runs, design._run_matrix[1])
 
 
 def parse_design(text: str) -> Design:
@@ -257,19 +275,20 @@ def parse_design(text: str) -> Design:
     Format: ``#`` comments; optional headers ``levels: s1 ... sk``,
     ``symbols: a0 a1 ... | b0 b1 ... | ...`` (first symbol per factor is the
     reference level) and ``layout: columns`` (runs are file columns, one line
-    per factor); then one run per line, whitespace-separated symbols with an
-    optional trailing ``x<m>`` multiplier.  Without a ``symbols`` header the
-    alphabets are the sorted distinct symbols per factor.
+    per factor), each at most once; then one run per line, whitespace-separated
+    symbols with an optional trailing ``x<m>`` multiplier.  Without a
+    ``symbols`` header the alphabets are the sorted distinct symbols per factor.
 
     Lines naming the same run add their multiplicities.  Identical row-layout
     lines are read once, so an error in one is reported at its first
     occurrence, the earliest bad line in the file.  Column layout reads every
-    line, since two factors may have identical lines.
+    line, since two factors may have identical lines.  The symbols are coded
+    factor by factor, and the runs are merged by their codes.
     """
     declared_sizes: list[int] | None = None
     declared_symbols: list[list[str]] | None = None
     columns = False
-    header_lines: dict[str, int] = {}  # the last line of each header name
+    header_lines: dict[str, int] = {}  # the line of each header name
     lines = text.splitlines()
     start = len(lines)  # index of the first data line
 
@@ -282,7 +301,6 @@ def parse_design(text: str) -> Design:
             start = lineno - 1
             break
         name, rest = header.group(1), header.group(2).strip()
-        header_lines[name] = lineno
         if name == "levels":
             try:
                 declared_sizes = [int(tok) for tok in rest.split()]
@@ -303,95 +321,96 @@ def parse_design(text: str) -> Design:
             columns = rest == "columns"
         else:
             raise DesignParseError(f"unknown header {name!r}", lineno)
+        if name in header_lines:
+            raise DesignParseError(f"repeated {name} header", lineno)
+        header_lines[name] = lineno
 
     # Row layout reads each distinct line once, at its first occurrence, and
     # counts its repeats; identical factor lines are still distinct factors.
     body = lines[start:]
     if columns:
-        numbered = zip(body, range(start + 1, len(lines) + 1), itertools.repeat(1))
+        raws, repeats = body, [1] * len(body)
     else:
-        first = dict(zip(reversed(body), range(len(lines), start, -1)))
-        numbered = ((raw, first[raw], repeats) for raw, repeats in Counter(body).items())
-    data = [  # (line number, tokens, repeats) per data line
-        (lineno, tokens, repeats)
-        for raw, lineno, repeats in numbered
-        if (tokens := raw.split("#", 1)[0].split())
-    ]
+        tally = Counter(body)
+        raws, repeats = list(tally), list(tally.values())
+    rows = [(raw.split("#", 1)[0] if "#" in raw else raw).split() for raw in raws]
+    kept = range(len(rows))
+    if [] in rows:  # blank and comment-only lines
+        kept = [j for j in kept if rows[j]]
+        rows, repeats = [rows[j] for j in kept], [repeats[j] for j in kept]
 
-    if declared_symbols is not None and declared_sizes is not None:
-        if [len(a) for a in declared_symbols] != declared_sizes:
-            raise DesignParseError(
-                "symbols header disagrees with levels header",
-                max(header_lines["levels"], header_lines["symbols"]),
-            )
+    def lineno(n: int) -> int:  # the line of data line n, looked up for errors only
+        return start + 1 + (kept[n] if columns else body.index(raws[kept[n]]))
+
+    if declared_symbols and declared_sizes and list(map(len, declared_symbols)) != declared_sizes:
+        raise DesignParseError(
+            "symbols header disagrees with levels header",
+            max(header_lines["levels"], header_lines["symbols"]),
+        )
+    if not rows:
+        raise DesignParseError("no runs found")
 
     declared = declared_symbols or declared_sizes  # neither is ever an empty list
     k = len(declared) if declared else None
-    layout = _runs_from_columns if columns else _runs_from_rows
-    tallies: dict[tuple[str, ...], int] = {}
-    for row, mult in layout(data, k):
-        tallies[row] = tallies.get(row, 0) + mult
-    if not tallies:
-        raise DesignParseError("no runs found")
+    symbols, mults = (_runs_from_columns if columns else _runs_from_rows)(rows, repeats, k, lineno)
 
     if declared_symbols is not None:
         alphabets = declared_symbols
-    else:
-        seen = [set(column) for column in zip(*tallies)]
-        if declared_sizes is None:
-            alphabets = [sorted(symbols) for symbols in seen]
-        else:  # a levels header without symbols: the numeric alphabets 0..s-1
-            alphabets = [[str(j) for j in range(size)] for size in declared_sizes]
-            for i, symbols in enumerate(seen):
-                if not symbols <= set(alphabets[i]):
-                    raise DesignParseError(
-                        f"factor {i + 1} uses symbols outside 0..{declared_sizes[i] - 1}; "
-                        "add a symbols header"
-                    )
+    elif declared_sizes is None:
+        alphabets = [sorted(set(column)) for column in symbols]
+    else:  # a levels header without symbols: the numeric alphabets 0..s-1
+        alphabets = [[str(j) for j in range(size)] for size in declared_sizes]
 
-    # Distinct symbol rows are distinct runs: each is looked up once.
+    # One lookup pass per factor codes its symbols; the codes merge the runs.
     index = [{symbol: j for j, symbol in enumerate(a)} for a in alphabets]
     try:
-        runs = [tuple(map(operator.getitem, index, row)) for row in tallies]
-    except KeyError:  # name the first unknown symbol in file order
-        n, i, symbol = next(
+        flat = itertools.chain.from_iterable(map(map, [ix.__getitem__ for ix in index], symbols))
+        codes = np.fromiter(flat, np.intp, len(symbols) * len(mults)).reshape(len(symbols), -1)
+    except KeyError:
+        if declared_symbols is None:  # numeric alphabets: name the first factor outside
+            i = next(i for i, column in enumerate(symbols) if not set(column) <= index[i].keys())
+            raise DesignParseError(
+                f"factor {i + 1} uses symbols outside 0..{declared_sizes[i] - 1}; "
+                "add a symbols header"
+            ) from None
+        n, i, symbol = next(  # the first unknown symbol in file order
             (n, i, symbol)
-            for n, (row, _) in enumerate(layout(data, k))
-            for i, symbol in enumerate(row)
+            for n, run in enumerate(zip(*symbols))
+            for i, symbol in enumerate(run)
             if symbol not in index[i]
         )
         # In column layout, factor i is data line i whichever run is read.
         raise DesignParseError(
-            f"symbol {symbol!r} not in factor {i + 1}'s alphabet", data[i if columns else n][0]
+            f"symbol {symbol!r} not in factor {i + 1}'s alphabet", lineno(i if columns else n)
         ) from None
-    return Design(tuple(map(tuple, alphabets)), dict(zip(runs, tallies.values())))
+    runs, mults = _tally(codes, _multiplicities(mults), tuple(map(len, alphabets)))
+    return Design._from_runs(tuple(map(tuple, alphabets)), runs, mults)
 
 
-def _runs_from_rows(data, k) -> Iterator[tuple[tuple[str, ...], int]]:
+def _runs_from_rows(rows, mults, k, lineno) -> tuple[list[tuple[str, ...]], list[int]]:
     """Row layout: each data line is one run, optionally ending in x<mult>,
-    and a line that repeats counts once per repeat."""
-    for lineno, tokens, repeats in data:
-        mult = 1
-        m = _MULTIPLIER_RE.match(tokens[-1]) if len(tokens) > 1 else None
-        if m and (k is None or len(tokens) == k + 1):
-            mult = int(m.group(1))
-            if mult < 1:
-                raise DesignParseError("multiplier must be at least 1", lineno)
-            tokens = tokens[:-1]
-        if k is None:
-            k = len(tokens)
-        if len(tokens) != k:
-            raise DesignParseError(f"expected {k} symbols, got {len(tokens)}", lineno)
-        yield tuple(tokens), mult * repeats
+    and a line that repeats counts once per repeat.  Returns the symbols
+    factor by factor and the multiplicity of each line."""
+    if k is None:  # the first line sets k; a trailing x<digits> there is a multiplier
+        k = len(rows[0]) - bool(len(rows[0]) > 1 and _MULTIPLIER_RE.match(rows[0][-1]))
+    for n in np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != k).tolist():
+        m = _MULTIPLIER_RE.match(rows[n][-1]) if len(rows[n]) == k + 1 else None
+        if not m:
+            raise DesignParseError(f"expected {k} symbols, got {len(rows[n])}", lineno(n))
+        if int(m.group(1)) < 1:
+            raise DesignParseError("multiplier must be at least 1", lineno(n))
+        mults[n] *= int(m.group(1))
+    # zip stops at the shortest line: the multipliers are dropped unless every line has one.
+    return list(zip(*rows))[:k], mults
 
 
-def _runs_from_columns(data, k) -> Iterator[tuple[tuple[str, ...], int]]:
-    """Column layout: one line per factor, runs are the columns."""
-    if k is not None and data and len(data) != k:
-        raise DesignParseError(f"expected {k} factor lines, got {len(data)}", data[-1][0])
-    for lineno, tokens, _ in data[1:]:
-        if len(tokens) != len(data[0][1]):
+def _runs_from_columns(rows, _, k, lineno) -> tuple[list[list[str]], list[int]]:
+    """Column layout: one line per factor, runs are the columns, each counted once."""
+    if k is not None and len(rows) != k:
+        raise DesignParseError(f"expected {k} factor lines, got {len(rows)}", lineno(-1))
+    for n, tokens in enumerate(rows[1:], start=1):
+        if len(tokens) != len(rows[0]):
             raise DesignParseError(
-                f"expected {len(data[0][1])} columns, got {len(tokens)}", lineno
+                f"expected {len(rows[0])} columns, got {len(tokens)}", lineno(n)
             )
-    return zip(zip(*(tokens for _, tokens, _ in data)), itertools.repeat(1))
+    return rows, [1] * len(rows[0])

@@ -86,15 +86,16 @@ def _scale_and_invert(totals: Sequence[int], sizes: Sequence[int]) -> list[int]:
 
     Scaling G[K] by prod(sizes_K) gives s * B_K, and the subset-lattice
     Moebius transform out[J] = sum_{K<=J} (-1)^|J\\K| s * B_K gives the
-    projector norms.  Both act factor by factor, so on the 2^k totals, as a
-    (2,)*k array of Python ints whose axis k-1-i is bit i, factor i's step is
-    the exact (a0, a1) -> (a0, s_i * a1 - a0).
+    projector norms.  The scales are built by doubling, one factor at a time;
+    the transform then acts factor by factor on the 2^k values, as a (2,)*k
+    array of Python ints whose axis k-1-i is bit i, by (a0, a1) -> (a0, a1 - a0).
     """
-    k = len(sizes)
-    out = np.array(totals, dtype=object).reshape((2,) * k)
-    for axis, size in enumerate(reversed(sizes)):
+    scales = [1]
+    for size in sizes:
+        scales += [scale * size for scale in scales]
+    out = np.array([g * c for g, c in zip(totals, scales)], object).reshape((2,) * len(sizes))
+    for axis in range(len(sizes)):
         index = (slice(None),) * axis
-        out[index + (1,)] *= size
         out[index + (1,)] -= out[index + (0,)]
     return out.ravel().tolist()
 
@@ -150,7 +151,7 @@ def _scaled_projector_norms(design: Design) -> list[int]:
             f"margin route over k = {k} factors needs 2^{k} subsets, "
             f"above the cap {MARGIN_SUBSET_CAP}"
         )
-    pairs = len(design.counts) <= _PAIR_RUNS_PER_SUBSET << k
+    pairs = design._run_matrix[0].shape[1] <= _PAIR_RUNS_PER_SUBSET << k
     kernel = _pair_subset_norms if pairs else _margin_subset_norms
     return _scale_and_invert(kernel(design), design.sizes)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -168,6 +169,11 @@ class TestParse:
                 3,
                 "symbols header disagrees with levels header",
             ),
+            # A header given twice is named at its second line, even when both agree.
+            ("levels: 3\nlevels: 2\n0\n", 2, "repeated levels header"),
+            ("levels: 2\n# again\nlevels: 2\n0\n", 3, "repeated levels header"),
+            ("symbols: a b c\nlevels: 3\nsymbols: x y\na\n", 3, "repeated symbols header"),
+            ("layout: columns\nlayout: columns\n0 1\n", 2, "repeated layout header"),
         ],
     )
     def test_header_errors_name_their_line(self, text, line, message):
@@ -191,7 +197,7 @@ class TestDesignType:
             Design((("0", "1"),), {(0,): 0})
         with pytest.raises(ValueError):
             Design((("0", "0"),), {(0,): 1})
-        with pytest.raises(ValueError, match="factor 0 has an empty level alphabet"):
+        with pytest.raises(ValueError, match="factor 1 has an empty level alphabet"):
             Design(((),), {(0,): 1})
         with pytest.raises(ValueError, match="a design needs at least one factor"):
             Design((), {(): 1})
@@ -235,6 +241,29 @@ class TestDesignType:
         assert type(design.n_runs) is int
         assert design.serialize() == "symbols: a b\nb x3\n"
         assert parse_design(design.serialize()) == design
+
+    def test_factors_are_numbered_from_one(self):
+        with pytest.raises(ValueError, match="^factor 2 has an empty level alphabet$"):
+            Design((("a",), ()), {(0, 0): 1})
+        with pytest.raises(ValueError, match="^factor 2 has duplicate level symbols$"):
+            Design((("a",), ("b", "b")), {(0, 0): 1})
+
+    def test_parsed_runs_are_merged_in_yates_order(self):
+        design = parse_design("levels: 2 3\n1 2\n0 1 x2\n1 2 x3\n1  2 # again\n0 0\n")
+        runs, mults = design._run_matrix
+        assert runs.tolist() == [[0, 0, 1], [0, 1, 2]]
+        assert runs.flags.c_contiguous and runs.dtype == np.intp
+        assert mults.dtype == np.int64 and mults.tolist() == [1, 2, 5]
+        assert design == Design((("0", "1"), ("0", "1", "2")), {(1, 2): 5, (0, 1): 2, (0, 0): 1})
+
+    # Two distinct runs take the pair kernel; the full 3^3 factorial, the margin kernel.
+    @pytest.mark.parametrize("runs", [["012", "102"], list(itertools.product("012", repeat=3))])
+    def test_pattern_route_never_builds_the_counts_view(self, runs):
+        design = parse_design("".join(" ".join(run) + "\n" for run in runs))
+        assert gwlp_margin(design).values[0] == 1
+        assert "counts" not in vars(design)
+        assert len(design.counts) == len(runs)  # built on first access, then kept
+        assert "counts" in vars(design)
 
     def test_counts_are_read_only(self, paper_design):
         with pytest.raises(TypeError):

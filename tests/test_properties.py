@@ -234,6 +234,62 @@ def test_shuffled_split_run_lines_parse_back(header, data):
     assert parse_design(text) == expected
 
 
+SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+COMMENTS = st.sampled_from(["", "#", "# x2 a | b", "#levels: 2"])
+
+
+@PROPERTY
+@pytest.mark.parametrize("layout", ["rows", "columns"])
+@pytest.mark.parametrize("header", ["symbols", "levels", "none"])
+@given(data=st.data())
+def test_rendered_multiset_parses_to_its_design(layout, header, data):
+    """A random run multiset rendered as a design file, with its repeats split
+    between repeated lines and x<m>, shuffled, commented and unevenly spaced,
+    parses to the design built from the multiset."""
+    shape = data.draw(sizes())
+    if header == "levels":
+        alphabets = [[str(j) for j in range(s)] for s in shape]
+    else:
+        alphabets = [data.draw(st.lists(SYMBOLS, min_size=s, max_size=s, unique=True)) for s in shape]
+    cells = st.tuples(*(st.integers(0, s - 1) for s in shape))
+    multiset = data.draw(st.dictionaries(cells, st.integers(1, 5), min_size=1, max_size=10))
+    lines = []  # (symbols, multiplier or None for a bare line)
+    for cell, mult in multiset.items():
+        symbols = [alphabets[i][r] for i, r in enumerate(cell)]
+        while mult:
+            part = 1 if layout == "columns" else data.draw(st.integers(1, mult))
+            bare = part == 1 and (layout == "columns" or data.draw(st.booleans()))
+            lines.append((symbols, None if bare else part))
+            mult -= part
+    lines = data.draw(st.permutations(lines))
+    if layout == "rows" and header == "none" and lines[0][1] is None:
+        lines[0] = (lines[0][0], 1)  # the first line's count of symbols sets k
+    if layout == "rows":
+        body = [symbols + ([] if m is None else [f"x{m}"]) for symbols, m in lines]
+    else:
+        body = [list(column) for column in zip(*(symbols for symbols, _ in lines))]
+    headers = {  # as tokens, like the body lines
+        "symbols": [["symbols:", *" | ".join(" ".join(a) for a in alphabets).split()]],
+        "levels": [["levels:", *map(str, shape)]],
+        "none": [],
+    }[header] + ([["layout:", "columns"]] if layout == "columns" else [])
+    text = ""
+    for tokens in data.draw(st.permutations(headers)) + body:
+        text += data.draw(COMMENTS) + "\n" if data.draw(st.booleans()) else ""
+        text += data.draw(SPACES).join(["", *tokens, data.draw(COMMENTS)]) + "\n"
+
+    if header == "none":  # the alphabets are the sorted symbols in use
+        used = [sorted({alphabets[i][cell[i]] for cell in multiset}) for i in range(len(shape))]
+        multiset = {
+            tuple(used[i].index(alphabets[i][r]) for i, r in enumerate(cell)): mult
+            for cell, mult in multiset.items()
+        }
+        alphabets = used
+    design = parse_design(text)
+    assert design == Design(alphabets, multiset)
+    assert design.n_runs == sum(multiset.values())
+
+
 @PROPERTY
 @given(designs(symbols=True), st.data())
 def test_a_bad_line_planted_several_times_is_reported_at_the_first(design, data):

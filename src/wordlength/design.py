@@ -400,7 +400,7 @@ def _runs_from_rows(rows, mults, k, lineno) -> tuple[list[tuple[str, ...]], list
         if int(m.group(1)) < 1:
             raise DesignParseError("multiplier must be at least 1", lineno(n))
         mults[n] *= int(m.group(1))
-    # zip stops at the shortest line: the multipliers are dropped unless every line has one.
+    # zip stops at the shortest line; [:k] cuts the multipliers when every line has one.
     return list(zip(*rows))[:k], mults
 
 

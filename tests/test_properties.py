@@ -198,10 +198,22 @@ def used_symbols_only(design: Design) -> Design:
     return Design(tuple(map(tuple, used)), counts)
 
 
+SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+COMMENTS = st.sampled_from(["", "#", "# x2 a | b", "#levels: 2"])
+
+
 @PROPERTY
-@pytest.mark.parametrize("header", ["symbols", "levels", "none", "columns"])
+@pytest.mark.parametrize(
+    "header, columns",
+    [("symbols", False), ("levels", False), ("none", False),
+     ("symbols", True), ("levels", True), ("none", True)],
+    ids=["symbols", "levels", "none", "columns", "columns-levels", "columns-none"],
+)
 @given(data=st.data())
-def test_shuffled_split_run_lines_parse_back(header, data):
+def test_shuffled_split_run_lines_parse_back(header, columns, data):
+    """A design rendered with its repeats split between repeated lines and
+    x<m> (rows) or repeated columns, shuffled, commented and unevenly spaced,
+    parses back to the design its multiset builds."""
     design = data.draw(designs(symbols=header != "levels"))
     lines = []  # (symbols, multiplier or None for a bare line)
     for run, mult in design.counts.items():
@@ -209,85 +221,29 @@ def test_shuffled_split_run_lines_parse_back(header, data):
         cuts = data.draw(st.sets(st.integers(1, mult - 1))) if mult > 1 else set()
         bounds = [0, *sorted(cuts), mult]
         for part in (b - a for a, b in zip(bounds, bounds[1:])):
-            if header == "columns" or data.draw(st.booleans()):
+            if columns or data.draw(st.booleans()):
                 lines += [(symbols, None)] * part  # repeated lines
             else:
                 lines.append((symbols, part))
     lines = data.draw(st.permutations(lines))
     if header == "none" and lines[0][1] is None:
         lines[0] = (lines[0][0], 1)  # the first line's count of symbols sets k
-    if header == "columns":
-        text = "symbols: " + " | ".join(" ".join(a) for a in design.levels) + "\n"
-        text += "layout: columns\n"
-        text += "".join(" ".join(column) + "\n" for column in zip(*(s for s, _ in lines)))
-    else:
-        text = {
-            "symbols": "symbols: " + " | ".join(" ".join(a) for a in design.levels) + "\n",
-            "levels": "levels: " + " ".join(map(str, design.sizes)) + "\n",
-            "none": "",
-        }[header]
-        text += "".join(
-            " ".join(symbols) + ("" if mult is None else f" x{mult}") + "\n"
-            for symbols, mult in lines
-        )
-    expected = used_symbols_only(design) if header == "none" else design
-    assert parse_design(text) == expected
-
-
-SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
-COMMENTS = st.sampled_from(["", "#", "# x2 a | b", "#levels: 2"])
-
-
-@PROPERTY
-@pytest.mark.parametrize("layout", ["rows", "columns"])
-@pytest.mark.parametrize("header", ["symbols", "levels", "none"])
-@given(data=st.data())
-def test_rendered_multiset_parses_to_its_design(layout, header, data):
-    """A random run multiset rendered as a design file, with its repeats split
-    between repeated lines and x<m>, shuffled, commented and unevenly spaced,
-    parses to the design built from the multiset."""
-    shape = data.draw(sizes())
-    if header == "levels":
-        alphabets = [[str(j) for j in range(s)] for s in shape]
-    else:
-        alphabets = [data.draw(st.lists(SYMBOLS, min_size=s, max_size=s, unique=True)) for s in shape]
-    cells = st.tuples(*(st.integers(0, s - 1) for s in shape))
-    multiset = data.draw(st.dictionaries(cells, st.integers(1, 5), min_size=1, max_size=10))
-    lines = []  # (symbols, multiplier or None for a bare line)
-    for cell, mult in multiset.items():
-        symbols = [alphabets[i][r] for i, r in enumerate(cell)]
-        while mult:
-            part = 1 if layout == "columns" else data.draw(st.integers(1, mult))
-            bare = part == 1 and (layout == "columns" or data.draw(st.booleans()))
-            lines.append((symbols, None if bare else part))
-            mult -= part
-    lines = data.draw(st.permutations(lines))
-    if layout == "rows" and header == "none" and lines[0][1] is None:
-        lines[0] = (lines[0][0], 1)  # the first line's count of symbols sets k
-    if layout == "rows":
-        body = [symbols + ([] if m is None else [f"x{m}"]) for symbols, m in lines]
-    else:
-        body = [list(column) for column in zip(*(symbols for symbols, _ in lines))]
-    headers = {  # as tokens, like the body lines
-        "symbols": [["symbols:", *" | ".join(" ".join(a) for a in alphabets).split()]],
-        "levels": [["levels:", *map(str, shape)]],
+    headers = {  # as tokens, like the run lines
+        "symbols": [["symbols:", *" | ".join(" ".join(a) for a in design.levels).split()]],
+        "levels": [["levels:", *map(str, design.sizes)]],
         "none": [],
-    }[header] + ([["layout:", "columns"]] if layout == "columns" else [])
+    }[header]
+    if columns:
+        headers.append(["layout:", "columns"])
+        body = [list(column) for column in zip(*(s for s, _ in lines))]
+    else:
+        body = [symbols + ([] if mult is None else [f"x{mult}"]) for symbols, mult in lines]
     text = ""
     for tokens in data.draw(st.permutations(headers)) + body:
         text += data.draw(COMMENTS) + "\n" if data.draw(st.booleans()) else ""
         text += data.draw(SPACES).join(["", *tokens, data.draw(COMMENTS)]) + "\n"
-
-    if header == "none":  # the alphabets are the sorted symbols in use
-        used = [sorted({alphabets[i][cell[i]] for cell in multiset}) for i in range(len(shape))]
-        multiset = {
-            tuple(used[i].index(alphabets[i][r]) for i, r in enumerate(cell)): mult
-            for cell, mult in multiset.items()
-        }
-        alphabets = used
-    design = parse_design(text)
-    assert design == Design(alphabets, multiset)
-    assert design.n_runs == sum(multiset.values())
+    expected = used_symbols_only(design) if header == "none" else design
+    assert parse_design(text) == expected
 
 
 @PROPERTY

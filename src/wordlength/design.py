@@ -33,6 +33,12 @@ _MAX_RAVEL_CELLS = np.iinfo(np.intp).max
 # Largest N whose square fits int64: the width rule of Design's multiplicities.
 _MAX_INT64_ROOT = math.isqrt(np.iinfo(np.int64).max)
 
+# _tally counts int64 multiplicities into a dense vector while it has at most
+# this many cells per code, and sorts the codes past that.  At n = 5,000 codes
+# on a 2-vCPU x86-64 Xeon: dense 120 against sort 136 us at 4 cells per code,
+# 236 against 138 at 16.  Python-int totals always sort (dense: 571 against 173).
+_DENSE_TALLY_CELLS_PER_CODE = 4
+
 Run = tuple[int, ...]
 
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(.*)$")
@@ -232,11 +238,17 @@ def margins(design: Design, subset: Iterable[int]) -> MarginTable:
 def _tally(rows: np.ndarray, mults: np.ndarray, sizes: tuple[int, ...]):
     """The distinct columns of the (k, n) level codes ``rows``, in Yates order,
     and the total multiplicity of each: a (k, m) array and m totals."""
-    if len(sizes) > _MAX_RAVEL_DIMS or math.prod(sizes) > _MAX_RAVEL_CELLS:
+    cells = math.prod(sizes)
+    if len(sizes) > _MAX_RAVEL_DIMS or cells > _MAX_RAVEL_CELLS:
         # Too many cells for one flat index: rank the distinct columns instead.
         codes = np.unique(rows.T, axis=0, return_inverse=True)[1].ravel()
     else:
         codes = np.ravel_multi_index(rows, sizes)
+        if cells <= _DENSE_TALLY_CELLS_PER_CODE * len(codes) and mults.dtype != object:
+            totals = np.zeros(cells, mults.dtype)
+            np.add.at(totals, codes, mults)
+            hit = totals.nonzero()[0]  # every multiplicity is >= 1
+            return np.array(np.unravel_index(hit, sizes)), totals[hit]
     # Sort the codes into Yates order; each stretch of one code is a cell.
     order = codes.argsort()
     codes = codes[order]
@@ -367,22 +379,20 @@ def parse_design(text: str) -> Design:
         flat = itertools.chain.from_iterable(map(map, [ix.__getitem__ for ix in index], symbols))
         codes = np.fromiter(flat, np.intp, len(symbols) * len(mults)).reshape(len(symbols), -1)
     except KeyError:
-        if declared_symbols is None:  # numeric alphabets: name the first factor outside
-            i = next(i for i, column in enumerate(symbols) if not set(column) <= index[i].keys())
-            raise DesignParseError(
-                f"factor {i + 1} uses symbols outside 0..{declared_sizes[i] - 1}; "
-                "add a symbols header"
-            ) from None
-        n, i, symbol = next(  # the first unknown symbol in file order
-            (n, i, symbol)
-            for n, run in enumerate(zip(*symbols))
-            for i, symbol in enumerate(run)
-            if symbol not in index[i]
+        # The first unknown symbol in file order, on data line n: in column
+        # layout the lines are the factors, in row layout the runs.
+        n, i, symbol = next(
+            (n, n if columns else j, symbol)
+            for n, tokens in enumerate(symbols if columns else zip(*symbols))
+            for j, symbol in enumerate(tokens)
+            if symbol not in index[n if columns else j]
         )
-        # In column layout, factor i is data line i whichever run is read.
-        raise DesignParseError(
-            f"symbol {symbol!r} not in factor {i + 1}'s alphabet", lineno(i if columns else n)
-        ) from None
+        if declared_symbols is None:  # numeric alphabets
+            message = f"factor {i + 1} uses symbols outside 0..{declared_sizes[i] - 1}"
+            message += "; add a symbols header"
+        else:
+            message = f"symbol {symbol!r} not in factor {i + 1}'s alphabet"
+        raise DesignParseError(message, lineno(n)) from None
     runs, mults = _tally(codes, _multiplicities(mults), tuple(map(len, alphabets)))
     return Design._from_runs(tuple(map(tuple, alphabets)), runs, mults)
 

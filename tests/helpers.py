@@ -71,6 +71,16 @@ def oracle_gwlp(design: Design, structures) -> list[float]:
     return [x / n**2 for x in sums]
 
 
+def tensordot_apply(factors, v) -> np.ndarray:
+    """kron(factors...) @ v by one np.tensordot and np.moveaxis per axis: the
+    reference that factored_apply matches bit for bit."""
+    mats = [np.asarray(f, dtype=np.complex128) for f in factors]
+    w = np.asarray(v, dtype=np.complex128).reshape([f.shape[0] for f in mats])
+    for axis, f in enumerate(mats):
+        w = np.moveaxis(np.tensordot(f, w, axes=([1], [axis])), 0, axis)
+    return w.reshape(-1)
+
+
 def oracle_margin_counts(design: Design, subset) -> dict[tuple[int, ...], int]:
     """Margins recomputed from the fully expanded run list."""
     expanded = []

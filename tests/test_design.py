@@ -118,6 +118,21 @@ class TestParse:
             with pytest.raises(DesignParseError, match="outside 0..2"):
                 parse_design(f"levels: 3 3\n0 {symbol}\n")
 
+    def test_numeric_symbol_outside_its_alphabet_reports_its_first_line(self):
+        message = "uses symbols outside 0..1; add a symbols header"
+        cases = [
+            ("levels: 2 2\n0 1\n1 0\n0 2\n", 4, 2),
+            ("levels: 2 2\nlayout: columns\n0 1 0\n1 0 2\n", 4, 2),
+            # The earliest bad line is named, whichever factor it fails in.
+            ("levels: 2 2\n0 1\n0 2\n5 0\n0 2\n", 3, 2),
+            ("levels: 2 2\nlayout: columns\n0 1 0 5\n1 2 0 0\n", 3, 1),
+        ]
+        for text, line, factor in cases:
+            with pytest.raises(DesignParseError) as err:
+                parse_design(text)
+            assert err.value.line == line
+            assert str(err.value) == f"line {line}: factor {factor} {message}"
+
     def test_columns_layout_ragged(self):
         with pytest.raises(DesignParseError) as err:
             parse_design("layout: columns\n0 1 0\n0 1\n")
@@ -129,6 +144,11 @@ class TestParse:
             parse_design(text)
         assert err.value.line == 4
         assert "'z'" in str(err.value)
+        # A bad symbol late in the first factor's line is still the first in the file.
+        text = "symbols: a b | c d\nlayout: columns\na b a x\nz d c d\n"
+        with pytest.raises(DesignParseError) as err:
+            parse_design(text)
+        assert str(err.value) == "line 3: symbol 'x' not in factor 1's alphabet"
 
     def test_columns_layout_identical_factor_lines_are_distinct_factors(self):
         design = parse_design("layout: columns\na b a\na b a\n")

@@ -10,14 +10,21 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_gwlp, mobius_alternating_list, naive_margin_counts, pair_subset_norm
+from helpers import (
+    exact_gwlp,
+    mobius_alternating_list,
+    naive_margin_counts,
+    pair_subset_norm,
+    tensordot_apply,
+)
 from wordlength import (
     Design,
     DesignParseError,
@@ -37,10 +44,10 @@ from wordlength import (
 )
 from wordlength import invariance
 from wordlength.cli import _read_values
-from wordlength.design import _MAX_INT64_ROOT
+from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
-from wordlength.spectra import RECONSTRUCT_TOL, _part_tables
+from wordlength.spectra import RECONSTRUCT_TOL, _part_table, _part_tables
 
 MAX_SPACE = 4096
 SIZES = (1, 2, 3, 4, 6, 8, 9)
@@ -129,6 +136,27 @@ def reconstruct_under(structures, values, n_runs, tol=RECONSTRUCT_TOL):
             f"spectrum reconstructs to {sum(counts.values())} runs, not its n_runs {n_runs}"
         )
     return counts
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example([5, 7, 6], False, 0)
+@example([5, 7, 6], True, 0)
+def test_factored_apply_matches_the_tensordot_loop_bit_for_bit(orders, adjoint, seed):
+    while math.prod(orders) > MAX_SPACE:
+        orders = orders[:-1]
+    tables = [_part_table(d) for d in orders]  # forward part tables, as j_characteristics
+    if adjoint:  # and the adjoints reconstruct applies
+        tables = [t.conj().T for t in tables]
+    rng = np.random.default_rng(seed)
+    size = math.prod(orders)
+    for v in (rng.integers(0, 5, size), rng.standard_normal(size) + 1j * rng.standard_normal(size)):
+        out, ref = factored_apply(tables, v), tensordot_apply(tables, v)
+        assert np.array_equal(out.view(np.float64), ref.view(np.float64))
 
 
 @PROPERTY
@@ -287,6 +315,58 @@ def test_margin_counts_match_a_dict_count(data):
     assert list(table.items()) == sorted(naive_margin_counts(design, subset).items())
     assert table.subset == tuple(sorted(subset))
     assert table.sizes == tuple(design.sizes[i] for i in sorted(subset))
+
+
+@st.composite
+def tally_threshold_cases(draw) -> tuple[int, tuple[int, int]]:
+    """n codes and two factor sizes whose cells are 1 fewer than, as many as
+    or 1 more than the most the dense tally takes for n codes."""
+    n = draw(st.integers(1, 40))
+    cells = _DENSE_TALLY_CELLS_PER_CODE * n + draw(st.sampled_from([-1, 0, 1]))
+    first = draw(st.sampled_from([d for d in range(1, cells + 1) if cells % d == 0]))
+    return n, (first, cells // first)
+
+
+def spy_dense_tally():
+    """Record whether _tally takes its dense path, the only caller of unravel_index."""
+    return mock.patch.object(np, "unravel_index", wraps=np.unravel_index)
+
+
+@PROPERTY
+@given(tally_threshold_cases(), st.integers(1, 3), st.data())
+def test_margin_tally_is_exact_on_both_sides_of_the_dense_threshold(case, extra, data):
+    n, sizes = case
+    shape = (*sizes, extra)  # the extra factor lets distinct runs share a margin cell
+    flat = data.draw(st.sets(st.integers(0, math.prod(shape) - 1), min_size=n, max_size=n))
+    mults = data.draw(st.lists(MULTIPLICITIES, min_size=n, max_size=n))
+    runs = [tuple(map(int, np.unravel_index(f, shape))) for f in sorted(flat)]
+    design = Design([list(map(str, range(s))) for s in shape], dict(zip(runs, mults)))
+    with spy_dense_tally() as dense:
+        table = margins(design, (0, 1))
+    assert list(table.items()) == sorted(naive_margin_counts(design, (0, 1)).items())
+    int64 = design._run_matrix[1].dtype == np.int64  # Python-int totals always sort
+    assert dense.called == (int64 and math.prod(sizes) <= _DENSE_TALLY_CELLS_PER_CODE * n)
+
+
+@PROPERTY
+@given(tally_threshold_cases(), st.booleans(), st.data())
+def test_parse_merges_runs_on_both_sides_of_the_dense_threshold(case, columns, data):
+    n, sizes = case
+    run = st.tuples(*(st.integers(0, s - 1) for s in sizes))
+    runs = data.draw(st.lists(run, min_size=n, max_size=n))
+    expected: Counter[tuple[int, ...]] = Counter()
+    lines = []
+    for j, run in enumerate(runs):
+        # Row layout writes the m-th copy of a run with x<m>: n distinct lines, one code each.
+        mult = 1 if columns else runs[: j + 1].count(run)
+        lines.append(" ".join(map(str, run)) + (f" x{mult}" if mult > 1 else ""))
+        expected[run] += mult
+    if columns:
+        lines = ["layout: columns", *(" ".join(map(str, factor)) for factor in zip(*runs))]
+    with spy_dense_tally() as dense:
+        design = parse_design(f"levels: {sizes[0]} {sizes[1]}\n" + "\n".join(lines) + "\n")
+    assert dict(design.counts) == expected
+    assert dense.called == (math.prod(sizes) <= _DENSE_TALLY_CELLS_PER_CODE * n)
 
 
 @PROPERTY

@@ -390,7 +390,8 @@ def _run_invariance(args) -> tuple[int, str]:
         }
         return code, render.dumps(payload) + "\n"
     if report.invariant:
-        deviation = f"max GWLP deviation < {render.fmt_float(args.tol)}"
+        relation = "=" if report.max_deviation == args.tol else "<"
+        deviation = f"max GWLP deviation {relation} {render.fmt_float(args.tol)}"
     else:
         deviation = (
             f"max GWLP deviation {render.fmt_float(report.max_deviation)} "
@@ -448,10 +449,13 @@ def _run_margins(args) -> tuple[int, str]:
 
 def _run_compare(args) -> tuple[int, str]:
     algorithm = "factorized" if args.groups else "margin"
-    patterns = [
-        _pattern(_load_design(path), args.groups, algorithm)[0]
-        for path in (args.first, args.second)
-    ]
+    first, second = _load_design(args.first), _load_design(args.second)
+    if first.k != second.k:
+        raise ValueError(
+            f"{args.first} has {first.k} factors but {args.second} has {second.k}; "
+            "only designs with the same number of factors compare"
+        )
+    patterns = [_pattern(design, args.groups, algorithm)[0] for design in (first, second)]
     verdict = compare_aberration(patterns[0], patterns[1], tol=args.tol)
     if args.json:
         payload = {

@@ -28,7 +28,9 @@ give the same integers, so the kernel choice never shows in a result.
 
 The route is exact: one integer step per factor scales the G[K] and inverts
 them into s * ||M_J U O||^2, so each N^2 * A_j is an integer sum and the
-pattern needs one division per entry.
+pattern needs one division per entry.  Every value the step reaches, and every
+weight-class sum, lies in [0, s * sum m^2], so both run in int64 while
+s * N^2 fits it and in Python ints past that; the choice reads only s and N.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ _PAIR_RUNS_PER_SUBSET = 2
 # Run pairs per block of the pair kernel, which bounds its working memory.
 _PAIR_BLOCK_CELLS = 2**16
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 def subset_norm(design: Design, subset: Iterable[int]) -> float:
     """B_K from the K-margins alone: sum of squared counts over the off-K size."""
@@ -81,35 +85,35 @@ def table_norm(table: MarginTable, space_size: int) -> float:
     return scaled / space_size
 
 
-def _scale_and_invert(totals: Sequence[int], sizes: Sequence[int]) -> list[int]:
+def _scale_and_invert(totals: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """s * ||M_J U O||^2 for every subset J from the agreement totals G[K].
 
     Scaling G[K] by prod(sizes_K) gives s * B_K, and the subset-lattice
     Moebius transform out[J] = sum_{K<=J} (-1)^|J\\K| s * B_K gives the
-    projector norms.  The scales are built by doubling, one factor at a time;
-    the transform then acts factor by factor on the 2^k values, as a (2,)*k
-    array of Python ints whose axis k-1-i is bit i, by (a0, a1) -> (a0, a1 - a0).
+    projector norms.  Both act factor by factor on a (2,)*k copy of the
+    totals, in their dtype, whose axis k-1-i is bit i: (a0, a1) -> (a0,
+    s_i * a1 - a0).  Every value along the way is s times a squared
+    projection norm of O, so it lies in [0, s * sum m^2].
     """
-    scales = [1]
-    for size in sizes:
-        scales += [scale * size for scale in scales]
-    out = np.array([g * c for g, c in zip(totals, scales)], object).reshape((2,) * len(sizes))
-    for axis in range(len(sizes)):
+    out = totals.reshape((2,) * len(sizes)).copy()
+    for axis, size in enumerate(reversed(sizes)):
         index = (slice(None),) * axis
+        out[index + (1,)] *= size
         out[index + (1,)] -= out[index + (0,)]
-    return out.ravel().tolist()
+    return out.ravel()
 
 
-def _margin_subset_norms(design: Design) -> list[int]:
+def _margin_subset_norms(design: Design) -> np.ndarray:
     """G[K], the sum of squared K-margin counts, for every subset K."""
     tables = (
         margins(design, [i for i in range(design.k) if mask >> i & 1])
         for mask in range(1 << design.k)
     )
-    return [int(t.counts @ t.counts) for t in tables]
+    dtype = design._run_matrix[1].dtype
+    return np.fromiter((t.counts @ t.counts for t in tables), dtype, 1 << design.k)
 
 
-def _pair_subset_norms(design: Design) -> list[int]:
+def _pair_subset_norms(design: Design) -> np.ndarray:
     """G[K] for every subset K, from the agreement masks of the run pairs.
 
     h[J] is the total m_x * m_y over the ordered pairs of distinct runs (x, y)
@@ -140,11 +144,15 @@ def _pair_subset_norms(design: Design) -> list[int]:
     for axis in range(k):
         index = (slice(None),) * axis
         sums[index + (0,)] += sums[index + (1,)]
-    return sums.ravel().tolist()
+    return agree
 
 
-def _scaled_projector_norms(design: Design) -> list[int]:
-    """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers."""
+def _scaled_projector_norms(design: Design) -> np.ndarray:
+    """s * ||M_J U O||^2 for every factor subset J (bit i = factor i), as integers.
+
+    They are int64 while s * N^2 fits int64, which bounds every value of the
+    lattice step and their sum, and Python ints past that.
+    """
     k = design.k
     if 1 << k > MARGIN_SUBSET_CAP:
         raise ResourceLimitError(
@@ -153,7 +161,8 @@ def _scaled_projector_norms(design: Design) -> list[int]:
         )
     pairs = design._run_matrix[0].shape[1] <= _PAIR_RUNS_PER_SUBSET << k
     kernel = _pair_subset_norms if pairs else _margin_subset_norms
-    return _scale_and_invert(kernel(design), design.sizes)
+    exact = np.int64 if design.space_size * design.n_runs**2 <= _INT64_MAX else object
+    return _scale_and_invert(kernel(design).astype(exact, copy=False), design.sizes)
 
 
 def projector_norms(design: Design) -> list[float]:
@@ -167,7 +176,7 @@ def projector_norms(design: Design) -> list[float]:
     assignment.
     """
     s = design.space_size
-    return [value / s for value in _scaled_projector_norms(design)]
+    return [value / s for value in _scaled_projector_norms(design).tolist()]
 
 
 def gwlp_margin(design: Design) -> GWLP:
@@ -178,11 +187,14 @@ def gwlp_margin(design: Design) -> GWLP:
     Exact: the integers N^2 * A_j are summed first and divided by N^2 once,
     so each entry is the correctly rounded float of the true A_j.
     """
-    scaled = [0] * (design.k + 1)
-    for mask, value in enumerate(_scaled_projector_norms(design)):
-        scaled[mask.bit_count()] += value
+    values = _scaled_projector_norms(design)
+    weights = np.zeros(1, np.intp)  # the bit count of each mask, built by doubling
+    for _ in range(design.k):
+        weights = np.concatenate([weights, weights + 1])
+    scaled = np.zeros(design.k + 1, values.dtype)
+    np.add.at(scaled, weights, values)
     n_squared = design.n_runs**2
-    return GWLP([a / n_squared for a in scaled])
+    return GWLP([a / n_squared for a in scaled.tolist()])
 
 
 def resolution_and_strength(gwlp: GWLP, tol: float = INTERNAL_TOL) -> tuple[int | None, int]:
@@ -284,7 +296,8 @@ def verify_invariance(
     the margin-route pattern once, and reports the largest pairwise deviation
     per weight class.  When spectra differ between the first assignment and a
     later one, the witness records the first Yates element where they do
-    (taking, among later assignments, the one differing most there).  ``tol``
+    (taking, among later assignments, the one differing most there, and the
+    earlier of two that differ equally).  ``tol``
     decides only cross-route agreement; the witness and the resolution are
     decided at ``INTERNAL_TOL``.
     """
@@ -302,10 +315,12 @@ def verify_invariance(
         if pos == 0:
             first_values = jchar.values
             continue
-        deltas = abs(jchar.values - first_values)
-        differing = (deltas > INTERNAL_TOL).nonzero()[0]
-        if differing.size:
-            element = int(differing[0])
+        # Only elements up to the best witness so far can take its place.
+        end = None if best_witness is None else best_witness[0] + 1
+        deltas = abs(jchar.values[:end] - first_values[:end])
+        differing = deltas > INTERNAL_TOL
+        element = int(differing.argmax())
+        if differing[element]:
             candidate = (element, -float(deltas[element]), pos)
             if best_witness is None or candidate < best_witness:
                 best_witness = candidate
@@ -322,12 +337,8 @@ def verify_invariance(
             other_value=complex(jchar.values[element]),
         )
 
-    patterns = [margin, *gwlps]
-    k = design.k
-    by_j = []
-    for j in range(k + 1):
-        column = [p[j] for p in patterns]
-        by_j.append(max(column) - min(column))
+    columns = zip(margin.values, *(g.values for g in gwlps))
+    by_j = [max(column) - min(column) for column in columns]
     max_dev = max(by_j)
     resolution, strength = resolution_and_strength(margin)
     return InvarianceReport(

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from wordlength import Design, enumerate_structures
+from wordlength import Design, enumerate_structures, j_characteristics
+from wordlength.invariance import JCharWitness, expand_assignments
+from wordlength.spectra import INTERNAL_TOL
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -171,3 +173,33 @@ def all_assignments(design: Design):
     """Every per-factor abelian structure choice for a design."""
     per_factor = [enumerate_structures(s) for s in design.sizes]
     return [tuple(combo) for combo in itertools.product(*per_factor)]
+
+
+def full_scan_witness(design: Design, assignments="all") -> JCharWitness | None:
+    """The invariance witness from a full scan of every later spectrum.
+
+    Each later assignment offers the first Yates element where its spectrum
+    differs from the first assignment's by more than INTERNAL_TOL; the least
+    element wins, then the larger |delta| there, then the earlier assignment.
+    """
+    resolved = expand_assignments(design, assignments)
+    spectra = [j_characteristics(design, a).values for a in resolved]
+    best = None
+    for pos, values in enumerate(spectra[1:], start=1):
+        deltas = abs(values - spectra[0])
+        differing = (deltas > INTERNAL_TOL).nonzero()[0]
+        if differing.size:
+            element = int(differing[0])
+            candidate = (element, -float(deltas[element]), pos)
+            if best is None or candidate < best:
+                best = candidate
+    if best is None:
+        return None
+    element, _, pos = best
+    return JCharWitness(
+        components=tuple(int(r) for r in np.unravel_index(element, design.sizes)),
+        first_assignment=resolved[0],
+        other_assignment=resolved[pos],
+        first_value=complex(spectra[0][element]),
+        other_value=complex(spectra[pos][element]),
+    )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import FIXTURES
+from wordlength import cli
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
@@ -318,6 +319,15 @@ class TestInvarianceCommand:
         code, _, _ = run(capsys, "invariance", str(noisy))
         assert code == 0
 
+    def test_zero_tolerance_met_exactly_reads_equal(self, capsys):
+        # The verdict is max_dev <= tol, and the paper design's deviation is 0.
+        code, out, _ = run(
+            capsys, "invariance", PAPER, "--groups", "4,4,4", "--groups", "2x2,2x2,2x2",
+            "--tol", "0",
+        )
+        assert code == 0
+        assert out.startswith("2 assignments + margin route, max GWLP deviation = 0; ")
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "invariance", PAPER, "--json")
         assert code == 0
@@ -391,6 +401,16 @@ class TestCompareCommand:
         doc = json.loads(out)
         assert doc["verdict"] == "tie"
         assert doc["index"] is None
+
+    def test_factor_counts_are_checked_before_the_patterns(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_pattern", None)
+        pb12 = str(FIXTURES / "pb12.txt")
+        code, out, err = run(capsys, "compare", PAPER, pb12)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"wordlength: {PAPER} has 3 factors but {pb12} has 11; "
+            "only designs with the same number of factors compare\n"
+        )
 
 
 class TestEnumerateGroupsCommand:

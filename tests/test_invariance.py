@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from helpers import (
     all_assignments,
     exact_gwlp,
+    full_scan_witness,
     mobius_alternating_list,
     pair_subset_norm,
     random_design,
@@ -70,7 +72,7 @@ class TestSubsetNorm:
         # N = 2^33 + 1 fits int64 but N^2 does not, so the counts are Python ints.
         design = Design((("a", "b"),), {(0,): 2**33, (1,): 1})
         assert margins(design, ()).counts.dtype == object
-        totals = invariance._margin_subset_norms(design)  # the empty subset, then {0}
+        totals = invariance._margin_subset_norms(design).tolist()  # the empty subset, then {0}
         assert totals == [(2**33 + 1) ** 2, 2**66 + 1]
         assert all(type(total) is int for total in totals)
 
@@ -123,7 +125,7 @@ class TestMobius:
         pairs = rng.integers(-(2**62), 2**62, (1 << k, 2)).tolist()
         values = [v * 2**70 + w for v, w in pairs]  # about 2^132, exact only as ints
         sizes = rng.integers(1, 13, k).tolist()
-        got = invariance._scale_and_invert(values, sizes)
+        got = invariance._scale_and_invert(np.array(values, object), sizes).tolist()
         scaled = [
             math.prod(s for i, s in enumerate(sizes) if mask >> i & 1) * value
             for mask, value in enumerate(values)
@@ -138,8 +140,26 @@ class TestMobius:
         design = Design((("a", "b"), ("a", "b", "c"), tuple("abcd")), counts)
         subsets = [[i for i in range(3) if mask >> i & 1] for mask in range(8)]
         scaled = [pair_subset_norm(design, subset) for subset in subsets]
-        assert invariance._scaled_projector_norms(design) == mobius_alternating_list(scaled, 3)
+        got = invariance._scaled_projector_norms(design).tolist()
+        assert got == mobius_alternating_list(scaled, 3)
         assert len(set(scaled[1:7])) == 6
+
+    @pytest.mark.parametrize(
+        "n_log2, width",
+        [(31, object), (30, np.int64)],  # s * N^2 is 2^64, past int64, or 2^62
+    )
+    def test_both_sides_of_the_int64_width(self, n_log2, width):
+        # N^2 fits int64 on both sides; one heavy run puts s * sum m^2 near s * N^2.
+        counts = {(0, 0): 2**n_log2 - 3, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+        design = Design((("a", "b"), ("a", "b")), counts)
+        assert design.n_runs**2 <= _MAX_INT64_ROOT**2
+        subsets = [[i for i in range(2) if mask >> i & 1] for mask in range(4)]
+        exact = mobius_alternating_list([pair_subset_norm(design, K) for K in subsets], 2)
+        got = invariance._scaled_projector_norms(design)
+        assert got.dtype == width
+        assert got.tolist() == exact
+        assert gwlp_margin(design).values == tuple(map(float, exact_gwlp(design)))
+        assert projector_norms(design) == [float(Fraction(v, 4)) for v in exact]
 
     def test_projector_norms_nonnegative(self):
         rng = np.random.default_rng(44)
@@ -311,13 +331,26 @@ class TestKernelSwitch:
         # 600 runs make 180,300 pairs, read in four blocks of whole rows; the
         # margin kernel is the reference.
         design = _sampled_runs(49, 600, (2, 3, 4, 8, 9, 12, 2, 3), max_mult=3)
-        assert invariance._pair_subset_norms(design) == invariance._margin_subset_norms(design)
+        pairs = invariance._pair_subset_norms(design)
+        assert pairs.tolist() == invariance._margin_subset_norms(design).tolist()
 
     def test_pair_side_memory_is_bounded_by_the_block(self):
         # k = 12, n = 2048 is on the pair side; 2048 rows of masks alone
         # would take 16 MiB.
         design = _sampled_runs(50, 2048, (4,) * 12, max_mult=1)
         assert len(design.counts) <= invariance._PAIR_RUNS_PER_SUBSET << design.k
+        tracemalloc.start()
+        try:
+            gwlp_margin(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_lattice_memory_at_eighteen_binary_factors(self):
+        # 2^18 subsets: an int64 array over them is 2 MiB, a list of Python
+        # ints about 10 MiB.
+        design = _sampled_runs(52, 100, (2,) * 18, max_mult=3)
         tracemalloc.start()
         try:
             gwlp_margin(design)
@@ -338,6 +371,19 @@ class TestVerifyInvariance:
         assert witness.first_value == -6 - 2j
         assert witness.other_value == 8
         assert report.resolution == 3 and report.strength == 2
+
+    def test_witness_takes_the_larger_delta_then_the_earlier_assignment(self, paper_design):
+        # Each later assignment first differs from 4,4,4 at aaa, where chi is
+        # -6-2i: by |4i + 6 + 2i| under 4,4,2x2, and by |4 + 4i + 6 + 2i|, the
+        # same float, under both 4,2x2,2x2 and 2x2,2x2,4.
+        first, smaller, tied = [Z4] * 3, [Z4, Z4, V], [[Z4, V, V], [V, V, Z4]]
+        for later in (tied, tied[::-1]):
+            assignments = [first, smaller, *later]
+            witness = verify_invariance(paper_design, assignments).witness
+            assert witness == full_scan_witness(paper_design, assignments)
+            assert witness.components == (1, 1, 1)
+            assert (witness.first_value, witness.other_value) == (-6 - 2j, 4 + 4j)
+            assert witness.other_assignment == tuple(later[0])
 
     def test_paper_all_assignments(self, paper_design):
         report = verify_invariance(paper_design, "all")

@@ -3,7 +3,8 @@
 Transforms, spectra re-paired with another assignment, weights,
 densification, parsing, margin counts, the exact margin-route pattern and the
 agreement of its two kernels, the A_0 and sign of every route's pattern, the
-rendering of spectra, and the reading of spectrum reports.
+invariance witness, the rendering of spectra, and the reading of spectrum
+reports.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     exact_gwlp,
+    full_scan_witness,
     mobius_alternating_list,
     naive_margin_counts,
     pair_subset_norm,
@@ -40,6 +42,7 @@ from wordlength import (
     projector_norms,
     reconstruct,
     relabel_levels,
+    verify_invariance,
     weight,
 )
 from wordlength import invariance
@@ -383,7 +386,7 @@ def test_scaled_subset_norms_are_exact_pair_sums(design):
     # size swapped.
     subsets = [[i for i in range(design.k) if mask >> i & 1] for mask in range(1 << design.k)]
     scaled = [pair_subset_norm(design, K) for K in subsets]
-    assert _scaled_projector_norms(design) == mobius_alternating_list(scaled, design.k)
+    assert _scaled_projector_norms(design).tolist() == mobius_alternating_list(scaled, design.k)
 
 
 KERNEL_SIZES = (2, 3, 4, 8, 9, 12)
@@ -415,13 +418,54 @@ def test_pair_and_margin_kernels_give_the_same_integers(design, block_cells):
     # pairs into many blocks, down to one row each.
     with mock.patch.object(invariance, "_PAIR_BLOCK_CELLS", block_cells):
         pairs = invariance._pair_subset_norms(design)
-    assert pairs == invariance._margin_subset_norms(design)
+    assert pairs.tolist() == invariance._margin_subset_norms(design).tolist()
 
 
 @PROPERTY
 @given(designs(multiplicities=MULTIPLICITIES))
 def test_projector_norms_are_never_negative(design):
     assert min(projector_norms(design)) >= 0
+
+
+@st.composite
+def latin_squares(draw) -> Design:
+    """An OA(s^2, 3, s, 2) from a cyclic Latin square with permuted levels.
+
+    Its weight-1 and weight-2 J-characteristics vanish under every
+    assignment, so spectra first differ at weight 3, often at one element
+    for several assignments and by different amounts there.
+    """
+    s = draw(st.sampled_from((4, 8, 9)))
+    rows, cols, symbols = (draw(st.permutations(range(s))) for _ in range(3))
+    runs = [(rows[a], cols[b], symbols[(a + b) % s]) for a in range(s) for b in range(s)]
+    return Design((tuple(map(str, range(s))),) * 3, dict.fromkeys(runs, 1))
+
+
+@st.composite
+def witness_sweeps(draw):
+    """A design on 4-, 8- and 9-level factors, with "all" or an explicit
+    assignment list in which one assignment appears again later."""
+    if draw(st.booleans()):
+        design = draw(latin_squares())
+    else:
+        shape = draw(st.lists(st.sampled_from((4, 8, 9)), min_size=1, max_size=3))
+        run = st.tuples(*(st.integers(0, s - 1) for s in shape))
+        counts = Counter(draw(st.lists(run, min_size=1, max_size=12)))
+        design = Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
+    if draw(st.booleans()):
+        return design, "all"
+    assignment = st.tuples(*(st.sampled_from(enumerate_structures(s)) for s in design.sizes))
+    assignments = draw(st.lists(assignment, min_size=1, max_size=5))
+    again = draw(st.sampled_from(assignments))
+    assignments.insert(draw(st.integers(assignments.index(again) + 1, len(assignments))), again)
+    return design, assignments
+
+
+@PROPERTY
+@given(witness_sweeps())
+def test_invariance_witness_is_the_full_scan_witness(case):
+    design, assignments = case
+    assert verify_invariance(design, assignments).witness == full_scan_witness(design, assignments)
 
 
 # Floats that reach every branch of ".12g" with -0 dropped: signed zeros,

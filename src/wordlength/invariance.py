@@ -144,7 +144,7 @@ def _pair_subset_norms(design: Design) -> np.ndarray:
     for axis in range(k):
         index = (slice(None),) * axis
         sums[index + (0,)] += sums[index + (1,)]
-    return agree
+    return sums.ravel()
 
 
 def _scaled_projector_norms(design: Design) -> np.ndarray:

@@ -72,7 +72,9 @@ class TestSubsetNorm:
         # N = 2^33 + 1 fits int64 but N^2 does not, so the counts are Python ints.
         design = Design((("a", "b"),), {(0,): 2**33, (1,): 1})
         assert margins(design, ()).counts.dtype == object
-        totals = invariance._margin_subset_norms(design).tolist()  # the empty subset, then {0}
+        totals = invariance._margin_subset_norms(design)  # the empty subset, then {0}
+        assert totals.dtype == object
+        totals = totals.tolist()
         assert totals == [(2**33 + 1) ** 2, 2**66 + 1]
         assert all(type(total) is int for total in totals)
 
@@ -125,14 +127,15 @@ class TestMobius:
         pairs = rng.integers(-(2**62), 2**62, (1 << k, 2)).tolist()
         values = [v * 2**70 + w for v, w in pairs]  # about 2^132, exact only as ints
         sizes = rng.integers(1, 13, k).tolist()
-        got = invariance._scale_and_invert(np.array(values, object), sizes).tolist()
+        totals = np.array(values, object)
+        got = invariance._scale_and_invert(totals, sizes).tolist()
         scaled = [
             math.prod(s for i, s in enumerate(sizes) if mask >> i & 1) * value
             for mask, value in enumerate(values)
         ]
         assert got == mobius_alternating_list(scaled, k)
         assert all(type(v) is int for v in got)
-        assert values == [v * 2**70 + w for v, w in pairs]  # the input is not modified
+        assert totals.tolist() == [v * 2**70 + w for v, w in pairs]  # the input is not modified
 
     def test_scaled_subset_norms_follow_the_bitmask(self):
         # Subsets of one weight class have different norms here; a swap would show.

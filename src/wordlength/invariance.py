@@ -49,6 +49,7 @@ from .spectra import (
     INTERNAL_TOL,
     Assignment,
     GWLP,
+    _PrefixWalk,
     check_assignment,
     gwlp_char,
     j_characteristics,
@@ -300,6 +301,11 @@ def verify_invariance(
     earlier of two that differ equally).  ``tol``
     decides only cross-route agreement; the witness and the resolution are
     decided at ``INTERNAL_TOL``.
+
+    Every spectrum, the witness's included, comes from one ``_PrefixWalk``
+    passed to ``j_characteristics`` as ``walk``, so an assignment starts
+    from the transform of the leading factors it shares with the previous
+    one; the walk keeps at most (k - 1) * s complex values.
     """
     if not tol >= 0:
         raise ValueError("tolerance must be a number >= 0")
@@ -309,8 +315,9 @@ def verify_invariance(
     gwlps: list[GWLP] = []
     first_values = None
     best_witness: tuple[int, float, int] | None = None  # (element, -delta, assignment)
+    walk = _PrefixWalk(design)
     for pos, assignment in enumerate(resolved):
-        jchar = j_characteristics(design, assignment)
+        jchar = j_characteristics(design, assignment, walk=walk)
         gwlps.append(gwlp_char(jchar))
         if pos == 0:
             first_values = jchar.values
@@ -328,7 +335,7 @@ def verify_invariance(
     witness = None
     if best_witness is not None:
         element, neg_delta, pos = best_witness
-        jchar = j_characteristics(design, resolved[pos])
+        jchar = j_characteristics(design, resolved[pos], walk=walk)
         witness = JCharWitness(
             components=tuple(int(r) for r in np.unravel_index(element, design.sizes)),
             first_assignment=resolved[0],

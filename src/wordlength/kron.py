@@ -64,10 +64,15 @@ def factored_apply(factors: Sequence[np.ndarray], v: Sequence[complex]) -> np.nd
         raise ValueError(f"vector has shape {v.shape}, expected ({total},)")
     w = v.reshape(sizes)
     for axis, f in enumerate(mats):
-        moved = w.transpose(axis, *range(axis), *range(axis + 1, w.ndim))
-        product = np.dot(f, moved.reshape(sizes[axis], -1)).reshape(moved.shape)
-        w = product.transpose(*range(1, axis + 1), 0, *range(axis + 1, w.ndim))
+        w = _contract_axis(w, axis, f)
     return w.reshape(-1)
+
+
+def _contract_axis(w: np.ndarray, axis: int, f: np.ndarray) -> np.ndarray:
+    """``factored_apply``'s step: the square ``f`` applied along one axis of ``w``."""
+    moved = w.transpose(axis, *range(axis), *range(axis + 1, w.ndim))
+    product = np.dot(f, moved.reshape(f.shape[0], -1)).reshape(moved.shape)
+    return product.transpose(*range(1, axis + 1), 0, *range(axis + 1, w.ndim))
 
 
 def projector_factors(kinds: Sequence[str], sizes: Sequence[int]) -> list[np.ndarray]:

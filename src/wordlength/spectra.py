@@ -26,7 +26,7 @@ from .groups import (
     element_components,
     parse_structure,
 )
-from .kron import factored_apply
+from .kron import _contract_axis, factored_apply
 
 Assignment = tuple[AbelianStructure, ...]
 
@@ -172,19 +172,74 @@ def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.nda
     return _dense_table([d for st in structures for d in st.cyclic_orders])
 
 
+class _PrefixWalk:
+    """The factorized transform of one design under a run of assignments.
+
+    The transform contracts factor 0's cyclic parts first, then factor 1's,
+    and so on, so assignments that give factors 0..i the same cyclic orders
+    share the array left after factor i.  The walk keeps that array for each
+    i below the last factor of the latest assignment, and the next one starts
+    from the longest shared run.  That is at most (k - 1) * s complex values
+    beside the count vector; the leaf is not kept, so a returned spectrum
+    owns its memory.  Each axis is ``factored_apply``'s step on the same
+    operands, so every spectrum is the one-shot one bit for bit.
+    """
+
+    def __init__(self, design: Design):
+        self.design = design
+        self._counts = design.dense_counts().astype(np.complex128)
+        self._orders: list[tuple[int, ...]] = []  # factor i's cyclic orders
+        self._prefixes: list[np.ndarray] = []  # the array after factors 0..i
+
+    def spectrum(self, structures: Assignment) -> np.ndarray:
+        orders = [st.cyclic_orders for st in structures]
+        depth = 0
+        while depth < len(self._prefixes) and self._orders[depth] == orders[depth]:
+            depth += 1
+        del self._orders[depth:]
+        del self._prefixes[depth:]
+        # A kept array has the latest assignment's part axes; the values in
+        # Yates order are all that later axes read.
+        w = (self._prefixes[-1] if depth else self._counts).reshape(
+            [d for parts in orders for d in parts]
+        )
+        axis = sum(map(len, orders[:depth]))
+        for i in range(depth, len(orders)):
+            for d in orders[i]:
+                w = _contract_axis(w, axis, _part_table(d))
+                axis += 1
+            if i < len(orders) - 1:
+                self._orders.append(orders[i])
+                self._prefixes.append(w)
+        # A one-level last factor has no parts, so w is still a kept array.
+        return w.reshape(-1) if orders[-1] else w.flatten()
+
+
 def j_characteristics(
     design: Design,
     structures: Sequence[AbelianStructure | str],
     algorithm: str = "factorized",
+    *,
+    walk: _PrefixWalk | None = None,
 ) -> JCharVector:
     """Spectrum chi with chi[g] = sum_h O(h) chi_g(h).
 
     ``algorithm="dense"`` materializes the full character table (capped at
     ``groups.DENSE_TABLE_CAP``); ``"factorized"`` applies the per-part tables
     as a mixed-radix transform and only needs the dense count vector (capped
-    at ``design.DENSIFY_CAP``).
+    at ``design.DENSIFY_CAP``).  A sweep passes one ``_PrefixWalk`` of the
+    design as ``walk`` to every call, which starts each factorized transform
+    from the arrays kept for the previous assignment, bit for bit the same;
+    the default ``None`` keeps nothing.  A walk with ``"dense"`` is a
+    ValueError.
     """
     structures = check_assignment(design, structures)
+    if walk is not None:
+        if algorithm != "factorized":
+            raise ValueError(f"a prefix walk runs the factorized transform, not {algorithm!r}")
+        if walk.design is not design:
+            raise ValueError("the prefix walk was made for another design")
+        return JCharVector(walk.spectrum(structures), design.n_runs, structures)
     counts = design.dense_counts().astype(np.complex128)
     if algorithm == "dense":
         table = assignment_character_table(structures)

@@ -364,6 +364,20 @@ class TestKernelSwitch:
 
 
 class TestVerifyInvariance:
+    def test_sweep_memory_is_one_array_per_depth(self):
+        # 4^8 cells: each complex array is 1 MiB.  The sweep keeps the count
+        # vector and at most 7 prefixes; a tree of every prefix would keep
+        # hundreds of them.
+        design = _sampled_runs(53, 300, (4,) * 8, max_mult=1)
+        tracemalloc.start()
+        try:
+            report = verify_invariance(design, "all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.assignments) == 256
+        assert peak <= 16 * 2**20
+
     def test_paper_two_assignments(self, paper_design):
         report = verify_invariance(paper_design, [[Z4] * 3, [V] * 3])
         assert report.max_deviation < 1e-9

@@ -9,6 +9,7 @@ reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -466,6 +467,57 @@ def witness_sweeps(draw):
 def test_invariance_witness_is_the_full_scan_witness(case):
     design, assignments = case
     assert verify_invariance(design, assignments).witness == full_scan_witness(design, assignments)
+
+
+# Orders whose structures split as 2x2, 4x2, 2x2x2, 3x3, 4x4 and 2x2x2x2, so
+# that a later factor is often split otherwise than in the previous assignment.
+WALK_SIZES = (2, 3, 4, 6, 8, 9, 12, 16)
+
+
+@st.composite
+def prefix_sweeps(draw):
+    """A design with "all", or an explicit assignment list in shuffled order
+    with repeats, so that the shared prefix also moves backwards."""
+    shape = draw(st.lists(st.sampled_from(WALK_SIZES), min_size=1, max_size=5))
+    while math.prod(shape) > MAX_SPACE:
+        shape.pop()
+    run = st.tuples(*(st.integers(0, s - 1) for s in shape))
+    counts = Counter(draw(st.lists(run, min_size=1, max_size=12)))
+    design = Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
+    if draw(st.booleans()):
+        return design, "all"
+    every = list(itertools.product(*(enumerate_structures(s) for s in shape)))
+    picked = draw(st.lists(st.sampled_from(every), min_size=1, max_size=10))
+    picked += draw(st.lists(st.sampled_from(picked), min_size=1, max_size=4))
+    return design, draw(st.permutations(picked))
+
+
+@PROPERTY
+@given(prefix_sweeps())
+@example(
+    (
+        Design((("0", "1", "2", "3"), tuple(map(str, range(16)))), {(1, 5): 2, (3, 14): 1}),
+        [("4", "4x4"), ("4", "2x2x2x2"), ("2x2", "16"), ("4", "4x4"), ("4", "2x2x2x2")],
+    )
+)
+def test_prefix_walk_spectra_are_the_one_shot_spectra_bit_for_bit(case):
+    design, assignments = case
+    walked = []
+
+    def spy(*args, **kwargs):
+        jchar = j_characteristics(*args, **kwargs)
+        walked.append((kwargs.get("walk"), jchar))
+        return jchar
+
+    with mock.patch.object(invariance, "j_characteristics", spy):
+        report = verify_invariance(design, assignments)
+    for walk, jchar in walked:
+        assert walk is not None
+        one_shot = j_characteristics(design, jchar.structures)
+        assert np.array_equal(jchar.values.view(np.float64), one_shot.values.view(np.float64))
+    for gwlp, assignment in zip(report.gwlps, report.assignments, strict=True):
+        assert gwlp == gwlp_char(j_characteristics(design, assignment))
+    assert report.witness == full_scan_witness(design, assignments)
 
 
 # Floats that reach every branch of ".12g" with -0 dropped: signed zeros,

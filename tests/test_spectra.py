@@ -35,7 +35,7 @@ from wordlength import (
     weight,
 )
 from wordlength.groups import cyclic_character_table
-from wordlength.spectra import JCharVector, _part_tables
+from wordlength.spectra import JCharVector, _PrefixWalk, _part_tables
 
 Z4 = parse_structure("4")
 V = parse_structure("2x2")
@@ -213,6 +213,39 @@ class TestJCharacteristics:
             j_characteristics(paper_design, [Z4, Z4, parse_structure("3")])
         with pytest.raises(ValueError):
             j_characteristics(paper_design, [Z4] * 3, "quantum")
+
+
+class TestPrefixWalk:
+    @pytest.mark.parametrize(
+        ("one_level_factor", "sweep"),
+        [
+            # Shares the first two factors, repeats, then moves back.
+            (False, [[Z4] * 3, [Z4, Z4, V], [Z4, Z4, V], [Z4, V, V], [Z4] * 3]),
+            # A one-level last factor contracts nothing past the kept prefix,
+            # which one cyclic part leaves contiguous.
+            (True, [[Z4, "1"], [Z4, "1"], [V, "1"], [Z4, "1"]]),
+        ],
+    )
+    def test_a_zeroed_spectrum_leaves_later_ones_intact(
+        self, paper_design, one_level_factor, sweep
+    ):
+        design = paper_design
+        if one_level_factor:
+            design = Design((tuple(ALPHABET), ("x",)), {(1, 0): 2, (3, 0): 1})
+        walk = _PrefixWalk(design)
+        for assignment in sweep:
+            jchar = j_characteristics(design, assignment, walk=walk)
+            one_shot = j_characteristics(design, assignment)
+            assert np.array_equal(jchar.values.view(np.float64), one_shot.values.view(np.float64))
+            jchar.values[:] = 0
+
+    def test_runs_only_the_factorized_transform_of_its_design(self, paper_design):
+        walk = _PrefixWalk(paper_design)
+        with pytest.raises(ValueError, match="factorized transform, not 'dense'"):
+            j_characteristics(paper_design, [Z4] * 3, "dense", walk=walk)
+        other = relabel_levels(paper_design, [[3, 2, 1, 0]] * 3)
+        with pytest.raises(ValueError, match="another design"):
+            j_characteristics(other, [Z4] * 3, walk=walk)
 
 
 class TestJCharVector:

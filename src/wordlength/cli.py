@@ -9,6 +9,7 @@ to stdout or to ``--output``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``wordlength`` command line."""
     parser = _Parser(
         prog="wordlength",
         description="Wordlength patterns and J-characteristics of factorial designs.",
@@ -113,6 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that ``main`` uses, built on its first call.
+
+    It is built lazily rather than at import, so importing the module builds
+    none.  Sharing it is safe because parsing leaves no state on it: no
+    default is mutable, ``--groups`` (append) starts from None, and
+    ``_Parser.error`` only exits.
+    """
+    return build_parser()
+
+
 def _tolerance(text: str) -> float:
     """A --tol value: a finite number >= 0."""
     try:
@@ -125,7 +139,7 @@ def _tolerance(text: str) -> float:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "gwlp": _run_gwlp,
         "jchar": _run_jchar,
@@ -342,7 +356,8 @@ def _read_values(entries) -> np.ndarray:
         bad = next(x for x in res + ims if type(x) not in (int, float))
         raise TypeError(f"value {bad!r} is not a number")
     values = np.empty(len(res), dtype=np.complex128)
-    values.real, values.imag = res, ims
+    values.real = np.fromiter(res, np.float64, len(res))
+    values.imag = np.fromiter(ims, np.float64, len(ims))
     return values
 
 
@@ -350,6 +365,8 @@ def _run_invariance(args) -> tuple[int, str]:
     design = _load_design(args.design)
     specs = args.groups or ["all"]
     if "all" in specs:
+        if specs.count("all") > 1:
+            raise ValueError(f"--groups all is given {specs.count('all')} times; give it once")
         if len(specs) > 1:
             raise ValueError("--groups all cannot be combined with explicit assignments")
         assignments = "all"

@@ -83,6 +83,15 @@ def tensordot_apply(factors, v) -> np.ndarray:
     return w.reshape(-1)
 
 
+def list_assigned_values(res, ims) -> np.ndarray:
+    """A complex array whose real and imaginary views were assigned the
+    Python lists ``res`` and ``ims``: the reference that report values read
+    as, bit for bit."""
+    values = np.empty(len(res), dtype=np.complex128)
+    values.real, values.imag = res, ims
+    return values
+
+
 def oracle_margin_counts(design: Design, subset) -> dict[tuple[int, ...], int]:
     """Margins recomputed from the fully expanded run list."""
     expanded = []

@@ -202,6 +202,8 @@ class TestReconstructCommand:
             (edited(lambda doc: doc["values"][3].__setitem__("im", False)), "not a number"),
             (edited(lambda doc: doc["values"][0].__setitem__("re", True)), "not a number"),
             (edited(lambda doc: doc.__setitem__("n_runs", True)), "not a number"),
+            # An integer past the float range is a number, but no double.
+            (edited(lambda doc: doc["values"][2].__setitem__("re", 10**400)), "too large"),
             # A string is not a list, although Python splits it into one.
             (edited(lambda doc: doc.__setitem__("groups", "444")), "not a list of strings"),
             (edited(lambda doc: doc["design"].__setitem__("symbols", ["0abc"] * 3)), "'0abc'"),
@@ -343,6 +345,11 @@ class TestInvarianceCommand:
     def test_all_with_explicit_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "invariance", PAPER, "--groups", "all", "--groups", "4,4,4")
         assert code == 1
+
+    def test_repeated_all_is_usage_error_naming_the_repeat(self, capsys):
+        code, out, err = run(capsys, "invariance", PAPER, "--groups", "all", "--groups", "all")
+        assert (code, out) == (1, "")
+        assert err == "wordlength: --groups all is given 2 times; give it once\n"
 
 
 class TestMarginsCommand:
@@ -571,6 +578,66 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *argv)
         assert code == case["code"]
         assert out == case["stdout"]
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; no call may leave state on it."""
+
+    def test_golden_forward_then_reverse_with_errors_between(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(FIXTURES.parent)
+        spectrum = tmp_path / "spectrum.json"
+        run(capsys, "jchar", "fixtures/paper_oa.txt", "--groups", "4,2x2,4", "--json",
+            "--output", str(spectrum))
+
+        def outcome(argv):
+            try:
+                return run(capsys, *argv)
+            except SystemExit as exc:  # argparse's usage errors exit from parse_args
+                captured = capsys.readouterr()
+                return exc.code, captured.out, captured.err
+
+        extras = [  # argv and exit code; an appended --groups must not reach the next call
+            (["frobnicate"], 1),
+            (["gwlp", "fixtures/missing.txt"], 2),
+            (["invariance", "fixtures/paper_oa.txt", "--groups", "4,4,4", "--tol", "1e-3"], 0),
+            (["gwlp", "fixtures/paper_oa.txt", "--tol", "-1"], 1),
+        ]
+        steps = []
+        for i, case in enumerate(GOLDEN):
+            argv = [str(spectrum) if arg == "{spectrum}" else arg for arg in case["argv"]]
+            steps += [(argv, case["code"], case["stdout"]), (*extras[i % len(extras)], None)]
+        seen = {}
+        for argv, code, stdout in steps + steps[::-1]:
+            result = outcome(argv)
+            assert result[0] == code, argv
+            if stdout is not None:
+                assert result[1] == stdout, argv
+            assert seen.setdefault(tuple(argv), result) == result, argv
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_one_parser_for_many_calls(self, capsys, monkeypatch):
+        builds, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for argv in (["enumerate-groups", "8"], ["gwlp", PAPER], ["gwlp", "/nonexistent"]):
+                run(capsys, *argv)
+            with pytest.raises(SystemExit):
+                main(["frobnicate"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_importing_the_cli_builds_no_parser(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import wordlength.cli as c; print(c._parser.cache_info().currsize)"],
+            capture_output=True, text=True, check=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")},
+        )
+        assert result.stdout == "0\n"
 
 
 class TestRendering:

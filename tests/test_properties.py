@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from helpers import (
     exact_gwlp,
     full_scan_witness,
+    list_assigned_values,
     mobius_alternating_list,
     naive_margin_counts,
     pair_subset_norm,
@@ -590,4 +591,20 @@ def test_report_values_read_as_complex_of_each_entry(pairs):
     values = _read_values([{"g": "x", "re": re, "im": im} for re, im in pairs])
     expected = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     assert values.dtype == np.complex128
+    assert values.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+
+
+# An all-int list and a mixed one take different conversion paths in numpy.
+@PROPERTY
+@given(
+    st.one_of(
+        st.lists(st.tuples(JSON_NUMBERS, JSON_NUMBERS), max_size=20),
+        st.lists(st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)), max_size=20),
+    )
+)
+@example([(2**53 + 1, -0.0), (2**63, 5e-324), (2**63 + 1, -1e-310), (-(2**63) - 1, 1e308)])
+@example([(2**53 + 1, 2**63), (2**63 + 1, -(2**63) - 1), (2**64 + 3, -(2**53) - 1)])
+def test_report_values_read_as_the_list_assignment_bit_for_bit(pairs):
+    values = _read_values([{"g": "x", "re": re, "im": im} for re, im in pairs])
+    expected = list_assigned_values([re for re, _ in pairs], [im for _, im in pairs])
     assert values.view(np.float64).tobytes() == expected.view(np.float64).tobytes()

@@ -17,7 +17,6 @@ from .errors import (
 )
 from .groups import (
     AbelianStructure,
-    CharacterTable,
     character_table,
     enumerate_structures,
     parse_structure,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianStructure",
     "AberrationVerdict",
-    "CharacterTable",
     "Design",
     "DesignParseError",
     "GWLP",

@@ -151,7 +151,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         code, report = handler(args)
-    except (DesignParseError, InconsistentSpectrumError, OSError, json.JSONDecodeError) as exc:
+    except (DesignParseError, InconsistentSpectrumError, OSError) as exc:
         print(f"wordlength: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (ResourceLimitError, ValueError) as exc:
@@ -264,8 +264,10 @@ def _run_jchar(args) -> tuple[int, str]:
 
 
 def _run_reconstruct(args) -> tuple[int, str]:
-    doc = json.loads(_read_text(args.spectrum))
+    text = _read_text(args.spectrum)
     try:
+        doc = json.loads(text)
+        del text  # megabytes for a large report, which reconstruct's peak need not hold
         if not isinstance(doc, dict):
             raise TypeError("report is not a JSON object")
         for key in ("groups", "n_runs", "values"):
@@ -294,7 +296,8 @@ def _run_reconstruct(args) -> tuple[int, str]:
             if list(map(len, symbols)) != orders or [len(set(a)) for a in symbols] != orders:
                 raise ValueError("symbols do not fit the groups")
     except (  # ResourceLimitError: a group past groups.MAX_ORDER, which no report lists
-        AttributeError, KeyError, OverflowError, ResourceLimitError, TypeError, ValueError
+        AttributeError, KeyError, OverflowError, RecursionError, ResourceLimitError, TypeError,
+        ValueError,  # RecursionError: JSON nested past the parser's depth
     ) as exc:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
     if args.groups:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DesignParseError, ResourceLimitError
 
-#: Largest full-factorial size for which the count vector may be densified.
+#: Largest full-factorial size densified into a count vector, or declared in a levels header.
 DENSIFY_CAP = 2**20
 
 # np.ravel_multi_index takes at most 32 index arrays on numpy 1.x (64 on 2.x),
@@ -320,6 +320,9 @@ def parse_design(text: str) -> Design:
                 raise DesignParseError("levels header must list integers", lineno)
             if not declared_sizes or any(s < 1 for s in declared_sizes):
                 raise DesignParseError("levels header must list positive sizes", lineno)
+            if max(declared_sizes) > DENSIFY_CAP:  # before 0..s-1 alphabets are built
+                message = f"levels header size {max(declared_sizes)} exceeds the cap {DENSIFY_CAP}"
+                raise DesignParseError(message, lineno)
         elif name == "symbols":
             declared_symbols = [chunk.split() for chunk in rest.split("|")]
             for i, alphabet in enumerate(declared_symbols):

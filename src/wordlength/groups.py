@@ -11,9 +11,10 @@ part of order ``d`` the chosen primitive root of unity is ``exp(2*pi*i/d)``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .kron import kron_all
 
-#: Largest group order for which a dense character table may be materialized.
+#: Largest order of a dense character table, of a product group or of one cyclic part.
 DENSE_TABLE_CAP = 2**12
 
 #: Largest group or cyclic order that may be factored (by trial division).
@@ -167,28 +168,25 @@ def enumerate_structures(order: int) -> list[AbelianStructure]:
     return structures
 
 
+@functools.lru_cache(maxsize=64)
 def cyclic_character_table(order: int) -> np.ndarray:
-    """Character table of the cyclic group Z_order: entry (g, h) is exp(2*pi*i*g*h/order)."""
+    """Character table of the cyclic group Z_order: entry (g, h) is exp(2*pi*i*g*h/order).
+
+    Built once per order, read-only, and refused above ``DENSE_TABLE_CAP``
+    before anything is allocated.  Every route reads these arrays.
+    """
+    if order > DENSE_TABLE_CAP:
+        raise ResourceLimitError(f"character table of Z_{order} exceeds the cap {DENSE_TABLE_CAP}")
     roots = [root_of_unity(m, order) for m in range(order)]
     r = np.arange(order)
-    return np.asarray(roots, dtype=np.complex128)[np.outer(r, r) % order]
+    table = np.asarray(roots, dtype=np.complex128)[np.outer(r, r) % order]
+    table.flags.writeable = False
+    return table
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
-    """Dense character table H of a structure; H/sqrt(s) is unitary."""
-
-    structure: AbelianStructure
-    entries: np.ndarray = field(repr=False)
-
-
-def character_table(structure: AbelianStructure) -> CharacterTable:
-    """Materialize the full character table (Kronecker product over cyclic parts).
-
-    Refuses orders above ``DENSE_TABLE_CAP``; at larger sizes use the
-    factorized transform instead of a dense table.
-    """
-    return CharacterTable(structure, _dense_table(structure.cyclic_orders))
+def character_table(structure: AbelianStructure) -> np.ndarray:
+    """Kronecker product of the cyclic tables, refused above ``DENSE_TABLE_CAP`` as each is."""
+    return _dense_table(structure.cyclic_orders)
 
 
 def _dense_table(cyclic_orders: Sequence[int]) -> np.ndarray:

@@ -50,6 +50,7 @@ from .spectra import (
     Assignment,
     GWLP,
     _PrefixWalk,
+    _order_weights,
     check_assignment,
     gwlp_char,
     j_characteristics,
@@ -189,9 +190,7 @@ def gwlp_margin(design: Design) -> GWLP:
     so each entry is the correctly rounded float of the true A_j.
     """
     values = _scaled_projector_norms(design)
-    weights = np.zeros(1, np.intp)  # the bit count of each mask, built by doubling
-    for _ in range(design.k):
-        weights = np.concatenate([weights, weights + 1])
+    weights = _order_weights((2,) * design.k)  # the bit count of each mask
     scaled = np.zeros(design.k + 1, values.dtype)
     np.add.at(scaled, weights, values)
     n_squared = design.n_runs**2

@@ -44,8 +44,10 @@ def check_assignment(
 ) -> Assignment:
     """Validate one structure per factor with matching orders; returns the tuple.
 
-    Structure literals (e.g. ``"2x2"``) are accepted and parsed in place.
+    Structure literals (e.g. ``"2x2"``) are parsed in place; a bare string is refused.
     """
+    if isinstance(structures, str):  # it would iterate by character
+        raise ValueError(f'assignment {structures!r} is a str, not a list like ["4", "2x2", "4"]')
     resolved = tuple(parse_structure(st) if isinstance(st, str) else st for st in structures)
     if len(resolved) != design.k:
         raise ValueError(
@@ -79,6 +81,7 @@ def element_weights(structures: Sequence[AbelianStructure]) -> np.ndarray:
     return _order_weights(tuple(st.order for st in structures))
 
 
+# Two entries: a sweep's factor orders, and gwlp_margin's (2,) * k (subset bit counts).
 @functools.lru_cache(maxsize=2)
 def _order_weights(orders: tuple[int, ...]) -> np.ndarray:
     weights = np.zeros(orders, dtype=np.int64)
@@ -156,15 +159,7 @@ class GWLP:
 
 
 def _part_tables(structures: Sequence[AbelianStructure]) -> list[np.ndarray]:
-    return [_part_table(d) for st in structures for d in st.cyclic_orders]
-
-
-@functools.lru_cache(maxsize=64)
-def _part_table(order: int) -> np.ndarray:
-    """``cyclic_character_table(order)``, built once per order and read-only."""
-    table = cyclic_character_table(order)
-    table.flags.writeable = False
-    return table
+    return [cyclic_character_table(d) for st in structures for d in st.cyclic_orders]
 
 
 def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.ndarray:
@@ -206,7 +201,7 @@ class _PrefixWalk:
         axis = sum(map(len, orders[:depth]))
         for i in range(depth, len(orders)):
             for d in orders[i]:
-                w = _contract_axis(w, axis, _part_table(d))
+                w = _contract_axis(w, axis, cyclic_character_table(d))
                 axis += 1
             if i < len(orders) - 1:
                 self._orders.append(orders[i])
@@ -225,9 +220,9 @@ def j_characteristics(
     """Spectrum chi with chi[g] = sum_h O(h) chi_g(h).
 
     ``algorithm="dense"`` materializes the full character table (capped at
-    ``groups.DENSE_TABLE_CAP``); ``"factorized"`` applies the per-part tables
-    as a mixed-radix transform and only needs the dense count vector (capped
-    at ``design.DENSIFY_CAP``).  A sweep passes one ``_PrefixWalk`` of the
+    ``groups.DENSE_TABLE_CAP``); ``"factorized"`` applies the per-part tables,
+    each under that cap, as a mixed-radix transform on the dense count vector
+    (capped at ``design.DENSIFY_CAP``).  A sweep passes one ``_PrefixWalk`` of the
     design as ``walk`` to every call, which starts each factorized transform
     from the arrays kept for the previous assignment, bit for bit the same;
     the default ``None`` keeps nothing.  A walk with ``"dense"`` is a

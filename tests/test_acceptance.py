@@ -158,7 +158,7 @@ def test_criterion_6_character_table_laws():
     with criterion(6, "character-table laws for orders <= 16"):
         for order in range(1, 17):
             for structure in enumerate_structures(order):
-                h = character_table(structure).entries
+                h = character_table(structure)
                 s = structure.order
                 assert np.abs(h.conj().T @ h - s * np.eye(s)).max() < 1e-9
                 assert np.abs(h @ h.conj().T - s * np.eye(s)).max() < 1e-9

@@ -177,7 +177,6 @@ class TestReconstructCommand:
 
         bad = tmp_path / "bad.json"
         for text in (
-            "not json",
             edited(lambda doc: doc["values"].pop()),
             edited(lambda doc: doc["groups"].__setitem__(1, "zz")),
             edited(lambda doc: doc["groups"].__setitem__(1, "100000000000031")),
@@ -216,6 +215,9 @@ class TestReconstructCommand:
                 "a spectrum needs at least one structure",
             ),
             (edited(zero_runs), "a spectrum needs at least one run"),
+            # A file that is not JSON, or nests past the parser's depth, is named too.
+            ("not json", "Expecting value: line 1 column 1 (char 0)"),
+            ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
             # A wrongly shaped report names what is wrong with it.
             ("[1]", "report is not a JSON object"),
             ('{"values": 3}', "is not a jchar report: no 'groups' key"),
@@ -448,6 +450,32 @@ class TestEnumerateGroupsCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == f"wordlength: order {order} exceeds the cap 4294967296 on group orders\n"
+
+    def test_cyclic_tables_past_the_table_cap_are_refused(self, capsys, tmp_path):
+        # 4099 is prime, so every route would need one 4099 x 4099 table.
+        design = tmp_path / "design.txt"
+        design.write_text("levels: 4099\n0\n1\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        values = [{"re": 0, "im": 0}] * 4099
+        report.write_text(json.dumps({"groups": ["4099"], "n_runs": 2, "values": values}))
+        for argv in (
+            ["jchar", str(design), "--groups", "4099"],
+            ["gwlp", str(design), "--groups", "4099"],
+            ["invariance", str(design)],
+            ["reconstruct", str(report)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == "wordlength: character table of Z_4099 exceeds the cap 4096\n"
+
+    def test_levels_header_past_the_densify_cap_is_data_error(self, capsys, tmp_path):
+        design = tmp_path / "design.txt"
+        design.write_text("levels: 3000000\n0\n1\n", encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gwlp", str(design))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "wordlength: line 1: levels header size 3000000 exceeds the cap 1048576\n"
 
 
 class TestErrorsAndPlumbing:

@@ -16,13 +16,16 @@ from wordlength import (
     enumerate_structures,
     parse_structure,
 )
+from wordlength import groups
 from wordlength.groups import (
+    DENSE_TABLE_CAP,
     MAX_ORDER,
     canonical_cyclic_orders,
     cyclic_character_table,
     element_components,
     root_of_unity,
 )
+from wordlength.spectra import assignment_character_table
 
 
 def all_structures_up_to(max_order):
@@ -147,27 +150,27 @@ class TestElements:
 
 class TestCharacterValues:
     def test_fourth_root_is_i(self):
-        assert character_table(parse_structure("4")).entries[1, 1] == 1j
+        assert character_table(parse_structure("4"))[1, 1] == 1j
 
     def test_klein_group_product(self):
         # Character (0, 1) at element (1, 1): Yates indices 1 and 3.
-        assert character_table(parse_structure("2x2")).entries[1, 3] == -1
+        assert character_table(parse_structure("2x2"))[1, 3] == -1
 
 
 class TestCharacterTables:
     def test_order_two_table(self):
-        table = character_table(parse_structure("2")).entries
+        table = character_table(parse_structure("2"))
         assert np.array_equal(table, np.array([[1, 1], [1, -1]]))
 
     def test_klein_is_kron_square(self):
-        klein = character_table(parse_structure("2x2")).entries
-        z2 = character_table(parse_structure("2")).entries
+        klein = character_table(parse_structure("2x2"))
+        z2 = character_table(parse_structure("2"))
         assert np.array_equal(klein, np.kron(z2, z2))
 
     def test_entries_match_character_value(self):
         # The cmath oracle shares no code with the tables' root_of_unity.
         for st in all_structures_up_to(16):
-            table = character_table(st).entries
+            table = character_table(st)
             digits, _ = yates_elements(st.cyclic_orders)
             for g, h in itertools.product(range(st.order), repeat=2):
                 expected = oracle_character(st.cyclic_orders, digits[g], digits[h])
@@ -175,21 +178,21 @@ class TestCharacterTables:
 
     def test_hadamard_law(self):
         for st in all_structures_up_to(16):
-            h = character_table(st).entries
+            h = character_table(st)
             s = st.order
             assert np.abs(h.conj().T @ h - s * np.eye(s)).max() < 1e-9
             assert np.abs(h @ h.conj().T - s * np.eye(s)).max() < 1e-9
 
     def test_bordered_by_ones(self):
         for st in all_structures_up_to(16):
-            h = character_table(st).entries
+            h = character_table(st)
             assert np.abs(h[0] - 1).max() == 0
             assert np.abs(h[:, 0] - 1).max() == 0
 
     def test_rows_closed_under_pointwise_product(self):
         # Row g .* row g' equals the row of the group sum g + g'.
         for st in all_structures_up_to(16):
-            h = character_table(st).entries
+            h = character_table(st)
             digits, index = yates_elements(st.cyclic_orders)
             target = index(digits[:, None] + digits[None])
             assert np.abs(h[:, None] * h[None] - h[target]).max() < 1e-9
@@ -198,7 +201,7 @@ class TestCharacterTables:
         for st in all_structures_up_to(16):
             if not st.cyclic_orders:
                 continue
-            dense = character_table(st).entries
+            dense = character_table(st)
             parts = [cyclic_character_table(d) for d in st.cyclic_orders]
             product = parts[0]
             for p in parts[1:]:
@@ -213,6 +216,29 @@ class TestCharacterTables:
             for g, h in itertools.product(range(order), repeat=2):
                 assert table[g, h] == root_of_unity(g * h, order)
         assert set(cyclic_character_table(4).ravel().tolist()) == {1, 1j, -1, -1j}
+
+    def test_one_source_of_tables(self):
+        # The dense table is the product of the same cached, read-only cyclic
+        # tables the factorized routes read.
+        for st in all_structures_up_to(64):
+            table = character_table(st)
+            expected = assignment_character_table((st,))
+            assert np.array_equal(table.view(np.float64), expected.view(np.float64))
+            assert table.flags.writeable
+            for d in st.cyclic_orders:
+                part = cyclic_character_table(d)
+                assert part is cyclic_character_table(d)
+                assert not part.flags.writeable
+
+    def test_cyclic_cap_is_checked_before_building(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a table past the cap was being built")
+
+        monkeypatch.setattr(groups, "root_of_unity", unexpected)
+        with pytest.raises(ResourceLimitError, match="Z_4099 exceeds the cap 4096"):
+            cyclic_character_table(4099)
+        with pytest.raises(ResourceLimitError, match="Z_4097 exceeds the cap 4096"):
+            cyclic_character_table(DENSE_TABLE_CAP + 1)
 
     def test_dense_cap(self):
         big = parse_structure("4097")

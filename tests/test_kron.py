@@ -18,7 +18,7 @@ class TestKron:
     def test_reproduces_klein_table(self):
         z2 = np.array([[1, 1], [1, -1]], dtype=complex)
         klein = parse_structure("2x2")
-        expected = character_table(klein).entries
+        expected = character_table(klein)
         assert np.array_equal(kron(z2, z2), expected)
 
     def test_identity_times_identity(self):

@@ -50,9 +50,10 @@ from wordlength import (
 from wordlength import invariance
 from wordlength.cli import _read_values
 from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
+from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
-from wordlength.spectra import RECONSTRUCT_TOL, _part_table, _part_tables
+from wordlength.spectra import RECONSTRUCT_TOL, _part_tables
 
 MAX_SPACE = 4096
 SIZES = (1, 2, 3, 4, 6, 8, 9)
@@ -154,7 +155,7 @@ def reconstruct_under(structures, values, n_runs, tol=RECONSTRUCT_TOL):
 def test_factored_apply_matches_the_tensordot_loop_bit_for_bit(orders, adjoint, seed):
     while math.prod(orders) > MAX_SPACE:
         orders = orders[:-1]
-    tables = [_part_table(d) for d in orders]  # forward part tables, as j_characteristics
+    tables = [cyclic_character_table(d) for d in orders]  # forward part tables, as j_characteristics
     if adjoint:  # and the adjoints reconstruct applies
         tables = [t.conj().T for t in tables]
     rng = np.random.default_rng(seed)

@@ -32,6 +32,7 @@ from wordlength import (
     parse_structure,
     reconstruct,
     relabel_levels,
+    verify_invariance,
     weight,
 )
 from wordlength.groups import cyclic_character_table
@@ -123,7 +124,7 @@ class TestWeight:
         assert again[0] is first[1] and again[3] is first[0]
         for table, order in zip(first, (4, 2, 2, 8, 2)):
             assert not table.flags.writeable
-            assert np.array_equal(table, cyclic_character_table(order))
+            assert table is cyclic_character_table(order)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -157,6 +158,17 @@ class TestJCharacteristics:
             weights = element_weights(tuple(assignment))
             low = (weights == 1) | (weights == 2)
             assert np.abs(jchar.values[low]).max() < 1e-9
+
+    @pytest.mark.parametrize("literal", ["444", "4,4,4"])
+    def test_bare_string_assignment_is_refused(self, paper_design, literal):
+        # A str iterates by character, so "444" would silently mean three Z4.
+        message = re.escape('is a str, not a list like ["4", "2x2", "4"]')
+        with pytest.raises(ValueError, match=message):
+            check_assignment(paper_design, literal)
+        with pytest.raises(ValueError, match=message):
+            j_characteristics(paper_design, literal)
+        with pytest.raises(ValueError, match=message):
+            verify_invariance(paper_design, [["4", "4", "4"], literal])
 
     def test_dense_and_factorized_agree(self):
         rng = np.random.default_rng(31)
@@ -310,7 +322,7 @@ class TestReconstruct:
         ],
     )
     def test_first_bad_cell_is_named(self, cells, message):
-        table = character_table(Z4).entries
+        table = character_table(Z4)
         jchar = JCharVector(table @ np.array(cells, dtype=np.complex128), 1, (Z4,))
         with pytest.raises(InconsistentSpectrumError, match=re.escape(message)):
             reconstruct(jchar)

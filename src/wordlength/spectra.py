@@ -44,11 +44,18 @@ def check_assignment(
 ) -> Assignment:
     """Validate one structure per factor with matching orders; returns the tuple.
 
-    Structure literals (e.g. ``"2x2"``) are parsed in place; a bare string is refused.
+    Structure literals (e.g. ``"2x2"``) are parsed in place; a bare string is
+    refused, and an entry that is neither a literal nor a structure is a TypeError.
     """
     if isinstance(structures, str):  # it would iterate by character
         raise ValueError(f'assignment {structures!r} is a str, not a list like ["4", "2x2", "4"]')
     resolved = tuple(parse_structure(st) if isinstance(st, str) else st for st in structures)
+    for i, st in enumerate(resolved):
+        if not isinstance(st, AbelianStructure):
+            raise TypeError(
+                f"assignment entry {i + 1} is {st!r}, not a structure literal "
+                f'like "2x2" or an AbelianStructure'
+            )
     if len(resolved) != design.k:
         raise ValueError(
             f"assignment has {len(resolved)} structures for {design.k} factors"
@@ -126,7 +133,7 @@ class GWLP:
     """Generalized wordlength pattern (A_0, A_1, ..., A_k) of a design.
 
     A plain value: every route computes it without a tolerance, A_0 comes out
-    as exactly 1 and no entry is negative.  Tolerances belong to the
+    as exactly 1 and every entry is finite and not negative.  Tolerances belong to the
     decisions made from a pattern (resolution, aberration order, cross-route
     agreement), which take them as arguments.  ``raw`` is another name for
     ``values``.
@@ -138,6 +145,8 @@ class GWLP:
         values = tuple(float(a) for a in self.values)
         if any(a < 0 for a in values):
             raise ValueError(f"wordlength pattern has a negative entry: {values}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"wordlength pattern has a non-finite entry: {values}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -167,6 +176,60 @@ def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.nda
     return _dense_table([d for st in structures for d in st.cyclic_orders])
 
 
+def _exact_parts(parts: Sequence[int], n_runs: int) -> int:
+    """How many leading cyclic parts run as ``_quarter_step``s: those of order 2 or 4.
+
+    Their character values are 1, i, -1 and -i, so while N <= 2**53 every
+    partial sum over them is a Gaussian integer with parts at most N in
+    magnitude, exact in any evaluation order: the steps and the table route
+    give the same numbers.
+    """
+    if n_runs > 2**53:
+        return 0
+    return next((i for i, d in enumerate(parts) if d not in (2, 4)), len(parts))
+
+
+def _quarter_step(flat: np.ndarray, d: int) -> np.ndarray:
+    """Z_d's table (d = 2 or 4) along the leading axis of ``flat`` in C order, moved last.
+
+    Only adds, subtracts and one product by 1j.  After parts 0..m-1 the
+    array holds parts m.., 0..m-1 in C order, so after the last part it is
+    in Yates order with no transpose copy.
+    """
+    x = flat.reshape(d, -1)
+    y = np.empty((x.shape[1], d), dtype=np.complex128)
+    if d == 2:
+        np.add(x[0], x[1], out=y[:, 0])
+        np.subtract(x[0], x[1], out=y[:, 1])
+    else:  # y_g = sum_h i^(gh) x_h: y0, y2 = a +- b and y1, y3 = c +- i(x1 - x3)
+        b = np.add(x[1], x[3])
+        np.add(x[0], x[2], out=y[:, 0])  # a
+        np.subtract(y[:, 0], b, out=y[:, 2])
+        y[:, 0] += b
+        ie = np.subtract(x[1], x[3], out=b)
+        ie *= 1j
+        np.subtract(x[0], x[2], out=y[:, 1])  # c
+        np.subtract(y[:, 1], ie, out=y[:, 3])
+        y[:, 1] += ie
+    return y.reshape(-1)
+
+
+def _apply_part(w: np.ndarray, parts: Sequence[int], axis: int, exact: int) -> np.ndarray:
+    """``w``, the transform after ``parts[:axis]``, carried through ``parts[axis]``.
+
+    The first ``exact`` parts are ``_quarter_step``s on a contiguous rotated
+    array; from there on ``w`` has one axis per part and each is
+    ``factored_apply``'s step.
+    """
+    if axis < exact:
+        return _quarter_step(w, parts[axis])
+    if axis == exact:  # the rotated array, viewed in part order
+        rest = len(parts) - axis
+        w = w.reshape([*parts[axis:], *parts[:axis]])
+        w = w.transpose(*range(rest, len(parts)), *range(rest))
+    return _contract_axis(w, axis, cyclic_character_table(parts[axis]))
+
+
 class _PrefixWalk:
     """The factorized transform of one design under a run of assignments.
 
@@ -176,8 +239,11 @@ class _PrefixWalk:
     i below the last factor of the latest assignment, and the next one starts
     from the longest shared run.  That is at most (k - 1) * s complex values
     beside the count vector; the leaf is not kept, so a returned spectrum
-    owns its memory.  Each axis is ``factored_apply``'s step on the same
-    operands, so every spectrum is the one-shot one bit for bit.
+    owns its memory.  Each part is ``_apply_part``'s step, as in the one-shot
+    ``j_characteristics``: exact steps while the parts have order 2 or 4,
+    ``factored_apply``'s table steps from the first other part on.  A kept
+    exact-phase array is a rotated one, which a later assignment resumes
+    either way.
     """
 
     def __init__(self, design: Design):
@@ -193,15 +259,16 @@ class _PrefixWalk:
             depth += 1
         del self._orders[depth:]
         del self._prefixes[depth:]
-        # A kept array has the latest assignment's part axes; the values in
-        # Yates order are all that later axes read.
-        w = (self._prefixes[-1] if depth else self._counts).reshape(
-            [d for parts in orders for d in parts]
-        )
+        parts = [d for factor in orders for d in factor]
+        exact = _exact_parts(parts, self.design.n_runs)
+        # A kept table-phase array has the latest assignment's part axes; the
+        # values in Yates order are all that later axes read.  An exact-phase
+        # one is a contiguous rotated array, which the reshape only relabels.
+        w = (self._prefixes[-1] if depth else self._counts).reshape(parts)
         axis = sum(map(len, orders[:depth]))
         for i in range(depth, len(orders)):
-            for d in orders[i]:
-                w = _contract_axis(w, axis, cyclic_character_table(d))
+            for _ in orders[i]:
+                w = _apply_part(w, parts, axis, exact)
                 axis += 1
             if i < len(orders) - 1:
                 self._orders.append(orders[i])
@@ -222,7 +289,11 @@ def j_characteristics(
     ``algorithm="dense"`` materializes the full character table (capped at
     ``groups.DENSE_TABLE_CAP``); ``"factorized"`` applies the per-part tables,
     each under that cap, as a mixed-radix transform on the dense count vector
-    (capped at ``design.DENSIFY_CAP``).  A sweep passes one ``_PrefixWalk`` of the
+    (capped at ``design.DENSIFY_CAP``).  While N <= 2**53 its leading parts of
+    order 2 or 4 run as exact add/subtract steps instead of table products,
+    and the parts from the first other order on as ``factored_apply``'s
+    steps, so the values equal ``factored_apply``'s as numbers (the sign of
+    a zero is not promised).  A sweep passes one ``_PrefixWalk`` of the
     design as ``walk`` to every call, which starts each factorized transform
     from the arrays kept for the previous assignment, bit for bit the same;
     the default ``None`` keeps nothing.  A walk with ``"dense"`` is a
@@ -240,7 +311,12 @@ def j_characteristics(
         table = assignment_character_table(structures)
         values = table @ counts
     elif algorithm == "factorized":
-        values = factored_apply(_part_tables(structures), counts)
+        parts = [d for st in structures for d in st.cyclic_orders]
+        exact = _exact_parts(parts, design.n_runs)
+        values, counts = counts, None  # freed after the first step
+        for axis in range(len(parts)):
+            values = _apply_part(values, parts, axis, exact)
+        values = values.reshape(-1)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r} (want dense or factorized)")
     return JCharVector(values, design.n_runs, structures)

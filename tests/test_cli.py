@@ -30,7 +30,9 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # multiplied run lines under inferred alphabets; the columns_oa.txt entries
 # pin the column layout with inferred alphabets and repeated columns, so both
 # layouts are gated byte for byte; the pb12.txt entries (12
-# runs, k = 11) pin the group-free commands where the pair kernel runs.
+# runs, k = 11) pin the group-free commands where the pair kernel runs; the
+# quarter_then_table.txt entries pin spectra whose transform switches from
+# exact steps on parts of order 2 and 4 to table steps at a 3-level factor.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 
 

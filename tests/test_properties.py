@@ -53,7 +53,7 @@ from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
-from wordlength.spectra import RECONSTRUCT_TOL, _part_tables
+from wordlength.spectra import RECONSTRUCT_TOL, _PrefixWalk, _part_tables
 
 MAX_SPACE = 4096
 SIZES = (1, 2, 3, 4, 6, 8, 9)
@@ -477,10 +477,10 @@ WALK_SIZES = (2, 3, 4, 6, 8, 9, 12, 16)
 
 
 @st.composite
-def prefix_sweeps(draw):
+def prefix_sweeps(draw, sizes=WALK_SIZES):
     """A design with "all", or an explicit assignment list in shuffled order
     with repeats, so that the shared prefix also moves backwards."""
-    shape = draw(st.lists(st.sampled_from(WALK_SIZES), min_size=1, max_size=5))
+    shape = draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=5))
     while math.prod(shape) > MAX_SPACE:
         shape.pop()
     run = st.tuples(*(st.integers(0, s - 1) for s in shape))
@@ -520,6 +520,34 @@ def test_prefix_walk_spectra_are_the_one_shot_spectra_bit_for_bit(case):
     for gwlp, assignment in zip(report.gwlps, report.assignments, strict=True):
         assert gwlp == gwlp_char(j_characteristics(design, assignment))
     assert report.witness == full_scan_witness(design, assignments)
+
+
+# One-level factors have no parts; 3, 6, 9 and 12 levels always have a part
+# of another order than 2 or 4, and 4, 8 and 16 do only under some splits.
+# So the exact steps stop at the first part, partway through, or never.
+EXACT_RUN_SIZES = (1, 2, 3, 4, 6, 8, 9, 12, 16)
+
+
+@PROPERTY
+@given(prefix_sweeps(EXACT_RUN_SIZES))
+@example(  # the steps stop after one part, before the last one
+    (Design((("0", "1", "2", "3"), ("0", "1", "2")), {(1, 2): 2, (3, 0): 1}), [("4", "3"), ("2x2", "3")])
+)
+@example(  # every part is exact; the walk resumes a flat prefix under another split
+    (
+        Design((("0", "1"), tuple(map(str, range(16)))), {(1, 5): 2, (0, 14): 1}),
+        [("2", "4x4"), ("2", "2x2x2x2"), ("2", "16"), ("2", "4x2x2"), ("2", "4x4")],
+    )
+)
+def test_walk_and_one_shot_spectra_are_the_table_route_spectra(case):
+    design, assignments = case
+    counts = design.dense_counts().astype(np.complex128)
+    walk = _PrefixWalk(design)
+    for structures in invariance.expand_assignments(design, assignments):
+        reference = factored_apply(_part_tables(structures), counts).view(np.float64)
+        for walked in (walk, None):
+            jchar = j_characteristics(design, structures, walk=walked)
+            assert np.array_equal(jchar.values.view(np.float64), reference)
 
 
 # Floats that reach every branch of ".12g" with -0 dropped: signed zeros,

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from wordlength import (
     character_table,
     check_assignment,
     element_weights,
+    factored_apply,
     gwlp_char,
     j_characteristics,
     parse_structure,
@@ -35,6 +37,7 @@ from wordlength import (
     verify_invariance,
     weight,
 )
+from wordlength import spectra
 from wordlength.groups import cyclic_character_table
 from wordlength.spectra import JCharVector, _PrefixWalk, _part_tables
 
@@ -170,6 +173,19 @@ class TestJCharacteristics:
         with pytest.raises(ValueError, match=message):
             verify_invariance(paper_design, [["4", "4", "4"], literal])
 
+    @pytest.mark.parametrize(
+        ("assignment", "position", "entry"),
+        [([4, 4, 4], 1, "4"), ([Z4, None, Z4], 2, "None"), ([Z4, V, (4,)], 3, "(4,)")],
+    )
+    def test_an_entry_of_another_type_is_named(self, paper_design, assignment, position, entry):
+        message = re.escape(
+            f'assignment entry {position} is {entry}, not a structure literal like "2x2" or an AbelianStructure'
+        )
+        with pytest.raises(TypeError, match=message):
+            j_characteristics(paper_design, assignment)
+        with pytest.raises(TypeError, match=message):
+            verify_invariance(paper_design, [["4", "4", "4"], assignment])
+
     def test_dense_and_factorized_agree(self):
         rng = np.random.default_rng(31)
         for _ in range(15):
@@ -229,21 +245,34 @@ class TestJCharacteristics:
 
 class TestPrefixWalk:
     @pytest.mark.parametrize(
-        ("one_level_factor", "sweep"),
+        ("design_kind", "sweep"),
         [
             # Shares the first two factors, repeats, then moves back.
-            (False, [[Z4] * 3, [Z4, Z4, V], [Z4, Z4, V], [Z4, V, V], [Z4] * 3]),
+            ("paper", [[Z4] * 3, [Z4, Z4, V], [Z4, Z4, V], [Z4, V, V], [Z4] * 3]),
             # A one-level last factor contracts nothing past the kept prefix,
             # which one cyclic part leaves contiguous.
-            (True, [[Z4, "1"], [Z4, "1"], [V, "1"], [Z4, "1"]]),
+            ("one_level", [[Z4, "1"], [Z4, "1"], [V, "1"], [Z4, "1"]]),
+            # Every part has order 2 or 4, so every kept prefix is a flat
+            # exact-phase array, resumed under another split of later factors.
+            ("quarter_turns", [["2", "4x2", V], ["2", "2x2x2", Z4], ["2", "4x2", Z4], ["2", "2x2x2", Z4]]),
+            # The exact steps stop at the 3-level factor, before or after a
+            # kept prefix.
+            ("switch", [[Z4, "3", "8"], [Z4, "3", "4x2"], [V, "3", "8"], [Z4, "3", "2x2x2"]]),
         ],
     )
-    def test_a_zeroed_spectrum_leaves_later_ones_intact(
-        self, paper_design, one_level_factor, sweep
-    ):
-        design = paper_design
-        if one_level_factor:
-            design = Design((tuple(ALPHABET), ("x",)), {(1, 0): 2, (3, 0): 1})
+    def test_a_zeroed_spectrum_leaves_later_ones_intact(self, paper_design, design_kind, sweep):
+        design = {
+            "paper": paper_design,
+            "one_level": Design((tuple(ALPHABET), ("x",)), {(1, 0): 2, (3, 0): 1}),
+            "quarter_turns": Design(
+                (("0", "1"), tuple("01234567"), tuple(ALPHABET)),
+                {(0, 5, 1): 2, (1, 2, 3): 1, (1, 7, 0): 1},
+            ),
+            "switch": Design(
+                (tuple(ALPHABET), ("x", "y", "z"), tuple("01234567")),
+                {(0, 1, 5): 2, (2, 0, 7): 1, (3, 2, 2): 1},
+            ),
+        }[design_kind]
         walk = _PrefixWalk(design)
         for assignment in sweep:
             jchar = j_characteristics(design, assignment, walk=walk)
@@ -258,6 +287,74 @@ class TestPrefixWalk:
         other = relabel_levels(paper_design, [[3, 2, 1, 0]] * 3)
         with pytest.raises(ValueError, match="another design"):
             j_characteristics(other, [Z4] * 3, walk=walk)
+
+
+class TestQuarterTurnSteps:
+    """Leading parts of order 2 and 4 run as exact add/subtract steps while N <= 2**53."""
+
+    @staticmethod
+    def spy_steps(monkeypatch) -> list[int]:
+        orders = []
+        step = spectra._quarter_step
+        monkeypatch.setattr(spectra, "_quarter_step", lambda flat, d: orders.append(d) or step(flat, d))
+        return orders
+
+    @staticmethod
+    def reference(design, assignment) -> np.ndarray:
+        structures = check_assignment(design, assignment)
+        return factored_apply(_part_tables(structures), design.dense_counts().astype(np.complex128))
+
+    def test_a_quarter_turn_assignment_takes_the_steps(self, paper_design, monkeypatch):
+        orders = self.spy_steps(monkeypatch)
+        walk = _PrefixWalk(paper_design)
+        for jchar in (
+            j_characteristics(paper_design, [Z4, V, Z4], walk=walk),
+            j_characteristics(paper_design, [Z4, V, Z4]),
+        ):
+            assert np.array_equal(jchar.values, self.reference(paper_design, [Z4, V, Z4]))
+        assert orders == [4, 2, 2, 4] * 2
+
+    def test_the_steps_stop_at_the_first_other_part(self, monkeypatch):
+        design = Design((tuple(ALPHABET), ("x", "y", "z"), ("0", "1")), {(1, 2, 0): 2, (3, 0, 1): 1})
+        orders = self.spy_steps(monkeypatch)
+        for assignment in ([V, "3", "2"], [Z4, "3", "2"]):
+            jchar = j_characteristics(design, assignment)
+            assert np.array_equal(jchar.values, self.reference(design, assignment))
+        assert orders == [2, 2, 4]
+
+    @pytest.mark.parametrize(("n_runs", "steps"), [(2**53, [4, 2, 2] * 2), (2**53 + 2, [])])
+    def test_only_while_n_runs_is_at_most_two_to_the_53(self, monkeypatch, n_runs, steps):
+        # Multiplicities past int64's square root are Python ints; above
+        # 2**53 a partial sum may round, so the table route runs.
+        design = Design((tuple(ALPHABET),) * 2, {(0, 0): n_runs - 3, (1, 3): 2, (2, 1): 1})
+        assert design.n_runs == n_runs
+        orders = self.spy_steps(monkeypatch)
+        for jchar in (
+            j_characteristics(design, [Z4, V], walk=_PrefixWalk(design)),
+            j_characteristics(design, [Z4, V]),
+        ):
+            assert np.array_equal(
+                jchar.values.view(np.float64), self.reference(design, [Z4, V]).view(np.float64)
+            )
+        assert orders == steps
+
+    @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
+    def test_one_shot_memory_stays_within_the_table_route_peak(self, groups):
+        # 4^8 cells: each complex array is 1 MiB, and the table route peaked
+        # at four of them.  A Z4 step with more temporaries, or a one-shot
+        # that kept prefixes, would pass that.
+        rng = np.random.default_rng(53)
+        codes = rng.choice(4**8, 300, replace=False)
+        runs = zip(*(d.tolist() for d in np.unravel_index(codes, (4,) * 8)))
+        design = Design((tuple(ALPHABET),) * 8, dict.fromkeys(runs, 1))
+        j_characteristics(design, groups)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            j_characteristics(design, groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20 + 2**16
 
 
 class TestJCharVector:
@@ -363,6 +460,18 @@ class TestGwlp:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="negative entry"):
             GWLP((1.0, -1e-300))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # A NaN would compare false everywhere: resolution_and_strength would
+        # skip it and compare_aberration would call it a tie.
+        with pytest.raises(ValueError, match="non-finite entry"):
+            GWLP((1.0, bad, 0.5))
+
+    def test_a_spectrum_holding_nan_gives_no_pattern(self):
+        values = np.array([1, np.nan, 0, 0], dtype=np.complex128)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            gwlp_char(JCharVector(values, 1, (Z4,)))
 
 
 class TestGwlpChar:

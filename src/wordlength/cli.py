@@ -326,7 +326,10 @@ def _run_reconstruct(args) -> tuple[int, str]:
             ],
         }
         return 0, render.dumps(payload) + "\n"
-    return 0, design.serialize()
+    try:
+        return 0, design.serialize()
+    except ValueError as exc:  # a symbol that JSON holds but a design file does not
+        raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
 
 
 def _strings(value, name: str) -> list[str]:

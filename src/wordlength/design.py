@@ -137,13 +137,37 @@ class Design:
         return _dense(runs.T, mults, self.sizes, "count vector of length")
 
     def serialize(self) -> str:
-        """Canonical design-file text; parse(serialize(d)) reproduces d."""
+        """Canonical design-file text; parse(serialize(d)) reproduces d.
+
+        A ValueError names the factor and symbol when no file can hold the
+        design: a symbol that is empty or holds whitespace, ``#``, ``|`` or a
+        lone surrogate, or one that makes the first run line read as a header.
+        """
+        for i, alphabet in enumerate(self.levels, start=1):
+            for symbol in alphabet:
+                # str.split splits at line breaks too; UTF-8 cannot encode a lone surrogate.
+                if (
+                    symbol.split() != [symbol]
+                    or "#" in symbol
+                    or "|" in symbol
+                    or symbol.encode(errors="ignore").decode() != symbol
+                ):
+                    raise ValueError(
+                        f"factor {i}'s symbol {symbol!r} cannot be written to a design file"
+                    )
         lines = ["symbols: " + " | ".join(" ".join(a) for a in self.levels)]
         for run, mult in self.runs():
             tokens = [self.levels[i][r] for i, r in enumerate(run)]
             if mult > 1:
                 tokens.append(f"x{mult}")
             lines.append(" ".join(tokens))
+        first = lines[1]
+        if _HEADER_RE.match(first):  # the line's first colon ends the header name
+            i = first[: first.index(":")].count(" ")
+            raise ValueError(
+                f"factor {i + 1}'s symbol {first.split(' ')[i]!r} makes the first run "
+                f"line {first!r} read as a header"
+            )
         return "\n".join(lines) + "\n"
 
 

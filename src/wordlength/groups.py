@@ -191,9 +191,14 @@ def character_table(structure: AbelianStructure) -> np.ndarray:
 
 def _dense_table(cyclic_orders: Sequence[int]) -> np.ndarray:
     """Kronecker product of the cyclic tables, refused above the table cap."""
+    _check_dense_order(cyclic_orders)
+    return kron_all([cyclic_character_table(d) for d in cyclic_orders])  # s*s <= kron cap
+
+
+def _check_dense_order(cyclic_orders: Sequence[int]) -> None:
+    """Refuse a dense table of the product of these parts above ``DENSE_TABLE_CAP``."""
     s = math.prod(cyclic_orders)
     if s > DENSE_TABLE_CAP:
         raise ResourceLimitError(
             f"dense character table of order {s} exceeds the cap {DENSE_TABLE_CAP}"
         )
-    return kron_all([cyclic_character_table(d) for d in cyclic_orders])  # s*s <= kron cap

@@ -240,6 +240,31 @@ class TestReconstructCommand:
         bad.write_text(edited(lambda doc: doc.__setitem__("n_runs", 16.0)), encoding="utf-8")
         assert run(capsys, "reconstruct", str(bad))[0] == 0
 
+    def test_symbols_no_design_file_holds_are_a_data_error_in_text_only(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+        doc = json.loads(out)
+        spectrum = tmp_path / "spectrum.json"
+        for symbol in ["#", "b c", "", "|", "\ud800"]:
+            symbols = doc["design"]["symbols"][1] = ["0", "a", symbol, "c"]
+            spectrum.write_text(json.dumps(doc), encoding="utf-8")
+            code, text, err = run(capsys, "reconstruct", str(spectrum))
+            assert (code, text) == (2, "")
+            assert err == (
+                f"wordlength: {spectrum} is not a jchar report: "
+                f"factor 2's symbol {symbol!r} cannot be written to a design file\n"
+            )
+            # JSON holds any symbol, so the JSON report still names every run.
+            code, text, err = run(capsys, "reconstruct", str(spectrum), "--json")
+            assert (code, err) == (0, "")
+            runs = [entry["run"][1] for entry in json.loads(text)["counts"]]
+            assert sorted(runs) == sorted(symbols * 4)
+        # Run (0, 0, 0) comes first; as "a: 0 0" it would read as a header.
+        doc["design"]["symbols"] = [["a:", "b", "c", "d"]] + [["0", "1", "2", "3"]] * 2
+        spectrum.write_text(json.dumps(doc), encoding="utf-8")
+        code, text, err = run(capsys, "reconstruct", str(spectrum))
+        assert (code, text) == (2, "")
+        assert "factor 1's symbol 'a:' makes the first run line 'a: 0 0' read as a header" in err
+
     def test_undecodable_report_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"groups": ["\xff"]}')

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,40 @@ class TestDesignType:
         for _ in range(20):
             design = random_design(rng)
             assert parse_design(design.serialize()) == design
+
+    # Each symbol would write a file that fails to parse or means another design.
+    @pytest.mark.parametrize(
+        "symbol", ["", " ", "a b", "a\tb", "\x1c", "\u2028", "#", "a#", "|", "a|b", "\ud800"]
+    )
+    def test_serialize_refuses_a_symbol_no_file_can_hold(self, symbol):
+        design = Design((("0", "1"), ("0", symbol)), {(1, 0): 1})
+        message = f"factor 2's symbol {symbol!r} cannot be written to a design file"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            design.serialize()
+
+    def test_serialize_refuses_a_run_line_that_reads_as_a_header(self):
+        for levels, factor, symbol, line in [
+            ((("a:",), ("b",)), 1, "a:", "a: b"),
+            ((("a:b",), ("c",)), 1, "a:b", "a:b c"),
+            ((("levels",), (":2",)), 2, ":2", "levels :2"),
+        ]:
+            design = Design(levels, {(0, 0): 1})
+            message = re.escape(
+                f"factor {factor}'s symbol {symbol!r} makes the first run line {line!r} "
+                "read as a header"
+            )
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                design.serialize()
+        # Only the first run line is read for headers; a later one is a run.
+        design = Design((("0", "a:"), ("b",)), {(0, 0): 1, (1, 0): 2})
+        assert design.serialize() == "symbols: 0 a: | b\n0 b\na: b x2\n"
+        assert parse_design(design.serialize()) == design
+
+    def test_a_parsed_symbol_with_a_bar_is_refused_on_the_way_out(self):
+        design = parse_design("a|b c\nd e\n")
+        assert design.levels == (("a|b", "d"), ("c", "e"))
+        with pytest.raises(ValueError, match=re.escape("factor 1's symbol 'a|b' cannot be")):
+            design.serialize()
 
 
 class TestMargins:

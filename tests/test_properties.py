@@ -41,6 +41,7 @@ from wordlength import (
     j_characteristics,
     margins,
     parse_design,
+    parse_structure,
     projector_norms,
     reconstruct,
     relabel_levels,
@@ -53,11 +54,17 @@ from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import Spectrum, dumps, element_labels, fmt_float
-from wordlength.spectra import RECONSTRUCT_TOL, _PrefixWalk, _part_tables
+from wordlength.spectra import (
+    RECONSTRUCT_TOL,
+    _PrefixWalk,
+    _part_tables,
+    assignment_character_table,
+)
 
 MAX_SPACE = 4096
 SIZES = (1, 2, 3, 4, 6, 8, 9)
-# No whitespace, "|", "#" or ":", which the design-file syntax reserves.
+# No whitespace, "|", "#" or ":", which the design-file syntax reserves;
+# ANY_SYMBOLS draws those for serialize's refusals.
 SYMBOLS = st.text(alphabet="abcxyz019_-", min_size=1, max_size=3)
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -86,11 +93,12 @@ MULTIPLICITIES = st.one_of(st.integers(1, 4), st.integers(2**53, 2**62))
 
 
 @st.composite
-def designs(draw, symbols: bool = False, multiplicities=st.integers(1, 4)) -> Design:
+def designs(draw, symbols=None, multiplicities=st.integers(1, 4)) -> Design:
+    """Numeric alphabets 0..s-1, or ``symbols`` drawn from that strategy."""
     shape = draw(sizes())
-    if symbols:
+    if symbols is not None:
         levels = tuple(
-            tuple(draw(st.lists(SYMBOLS, min_size=s, max_size=s, unique=True))) for s in shape
+            tuple(draw(st.lists(symbols, min_size=s, max_size=s, unique=True))) for s in shape
         )
     else:
         levels = tuple(tuple(str(j) for j in range(s)) for s in shape)
@@ -217,9 +225,29 @@ def test_dense_counts_nonzeros_are_the_runs(design):
 
 
 @PROPERTY
-@given(designs(symbols=True))
+@given(designs(SYMBOLS))
 def test_serialize_round_trips(design):
     assert parse_design(design.serialize()) == design
+
+
+# Colons, which only a first run line may not hold, symbols like "x2" that
+# read as a multiplier elsewhere, and empty ones or ones with whitespace, "#"
+# or "|", which no file holds.
+ANY_SYMBOLS = st.one_of(
+    st.text(alphabet="ax2_:", min_size=1, max_size=3),
+    st.text(alphabet="ax \t#|", max_size=2),
+    st.text(max_size=2),
+)
+
+
+@PROPERTY
+@given(designs(ANY_SYMBOLS))
+def test_serialize_refuses_what_would_not_parse_back(design):
+    try:
+        text = design.serialize()
+    except ValueError:
+        return
+    assert parse_design(text) == design
 
 
 def used_symbols_only(design: Design) -> Design:
@@ -248,7 +276,7 @@ def test_shuffled_split_run_lines_parse_back(header, columns, data):
     """A design rendered with its repeats split between repeated lines and
     x<m> (rows) or repeated columns, shuffled, commented and unevenly spaced,
     parses back to the design its multiset builds."""
-    design = data.draw(designs(symbols=header != "levels"))
+    design = data.draw(designs(None if header == "levels" else SYMBOLS))
     lines = []  # (symbols, multiplier or None for a bare line)
     for run, mult in design.counts.items():
         symbols = [design.levels[i][r] for i, r in enumerate(run)]
@@ -281,7 +309,7 @@ def test_shuffled_split_run_lines_parse_back(header, columns, data):
 
 
 @PROPERTY
-@given(designs(symbols=True), st.data())
+@given(designs(SYMBOLS), st.data())
 def test_a_bad_line_planted_several_times_is_reported_at_the_first(design, data):
     header, *lines = design.serialize().splitlines()
     lines += data.draw(st.lists(st.sampled_from(lines), max_size=6))  # repeated good lines
@@ -548,6 +576,42 @@ def test_walk_and_one_shot_spectra_are_the_table_route_spectra(case):
         for walked in (walk, None):
             jchar = j_characteristics(design, structures, walk=walked)
             assert np.array_equal(jchar.values.view(np.float64), reference)
+
+
+# Factor sizes for dense spectra past the route's 2**16-entry block budget
+# (s > 256) and up to 1,500, whose whole table is 37 MB: splits such as 2x2,
+# 4x2, 3x3 and 4x4, odd primes, and a prime part past 256 levels.
+DENSE_BLOCK_SIZES = (2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 257)
+
+
+@st.composite
+def blocked_dense_cases(draw):
+    """A design with 256 < s <= 1500 and a random structure per factor."""
+    shape: list[int] = []
+    while math.prod(shape) <= 256:
+        room = [d for d in DENSE_BLOCK_SIZES if math.prod(shape) * d <= 1500]
+        shape.append(draw(st.sampled_from(room)))
+    run = st.tuples(*(st.integers(0, s - 1) for s in shape))
+    counts = Counter(draw(st.lists(run, min_size=1, max_size=12)))
+    design = Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
+    return design, tuple(draw(st.sampled_from(enumerate_structures(s))) for s in shape)
+
+
+def two_factor_case(a: int, b: int):
+    design = Design((tuple(map(str, range(a))), tuple(map(str, range(b)))), {(1, 1): 2, (0, 0): 1})
+    return design, (parse_structure(str(a)), parse_structure(str(b)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocked_dense_cases())
+@example(two_factor_case(181, 2))  # blocks of 90 head rows, so the last has 1, and 2 table rows
+@example(two_factor_case(3, 509))  # the tail alone is past the budget: blocks of D * s entries
+def test_blocked_dense_spectra_are_the_whole_table_product_bit_for_bit(case):
+    design, structures = case
+    counts = design.dense_counts().astype(np.complex128)
+    reference = assignment_character_table(structures) @ counts
+    values = j_characteristics(design, structures, "dense").values
+    assert np.array_equal(values.view(np.float64), reference.view(np.float64))
 
 
 # Floats that reach every branch of ".12g" with -0 dropped: signed zeros,

@@ -234,6 +234,33 @@ class TestJCharacteristics:
         with pytest.raises(ResourceLimitError):
             j_characteristics(too_big_table, [Z4] * 7, "dense")
 
+    def test_dense_route_memory_is_bounded_by_its_blocks(self):
+        # At s = 4096 the whole table is 256 MiB; the head and a block are
+        # 1 MiB each.
+        rng = np.random.default_rng(54)
+        codes = rng.choice(4**6, 300, replace=False)
+        runs = zip(*(d.tolist() for d in np.unravel_index(codes, (4,) * 6)))
+        design = Design((tuple(ALPHABET),) * 6, dict.fromkeys(runs, 1))
+        tracemalloc.start()
+        try:
+            j_characteristics(design, [Z4] * 6, "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_dense_cap_is_checked_before_the_table_is_built(self):
+        design = Design((tuple(ALPHABET),) * 7, {(0,) * 7: 1})
+        message = "^dense character table of order 16384 exceeds the cap 4096$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=message):
+                j_characteristics(design, [Z4] * 7, "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_assignment_validation(self, paper_design):
         with pytest.raises(ValueError):
             j_characteristics(paper_design, [Z4, Z4])

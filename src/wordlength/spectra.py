@@ -27,7 +27,7 @@ from .groups import (
     element_components,
     parse_structure,
 )
-from .kron import _contract_axis, factored_apply, kron, kron_all
+from .kron import _contract_axis, kron, kron_all
 
 Assignment = tuple[AbelianStructure, ...]
 
@@ -172,10 +172,6 @@ class GWLP:
         return iter(self.values)
 
 
-def _part_tables(structures: Sequence[AbelianStructure]) -> list[np.ndarray]:
-    return [cyclic_character_table(d) for st in structures for d in st.cyclic_orders]
-
-
 def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.ndarray:
     """Dense character table of the product group, Yates-ordered by factors."""
     return _dense_table([d for st in structures for d in st.cyclic_orders])
@@ -197,17 +193,18 @@ def _dense_spectrum(parts: Sequence[int], counts: np.ndarray) -> np.ndarray:
     while cut < len(parts) and math.prod(parts[: cut + 1]) ** 2 <= _DENSE_BLOCK_ENTRIES:
         cut += 1
     head = kron_all(tables[:cut])
-    if cut == len(parts):
-        return head @ counts
-    # A block has D >= 2 rows, so its product takes numpy's matrix-vector
-    # path, as the whole table's does; a one-row block takes another, whose
-    # last bits differ (by up to 4e-12 on parts (3, 7, 9, 13)).
     tail = tables[cut:]
     rows = max(1, _DENSE_BLOCK_ENTRIES // (math.prod(parts[cut:]) * len(counts)))
-    starts = range(0, len(head), rows)  # each block is dropped once applied
-    return np.concatenate(
-        [functools.reduce(kron, tail, head[r : r + rows]) @ counts for r in starts]
-    )
+    # The head rows split into blocks of at most ``rows`` whose sizes differ
+    # by at most one, so a block has D >= 2 table rows per head row under a
+    # tail of order D, is the whole table, or has at least 8 rows of one part
+    # past 256 levels.  Its product then takes numpy's matrix-vector path, as
+    # the whole table's does; a one-row block (blocks of exactly ``rows``
+    # leave one of the part 571) takes another, whose last bits differ (by up
+    # to 4e-12 on parts (3, 7, 9, 13)).  Each block's product is dropped once
+    # applied.
+    blocks = np.array_split(head, math.ceil(len(head) / rows))
+    return np.concatenate([functools.reduce(kron, tail, block) @ counts for block in blocks])
 
 
 def _exact_parts(parts: Sequence[int], n_runs: int) -> int:
@@ -216,7 +213,9 @@ def _exact_parts(parts: Sequence[int], n_runs: int) -> int:
     Their character values are 1, i, -1 and -i, so while N <= 2**53 every
     partial sum over them is a Gaussian integer with parts at most N in
     magnitude, exact in any evaluation order: the steps and the table route
-    give the same numbers.
+    give the same numbers.  In ``reconstruct``'s inverse each partial sum is
+    a power of two times such an integer, so it is still exact while
+    N <= 2**53.
     """
     if n_runs > 2**53:
         return 0
@@ -248,20 +247,25 @@ def _quarter_step(flat: np.ndarray, d: int) -> np.ndarray:
     return y.reshape(-1)
 
 
-def _apply_part(w: np.ndarray, parts: Sequence[int], axis: int, exact: int) -> np.ndarray:
-    """``w``, the transform after ``parts[:axis]``, carried through ``parts[axis]``.
+def _apply_parts(w: np.ndarray, parts: list[int], start: int, stop: int, exact: int) -> np.ndarray:
+    """``w``, the transform after ``parts[:start]``, carried through ``parts[start:stop]``.
 
-    The first ``exact`` parts are ``_quarter_step``s on a contiguous rotated
-    array; from there on ``w`` has one axis per part and each is
-    ``factored_apply``'s step.
+    The one factorized transform: the one-shot ``j_characteristics`` runs it
+    once, a ``_PrefixWalk`` once per factor, and ``reconstruct`` on the
+    conjugate spectrum.  The first ``exact`` parts are ``_quarter_step``s on
+    a contiguous rotated array; from there on ``w`` has one axis per part,
+    and each part is ``_contract_axis``'s step with its cyclic table.
     """
-    if axis < exact:
-        return _quarter_step(w, parts[axis])
-    if axis == exact:  # the rotated array, viewed in part order
-        rest = len(parts) - axis
-        w = w.reshape([*parts[axis:], *parts[:axis]])
-        w = w.transpose(*range(rest, len(parts)), *range(rest))
-    return _contract_axis(w, axis, cyclic_character_table(parts[axis]))
+    for axis in range(start, stop):
+        if axis < exact:
+            w = _quarter_step(w, parts[axis])
+            continue
+        if axis == exact:  # the rotated array, viewed in part order
+            rest = len(parts) - axis
+            w = w.reshape([*parts[axis:], *parts[:axis]])
+            w = w.transpose(*range(rest, len(parts)), *range(rest))
+        w = _contract_axis(w, axis, cyclic_character_table(parts[axis]))
+    return w
 
 
 class _PrefixWalk:
@@ -273,9 +277,9 @@ class _PrefixWalk:
     i below the last factor of the latest assignment, and the next one starts
     from the longest shared run.  That is at most (k - 1) * s complex values
     beside the count vector; the leaf is not kept, so a returned spectrum
-    owns its memory.  Each part is ``_apply_part``'s step, as in the one-shot
-    ``j_characteristics``: exact steps while the parts have order 2 or 4,
-    ``factored_apply``'s table steps from the first other part on.  A kept
+    owns its memory.  Each factor's parts run through ``_apply_parts``, as
+    in the one-shot ``j_characteristics``: exact steps while the parts have
+    order 2 or 4, table steps from the first other part on.  A kept
     exact-phase array is a rotated one, which a later assignment resumes
     either way.
     """
@@ -301,9 +305,8 @@ class _PrefixWalk:
         w = (self._prefixes[-1] if depth else self._counts).reshape(parts)
         axis = sum(map(len, orders[:depth]))
         for i in range(depth, len(orders)):
-            for _ in orders[i]:
-                w = _apply_part(w, parts, axis, exact)
-                axis += 1
+            w = _apply_parts(w, parts, axis, axis + len(orders[i]), exact)
+            axis += len(orders[i])
             if i < len(orders) - 1:
                 self._orders.append(orders[i])
                 self._prefixes.append(w)
@@ -326,13 +329,13 @@ def j_characteristics(
     each under that cap, as a mixed-radix transform on the dense count vector
     (capped at ``design.DENSIFY_CAP``).  While N <= 2**53 its leading parts of
     order 2 or 4 run as exact add/subtract steps instead of table products,
-    and the parts from the first other order on as ``factored_apply``'s
-    steps, so the values equal ``factored_apply``'s as numbers (the sign of
-    a zero is not promised).  A sweep passes one ``_PrefixWalk`` of the
-    design as ``walk`` to every call, which starts each factorized transform
-    from the arrays kept for the previous assignment, bit for bit the same;
-    the default ``None`` keeps nothing.  A walk with ``"dense"`` is a
-    ValueError.
+    and the parts from the first other order on as the table steps of
+    ``kron.factored_apply``, so the values equal its product with the part
+    tables as numbers (the sign of a zero is not promised).  A sweep passes
+    one ``_PrefixWalk`` of the design as ``walk`` to every call, which starts
+    each factorized transform from the arrays kept for the previous
+    assignment, bit for bit the same; the default ``None`` keeps nothing.
+    A walk with ``"dense"`` is a ValueError.
     """
     structures = check_assignment(design, structures)
     if walk is not None:
@@ -341,16 +344,15 @@ def j_characteristics(
         if walk.design is not design:
             raise ValueError("the prefix walk was made for another design")
         return JCharVector(walk.spectrum(structures), design.n_runs, structures)
-    counts = design.dense_counts().astype(np.complex128)
     parts = [d for st in structures for d in st.cyclic_orders]
     if algorithm == "dense":
-        values = _dense_spectrum(parts, counts)
+        values = _dense_spectrum(parts, design.dense_counts().astype(np.complex128))
     elif algorithm == "factorized":
         exact = _exact_parts(parts, design.n_runs)
-        values, counts = counts, None  # freed after the first step
-        for axis in range(len(parts)):
-            values = _apply_part(values, parts, axis, exact)
-        values = values.reshape(-1)
+        # No name keeps the count vector, so the first step frees it.
+        values = _apply_parts(
+            design.dense_counts().astype(np.complex128), parts, 0, len(parts), exact
+        ).reshape(-1)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r} (want dense or factorized)")
     return JCharVector(values, design.n_runs, structures)
@@ -365,12 +367,21 @@ def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run
     nonnegative integer, which happens when the values were computed under a
     different structure assignment than the one they are paired with, or if
     the multiplicities do not add up to ``jchar.n_runs``.
+
+    The cells are ``conj(H conj(chi)) / s`` (every cyclic table is
+    symmetric, so H* = conj(H)), by the part steps of ``j_characteristics``.
+    So while N <= 2**53 the spectrum of a design whose parts all have order
+    2 or 4 reconstructs exactly, even with ``tol=0``.
     """
     orders = [st.order for st in jchar.structures]
-    adjoints = [t.conj().T for t in _part_tables(jchar.structures)]
-    # A non-finite spectrum makes NaN cells; they fail the check below.
-    with np.errstate(invalid="ignore"):
-        cells = factored_apply(adjoints, jchar.values) / jchar.space_size
+    parts = [d for st in jchar.structures for d in st.cyclic_orders]
+    exact = _exact_parts(parts, jchar.n_runs)
+    # A non-finite or huge spectrum makes NaN or infinite cells; they fail
+    # the check below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        cells = _apply_parts(np.conj(jchar.values), parts, 0, len(parts), exact).reshape(-1)
+        np.conj(cells, out=cells)
+        cells /= jchar.space_size
         mults = np.rint(cells.real)
         off = ~(np.abs(cells - mults) <= tol)  # true for non-finite cells too
     bad = np.flatnonzero(off | (mults < 0))

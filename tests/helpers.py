@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from wordlength import Design, enumerate_structures, j_characteristics
+from wordlength.groups import cyclic_character_table
 from wordlength.invariance import JCharWitness, expand_assignments
 from wordlength.spectra import INTERNAL_TOL
 
@@ -81,6 +82,12 @@ def tensordot_apply(factors, v) -> np.ndarray:
     for axis, f in enumerate(mats):
         w = np.moveaxis(np.tensordot(f, w, axes=([1], [axis])), 0, axis)
     return w.reshape(-1)
+
+
+def part_tables(structures) -> list[np.ndarray]:
+    """The cyclic table of every part of an assignment, in Yates order: with
+    factored_apply, the table route that the transforms are checked against."""
+    return [cyclic_character_table(d) for st in structures for d in st.cyclic_orders]
 
 
 def list_assigned_values(res, ims) -> np.ndarray:

@@ -27,6 +27,7 @@ from helpers import (
     mobius_alternating_list,
     naive_margin_counts,
     pair_subset_norm,
+    part_tables,
     tensordot_apply,
 )
 from wordlength import (
@@ -57,7 +58,8 @@ from wordlength.render import Spectrum, dumps, element_labels, fmt_float
 from wordlength.spectra import (
     RECONSTRUCT_TOL,
     _PrefixWalk,
-    _part_tables,
+    _apply_parts,
+    _exact_parts,
     assignment_character_table,
 )
 
@@ -80,8 +82,8 @@ def digits_of(index: int, orders) -> tuple[int, ...]:
 
 
 @st.composite
-def sizes(draw) -> tuple[int, ...]:
-    chosen = draw(st.lists(st.sampled_from(SIZES), min_size=1, max_size=6))
+def sizes(draw, pool=SIZES) -> tuple[int, ...]:
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     while math.prod(chosen) > MAX_SPACE:
         chosen.pop()
     return tuple(chosen)
@@ -93,9 +95,9 @@ MULTIPLICITIES = st.one_of(st.integers(1, 4), st.integers(2**53, 2**62))
 
 
 @st.composite
-def designs(draw, symbols=None, multiplicities=st.integers(1, 4)) -> Design:
+def designs(draw, symbols=None, multiplicities=st.integers(1, 4), pool=SIZES) -> Design:
     """Numeric alphabets 0..s-1, or ``symbols`` drawn from that strategy."""
-    shape = draw(sizes())
+    shape = draw(sizes(pool))
     if symbols is not None:
         levels = tuple(
             tuple(draw(st.lists(symbols, min_size=s, max_size=s, unique=True))) for s in shape
@@ -124,16 +126,53 @@ def test_reconstruct_inverts_the_transform(case):
     assert reconstruct(j_characteristics(design, assignment)) == dict(design.counts)
 
 
+# Factor sizes with structures whose cyclic parts all have order 2 or 4.
+QUARTER_TURN_SIZES = (1, 2, 4, 8, 16)
+
+
+@st.composite
+def quarter_turn_cases(draw):
+    """A design with N < 2**53 under structures of parts of order 2 and 4 only."""
+    # At most 12 entries of at most 2**49 each.
+    multiplicities = st.one_of(st.integers(1, 4), st.integers(2**48, 2**49))
+    design = draw(designs(multiplicities=multiplicities, pool=QUARTER_TURN_SIZES))
+    splits = [
+        [split for split in enumerate_structures(s) if set(split.cyclic_orders) <= {2, 4}]
+        for s in design.sizes
+    ]
+    return design, tuple(draw(st.sampled_from(choices)) for choices in splits)
+
+
+@PROPERTY
+@given(quarter_turn_cases())
+@example(  # N = 2**53, the largest that takes the exact steps
+    (
+        Design((tuple("0123"), ("0", "1")), {(0, 0): 2**53 - 3, (1, 1): 2, (3, 0): 1}),
+        (parse_structure("4"), parse_structure("2")),
+    )
+)
+def test_reconstruct_is_exact_under_parts_of_order_2_and_4(case):
+    design, assignment = case
+    assert reconstruct(j_characteristics(design, assignment), tol=0) == dict(design.counts)
+
+
+def reconstructed_cells(structures, values, n_runs) -> np.ndarray:
+    """``reconstruct``'s cells, conj(H conj(chi)) / s by the same part steps."""
+    parts = [d for structure in structures for d in structure.cyclic_orders]
+    exact = _exact_parts(parts, n_runs)
+    transformed = _apply_parts(np.conj(values), parts, 0, len(parts), exact).reshape(-1)
+    return np.conj(transformed) / len(values)
+
+
 def reconstruct_under(structures, values, n_runs, tol=RECONSTRUCT_TOL):
     """Reference reading of ``values`` under ``structures``, one cell at a time.
 
-    It applies the same factored adjoint as ``reconstruct``, so the cells agree
-    bit for bit and so must the first bad cell and its message.
+    Its cells are ``reconstruct``'s, so they agree bit for bit and so must the
+    first bad cell and its message.
     """
     orders = [structure.order for structure in structures]
-    adjoints = [table.conj().T for table in _part_tables(structures)]
     counts = {}
-    for index, cell in enumerate(factored_apply(adjoints, values) / len(values)):
+    for index, cell in enumerate(reconstructed_cells(structures, values, n_runs)):
         mult = round(cell.real)
         if not abs(cell - mult) <= tol:
             raise InconsistentSpectrumError(
@@ -189,6 +228,11 @@ def test_repaired_spectrum_reads_under_its_new_assignment(case, data):
         except InconsistentSpectrumError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+    # An independent route to the same cells: the adjoint part tables.
+    adjoints = [table.conj().T for table in part_tables(other)]
+    reference = factored_apply(adjoints, jchar.values) / len(jchar.values)
+    cells = reconstructed_cells(other, jchar.values, jchar.n_runs)
+    assert np.allclose(cells, reference, rtol=1e-12, atol=1e-12 * jchar.n_runs)
 
 
 @PROPERTY
@@ -572,7 +616,7 @@ def test_walk_and_one_shot_spectra_are_the_table_route_spectra(case):
     counts = design.dense_counts().astype(np.complex128)
     walk = _PrefixWalk(design)
     for structures in invariance.expand_assignments(design, assignments):
-        reference = factored_apply(_part_tables(structures), counts).view(np.float64)
+        reference = factored_apply(part_tables(structures), counts).view(np.float64)
         for walked in (walk, None):
             jchar = j_characteristics(design, structures, walk=walked)
             assert np.array_equal(jchar.values.view(np.float64), reference)
@@ -585,16 +629,31 @@ DENSE_BLOCK_SIZES = (2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 257)
 
 
 @st.composite
+def dense_case(draw, shape):
+    run = st.tuples(*(st.integers(0, s - 1) for s in shape))
+    counts = Counter(draw(st.lists(run, min_size=1, max_size=12)))
+    design = Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
+    return design, tuple(draw(st.sampled_from(enumerate_structures(s))) for s in shape)
+
+
+@st.composite
 def blocked_dense_cases(draw):
     """A design with 256 < s <= 1500 and a random structure per factor."""
     shape: list[int] = []
     while math.prod(shape) <= 256:
         room = [d for d in DENSE_BLOCK_SIZES if math.prod(shape) * d <= 1500]
         shape.append(draw(st.sampled_from(room)))
-    run = st.tuples(*(st.integers(0, s - 1) for s in shape))
-    counts = Counter(draw(st.lists(run, min_size=1, max_size=12)))
-    design = Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
-    return design, tuple(draw(st.sampled_from(enumerate_structures(s))) for s in shape)
+    return draw(dense_case(shape))
+
+
+@st.composite
+def whole_dense_cases(draw):
+    """A design with 1 <= s <= 256 (one block) and a random structure per factor."""
+    factor_sizes = (1, *(d for d in DENSE_BLOCK_SIZES if d <= 256))
+    shape = draw(st.lists(st.sampled_from(factor_sizes), min_size=1, max_size=6))
+    while math.prod(shape) > 256:
+        shape.pop()
+    return draw(dense_case(shape))
 
 
 def two_factor_case(a: int, b: int):
@@ -604,9 +663,28 @@ def two_factor_case(a: int, b: int):
 
 @settings(max_examples=30, deadline=None)
 @given(blocked_dense_cases())
-@example(two_factor_case(181, 2))  # blocks of 90 head rows, so the last has 1, and 2 table rows
+@example(two_factor_case(181, 2))  # blocks of 61, 60 and 60 head rows (at most 90), 2 rows each
 @example(two_factor_case(3, 509))  # the tail alone is past the budget: blocks of D * s entries
 def test_blocked_dense_spectra_are_the_whole_table_product_bit_for_bit(case):
+    design, structures = case
+    counts = design.dense_counts().astype(np.complex128)
+    reference = assignment_character_table(structures) @ counts
+    values = j_characteristics(design, structures, "dense").values
+    assert np.array_equal(values.view(np.float64), reference.view(np.float64))
+
+
+def one_factor_case(p: int):
+    """One p-level factor with a run on every seventh level."""
+    design = Design((tuple(map(str, range(p))),), {(j,): j % 3 + 1 for j in range(0, p, 7)})
+    return design, (parse_structure(str(p)),)
+
+
+@settings(max_examples=30, deadline=None)
+@given(whole_dense_cases())
+@example(one_factor_case(509))  # one part past 256 levels: blocks of its head rows
+@example(one_factor_case(1021))
+@example(one_factor_case(571))  # 571 rows in blocks of at most 114: none may have one row
+def test_small_and_one_part_dense_spectra_are_the_whole_table_product_bit_for_bit(case):
     design, structures = case
     counts = design.dense_counts().astype(np.complex128)
     reference = assignment_character_table(structures) @ counts

@@ -17,6 +17,7 @@ from helpers import (
     all_assignments,
     oracle_gwlp,
     oracle_jchar,
+    part_tables,
     random_design,
     yates_elements,
 )
@@ -39,7 +40,7 @@ from wordlength import (
 )
 from wordlength import spectra
 from wordlength.groups import cyclic_character_table
-from wordlength.spectra import JCharVector, _PrefixWalk, _part_tables
+from wordlength.spectra import JCharVector, _PrefixWalk
 
 Z4 = parse_structure("4")
 V = parse_structure("2x2")
@@ -122,8 +123,8 @@ class TestWeight:
             weights[0] = 1
 
     def test_part_tables_are_shared_and_read_only(self):
-        first = _part_tables((Z4, V, parse_structure("8x2")))
-        again = _part_tables((parse_structure("2x2x2"), Z4))
+        first = part_tables((Z4, V, parse_structure("8x2")))
+        again = part_tables((parse_structure("2x2x2"), Z4))
         assert again[0] is first[1] and again[3] is first[0]
         for table, order in zip(first, (4, 2, 2, 8, 2)):
             assert not table.flags.writeable
@@ -329,7 +330,7 @@ class TestQuarterTurnSteps:
     @staticmethod
     def reference(design, assignment) -> np.ndarray:
         structures = check_assignment(design, assignment)
-        return factored_apply(_part_tables(structures), design.dense_counts().astype(np.complex128))
+        return factored_apply(part_tables(structures), design.dense_counts().astype(np.complex128))
 
     def test_a_quarter_turn_assignment_takes_the_steps(self, paper_design, monkeypatch):
         orders = self.spy_steps(monkeypatch)
@@ -365,23 +366,42 @@ class TestQuarterTurnSteps:
             )
         assert orders == steps
 
-    @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
-    def test_one_shot_memory_stays_within_the_table_route_peak(self, groups):
-        # 4^8 cells: each complex array is 1 MiB, and the table route peaked
-        # at four of them.  A Z4 step with more temporaries, or a one-shot
-        # that kept prefixes, would pass that.
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def design_4_8() -> Design:
         rng = np.random.default_rng(53)
         codes = rng.choice(4**8, 300, replace=False)
         runs = zip(*(d.tolist() for d in np.unravel_index(codes, (4,) * 8)))
-        design = Design((tuple(ALPHABET),) * 8, dict.fromkeys(runs, 1))
+        return Design((tuple(ALPHABET),) * 8, dict.fromkeys(runs, 1))
+
+    @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
+    def test_one_shot_memory_stays_within_the_table_route_peak(self, groups):
+        # 4^8 cells: each complex array is 1 MiB.  A Z4 step holds its input,
+        # its output and a quarter-size temporary, 2.25 MiB; a one-shot that
+        # kept the count vector (3.25 MiB) or its prefixes would exceed that.
+        design = self.design_4_8()
         j_characteristics(design, groups)  # builds the cached tables
-        tracemalloc.start()
-        try:
-            j_characteristics(design, groups)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20 + 2**16
+        peak = self.traced_peak(lambda: j_characteristics(design, groups))
+        assert peak <= 9 * 2**18 + 2**16
+
+    @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
+    def test_reconstruct_memory_is_three_cell_arrays(self, groups):
+        # At 4^8 the check holds the cells and their difference from the
+        # rounded counts (1 MiB each), the rounded counts and the distances
+        # (0.5 MiB each).  A transform that kept the conjugated spectrum
+        # would peak at 3.25 MiB under Z4 parts.
+        jchar = j_characteristics(self.design_4_8(), groups)
+        reconstruct(jchar)
+        peak = self.traced_peak(lambda: reconstruct(jchar))
+        assert peak <= 3 * 2**20 + 2**16
 
 
 class TestJCharVector:
@@ -458,6 +478,15 @@ class TestReconstruct:
             warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
             with pytest.raises(InconsistentSpectrumError, match="cell 0 reconstructs to"):
                 reconstruct(JCharVector(values, 1, (Z4,)))
+
+    @pytest.mark.parametrize("structure", [Z4, V])
+    def test_overflowing_spectrum_rejected(self, structure):
+        values = np.array([1e308, 1e308, 0, 0], dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning on the way
+            message = re.escape("cell 0 reconstructs to (inf")
+            with pytest.raises(InconsistentSpectrumError, match=message):
+                reconstruct(JCharVector(values, 1, (structure,)))
 
     def test_default_tolerance_holds_at_large_s(self):
         # At s = 2^19 a tolerance proportional to s would exceed 1/2 and let a

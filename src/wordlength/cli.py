@@ -20,7 +20,7 @@ import numpy as np
 from . import render
 from .design import Design, margins, parse_design
 from .errors import DesignParseError, InconsistentSpectrumError, ResourceLimitError
-from .groups import AbelianStructure, enumerate_structures, parse_structure
+from .groups import enumerate_structures
 from .invariance import (
     CROSS_ROUTE_TOL,
     compare_aberration,
@@ -197,30 +197,27 @@ def _design_summary(path: str, design: Design) -> dict:
     }
 
 
-def _parse_assignment(literal: str) -> tuple[AbelianStructure, ...]:
-    return tuple(parse_structure(chunk) for chunk in literal.split(","))
-
-
 def _assignment_literal(structures) -> str:
     return ",".join(st.literal() for st in structures)
 
 
-def _pattern(design: Design, groups: str | None, algorithm: str):
-    """The pattern by ``algorithm`` and the structure literals used (None for margin)."""
+def _pattern(design: Design, groups: str | None, algorithm: str | None):
+    """The pattern, the algorithm run (by default margin if ``groups`` is None,
+    else factorized) and the structure literals used (None for margin)."""
+    algorithm = algorithm or ("margin" if groups is None else "factorized")
     if algorithm == "margin":
-        if groups:
+        if groups is not None:
             raise ValueError("the margin algorithm takes no --groups")
-        return gwlp_margin(design), None
-    if not groups:
+        return gwlp_margin(design), algorithm, None
+    if groups is None:
         raise ValueError(f"--groups is required for the {algorithm} algorithm")
-    jchar = j_characteristics(design, _parse_assignment(groups), algorithm)
-    return gwlp_char(jchar), [st.literal() for st in jchar.structures]
+    jchar = j_characteristics(design, groups.split(","), algorithm)
+    return gwlp_char(jchar), algorithm, [st.literal() for st in jchar.structures]
 
 
 def _run_gwlp(args) -> tuple[int, str]:
     design = _load_design(args.design)
-    algorithm = args.algorithm or ("factorized" if args.groups else "margin")
-    pattern, groups = _pattern(design, args.groups, algorithm)
+    pattern, algorithm, groups = _pattern(design, args.groups, args.algorithm)
     resolution, strength = resolution_and_strength(pattern, args.tol)
     if args.json:
         payload = {
@@ -242,7 +239,7 @@ def _run_gwlp(args) -> tuple[int, str]:
 
 def _run_jchar(args) -> tuple[int, str]:
     design = _load_design(args.design)
-    jchar = j_characteristics(design, _parse_assignment(args.groups), args.algorithm)
+    jchar = j_characteristics(design, args.groups.split(","), args.algorithm)
     if args.json:
         payload = {
             "design": {
@@ -273,7 +270,6 @@ def _run_reconstruct(args) -> tuple[int, str]:
         for key in ("groups", "n_runs", "values"):
             if key not in doc:
                 raise ValueError(f"no {key!r} key")
-        structures = tuple(map(parse_structure, _strings(doc["groups"], "groups")))
         raw_runs = doc["n_runs"]
         if isinstance(raw_runs, bool):  # before int(): bool is an int subclass
             raise TypeError(f"n_runs {raw_runs!r} is not a number")
@@ -287,12 +283,12 @@ def _run_reconstruct(args) -> tuple[int, str]:
         values = _read_values(doc["values"])
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        jchar = JCharVector(values, n_runs, structures)
+        jchar = JCharVector(values, n_runs, _strings(doc["groups"], "groups"))
         if symbols is not None:
             if not isinstance(symbols, list):
                 raise TypeError(f"symbols {symbols!r} is not a list of lists")
             symbols = [_strings(a, "a symbols entry") for a in symbols]
-            orders = [st.order for st in structures]
+            orders = [st.order for st in jchar.structures]
             if list(map(len, symbols)) != orders or [len(set(a)) for a in symbols] != orders:
                 raise ValueError("symbols do not fit the groups")
     except (  # ResourceLimitError: a group past groups.MAX_ORDER, which no report lists
@@ -300,15 +296,14 @@ def _run_reconstruct(args) -> tuple[int, str]:
         ValueError,  # RecursionError: JSON nested past the parser's depth
     ) as exc:
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
-    if args.groups:
-        override = _parse_assignment(args.groups)
-        orders = [st.order for st in override]
+    if args.groups is not None:
+        jchar = JCharVector(jchar.values, jchar.n_runs, args.groups.split(","))
+        orders = [st.order for st in jchar.structures]
         if symbols is not None and orders != list(map(len, symbols)):
             raise ValueError(
-                f"--groups {args.groups} has orders {orders} and spans {math.prod(orders)} "
-                f"elements, but the report's symbols have sizes {list(map(len, symbols))}"
+                f"--groups {args.groups} has orders {orders}, "
+                f"but the report's symbols have sizes {list(map(len, symbols))}"
             )
-        jchar = JCharVector(jchar.values, jchar.n_runs, override)
     counts = reconstruct(jchar, tol=args.tol)
     if symbols is None:
         symbols = [[str(j) for j in range(st.order)] for st in jchar.structures]
@@ -377,7 +372,7 @@ def _run_invariance(args) -> tuple[int, str]:
             raise ValueError("--groups all cannot be combined with explicit assignments")
         assignments = "all"
     else:
-        assignments = [_parse_assignment(lit) for lit in specs]
+        assignments = [lit.split(",") for lit in specs]
     report = verify_invariance(design, assignments, tol=args.tol)
     witness = report.witness
     witness_payload = None
@@ -471,14 +466,13 @@ def _run_margins(args) -> tuple[int, str]:
 
 
 def _run_compare(args) -> tuple[int, str]:
-    algorithm = "factorized" if args.groups else "margin"
     first, second = _load_design(args.first), _load_design(args.second)
     if first.k != second.k:
         raise ValueError(
             f"{args.first} has {first.k} factors but {args.second} has {second.k}; "
             "only designs with the same number of factors compare"
         )
-    patterns = [_pattern(design, args.groups, algorithm)[0] for design in (first, second)]
+    patterns = [_pattern(design, args.groups, None)[0] for design in (first, second)]
     verdict = compare_aberration(patterns[0], patterns[1], tol=args.tol)
     if args.json:
         payload = {

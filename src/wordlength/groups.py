@@ -138,15 +138,15 @@ def element_components(g: Sequence[int] | int, orders: Sequence[int]) -> Element
 
 
 def parse_structure(text: str) -> AbelianStructure:
-    """Parse a structure literal: cyclic orders joined by ``x``, e.g. ``4x3``."""
+    """Parse a structure literal: cyclic orders joined by ``x``, e.g. ``4x3``.
+
+    Each order is ASCII digits and at least 1 (``04`` is 4); whitespace
+    around the literal is ignored, a sign, ``_`` or inner space is not.
+    """
     chunks = text.strip().split("x")
-    try:
-        orders = [int(c) for c in chunks]
-    except ValueError:
-        raise ValueError(f"bad structure literal {text!r}") from None
-    if any(d < 1 for d in orders) or not orders:
+    if not all(c.isascii() and c.isdigit() and c.strip("0") for c in chunks):
         raise ValueError(f"bad structure literal {text!r}")
-    return AbelianStructure(tuple(orders))
+    return AbelianStructure(tuple(map(int, chunks)))
 
 
 def enumerate_structures(order: int) -> list[AbelianStructure]:

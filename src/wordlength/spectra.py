@@ -44,13 +44,11 @@ RECONSTRUCT_TOL = 1e-6
 _DENSE_BLOCK_ENTRIES = 2**16
 
 
-def check_assignment(
-    design: Design, structures: Sequence[AbelianStructure | str]
-) -> Assignment:
-    """Validate one structure per factor with matching orders; returns the tuple.
+def _assignment(structures: Sequence[AbelianStructure | str]) -> Assignment:
+    """The structures as a tuple, structure literals (e.g. ``"2x2"``) parsed in place.
 
-    Structure literals (e.g. ``"2x2"``) are parsed in place; a bare string is
-    refused, and an entry that is neither a literal nor a structure is a TypeError.
+    A bare string is refused, and an entry that is neither a literal nor a
+    structure is a TypeError.
     """
     if isinstance(structures, str):  # it would iterate by character
         raise ValueError(f'assignment {structures!r} is a str, not a list like ["4", "2x2", "4"]')
@@ -61,10 +59,14 @@ def check_assignment(
                 f"assignment entry {i + 1} is {st!r}, not a structure literal "
                 f'like "2x2" or an AbelianStructure'
             )
+    return resolved
+
+
+def check_assignment(design: Design, structures: Sequence[AbelianStructure | str]) -> Assignment:
+    """Validate one structure or literal per factor with matching orders; returns the tuple."""
+    resolved = _assignment(structures)
     if len(resolved) != design.k:
-        raise ValueError(
-            f"assignment has {len(resolved)} structures for {design.k} factors"
-        )
+        raise ValueError(f"assignment has {len(resolved)} structures for {design.k} factors")
     for i, (st, size) in enumerate(zip(resolved, design.sizes)):
         if st.order != size:
             raise ValueError(
@@ -109,8 +111,9 @@ def _order_weights(orders: tuple[int, ...]) -> np.ndarray:
 class JCharVector:
     """Spectrum of a design: chi[g] for all s elements g in Yates order.
 
-    Raises ValueError unless there is a structure, one value per element and
-    a run.  ``JCharVector(chi.values, chi.n_runs, other)`` re-pairs a spectrum.
+    Structure literals (e.g. ``"2x2"``) are parsed, and the structures kept as a
+    tuple.  Raises ValueError unless there is a structure, one value per element
+    and a run.  ``JCharVector(chi.values, chi.n_runs, other)`` re-pairs a spectrum.
     """
 
     values: np.ndarray = field(repr=False)
@@ -118,6 +121,7 @@ class JCharVector:
     structures: Assignment
 
     def __post_init__(self):
+        object.__setattr__(self, "structures", _assignment(self.structures))
         if not self.structures:
             raise ValueError("a spectrum needs at least one structure")
         size = math.prod(st.order for st in self.structures)

@@ -32,7 +32,10 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # layouts are gated byte for byte; the pb12.txt entries (12
 # runs, k = 11) pin the group-free commands where the pair kernel runs; the
 # quarter_then_table.txt entries pin spectra whose transform switches from
-# exact steps on parts of order 2 and 4 to table steps at a 3-level factor.
+# exact steps on parts of order 2 and 4 to table steps at a 3-level factor;
+# the last five entries pin each route that passes --groups literals to the
+# library: compare under groups, dense gwlp, explicit invariance assignments,
+# and a reconstruct override that fails (exit 2) and one that succeeds.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -523,6 +526,19 @@ class TestErrorsAndPlumbing:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--tol: want a finite number >= 0" in captured.err
+
+    @pytest.mark.parametrize("groups", [["--groups="], ["--groups", "4,,4"]])
+    @pytest.mark.parametrize("command", ["gwlp", "compare", "jchar", "invariance", "reconstruct"])
+    def test_empty_structure_literal_is_usage_error(self, capsys, tmp_path, command, groups):
+        # The same literal grammar for every command: an empty --groups value
+        # or an empty entry in it is refused, never read as "no --groups".
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text(out, encoding="utf-8")
+        inputs = {"compare": [PAPER, PAPER], "reconstruct": [str(spectrum)]}
+        code, out, err = run(capsys, command, *inputs.get(command, [PAPER]), *groups)
+        assert (code, out) == (1, "")
+        assert err == "wordlength: bad structure literal ''\n"
 
     def test_zero_tol_means_exact_comparison(self, capsys, tmp_path):
         _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")

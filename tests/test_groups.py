@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,9 +117,14 @@ class TestStructureForm:
         assert AbelianStructure((6,)) == parse_structure("3x2")
 
     def test_bad_literals(self):
-        for text in ("", "x", "4x", "0", "-2", "2,2"):
-            with pytest.raises(ValueError):
+        # Orders are ASCII digits: no sign, digit separator, other script or inner space.
+        for text in ("", "x", "4x", "0", "-2", "2,2", "+4", "4_0", "\u0664", "2 x 2", "00"):
+            with pytest.raises(ValueError, match=re.escape(f"bad structure literal {text!r}")):
                 parse_structure(text)
+
+    def test_outer_whitespace_and_leading_zeros_are_kept(self):
+        assert parse_structure(" 4 ") == parse_structure("04") == AbelianStructure((4,))
+        assert parse_structure("\t2x02\n") == AbelianStructure((2, 2))
 
 
 class TestElements:

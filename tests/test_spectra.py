@@ -173,6 +173,8 @@ class TestJCharacteristics:
             j_characteristics(paper_design, literal)
         with pytest.raises(ValueError, match=message):
             verify_invariance(paper_design, [["4", "4", "4"], literal])
+        with pytest.raises(ValueError, match=message):
+            JCharVector(np.ones(64, dtype=np.complex128), 16, literal)
 
     @pytest.mark.parametrize(
         ("assignment", "position", "entry"),
@@ -186,6 +188,8 @@ class TestJCharacteristics:
             j_characteristics(paper_design, assignment)
         with pytest.raises(TypeError, match=message):
             verify_invariance(paper_design, [["4", "4", "4"], assignment])
+        with pytest.raises(TypeError, match=message):
+            JCharVector(np.ones(64, dtype=np.complex128), 16, assignment)
 
     def test_dense_and_factorized_agree(self):
         rng = np.random.default_rng(31)
@@ -418,6 +422,13 @@ class TestJCharVector:
     def test_construction_checks_the_fit(self, shape, n_runs, structures, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             JCharVector(np.ones(shape, dtype=np.complex128), n_runs, structures)
+
+    @pytest.mark.parametrize("structures", [["4", "2x2", "4"], [Z4, "2x2", Z4], [Z4, V, Z4]])
+    def test_structures_are_kept_as_check_assignment_resolves_them(self, paper_design, structures):
+        # Literals are parsed as check_assignment parses them, and a list is stored as a tuple.
+        jchar = JCharVector(np.ones(64, dtype=np.complex128), 16, structures)
+        assert jchar.structures == check_assignment(paper_design, structures) == (Z4, V, Z4)
+        assert type(jchar.structures) is tuple
 
 
 class TestReconstruct:

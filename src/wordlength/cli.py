@@ -12,7 +12,9 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
+from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, INTERNAL_TOL, "comparison tolerance (default 1e-9)")
 
     p = sub.add_parser("enumerate-groups", help="abelian structures of a given order")
-    p.add_argument("order", type=int)
+    p.add_argument("order", help="a group order in ASCII digits, e.g. 16")
     add_common(p)
 
     return parser
@@ -125,6 +127,19 @@ def _parser() -> argparse.ArgumentParser:
     ``_Parser.error`` only exits.
     """
     return build_parser()
+
+
+def _whole_number(token: str, name: str) -> int:
+    """``token`` as an int if it is ASCII digits, whitespace around them aside.
+
+    The rule ``groups.parse_structure`` applies to cyclic orders: a sign,
+    ``_`` or a non-ASCII digit, all of which ``int`` takes, is a ValueError
+    naming ``name`` and the token.
+    """
+    digits = token.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad {name} {token!r}; want ASCII digits")
+    return int(digits)
 
 
 def _tolerance(text: str) -> float:
@@ -263,7 +278,7 @@ def _run_jchar(args) -> tuple[int, str]:
 def _run_reconstruct(args) -> tuple[int, str]:
     text = _read_text(args.spectrum)
     try:
-        doc = json.loads(text)
+        doc = _load_report(text)
         del text  # megabytes for a large report, which reconstruct's peak need not hold
         if not isinstance(doc, dict):
             raise TypeError("report is not a JSON object")
@@ -334,12 +349,73 @@ def _strings(value, name: str) -> list[str]:
     return value
 
 
+# The stdlib's C scanner, plain, and with each JSON object read as the tuple
+# of its "re" and "im" (JSON itself makes no tuples).
+_SCAN = json.JSONDecoder().scan_once
+_SCAN_PAIRS = json.JSONDecoder(object_hook=operator.itemgetter("re", "im")).scan_once
+
+
+def _load_report(text: str):
+    """``json.loads(text)``, but a ``values`` list of numeric entries is one complex array.
+
+    The top-level object is walked member by member with the stdlib's
+    scanner, and ``values`` is scanned with each entry cut to its ``re`` and
+    ``im`` as it is read, so no entry's dict or label outlives it.  A
+    ``values`` that is not such a list is scanned again plainly, for
+    ``_read_values`` to name its fault.  Text that the walk does not read
+    (no object, or an empty or malformed one) goes to ``json.loads``, which
+    returns the same document or raises the stdlib's error for it.
+    """
+    try:
+        return _walk_object(text)
+    except (StopIteration, ValueError):  # JSONDecodeError is a ValueError
+        return json.loads(text)
+
+
+def _walk_object(text: str) -> dict:
+    """The members of the JSON object that is ``text``; a ValueError if it is none or empty."""
+    ws = WHITESPACE.match
+    doc = {}
+    idx, opener = ws(text).end(), "{"
+    while text.startswith(opener, idx):  # "{" before the first member, "," before each next
+        idx = ws(text, idx + 1).end()
+        if not text.startswith('"', idx):
+            raise ValueError("no key")
+        key, idx = scanstring(text, idx + 1)
+        idx = ws(text, idx).end()
+        if not text.startswith(":", idx):
+            raise ValueError("no colon")
+        scan = _scan_values if key == "values" else _SCAN
+        doc[key], idx = scan(text, ws(text, idx + 1).end())
+        idx, opener = ws(text, idx).end(), ","
+    if not (doc and text.startswith("}", idx) and ws(text, idx + 1).end() == len(text)):
+        raise ValueError("no object")
+    return doc
+
+
+def _scan_values(text: str, idx: int):
+    """The JSON value at ``idx`` and its end; a complex array if it is a list of numeric entries."""
+    try:
+        pairs, end = _SCAN_PAIRS(text, idx)
+        if type(pairs) is list and set(map(type, pairs)) <= {tuple}:
+            res = list(map(operator.itemgetter(0), pairs))
+            ims = list(map(operator.itemgetter(1), pairs))
+            return _complex_array(res, ims), end
+    # An object without re or im, a part that is no number, an int past the float range.
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _SCAN(text, idx)
+
+
 def _read_values(entries) -> np.ndarray:
     """The ``re`` and ``im`` of a report's entries as one complex array.
 
     JSON numbers load as int or float; true, false, null and strings are
     rejected with a TypeError, as is an entry that is not an object with both.
+    An array, which ``_load_report`` has already read, passes through.
     """
+    if isinstance(entries, np.ndarray):
+        return entries
     if not isinstance(entries, list):
         raise TypeError("values is not a list")
     try:
@@ -353,6 +429,11 @@ def _read_values(entries) -> np.ndarray:
                 if part not in entry:
                     raise TypeError(f"values entry {i} has no {part!r}") from None
         raise
+    return _complex_array(res, ims)
+
+
+def _complex_array(res: list, ims: list) -> np.ndarray:
+    """The complex array of these parts; a TypeError naming the first that is no int or float."""
     if not set(map(type, res)) | set(map(type, ims)) <= {int, float}:
         bad = next(x for x in res + ims if type(x) not in (int, float))
         raise TypeError(f"value {bad!r} is not a number")
@@ -427,10 +508,7 @@ def _run_invariance(args) -> tuple[int, str]:
 def _run_margins(args) -> tuple[int, str]:
     design = _load_design(args.design)
     if args.subset.strip():
-        try:
-            positions = [int(tok) - 1 for tok in args.subset.split(",")]
-        except ValueError:
-            raise ValueError(f"bad subset {args.subset!r}; want 1-based positions like 1,3")
+        positions = [_whole_number(tok, "subset position") - 1 for tok in args.subset.split(",")]
         if any(p < 0 for p in positions):
             raise ValueError("subset positions are 1-based")
         if max(positions) >= design.k:
@@ -493,10 +571,10 @@ def _run_compare(args) -> tuple[int, str]:
 
 
 def _run_enumerate(args) -> tuple[int, str]:
-    structures = enumerate_structures(args.order)
-    literals = [st.literal() for st in structures]
+    order = _whole_number(args.order, "order")
+    literals = [st.literal() for st in enumerate_structures(order)]
     if args.json:
-        payload = {"order": args.order, "structures": literals}
+        payload = {"order": order, "structures": literals}
         return 0, render.dumps(payload) + "\n"
     return 0, "; ".join(literals) + "\n"
 

@@ -178,8 +178,11 @@ def cyclic_character_table(order: int) -> np.ndarray:
     if order > DENSE_TABLE_CAP:
         raise ResourceLimitError(f"character table of Z_{order} exceeds the cap {DENSE_TABLE_CAP}")
     roots = [root_of_unity(m, order) for m in range(order)]
-    r = np.arange(order)
-    table = np.asarray(roots, dtype=np.complex128)[np.outer(r, r) % order]
+    # One int32 exponent index, reduced in place: under the cap (order - 1)**2 < 2**31.
+    r = np.arange(order, dtype=np.int32)
+    exponents = np.multiply.outer(r, r)
+    exponents %= order
+    table = np.asarray(roots, dtype=np.complex128)[exponents]
     table.flags.writeable = False
     return table
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import FIXTURES
-from wordlength import cli
+from wordlength import cli, parse_design
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
@@ -147,8 +147,6 @@ class TestReconstructCommand:
         spectrum.write_text(out, encoding="utf-8")
         code, text, _ = run(capsys, "reconstruct", str(spectrum))
         assert code == 0
-        from wordlength import parse_design
-
         reconstructed = parse_design(text)
         original = parse_design((FIXTURES / "paper_oa.txt").read_text())
         assert reconstructed == original
@@ -201,6 +199,14 @@ class TestReconstructCommand:
             for entry in doc["values"]:
                 entry.update(re=0, im=0)
 
+        def object_in_g_then_no_re(doc):
+            doc["values"][3]["g"] = {"h": 1}
+            doc["values"][9].pop("re")
+
+        def huge_value_and_bool_runs(doc):
+            doc["values"][2]["re"] = 10**400
+            doc["n_runs"] = True
+
         for text, message in (
             # JSON booleans are not numbers, although Python's bool is an int.
             (edited(lambda doc: doc["values"][3].__setitem__("im", False)), "not a number"),
@@ -233,6 +239,13 @@ class TestReconstructCommand:
             (edited(lambda doc: doc.__setitem__("values", [1, 2])), "values entry 0 is not an object"),
             (edited(lambda doc: doc["values"][0].pop("im")), "values entry 0 has no 'im'"),
             (edited(lambda doc: doc["values"][9].pop("re")), "values entry 9 has no 're'"),
+            # Reports the lean values reader cannot take read as json.loads reads them.
+            (out.rstrip()[:-1] + ', "values": [1, 2]}', "values entry 0 is not an object"),
+            (edited(object_in_g_then_no_re), "values entry 9 has no 're'"),
+            (edited(lambda doc: doc.__setitem__("values", [])), "spans 64 elements, spectrum has 0"),
+            ("\ufeff\ufeff" + out, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1"),
+            # The values are read with the document, but n_runs is still checked first.
+            (edited(huge_value_and_bool_runs), "n_runs True is not a number"),
         ):
             bad.write_text(text, encoding="utf-8")
             code, _, err = run(capsys, "reconstruct", str(bad))
@@ -242,6 +255,18 @@ class TestReconstructCommand:
         # A float that is an integer is still a run count.
         bad.write_text(edited(lambda doc: doc.__setitem__("n_runs", 16.0)), encoding="utf-8")
         assert run(capsys, "reconstruct", str(bad))[0] == 0
+        # The last of two values keys wins, and keys other than re and im go
+        # unread, whatever they hold.
+        bad.write_text(out, encoding="utf-8")
+        expected = run(capsys, "reconstruct", str(bad))
+        assert expected[0] == 0
+        for text in (
+            '{"values": [1, 2], ' + out[1:],
+            edited(lambda doc: doc["values"][3].__setitem__("g", {"h": 1})),
+            edited(lambda doc: doc["values"][5].update(x={"re": "1"}, y=[None])),
+        ):
+            bad.write_text(text, encoding="utf-8")
+            assert run(capsys, "reconstruct", str(bad)) == expected, text
 
     def test_symbols_no_design_file_holds_are_a_data_error_in_text_only(self, capsys, tmp_path):
         _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
@@ -405,6 +430,20 @@ class TestMarginsCommand:
         assert all(cell["count"] == 1 for cell in doc["cells"])
         assert doc["subset_norm"] == 4
 
+    @pytest.mark.parametrize(
+        "subset, token",
+        [("+1,\u0663", "+1"), ("1,\u0663", "\u0663"), ("1_0", "1_0"), ("1,-2", "-2"), ("1,,2", "")],
+    )
+    def test_subset_positions_are_ascii_digits(self, capsys, subset, token):
+        code, out, err = run(capsys, "margins", PAPER, "--subset", subset)
+        assert (code, out) == (1, "")
+        assert err == f"wordlength: bad subset position {token!r}; want ASCII digits\n"
+
+    def test_spaces_around_subset_positions_are_ignored(self, capsys):
+        assert run(capsys, "margins", PAPER, "--subset", " 1 , 3") == run(
+            capsys, "margins", PAPER, "--subset", "1,3"
+        )
+
     def test_bad_subset(self, capsys):
         code, _, _ = run(capsys, "margins", PAPER, "--subset", "0")
         assert code == 1
@@ -466,6 +505,12 @@ class TestEnumerateGroupsCommand:
     def test_zero_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate-groups", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("order", ["1_6", "+8", "\u0668", "-8", "8.0", "0x8", ""])
+    def test_order_is_ascii_digits(self, capsys, order):
+        code, out, err = run(capsys, "enumerate-groups", order)
+        assert (code, out) == (1, "")
+        assert err == f"wordlength: bad order {order!r}; want ASCII digits\n"
 
     @pytest.mark.parametrize(
         "argv, order",
@@ -834,3 +879,29 @@ class TestMarginRouteAllocation:
         assert code == 0
         assert "A = (1, " in out_file.read_text()
         assert peak < 8 * 1024 * 1024, f"margin route allocated {peak} bytes"
+
+
+class TestReconstructAllocation:
+    def test_holds_no_dict_per_entry_of_a_four_to_the_eighth_report(self, capsys, tmp_path):
+        # 65,536 entries, about 2.6 MB of report; read as one dict and one
+        # label per entry, the values alone would take some 17 MiB.
+        rng = np.random.default_rng(48)
+        runs = np.unravel_index(rng.choice(4**8, 256, replace=False), (4,) * 8)
+        lines = ["levels: 4 4 4 4 4 4 4 4"] + [" ".join(map(str, run)) for run in zip(*runs)]
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        out_file = tmp_path / "reconstructed.txt"
+        argv = ["jchar", str(design_file), "--groups", "4,2x2,4,2x2,4,4,2x2,4", "--json"]
+        assert main([*argv, "--output", str(report)]) == 0
+
+        tracemalloc.start()
+        try:
+            code = main(["reconstruct", str(report), "--output", str(out_file)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert parse_design(out_file.read_text()) == parse_design(design_file.read_text())
+        assert peak < 12 * 1024 * 1024, f"reconstruct allocated {peak} bytes"

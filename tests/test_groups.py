@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,26 @@ class TestCharacterTables:
             for g, h in itertools.product(range(order), repeat=2):
                 assert table[g, h] == root_of_unity(g * h, order)
         assert set(cyclic_character_table(4).ravel().tolist()) == {1, 1j, -1, -1j}
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 12, 97, 1021])
+    def test_cyclic_table_matches_the_int64_index_construction(self, order):
+        roots = np.array([root_of_unity(m, order) for m in range(order)])
+        r = np.arange(order, dtype=np.int64)
+        expected = roots[np.outer(r, r) % order]
+        table = cyclic_character_table.__wrapped__(order)  # leaves the cache as it was
+        assert table.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+        # The int32 exponent index holds every product below the cap.
+        assert (DENSE_TABLE_CAP - 1) ** 2 < 2**31
+
+    def test_uncached_cyclic_table_peaks_near_its_size(self):
+        # An int64 index beside the table took about 1.5 times its size.
+        tracemalloc.start()
+        try:
+            table = cyclic_character_table.__wrapped__(1021)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * table.nbytes, f"{peak} bytes for a {table.nbytes}-byte table"
 
     def test_one_source_of_tables(self):
         # The dense table is the product of the same cached, read-only cyclic

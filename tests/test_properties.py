@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from unittest import mock
 
@@ -50,7 +51,7 @@ from wordlength import (
     weight,
 )
 from wordlength import invariance
-from wordlength.cli import _read_values
+from wordlength.cli import _load_report, _read_values, main
 from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
@@ -779,3 +780,78 @@ def test_report_values_read_as_the_list_assignment_bit_for_bit(pairs):
     values = _read_values([{"g": "x", "re": re, "im": im} for re, im in pairs])
     expected = list_assigned_values([re for re, _ in pairs], [im for _, im in pairs])
     assert values.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+
+
+def assert_loads_as_json_loads(text: str) -> None:
+    """``_load_report`` fails as ``json.loads`` fails, or reads the same document,
+    with a values array holding the bits ``_read_values`` makes of the entries."""
+    try:
+        expected = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            _load_report(text)
+        assert str(raised.value) == str(exc)
+        return
+    doc = _load_report(text)
+    if isinstance(doc, dict) and isinstance(doc.get("values"), np.ndarray):
+        values = _read_values(expected["values"])
+        assert doc["values"].view(np.float64).tobytes() == values.view(np.float64).tobytes()
+        doc, expected = {**doc, "values": None}, {**expected, "values": None}
+    # repr tells 1 from 1.0 and -0.0 from 0.0, and shows the key order.
+    assert repr(doc) == repr(expected)
+
+
+@pytest.fixture(scope="module")
+def small_report(tmp_path_factory) -> str:
+    """The `jchar --json` report of a 2x3 design: six entries, irrational parts among them."""
+    design = tmp_path_factory.mktemp("report") / "design.txt"
+    design.write_text("symbols: a b | x y z\na x\nb y\nb z\na z\n", encoding="utf-8")
+    report = design.with_suffix(".json")
+    assert main(["jchar", str(design), "--groups", "2,3", "--json", "--output", str(report)]) == 0
+    return report.read_text(encoding="utf-8")
+
+
+# Characters, most of them JSON syntax, that edits insert or put in place of one.
+CHARS = st.sampled_from(list('{}[]",: \n\t0123456789.-+eEtrufalsnNI\\\ufeff\x00\u00e9'))
+# JSON values that a "token" edit puts in place of a number or a whole values
+# entry, so that edits make well-formed reports with odd members too.
+VALUES = st.sampled_from(['"re"', "true", "null", "1e400", "-0", '"x"', "{}", "[]", "[1, 2]",
+                          '{"re": 1, "im": 2}', '{"re": 1}', ', "values": []', "1" + "0" * 400])
+TOKENS = [re.compile(r"-?[0-9][0-9.eE+-]*"), re.compile(r'\{\s*"g"[^{}]*\}')]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edited_report_loads_as_json_loads(small_report, data):
+    indented = json.dumps(json.loads(small_report), indent=2)
+    text = data.draw(st.sampled_from([small_report, indented]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace", "token"]))
+        spans = [m.span() for m in data.draw(st.sampled_from(TOKENS)).finditer(text)]
+        if kind == "token" and spans:
+            start, end = data.draw(st.sampled_from(spans))
+            text = text[:start] + data.draw(VALUES) + text[end:]
+        else:
+            start = data.draw(st.integers(0, len(text)))
+            piece = "" if kind == "delete" else data.draw(CHARS)
+            text = text[:start] + piece + text[start + (kind != "insert") :]
+    assert_loads_as_json_loads(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "}", "{}", " {\n} ", "{} x", "{}}", '{"a": 1,}', '{"a" 1}', '{"a": }', '{"a": 1 "b": 2}',
+     "[]", "\ufeff{}", '{"values": [{"re": 1, "im": 2}], "values": 1}', '{"values": [{"re": 1}]]}'],
+)
+def test_odd_documents_load_as_json_loads(text):
+    assert_loads_as_json_loads(text)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(JSON_NUMBERS, JSON_NUMBERS), max_size=20))
+@example([(2**53 + 1, 2**63), (2**63 + 1, -(2**63) - 1), (2**64 + 3, -0.0)])
+def test_report_values_load_bit_for_bit(pairs):
+    entries = [{"g": "x", "re": re, "im": im} for re, im in pairs]
+    text = json.dumps({"groups": ["2"], "n_runs": 1, "values": entries})
+    assert isinstance(_load_report(text)["values"], np.ndarray)
+    assert_loads_as_json_loads(text)

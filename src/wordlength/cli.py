@@ -359,9 +359,11 @@ def _load_report(text: str):
     """``json.loads(text)``, but a ``values`` list of numeric entries is one complex array.
 
     The top-level object is walked member by member with the stdlib's
-    scanner, and ``values`` is scanned with each entry cut to its ``re`` and
-    ``im`` as it is read, so no entry's dict or label outlives it.  A
-    ``values`` that is not such a list is scanned again plainly, for
+    scanner, and ``values`` goes to ``_scan_values``.  A list of integer
+    parts in the layout jchar writes is read with numpy, a slice of text at
+    a time; any other is scanned with each entry cut to its ``re`` and
+    ``im`` as it is read.  Either way no entry's dict or label outlives it.
+    A ``values`` that is not such a list is scanned again plainly, for
     ``_read_values`` to name its fault.  Text that the walk does not read
     (no object, or an empty or malformed one) goes to ``json.loads``, which
     returns the same document or raises the stdlib's error for it.
@@ -394,7 +396,16 @@ def _walk_object(text: str) -> dict:
 
 
 def _scan_values(text: str, idx: int):
-    """The JSON value at ``idx`` and its end; a complex array if it is a list of numeric entries."""
+    """The JSON value at ``idx`` and its end; a complex array if it is a list of numeric entries.
+
+    A list written exactly as ``render._write_spectrum`` writes integer parts
+    is read by ``_integer_values``.  Any other text is scanned with each entry
+    cut to its ``re`` and ``im``, and a list that is no list of numeric
+    entries is scanned again plainly.
+    """
+    read = _integer_values(text, idx)
+    if read is not None:
+        return read
     try:
         pairs, end = _SCAN_PAIRS(text, idx)
         if type(pairs) is list and set(map(type, pairs)) <= {tuple}:
@@ -405,6 +416,111 @@ def _scan_values(text: str, idx: int):
     except (KeyError, TypeError, OverflowError):
         pass
     return _SCAN(text, idx)
+
+
+# Characters per slice of _integer_values.  A slice that is not the last ends
+# at an entry's "}" that _ENTRY_CUT starts; no label holds it, for no label
+# holds a quote.
+_SLICE = 2**18
+_ENTRY_CUT = '}, {"g": "'
+
+
+def _word(piece: bytes) -> np.uint64:
+    return np.frombuffer(piece, "<u8")[0]
+
+
+# Behind "}, ", an entry {"g": "<label>", "re": <int>, "im": <int>} holds these
+# 8-byte words, as (which of its eight quotes, offset from that quote, word).
+# They fix every byte but the label's and the integers'.
+_WORDS = (
+    (0, -4, _word(b'}, {"g":')), (0, -2, _word(b' {"g": "')),
+    (3, 0, _word(b'", "re":')), (3, 1, _word(b', "re": ')),
+    (6, -2, _word(b', "im": ')),
+)
+
+
+def _integer_values(text: str, idx: int):
+    """The list at ``idx`` as a complex array and its end, if jchar could have written it
+    with integer parts; None if not.
+
+    Accepted: exactly ``[{"g": "<label>", "re": <int>, "im": <int>}, ...]``,
+    with each label free of quotes, backslashes, control and non-ASCII
+    characters, each integer matching ``-?(0|[1-9][0-9]{0,14})``, and no
+    quote after the list.  ``json.loads`` reads such a list as these entries,
+    and each integer is exact in float64.  The list is checked in slices of
+    about ``_SLICE`` characters, so one of another form is given up within
+    the first slice where it differs.
+    """
+    if not text.startswith('[{"g": "', idx):
+        return None
+    chunks = []
+    start = idx + 1
+    while True:
+        cut = text.find(_ENTRY_CUT, start + _SLICE)
+        try:  # "}, " in front gives the slice's first entry the others' lead
+            raw = b"}, " + text[start : len(text) if cut < 0 else cut + 1].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        read = _integer_entries(raw, last=cut < 0)
+        if read is None:
+            return None
+        values, close = read
+        chunks.append(values)
+        if cut < 0:  # the "]" after raw[close] is text[start + close - 2]
+            return np.concatenate(chunks), start + close - 1
+        start = cut + 3
+
+
+def _integer_entries(raw: bytes, last: bool):
+    """The values of the entries in ``raw`` and the index of its last "}", which
+    a "]" follows if ``last``; None if ``raw`` is not such a slice."""
+    b = np.frombuffer(raw, np.uint8)
+    quotes = np.flatnonzero(b == ord('"'))
+    if not quotes.size or quotes.size % 8 or quotes[0] != 4:
+        return None
+    q = quotes.reshape(-1, 8)
+    close = raw.find(b"}]", q[-1, 7]) if last else len(raw) - 1
+    if close < 0 or (b[:close] < 0x20).any() or (b[:close] == ord("\\")).any():
+        return None
+    # The 8-byte word at every offset of raw; each quote the words hold is the
+    # next one in ``quotes``, so they also fix where the entry's quotes are.
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    if q[-1, 6] - 2 >= len(words):  # the last word of the last entry would pass the end
+        return None
+    for quote, offset, word in _WORDS:
+        if (words[q[:, quote] + offset] != word).any():
+            return None
+    parts = _integers(
+        b,
+        np.concatenate((q[:, 5], q[:, 7])) + 3,
+        np.concatenate((q[:, 6] - 2, q[1:, 0] - 4, [close])),
+    )
+    if parts is None:
+        return None
+    values = np.empty(len(q), dtype=np.complex128)
+    values.real = parts[: len(q)]
+    values.imag = parts[len(q) :]
+    return values, close
+
+
+def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The integers written at ``b[starts:stops]``; None unless each matches
+    ``-?(0|[1-9][0-9]{0,14})``.  Those have at most 15 digits, so float64 holds them exactly."""
+    negative = b[starts] == ord("-")
+    starts = starts + negative
+    width = stops - starts
+    if width.min() < 1 or width.max() > 15:
+        return None
+    if ((b[starts] == ord("0")) & (width > 1)).any():  # a leading zero
+        return None
+    # One row per digit column, by its distance from the stop: numpy runs
+    # along rows, and a row is as long as the slice has integers.
+    columns = np.arange(width.max(), 0, -1)[:, None]
+    digits = (b[stops - columns] - np.uint8(ord("0"))) * (columns <= width)
+    if (digits > 9).any():  # bytes below "0" wrap past 9 in uint8
+        return None
+    values = 10 ** (columns[:, 0] - 1) @ digits
+    return np.where(negative, -values, values)  # "-0" is int 0, which loads as 0.0
 
 
 def _read_values(entries) -> np.ndarray:

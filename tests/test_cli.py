@@ -882,17 +882,19 @@ class TestMarginRouteAllocation:
 
 
 class TestReconstructAllocation:
-    def test_holds_no_dict_per_entry_of_a_four_to_the_eighth_report(self, capsys, tmp_path):
-        # 65,536 entries, about 2.6 MB of report; read as one dict and one
-        # label per entry, the values alone would take some 17 MiB.
-        rng = np.random.default_rng(48)
-        runs = np.unravel_index(rng.choice(4**8, 256, replace=False), (4,) * 8)
-        lines = ["levels: 4 4 4 4 4 4 4 4"] + [" ".join(map(str, run)) for run in zip(*runs)]
+    @staticmethod
+    def reconstruct_peak(tmp_path, sizes, groups, seed):
+        """The traced peak of `reconstruct` on the `jchar --json` report of 256
+        distinct runs drawn from a full factorial, checking the runs it gives back."""
+        rng = np.random.default_rng(seed)
+        runs = np.unravel_index(rng.choice(np.prod(sizes), 256, replace=False), sizes)
+        lines = ["levels: " + " ".join(map(str, sizes))]
+        lines += [" ".join(map(str, run)) for run in zip(*runs)]
         design_file = tmp_path / "design.txt"
         design_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
         report = tmp_path / "report.json"
         out_file = tmp_path / "reconstructed.txt"
-        argv = ["jchar", str(design_file), "--groups", "4,2x2,4,2x2,4,4,2x2,4", "--json"]
+        argv = ["jchar", str(design_file), "--groups", groups, "--json"]
         assert main([*argv, "--output", str(report)]) == 0
 
         tracemalloc.start()
@@ -901,7 +903,25 @@ class TestReconstructAllocation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        capsys.readouterr()
         assert code == 0
         assert parse_design(out_file.read_text()) == parse_design(design_file.read_text())
+        return peak
+
+    def test_holds_no_dict_per_entry_of_a_four_to_the_eighth_report(self, capsys, tmp_path):
+        # 65,536 entries with integer parts, 2.4 MiB of report, which
+        # _integer_values reads in slices.  The peak is the text, the values
+        # (1 MiB) in slices and then concatenated (1 MiB), and one slice's
+        # arrays; reconstruct's own 3 MiB comes after the text is freed.
+        # Read as one dict and one label per entry, the values alone would
+        # take some 17 MiB; the hooked scanner peaked at 10.1 MiB.
+        peak = self.reconstruct_peak(tmp_path, (4,) * 8, "4,2x2,4,2x2,4,4,2x2,4", 48)
+        capsys.readouterr()
+        # 5,086,120 bytes (4.85 MiB) measured, with 64 KiB to spare.
+        assert peak <= 5_086_120 + 2**16, f"reconstruct allocated {peak} bytes"
+
+    def test_scanner_holds_no_dict_per_entry_of_a_three_to_the_tenth_report(self, capsys, tmp_path):
+        # 59,049 entries with irrational parts, 3 MiB of report, which the
+        # scanner reads with each entry cut to its re and im as it goes.
+        peak = self.reconstruct_peak(tmp_path, (3,) * 10, ",".join(["3"] * 10), 310)
+        capsys.readouterr()
         assert peak < 12 * 1024 * 1024, f"reconstruct allocated {peak} bytes"

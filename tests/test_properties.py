@@ -50,8 +50,8 @@ from wordlength import (
     verify_invariance,
     weight,
 )
-from wordlength import invariance
-from wordlength.cli import _load_report, _read_values, main
+from wordlength import cli, invariance
+from wordlength.cli import _integer_values, _load_report, _read_values, main
 from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
@@ -784,7 +784,18 @@ def test_report_values_read_as_the_list_assignment_bit_for_bit(pairs):
 
 def assert_loads_as_json_loads(text: str) -> None:
     """``_load_report`` fails as ``json.loads`` fails, or reads the same document,
-    with a values array holding the bits ``_read_values`` makes of the entries."""
+    with a values array holding the bits ``_read_values`` makes of the entries.
+
+    Wherever ``_integer_values`` takes a values list, the stdlib's scanner
+    reads the same values there and ends the list at the same index.
+    """
+    for member in re.finditer('"values": ', text):
+        read = _integer_values(text, member.end())
+        if read is not None:
+            entries, end = json.JSONDecoder().raw_decode(text, member.end())
+            values = _read_values(entries)
+            assert read[0].view(np.float64).tobytes() == values.view(np.float64).tobytes()
+            assert read[1] == end
     try:
         expected = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -801,14 +812,27 @@ def assert_loads_as_json_loads(text: str) -> None:
     assert repr(doc) == repr(expected)
 
 
-@pytest.fixture(scope="module")
-def small_report(tmp_path_factory) -> str:
-    """The `jchar --json` report of a 2x3 design: six entries, irrational parts among them."""
+# Small designs and the assignment each report is taken under: the 2x3 one
+# has irrational parts, and every part of the 4x2x2 one is an integer.
+SMALL_REPORTS = {
+    "2x3": ("symbols: a b | x y z\na x\nb y\nb z\na z\n", "2,3"),
+    "4x2x2": ("symbols: a b c d | x y | u v\na x u\nb y v\nd x v\nc y u\nc x v\n", "4,2,2"),
+}
+
+
+@pytest.fixture(scope="module", params=SMALL_REPORTS)
+def small_report(request, tmp_path_factory) -> str:
+    """The `jchar --json` report of a design of SMALL_REPORTS."""
+    design_text, groups = SMALL_REPORTS[request.param]
     design = tmp_path_factory.mktemp("report") / "design.txt"
-    design.write_text("symbols: a b | x y z\na x\nb y\nb z\na z\n", encoding="utf-8")
+    design.write_text(design_text, encoding="utf-8")
     report = design.with_suffix(".json")
-    assert main(["jchar", str(design), "--groups", "2,3", "--json", "--output", str(report)]) == 0
-    return report.read_text(encoding="utf-8")
+    assert main(["jchar", str(design), "--groups", groups, "--json", "--output", str(report)]) == 0
+    text = report.read_text(encoding="utf-8")
+    # Unedited, the integer report is read by _integer_values and the other is not.
+    integral = _integer_values(text, text.index('"values": ') + len('"values": ')) is not None
+    assert integral == (request.param == "4x2x2")
+    return text
 
 
 # Characters, most of them JSON syntax, that edits insert or put in place of one.
@@ -835,21 +859,78 @@ def test_edited_report_loads_as_json_loads(small_report, data):
             start = data.draw(st.integers(0, len(text)))
             piece = "" if kind == "delete" else data.draw(CHARS)
             text = text[:start] + piece + text[start + (kind != "insert") :]
-    assert_loads_as_json_loads(text)
+    # Slices of a few entries, or of one, put slice ends among the edits.
+    with mock.patch.object(cli, "_SLICE", data.draw(st.sampled_from([cli._SLICE, 1, 100]))):
+        assert_loads_as_json_loads(text)
+
+
+def report_of(values: str, head: str = '"groups": ["2"], "n_runs": 1, ') -> str:
+    """A report with ``head`` and then ``values`` as its values list's entries."""
+    return '{%s"values": [%s]}' % (head, values)
+
+
+def entries_with(token: str) -> str:
+    """Two entries in jchar's layout, with ``token`` as the first's re and the second's im."""
+    return '{"g": "0", "re": %s, "im": 1}, {"g": "1", "re": -2, "im": %s}' % (token, token)
+
+
+# Number tokens, and whether _integer_values takes them: the integers of at
+# most 15 digits that JSON allows, each exact in float64.
+TOKENS_TAKEN = {"-0": True, "7": True, "999999999999999": True, "-999999999999999": True,
+                "01": False, "+1": False, "1.0": False, "1e3": False, "1e+12": False, "-": False,
+                "1000000000000000": False, str(2**53 + 1): False}
+# Near misses of jchar's layout, none of which _integer_values takes: a label
+# holding an escape, an invalid escape, a control or a non-ASCII character,
+# values before another member, a tab for a space, an extra key, and quotes
+# too near the end for an "im".
+NEAR_MISSES = [
+    report_of('{"g": "a\\"b", "re": 1, "im": 0}'),
+    report_of('{"g": "a\\qb", "re": 1, "im": 0}'),
+    report_of('{"g": "a\tb", "re": 1, "im": 0}'),
+    report_of('{"g": "\u00e9", "re": 1, "im": 0}'),
+    '{"groups": ["2"], "values": [%s], "n_runs": 1}' % entries_with("3"),
+    report_of('{"g":\t"0", "re": 1, "im": 0}'),
+    report_of('{"g": "0", "re": 1, "im": 0, "x": 1}'),
+    report_of('{"g": "x", "re": 1, ""}'),
+]
+# Two values members; the last one, which json.loads keeps, is in jchar's layout.
+TWO_VALUES = report_of(entries_with("5"), '"values": [%s], "groups": ["2"], "n_runs": 1, '
+                       % entries_with("4"))
 
 
 @pytest.mark.parametrize(
     "text",
     ["", "}", "{}", " {\n} ", "{} x", "{}}", '{"a": 1,}', '{"a" 1}', '{"a": }', '{"a": 1 "b": 2}',
-     "[]", "\ufeff{}", '{"values": [{"re": 1, "im": 2}], "values": 1}', '{"values": [{"re": 1}]]}'],
+     "[]", "\ufeff{}", '{"values": [{"re": 1, "im": 2}], "values": 1}', '{"values": [{"re": 1}]]}',
+     *(report_of(entries_with(token)) for token in TOKENS_TAKEN), *NEAR_MISSES, TWO_VALUES],
 )
 def test_odd_documents_load_as_json_loads(text):
     assert_loads_as_json_loads(text)
 
 
+@pytest.mark.parametrize("token, taken", TOKENS_TAKEN.items())
+def test_integer_reader_takes_integers_of_at_most_fifteen_digits(token, taken):
+    text = report_of(entries_with(token))
+    assert (_integer_values(text, text.index("[{")) is not None) == taken
+
+
+@pytest.mark.parametrize("text", NEAR_MISSES)
+def test_integer_reader_takes_no_near_miss(text):
+    assert all(_integer_values(text, m.end()) is None for m in re.finditer('"values": ', text))
+
+
+def test_integer_reader_takes_the_last_of_two_values_members():
+    first, last = (m.end() for m in re.finditer('"values": ', TWO_VALUES))
+    assert _integer_values(TWO_VALUES, first) is None
+    values, end = _integer_values(TWO_VALUES, last)
+    assert values.tolist() == [5 + 1j, -2 + 5j] and TWO_VALUES[end:] == "}"
+
+
 @PROPERTY
 @given(st.lists(st.tuples(JSON_NUMBERS, JSON_NUMBERS), max_size=20))
 @example([(2**53 + 1, 2**63), (2**63 + 1, -(2**63) - 1), (2**64 + 3, -0.0)])
+@example([(10**15 - 1, -(10**15 - 1)), (10**15, -(2**53) - 1), (1.0, 1e3), (1e12, 0)])
+@example([(0, 7), (-5, 10**14)])
 def test_report_values_load_bit_for_bit(pairs):
     entries = [{"g": "x", "re": re, "im": im} for re, im in pairs]
     text = json.dumps({"groups": ["2"], "n_runs": 1, "values": entries})

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
 from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
@@ -349,24 +348,20 @@ def _strings(value, name: str) -> list[str]:
     return value
 
 
-# The stdlib's C scanner, plain, and with each JSON object read as the tuple
-# of its "re" and "im" (JSON itself makes no tuples).
 _SCAN = json.JSONDecoder().scan_once
-_SCAN_PAIRS = json.JSONDecoder(object_hook=operator.itemgetter("re", "im")).scan_once
 
 
 def _load_report(text: str):
-    """``json.loads(text)``, but a ``values`` list of numeric entries is one complex array.
+    """``json.loads(text)``, but a ``values`` list in jchar's layout is one complex array.
 
     The top-level object is walked member by member with the stdlib's
-    scanner, and ``values`` goes to ``_scan_values``.  A list of integer
-    parts in the layout jchar writes is read with numpy, a slice of text at
-    a time; any other is scanned with each entry cut to its ``re`` and
-    ``im`` as it is read.  Either way no entry's dict or label outlives it.
-    A ``values`` that is not such a list is scanned again plainly, for
-    ``_read_values`` to name its fault.  Text that the walk does not read
-    (no object, or an empty or malformed one) goes to ``json.loads``, which
-    returns the same document or raises the stdlib's error for it.
+    scanner.  A ``values`` list written in the layout jchar writes is read
+    by ``_layout_values`` a slice of text at a time, so no entry's dict or
+    label is ever made.  Any other ``values`` is scanned plainly, for
+    ``_read_values`` to read or to name its fault.  Text that the walk does
+    not read (no object, or an empty or malformed one) goes to
+    ``json.loads``, which returns the same document or raises the stdlib's
+    error for it.
     """
     try:
         return _walk_object(text)
@@ -387,38 +382,16 @@ def _walk_object(text: str) -> dict:
         idx = ws(text, idx).end()
         if not text.startswith(":", idx):
             raise ValueError("no colon")
-        scan = _scan_values if key == "values" else _SCAN
-        doc[key], idx = scan(text, ws(text, idx + 1).end())
+        idx = ws(text, idx + 1).end()
+        read = _layout_values(text, idx) if key == "values" else None
+        doc[key], idx = read or _SCAN(text, idx)
         idx, opener = ws(text, idx).end(), ","
     if not (doc and text.startswith("}", idx) and ws(text, idx + 1).end() == len(text)):
         raise ValueError("no object")
     return doc
 
 
-def _scan_values(text: str, idx: int):
-    """The JSON value at ``idx`` and its end; a complex array if it is a list of numeric entries.
-
-    A list written exactly as ``render._write_spectrum`` writes integer parts
-    is read by ``_integer_values``.  Any other text is scanned with each entry
-    cut to its ``re`` and ``im``, and a list that is no list of numeric
-    entries is scanned again plainly.
-    """
-    read = _integer_values(text, idx)
-    if read is not None:
-        return read
-    try:
-        pairs, end = _SCAN_PAIRS(text, idx)
-        if type(pairs) is list and set(map(type, pairs)) <= {tuple}:
-            res = list(map(operator.itemgetter(0), pairs))
-            ims = list(map(operator.itemgetter(1), pairs))
-            return _complex_array(res, ims), end
-    # An object without re or im, a part that is no number, an int past the float range.
-    except (KeyError, TypeError, OverflowError):
-        pass
-    return _SCAN(text, idx)
-
-
-# Characters per slice of _integer_values.  A slice that is not the last ends
+# Characters per slice of _layout_values.  A slice that is not the last ends
 # at an entry's "}" that _ENTRY_CUT starts; no label holds it, for no label
 # holds a quote.
 _SLICE = 2**18
@@ -429,9 +402,9 @@ def _word(piece: bytes) -> np.uint64:
     return np.frombuffer(piece, "<u8")[0]
 
 
-# Behind "}, ", an entry {"g": "<label>", "re": <int>, "im": <int>} holds these
-# 8-byte words, as (which of its eight quotes, offset from that quote, word).
-# They fix every byte but the label's and the integers'.
+# Behind "}, ", an entry {"g": "<label>", "re": <part>, "im": <part>} holds
+# these 8-byte words, as (which of its eight quotes, offset from that quote,
+# word).  They fix every byte but the label's and the parts'.
 _WORDS = (
     (0, -4, _word(b'}, {"g":')), (0, -2, _word(b' {"g": "')),
     (3, 0, _word(b'", "re":')), (3, 1, _word(b', "re": ')),
@@ -439,18 +412,19 @@ _WORDS = (
 )
 
 
-def _integer_values(text: str, idx: int):
-    """The list at ``idx`` as a complex array and its end, if jchar could have written it
-    with integer parts; None if not.
+def _layout_values(text: str, idx: int):
+    """The list at ``idx`` as a complex array and its end, if it is in jchar's layout; None if not.
 
-    Accepted: exactly ``[{"g": "<label>", "re": <int>, "im": <int>}, ...]``,
-    with each label free of quotes, backslashes, control and non-ASCII
-    characters, each integer matching ``-?(0|[1-9][0-9]{0,14})``, and no
-    quote after the list.  ``json.loads`` reads such a list as these entries,
-    and each integer is exact in float64.  The list is checked in slices of
-    about ``_SLICE`` characters, so one of another form is given up within
-    the first slice where it differs.
+    Accepted: ``[]``, and exactly ``[{"g": "<label>", "re": <part>, "im":
+    <part>}, ...]`` with each label free of quotes, backslashes, control and
+    non-ASCII characters, each part a JSON number, and no quote after the
+    list.  ``json.loads`` reads such a list as these entries, and each part
+    converts to float64 as ``_read_values`` converts it.  The list is checked
+    in slices of about ``_SLICE`` characters, so one of another form is given
+    up within the first slice where it differs.
     """
+    if text.startswith("[]", idx):
+        return np.empty(0, np.complex128), idx + 2
     if not text.startswith('[{"g": "', idx):
         return None
     chunks = []
@@ -461,7 +435,7 @@ def _integer_values(text: str, idx: int):
             raw = b"}, " + text[start : len(text) if cut < 0 else cut + 1].encode("ascii")
         except UnicodeEncodeError:
             return None
-        read = _integer_entries(raw, last=cut < 0)
+        read = _layout_entries(raw, last=cut < 0)
         if read is None:
             return None
         values, close = read
@@ -471,7 +445,7 @@ def _integer_values(text: str, idx: int):
         start = cut + 3
 
 
-def _integer_entries(raw: bytes, last: bool):
+def _layout_entries(raw: bytes, last: bool):
     """The values of the entries in ``raw`` and the index of its last "}", which
     a "]" follows if ``last``; None if ``raw`` is not such a slice."""
     b = np.frombuffer(raw, np.uint8)
@@ -490,11 +464,12 @@ def _integer_entries(raw: bytes, last: bool):
     for quote, offset, word in _WORDS:
         if (words[q[:, quote] + offset] != word).any():
             return None
-    parts = _integers(
-        b,
-        np.concatenate((q[:, 5], q[:, 7])) + 3,
-        np.concatenate((q[:, 6] - 2, q[1:, 0] - 4, [close])),
-    )
+    # Every re, then every im, each the text between fixed bytes of the layout.
+    starts = np.concatenate((q[:, 5], q[:, 7])) + 3
+    stops = np.concatenate((q[:, 6] - 2, q[1:, 0] - 4, [close]))
+    parts = _integers(b, starts, stops)
+    if parts is None:
+        parts = _numbers(b, starts, stops)
     if parts is None:
         return None
     values = np.empty(len(q), dtype=np.complex128)
@@ -523,6 +498,24 @@ def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return np.where(negative, -values, values)  # "-0" is int 0, which loads as 0.0
 
 
+def _numbers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The JSON numbers at ``b[starts:stops]`` as float64, each read as ``json.loads``
+    reads it in the whole report and converted as ``_read_values`` converts it;
+    None unless each span holds exactly one int or float."""
+    width = stops - starts + 1  # each span and the byte after it, which becomes "," or "]"
+    ends = np.cumsum(width)
+    joined = b[np.arange(ends[-1]) + np.repeat(stops + 1 - ends, width)]
+    joined[ends - 1] = ord(",")
+    joined[-1] = ord("]")
+    try:  # parse_constant=str leaves NaN and Infinity, which are not JSON, as strings
+        numbers = json.loads(b"[" + joined.tobytes(), parse_constant=str)
+        if len(numbers) != len(starts) or not set(map(type, numbers)) <= {int, float}:
+            return None
+        return np.fromiter(numbers, np.float64, len(numbers))
+    except (ValueError, OverflowError, RecursionError):
+        return None
+
+
 def _read_values(entries) -> np.ndarray:
     """The ``re`` and ``im`` of a report's entries as one complex array.
 
@@ -545,11 +538,6 @@ def _read_values(entries) -> np.ndarray:
                 if part not in entry:
                     raise TypeError(f"values entry {i} has no {part!r}") from None
         raise
-    return _complex_array(res, ims)
-
-
-def _complex_array(res: list, ims: list) -> np.ndarray:
-    """The complex array of these parts; a TypeError naming the first that is no int or float."""
     if not set(map(type, res)) | set(map(type, ims)) <= {int, float}:
         bad = next(x for x in res + ims if type(x) not in (int, float))
         raise TypeError(f"value {bad!r} is not a number")

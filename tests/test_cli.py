@@ -909,7 +909,7 @@ class TestReconstructAllocation:
 
     def test_holds_no_dict_per_entry_of_a_four_to_the_eighth_report(self, capsys, tmp_path):
         # 65,536 entries with integer parts, 2.4 MiB of report, which
-        # _integer_values reads in slices.  The peak is the text, the values
+        # _layout_values reads in slices.  The peak is the text, the values
         # (1 MiB) in slices and then concatenated (1 MiB), and one slice's
         # arrays; reconstruct's own 3 MiB comes after the text is freed.
         # Read as one dict and one label per entry, the values alone would
@@ -919,9 +919,21 @@ class TestReconstructAllocation:
         # 5,086,120 bytes (4.85 MiB) measured, with 64 KiB to spare.
         assert peak <= 5_086_120 + 2**16, f"reconstruct allocated {peak} bytes"
 
-    def test_scanner_holds_no_dict_per_entry_of_a_three_to_the_tenth_report(self, capsys, tmp_path):
-        # 59,049 entries with irrational parts, 3 MiB of report, which the
-        # scanner reads with each entry cut to its re and im as it goes.
+    def test_holds_no_dict_per_entry_of_a_three_to_the_tenth_report(self, capsys, tmp_path):
+        # 59,049 entries with irrational parts, 3 MiB of report, which
+        # _layout_values reads in slices, each slice's parts as one JSON list
+        # of numbers.  The hooked scanner that read it before peaked at 11.2 MiB.
         peak = self.reconstruct_peak(tmp_path, (3,) * 10, ",".join(["3"] * 10), 310)
         capsys.readouterr()
-        assert peak < 12 * 1024 * 1024, f"reconstruct allocated {peak} bytes"
+        # 6,450,862 bytes (6.15 MiB) measured, with 64 KiB to spare.
+        assert peak <= 6_450_862 + 2**16, f"reconstruct allocated {peak} bytes"
+
+    def test_reads_integer_parts_without_the_number_reader(self, capsys, tmp_path, monkeypatch):
+        # The reports the spectrum round trip benchmark reads: integer parts
+        # under mixed 4 and 2x2, which _integers reads and _numbers never sees.
+        def refuse(*args):
+            raise AssertionError("an integer report reached _numbers")
+
+        monkeypatch.setattr(cli, "_numbers", refuse)
+        self.reconstruct_peak(tmp_path, (4,) * 6, "4,2x2,4,2x2,2x2,4", 6)
+        capsys.readouterr()

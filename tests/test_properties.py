@@ -51,7 +51,7 @@ from wordlength import (
     weight,
 )
 from wordlength import cli, invariance
-from wordlength.cli import _integer_values, _load_report, _read_values, main
+from wordlength.cli import _layout_values, _load_report, _read_values, main
 from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
@@ -786,11 +786,11 @@ def assert_loads_as_json_loads(text: str) -> None:
     """``_load_report`` fails as ``json.loads`` fails, or reads the same document,
     with a values array holding the bits ``_read_values`` makes of the entries.
 
-    Wherever ``_integer_values`` takes a values list, the stdlib's scanner
+    Wherever ``_layout_values`` takes a values list, the stdlib's scanner
     reads the same values there and ends the list at the same index.
     """
     for member in re.finditer('"values": ', text):
-        read = _integer_values(text, member.end())
+        read = _layout_values(text, member.end())
         if read is not None:
             entries, end = json.JSONDecoder().raw_decode(text, member.end())
             values = _read_values(entries)
@@ -813,9 +813,12 @@ def assert_loads_as_json_loads(text: str) -> None:
 
 
 # Small designs and the assignment each report is taken under: the 2x3 one
-# has irrational parts, and every part of the 4x2x2 one is an integer.
+# has irrational parts, the 3x3 one also parts in exponent form (rounding
+# residues such as 3.33066907388e-16), and every part of the 4x2x2 one is an
+# integer.
 SMALL_REPORTS = {
     "2x3": ("symbols: a b | x y z\na x\nb y\nb z\na z\n", "2,3"),
+    "3x3": ("symbols: a b c | x y z\na x\nb y\nc x\na z\n", "3,3"),
     "4x2x2": ("symbols: a b c d | x y | u v\na x u\nb y v\nd x v\nc y u\nc x v\n", "4,2,2"),
 }
 
@@ -829,9 +832,9 @@ def small_report(request, tmp_path_factory) -> str:
     report = design.with_suffix(".json")
     assert main(["jchar", str(design), "--groups", groups, "--json", "--output", str(report)]) == 0
     text = report.read_text(encoding="utf-8")
-    # Unedited, the integer report is read by _integer_values and the other is not.
-    integral = _integer_values(text, text.index('"values": ') + len('"values": ')) is not None
-    assert integral == (request.param == "4x2x2")
+    assert request.param != "3x3" or re.search(r'"im": -?[0-9.]+e-', text)
+    # Unedited, every report is read by _layout_values.
+    assert _layout_values(text, text.index('"values": ') + len('"values": ')) is not None
     return text
 
 
@@ -874,12 +877,19 @@ def entries_with(token: str) -> str:
     return '{"g": "0", "re": %s, "im": 1}, {"g": "1", "re": -2, "im": %s}' % (token, token)
 
 
-# Number tokens, and whether _integer_values takes them: the integers of at
-# most 15 digits that JSON allows, each exact in float64.
+# Number tokens and other span contents, and whether _layout_values takes
+# them: every number JSON allows, the integers of at most 15 digits through
+# _integers and the others through _numbers.  1.7763568394e-15 is
+# 17763568394 * 10**-25, past the exact powers of ten (up to 10**22), and
+# 1e400 reads as inf, as json.loads reads it.
 TOKENS_TAKEN = {"-0": True, "7": True, "999999999999999": True, "-999999999999999": True,
-                "01": False, "+1": False, "1.0": False, "1e3": False, "1e+12": False, "-": False,
-                "1000000000000000": False, str(2**53 + 1): False}
-# Near misses of jchar's layout, none of which _integer_values takes: a label
+                "1.0": True, "1e3": True, "1e+12": True, "1000000000000000": True,
+                str(2**53 + 1): True, "-0.0": True, "5e-324": True, "2.5E+3": True,
+                "1.7763568394e-15": True, "1e400": True,
+                "01": False, "+1": False, "-": False, "1.": False, ".5": False, "1e": False,
+                "--1": False, "Infinity": False, "NaN": False,
+                "[1]": False, "true": False, "null": False, "1 2": False, "1,2": False}
+# Near misses of jchar's layout, none of which _layout_values takes: a label
 # holding an escape, an invalid escape, a control or a non-ASCII character,
 # values before another member, a tab for a space, an extra key, and quotes
 # too near the end for an "im".
@@ -909,20 +919,20 @@ def test_odd_documents_load_as_json_loads(text):
 
 
 @pytest.mark.parametrize("token, taken", TOKENS_TAKEN.items())
-def test_integer_reader_takes_integers_of_at_most_fifteen_digits(token, taken):
+def test_layout_reader_takes_every_json_number(token, taken):
     text = report_of(entries_with(token))
-    assert (_integer_values(text, text.index("[{")) is not None) == taken
+    assert (_layout_values(text, text.index("[{")) is not None) == taken
 
 
 @pytest.mark.parametrize("text", NEAR_MISSES)
-def test_integer_reader_takes_no_near_miss(text):
-    assert all(_integer_values(text, m.end()) is None for m in re.finditer('"values": ', text))
+def test_layout_reader_takes_no_near_miss(text):
+    assert all(_layout_values(text, m.end()) is None for m in re.finditer('"values": ', text))
 
 
-def test_integer_reader_takes_the_last_of_two_values_members():
+def test_layout_reader_takes_the_last_of_two_values_members():
     first, last = (m.end() for m in re.finditer('"values": ', TWO_VALUES))
-    assert _integer_values(TWO_VALUES, first) is None
-    values, end = _integer_values(TWO_VALUES, last)
+    assert _layout_values(TWO_VALUES, first) is None
+    values, end = _layout_values(TWO_VALUES, last)
     assert values.tolist() == [5 + 1j, -2 + 5j] and TWO_VALUES[end:] == "}"
 
 

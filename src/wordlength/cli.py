@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
 
 import numpy as np
@@ -142,9 +141,9 @@ def _whole_number(token: str, name: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """A --tol value: a finite number >= 0."""
-    try:
-        tol = float(text)
+    """A --tol value: a finite number >= 0, written in ASCII without ``_``."""
+    try:  # float() also takes "_" between digits and non-ASCII digits
+        tol = float(text) if text.isascii() and "_" not in text else math.nan
     except ValueError:
         tol = math.nan
     if not 0 <= tol < math.inf:
@@ -348,47 +347,33 @@ def _strings(value, name: str) -> list[str]:
     return value
 
 
-_SCAN = json.JSONDecoder().scan_once
-
-
 def _load_report(text: str):
     """``json.loads(text)``, but a ``values`` list in jchar's layout is one complex array.
 
-    The top-level object is walked member by member with the stdlib's
-    scanner.  A ``values`` list written in the layout jchar writes is read
-    by ``_layout_values`` a slice of text at a time, so no entry's dict or
-    label is ever made.  Any other ``values`` is scanned plainly, for
-    ``_read_values`` to read or to name its fault.  Text that the walk does
-    not read (no object, or an empty or malformed one) goes to
-    ``json.loads``, which returns the same document or raises the stdlib's
-    error for it.
+    If the list after the first ``"values": `` is in that layout,
+    ``_layout_values`` reads it a slice of text at a time, so no entry's dict
+    or label is ever made.  A JSON string holds no unescaped ``s"``, so the
+    hit ends a key, and ``json.loads`` reads the text with ``NaN`` in the
+    list's place.  The array is kept if that ``NaN`` is the one constant read
+    and the top-level ``values``.  Any other text goes to ``json.loads``
+    whole, which returns the same document or raises the stdlib's error.
     """
-    try:
-        return _walk_object(text)
-    except (StopIteration, ValueError):  # JSONDecodeError is a ValueError
-        return json.loads(text)
-
-
-def _walk_object(text: str) -> dict:
-    """The members of the JSON object that is ``text``; a ValueError if it is none or empty."""
-    ws = WHITESPACE.match
-    doc = {}
-    idx, opener = ws(text).end(), "{"
-    while text.startswith(opener, idx):  # "{" before the first member, "," before each next
-        idx = ws(text, idx + 1).end()
-        if not text.startswith('"', idx):
-            raise ValueError("no key")
-        key, idx = scanstring(text, idx + 1)
-        idx = ws(text, idx).end()
-        if not text.startswith(":", idx):
-            raise ValueError("no colon")
-        idx = ws(text, idx + 1).end()
-        read = _layout_values(text, idx) if key == "values" else None
-        doc[key], idx = read or _SCAN(text, idx)
-        idx, opener = ws(text, idx).end(), ","
-    if not (doc and text.startswith("}", idx) and ws(text, idx + 1).end() == len(text)):
-        raise ValueError("no object")
-    return doc
+    key = text.find('"values": ')
+    read = _layout_values(text, key + len('"values": ')) if key >= 0 else None
+    if read is not None:
+        values, end = read
+        constants = []  # NaN, Infinity and -Infinity each load as this list
+        try:
+            doc = json.loads(
+                text[:key] + '"values": NaN' + text[end:],
+                parse_constant=lambda name: constants.append(name) or constants,
+            )
+        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+            doc = None
+        if isinstance(doc, dict) and len(constants) == 1 and doc.get("values") is constants:
+            doc["values"] = values
+            return doc
+    return json.loads(text)
 
 
 # Characters per slice of _layout_values.  A slice that is not the last ends

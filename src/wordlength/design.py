@@ -42,7 +42,7 @@ _DENSE_TALLY_CELLS_PER_CODE = 4
 Run = tuple[int, ...]
 
 _HEADER_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(.*)$")
-_MULTIPLIER_RE = re.compile(r"^x(\d+)$")
+_MULTIPLIER_RE = re.compile(r"^x([0-9]+)$")  # \d would take non-ASCII digits too
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -338,10 +338,10 @@ def parse_design(text: str) -> Design:
             break
         name, rest = header.group(1), header.group(2).strip()
         if name == "levels":
-            try:
-                declared_sizes = [int(tok) for tok in rest.split()]
-            except ValueError:
+            tokens = rest.split()  # ASCII digits only: no sign, "_" or non-ASCII digit
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
                 raise DesignParseError("levels header must list integers", lineno)
+            declared_sizes = list(map(int, tokens))
             if not declared_sizes or any(s < 1 for s in declared_sizes):
                 raise DesignParseError("levels header must list positive sizes", lineno)
             if max(declared_sizes) > DENSIFY_CAP:  # before 0..s-1 alphabets are built

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import os
@@ -572,6 +573,16 @@ class TestErrorsAndPlumbing:
             assert captured.out == ""
             assert "--tol: want a finite number >= 0" in captured.err
 
+    # float() takes "_" between digits and non-ASCII digits and spaces; no
+    # other number the CLI reads does.
+    @pytest.mark.parametrize("tol", ["1_0", "1e-1_0", "\u0661e-3", "\uff11", "0.5\u00a0"])
+    def test_tol_reads_ascii_without_underscores(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["gwlp", PAPER, f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (1, "")
+        assert f"--tol: want a finite number >= 0, got {tol!r}" in captured.err
+
     @pytest.mark.parametrize("groups", [["--groups="], ["--groups", "4,,4"]])
     @pytest.mark.parametrize("command", ["gwlp", "compare", "jchar", "invariance", "reconstruct"])
     def test_empty_structure_literal_is_usage_error(self, capsys, tmp_path, command, groups):
@@ -937,3 +948,22 @@ class TestReconstructAllocation:
         monkeypatch.setattr(cli, "_numbers", refuse)
         self.reconstruct_peak(tmp_path, (4,) * 6, "4,2x2,4,2x2,2x2,4", 6)
         capsys.readouterr()
+
+
+def test_no_private_json_names_in_the_package():
+    # json.decoder and json.scanner are undocumented internals of the stdlib,
+    # as is a decoder's scan_once; the package reads JSON with json.loads.
+    found = []
+    for path in sorted((FIXTURES.parent / "src" / "wordlength").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):  # json.decoder.WHITESPACE, d.scan_once
+                names = [ast.unparse(node)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith(("json.decoder", "json.scanner")) or "scan_once" in name]
+    assert found == []

@@ -173,6 +173,11 @@ class TestParse:
         "text, line, message",
         [
             ("levels: 2 x\n0 1\n", 1, "levels header must list integers"),
+            # ASCII digits only, the rule of structure literals: int() would
+            # read these as 10, 2 and 2.
+            ("levels: 2 1_0\n0 1\n", 1, "levels header must list integers"),
+            ("# sizes\nlevels: +2\n0\n", 2, "levels header must list integers"),
+            ("levels: 2 \u0662\n0 1\n", 1, "levels header must list integers"),
             ("# sizes\nlevels: 2 0\n0 1\n", 2, "levels header must list positive sizes"),
             ("levels:\n0\n", 1, "levels header must list positive sizes"),
             # A size past design.DENSIFY_CAP is refused before its alphabet is built.

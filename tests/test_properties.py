@@ -366,6 +366,9 @@ def test_a_bad_line_planted_several_times_is_reported_at_the_first(design, data)
                 (["?", *symbols[1:]], "symbol '?' not in factor 1's alphabet"),
                 ([*symbols, "?", "?"], f"expected {design.k} symbols, got {design.k + 2}"),
                 ([*symbols, "x0"], "multiplier must be at least 1"),
+                # A multiplier is x and ASCII digits; \d would read these as 3.
+                ([*symbols, "x\u0663"], f"expected {design.k} symbols, got {design.k + 1}"),
+                ([*symbols, "x\uff13"], f"expected {design.k} symbols, got {design.k + 1}"),
             ]
         )
     )
@@ -833,8 +836,9 @@ def small_report(request, tmp_path_factory) -> str:
     assert main(["jchar", str(design), "--groups", groups, "--json", "--output", str(report)]) == 0
     text = report.read_text(encoding="utf-8")
     assert request.param != "3x3" or re.search(r'"im": -?[0-9.]+e-', text)
-    # Unedited, every report is read by _layout_values.
+    # Unedited, every report is read by _layout_values, and the whole loader keeps its array.
     assert _layout_values(text, text.index('"values": ') + len('"values": ')) is not None
+    assert isinstance(_load_report(text)["values"], np.ndarray)
     return text
 
 
@@ -906,16 +910,33 @@ NEAR_MISSES = [
 # Two values members; the last one, which json.loads keeps, is in jchar's layout.
 TWO_VALUES = report_of(entries_with("5"), '"values": [%s], "groups": ["2"], "n_runs": 1, '
                        % entries_with("4"))
+# Documents whose first "values": list _layout_values takes, where that list
+# is not the top-level values or the text holds another constant, so
+# _load_report reads them whole with json.loads.  A null in the list's place
+# would pass the first for its top-level null.
+SPLICE_EDGES = [
+    '{"values":null, "a": {"values": [%s]}}' % entries_with("3"),
+    '{"values":1, "a": {"values": [%s]}}' % entries_with("3"),
+    '{"x": NaN, "values": [%s]}' % entries_with("3"),
+    '{"a": {"values": [%s]}}' % entries_with("3"),
+]
 
 
 @pytest.mark.parametrize(
     "text",
     ["", "}", "{}", " {\n} ", "{} x", "{}}", '{"a": 1,}', '{"a" 1}', '{"a": }', '{"a": 1 "b": 2}',
      "[]", "\ufeff{}", '{"values": [{"re": 1, "im": 2}], "values": 1}', '{"values": [{"re": 1}]]}',
-     *(report_of(entries_with(token)) for token in TOKENS_TAKEN), *NEAR_MISSES, TWO_VALUES],
+     *(report_of(entries_with(token)) for token in TOKENS_TAKEN), *NEAR_MISSES, TWO_VALUES,
+     *SPLICE_EDGES],
 )
 def test_odd_documents_load_as_json_loads(text):
     assert_loads_as_json_loads(text)
+
+
+@pytest.mark.parametrize("text", SPLICE_EDGES)
+def test_layout_reader_takes_each_splice_edge(text):
+    # So each edge reaches _load_report's check of what stands in the list's place.
+    assert _layout_values(text, text.index('"values": ') + len('"values": ')) is not None
 
 
 @pytest.mark.parametrize("token, taken", TOKENS_TAKEN.items())

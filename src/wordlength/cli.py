@@ -401,12 +401,13 @@ def _layout_values(text: str, idx: int):
     """The list at ``idx`` as a complex array and its end, if it is in jchar's layout; None if not.
 
     Accepted: ``[]``, and exactly ``[{"g": "<label>", "re": <part>, "im":
-    <part>}, ...]`` with each label free of quotes, backslashes, control and
-    non-ASCII characters, each part a JSON number, and no quote after the
-    list.  ``json.loads`` reads such a list as these entries, and each part
-    converts to float64 as ``_read_values`` converts it.  The list is checked
-    in slices of about ``_SLICE`` characters, so one of another form is given
-    up within the first slice where it differs.
+    <part>}, ...]`` with each label free of quotes, control and non-ASCII
+    characters, and of backslashes but those that start ``\\uXXXX``; each
+    part a JSON number; and no quote after the list.  ``json.loads`` reads
+    such a list as these entries, and each part converts to float64 as
+    ``_read_values`` converts it.  The list is checked in slices of about
+    ``_SLICE`` characters, so one of another form is given up within the
+    first slice where it differs.
     """
     if text.startswith("[]", idx):
         return np.empty(0, np.complex128), idx + 2
@@ -439,7 +440,7 @@ def _layout_entries(raw: bytes, last: bool):
         return None
     q = quotes.reshape(-1, 8)
     close = raw.find(b"}]", q[-1, 7]) if last else len(raw) - 1
-    if close < 0 or (b[:close] < 0x20).any() or (b[:close] == ord("\\")).any():
+    if close < 0 or (b[:close] < 0x20).any() or not _unicode_escapes(b[:close]):
         return None
     # The 8-byte word at every offset of raw; each quote the words hold is the
     # next one in ``quotes``, so they also fix where the entry's quotes are.
@@ -461,6 +462,20 @@ def _layout_entries(raw: bytes, last: bool):
     values.real = parts[: len(q)]
     values.imag = parts[len(q) :]
     return values, close
+
+
+def _unicode_escapes(b: np.ndarray) -> bool:
+    """Whether every backslash in ``b`` starts a ``\\uXXXX`` escape, the form in
+    which jchar writes a label's non-ASCII characters.  Such an escape holds no
+    quote and escapes none, so the quotes still mark the entries out."""
+    slashes = np.flatnonzero(b == ord("\\"))
+    if not slashes.size:
+        return True
+    if slashes[-1] + 5 >= len(b):
+        return False
+    digits = b[slashes[:, None] + np.arange(2, 6)]
+    hex_digits = np.isin(digits, np.frombuffer(b"0123456789abcdefABCDEF", np.uint8))
+    return bool((b[slashes + 1] == ord("u")).all() and hex_digits.all())
 
 
 def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):

@@ -25,10 +25,8 @@ from .errors import DesignParseError, ResourceLimitError
 #: Largest full-factorial size densified into a count vector, or declared in a levels header.
 DENSIFY_CAP = 2**20
 
-# np.ravel_multi_index takes at most 32 index arrays on numpy 1.x (64 on 2.x),
-# and refuses a shape with more cells than the largest intp.
-_MAX_RAVEL_DIMS = 32
-_MAX_RAVEL_CELLS = np.iinfo(np.intp).max
+# _tally's codes stay below the product of the sizes, so they fit intp while it does.
+_MAX_CODE_CELLS = np.iinfo(np.intp).max
 
 # Largest N whose square fits int64: the width rule of Design's multiplicities.
 _MAX_INT64_ROOT = math.isqrt(np.iinfo(np.int64).max)
@@ -263,16 +261,22 @@ def _tally(rows: np.ndarray, mults: np.ndarray, sizes: tuple[int, ...]):
     """The distinct columns of the (k, n) level codes ``rows``, in Yates order,
     and the total multiplicity of each: a (k, m) array and m totals."""
     cells = math.prod(sizes)
-    if len(sizes) > _MAX_RAVEL_DIMS or cells > _MAX_RAVEL_CELLS:
+    if cells > _MAX_CODE_CELLS:
         # Too many cells for one flat index: rank the distinct columns instead.
         codes = np.unique(rows.T, axis=0, return_inverse=True)[1].ravel()
     else:
-        codes = np.ravel_multi_index(rows, sizes)
+        # Each column's code in Yates order, Horner's rule written out as its
+        # levels times their strides: one call, and with the levels in range
+        # already, no bounds pass.
+        strides = itertools.accumulate(reversed(sizes[1:]), operator.mul, initial=1)
+        codes = np.array([*strides][::-1], np.intp) @ rows
         if cells <= _DENSE_TALLY_CELLS_PER_CODE * len(codes) and mults.dtype != object:
             totals = np.zeros(cells, mults.dtype)
             np.add.at(totals, codes, mults)
+            column = np.empty(cells, np.intp)
+            column[codes] = np.arange(len(codes))  # a column of each cell hit
             hit = totals.nonzero()[0]  # every multiplicity is >= 1
-            return np.array(np.unravel_index(hit, sizes)), totals[hit]
+            return rows[:, column[hit]], totals[hit]
     # Sort the codes into Yates order; each stretch of one code is a cell.
     order = codes.argsort()
     codes = codes[order]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import FIXTURES
+from helpers import FIXTURES, spectrum_entries
 from wordlength import cli, parse_design
 from wordlength.cli import main
 
@@ -26,7 +28,7 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # report under 4,2x2,4.  The mixed_symbols.txt entries pin spectrum rendering
 # (irrational values, 1e-16 residues, comma-joined and \u-escaped labels) and
 # the margins command; the wide_binary.txt entries pin margins over more than
-# 32 factors, which are counted as distinct rows, and over the empty subset;
+# 32 factors, up to 2^40 cells counted by sorting codes, and over the empty subset;
 # the tally_rows.txt entries pin the parse of repeated, shuffled and
 # multiplied run lines under inferred alphabets; the columns_oa.txt entries
 # pin the column layout with inferred alphabets and repeated columns, so both
@@ -38,6 +40,20 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # library: compare under groups, dense gwlp, explicit invariance assignments,
 # and a reconstruct override that fails (exit 2) and one that succeeds.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def write_sampled_design(path, sizes, seed, symbols=None):
+    """Write a design of 256 distinct runs drawn from the full factorial of
+    ``sizes``, each factor's levels named 0..s-1 or by ``symbols``."""
+    rng = np.random.default_rng(seed)
+    runs = np.unravel_index(rng.choice(np.prod(sizes), 256, replace=False), sizes)
+    if symbols is None:
+        lines = ["levels: " + " ".join(map(str, sizes))]
+        symbols = [str(j) for j in range(max(sizes))]
+    else:
+        lines = ["symbols: " + " | ".join([" ".join(symbols)] * len(sizes))]
+    lines += [" ".join(symbols[j] for j in run) for run in zip(*runs)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -823,17 +839,6 @@ class TestRendering:
         assert list(element_labels(levels)) == expected
         assert expected[:2] == first
 
-    @staticmethod
-    def entries_text(levels, values):
-        # json.dumps escapes each whole label; the writer escapes each symbol once.
-        from wordlength.render import element_labels, fmt_float
-
-        entries = [
-            f'{{"g": {json.dumps(label)}, "re": {fmt_float(z.real)}, "im": {fmt_float(z.imag)}}}'
-            for label, z in zip(element_labels(levels), values.tolist())
-        ]
-        return "[" + ", ".join(entries) + "]"
-
     def test_one_element_spectrum(self):
         from wordlength.render import Spectrum, dumps
 
@@ -846,17 +851,27 @@ class TestRendering:
         levels = (("0", "a", "b"), ("x", "y"))
         values = np.arange(6) / 3 + 1j * (np.arange(6) + 0.5) * 1e-20  # no value repeats
         text = dumps(Spectrum(levels, values))
-        assert text == self.entries_text(levels, values)
+        assert text == dumps(spectrum_entries(Spectrum(levels, values)))
         first_two = '[{"g": "0x", "re": 0, "im": 5e-21}, {"g": "0y", "re": 0.333333333333, '
         assert text.startswith(first_two)
 
-    def test_spectrum_of_several_blocks(self):
+    @pytest.mark.parametrize(
+        "sizes",
+        [(7,), (3, 1), (2, 1, 4), (2, 5000), (45, 91), (16, 256), (17, 241), (9, 10, 10, 10)],
+        ids=["k=1", "1-level-last", "1-level-middle", "last-past-block", "block-1", "block",
+             "block+1", "three-blocks"],
+    )
+    def test_spectrum_renders_as_its_list_of_entries(self, sizes):
+        # The writer's blocks hold 4096 entries: 4095, 4096 and 4097 entries
+        # end at, or one either side of, a block's end; a last factor of 5000
+        # levels runs one head across every block.
         from wordlength.render import Spectrum, dumps
 
-        # 9000 entries span three blocks of the writer, the last one partial.
-        levels = tuple(tuple("0123456789"[:s]) for s in (9, 10, 10, 10))
-        values = np.arange(9000) % 7 - 2j * (np.arange(9000) % 3)
-        assert dumps(Spectrum(levels, values)) == self.entries_text(levels, values)
+        levels = tuple(tuple(map(str, range(s))) for s in sizes)
+        index = np.arange(math.prod(sizes))
+        values = (index % 7 - 2j * (index % 3)) / np.where(index % 5, 1, 3)
+        spectrum = Spectrum(levels, values)
+        assert dumps(spectrum) == dumps(spectrum_entries(spectrum))
 
     def test_comma_joined_labels_escape_every_symbol(self):
         from wordlength.render import Spectrum, dumps
@@ -864,10 +879,33 @@ class TestRendering:
         levels = (('q"', "\\t\t"), ("\x01\u2028", "\U0001f600", "lo"))
         values = np.array([1, -0.0, 2, 1, 1j, 2 - 1j])
         text = dumps(Spectrum(levels, values))
-        assert text == self.entries_text(levels, values)
+        assert text == dumps(spectrum_entries(Spectrum(levels, values)))
         assert text.isascii()
         assert '"g": "q\\",\\ud83d\\ude00"' in text
         assert [e["g"] for e in json.loads(text)][:2] == ['q",\x01\u2028', 'q",\U0001f600']
+
+    @pytest.mark.parametrize(
+        "sizes, groups, seed, digest",
+        [  # integer parts in 4 blocks of the writer; irrational parts in 2, the last partial
+            ((4,) * 7, "4,2x2,4,2x2,4,2x2,4", 47,
+             "6bc0f7e291a8b998fe0e8de1dca610a29018a8a050354521badab8f9ccf0f7fb"),
+            ((3,) * 8, ",".join(["3"] * 8), 38,
+             "bc4266294dd8db9423fcb4f1bc2529c8b3e2c3573f6ea463b6828373ae585fe7"),
+        ],
+    )
+    def test_reports_of_several_blocks_are_pinned(
+        self, capsys, tmp_path, monkeypatch, sizes, groups, seed, digest
+    ):
+        # The sha256 of each report as an earlier build wrote it.
+        monkeypatch.chdir(tmp_path)
+        write_sampled_design(tmp_path / "design.txt", sizes, seed)
+        argv = ["jchar", "design.txt", "--groups", groups, "--json", "--output", "report.json"]
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+        assert main(["reconstruct", "report.json", "--output", "back.txt"]) == 0
+        capsys.readouterr()
+        back = parse_design((tmp_path / "back.txt").read_text(encoding="utf-8"))
+        assert back == parse_design((tmp_path / "design.txt").read_text(encoding="utf-8"))
 
 
 class TestMarginRouteAllocation:
@@ -894,15 +932,11 @@ class TestMarginRouteAllocation:
 
 class TestReconstructAllocation:
     @staticmethod
-    def reconstruct_peak(tmp_path, sizes, groups, seed):
+    def reconstruct_peak(tmp_path, sizes, groups, seed, symbols=None):
         """The traced peak of `reconstruct` on the `jchar --json` report of 256
         distinct runs drawn from a full factorial, checking the runs it gives back."""
-        rng = np.random.default_rng(seed)
-        runs = np.unravel_index(rng.choice(np.prod(sizes), 256, replace=False), sizes)
-        lines = ["levels: " + " ".join(map(str, sizes))]
-        lines += [" ".join(map(str, run)) for run in zip(*runs)]
         design_file = tmp_path / "design.txt"
-        design_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_sampled_design(design_file, sizes, seed, symbols)
         report = tmp_path / "report.json"
         out_file = tmp_path / "reconstructed.txt"
         argv = ["jchar", str(design_file), "--groups", groups, "--json"]
@@ -938,6 +972,25 @@ class TestReconstructAllocation:
         capsys.readouterr()
         # 6,450,862 bytes (6.15 MiB) measured, with 64 KiB to spare.
         assert peak <= 6_450_862 + 2**16, f"reconstruct allocated {peak} bytes"
+
+    def test_reads_unicode_escaped_labels_in_the_layout(self, capsys, tmp_path, monkeypatch):
+        # jchar writes the non-ASCII symbol as a 6-byte \uXXXX escape in each
+        # label it is in: 3.0 MiB of report.  Read as one dict per entry, that
+        # report peaked at 23.1 MiB.
+        reads = []
+        layout_entries = cli._layout_entries
+
+        def spy(raw, last):
+            reads.append(layout_entries(raw, last))
+            return reads[-1]
+
+        monkeypatch.setattr(cli, "_layout_entries", spy)
+        sizes, groups = (4,) * 8, "4,2x2,4,2x2,4,4,2x2,4"
+        peak = self.reconstruct_peak(tmp_path, sizes, groups, 48, ["0", "1", "2", "\u00e9"])
+        capsys.readouterr()
+        assert len(reads) > 1 and all(read is not None for read in reads)  # every slice taken
+        # 6,396,940 bytes (6.10 MiB) measured, with 64 KiB to spare.
+        assert peak <= 6_396_940 + 2**16, f"reconstruct allocated {peak} bytes"
 
     def test_reads_integer_parts_without_the_number_reader(self, capsys, tmp_path, monkeypatch):
         # The reports the spectrum round trip benchmark reads: integer parts

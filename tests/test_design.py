@@ -430,7 +430,8 @@ class TestMargins:
 
     @pytest.mark.parametrize("width", [32, 33])
     def test_flat_index_and_row_fallback_agree_at_32_factors(self, width):
-        # 32 positions still use one flat index; 33 count distinct rows instead.
+        # Past 32 positions, which np.ravel_multi_index refuses on numpy 1.x,
+        # the cell codes are still one flat index.
         rng = np.random.default_rng(width)
         counts: dict = {}
         for run in rng.integers(0, 2, (60, 40)).tolist():
@@ -442,6 +443,16 @@ class TestMargins:
         expected = sorted(naive_margin_counts(design, range(width)).items())
         assert list(table.items()) == expected
         assert table.counts.dtype == object and max(table.counts) > 2**63
+
+    def test_dense_tally_of_more_factors_than_numpy_has_dimensions(self):
+        # 70 one-level factors and one of two levels: 2 cells for 3 runs, which
+        # the dense tally counts, past the 64 dimensions a numpy array may have.
+        lines = ["levels: " + " ".join(["1"] * 70 + ["2"])]
+        lines += [" ".join(["0"] * 70 + [last]) for last in "101"]
+        design = parse_design("\n".join(lines) + "\n")
+        assert dict(design.counts) == {(0,) * 70 + (0,): 1, (0,) * 70 + (1,): 2}
+        table = margins(design, range(1, 71))
+        assert list(table.items()) == [((0,) * 69 + (0,), 1), ((0,) * 69 + (1,), 2)]
 
     def test_object_counts_past_int64_are_summed_exactly(self):
         counts = {(i, j): 2**62 + 3 * i + j for i in range(3) for j in range(4)}

@@ -29,6 +29,7 @@ from helpers import (
     naive_margin_counts,
     pair_subset_norm,
     part_tables,
+    spectrum_entries,
     tensordot_apply,
 )
 from wordlength import (
@@ -50,12 +51,12 @@ from wordlength import (
     verify_invariance,
     weight,
 )
-from wordlength import cli, invariance
+from wordlength import cli, invariance, render
 from wordlength.cli import _layout_values, _load_report, _read_values, main
 from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
-from wordlength.render import Spectrum, dumps, element_labels, fmt_float
+from wordlength.render import Spectrum, dumps, fmt_float
 from wordlength.spectra import (
     RECONSTRUCT_TOL,
     _PrefixWalk,
@@ -410,8 +411,9 @@ def tally_threshold_cases(draw) -> tuple[int, tuple[int, int]]:
 
 
 def spy_dense_tally():
-    """Record whether _tally takes its dense path, the only caller of unravel_index."""
-    return mock.patch.object(np, "unravel_index", wraps=np.unravel_index)
+    """Record whether _tally takes its dense path, the only caller of np.add.at
+    in design.py: the ``at`` of the mock it returns is called if so."""
+    return mock.patch.object(np, "add", wraps=np.add)
 
 
 @PROPERTY
@@ -427,7 +429,7 @@ def test_margin_tally_is_exact_on_both_sides_of_the_dense_threshold(case, extra,
         table = margins(design, (0, 1))
     assert list(table.items()) == sorted(naive_margin_counts(design, (0, 1)).items())
     int64 = design._run_matrix[1].dtype == np.int64  # Python-int totals always sort
-    assert dense.called == (int64 and math.prod(sizes) <= _DENSE_TALLY_CELLS_PER_CODE * n)
+    assert dense.at.called == (int64 and math.prod(sizes) <= _DENSE_TALLY_CELLS_PER_CODE * n)
 
 
 @PROPERTY
@@ -448,7 +450,7 @@ def test_parse_merges_runs_on_both_sides_of_the_dense_threshold(case, columns, d
     with spy_dense_tally() as dense:
         design = parse_design(f"levels: {sizes[0]} {sizes[1]}\n" + "\n".join(lines) + "\n")
     assert dict(design.counts) == expected
-    assert dense.called == (math.prod(sizes) <= _DENSE_TALLY_CELLS_PER_CODE * n)
+    assert dense.at.called == (math.prod(sizes) <= _DENSE_TALLY_CELLS_PER_CODE * n)
 
 
 @PROPERTY
@@ -727,14 +729,7 @@ def repeating_spectra(draw) -> Spectrum:
 
 
 def assert_renders_as_its_list_of_entries(spectrum: Spectrum) -> None:
-    entries = [
-        {"g": label, "re": re, "im": im}
-        for label, re, im in zip(
-            element_labels(spectrum.levels),
-            spectrum.values.real.tolist(),
-            spectrum.values.imag.tolist(),
-        )
-    ]
+    entries = spectrum_entries(spectrum)
     text = dumps(spectrum)
     assert text == dumps(entries)
     assert json.loads(text) == [
@@ -753,6 +748,14 @@ def test_spectrum_renders_as_its_list_of_entries(spectrum):
 @given(repeating_spectra())
 def test_spectrum_with_repeated_values_renders_as_its_list_of_entries(spectrum):
     assert_renders_as_its_list_of_entries(spectrum)
+
+
+@PROPERTY
+@given(spectra(), st.sampled_from([1, 2, 3, 5, 7]))
+def test_spectrum_in_small_blocks_renders_as_its_list_of_entries(spectrum, block):
+    # Blocks of a few entries end inside a run of one head, or hold several.
+    with mock.patch.object(render, "_BLOCK", block):
+        assert_renders_as_its_list_of_entries(spectrum)
 
 
 # JSON numbers as json.loads returns them: ints past 2**53 and 2**64 round on
@@ -894,12 +897,18 @@ TOKENS_TAKEN = {"-0": True, "7": True, "999999999999999": True, "-99999999999999
                 "--1": False, "Infinity": False, "NaN": False,
                 "[1]": False, "true": False, "null": False, "1 2": False, "1,2": False}
 # Near misses of jchar's layout, none of which _layout_values takes: a label
-# holding an escape, an invalid escape, a control or a non-ASCII character,
-# values before another member, a tab for a space, an extra key, and quotes
-# too near the end for an "im".
+# holding an escape other than \uXXXX (also \\ before four hex digits), an
+# invalid escape, a \u with a non-hex or a missing digit, a control or a
+# non-ASCII character, values before another member, a tab for a space, an
+# extra key, and quotes too near the end for an "im".
 NEAR_MISSES = [
     report_of('{"g": "a\\"b", "re": 1, "im": 0}'),
+    report_of('{"g": "a\\\\b", "re": 1, "im": 0}'),
+    report_of('{"g": "\\\\12345", "re": 1, "im": 0}'),
+    report_of('{"g": "a\\nb", "re": 1, "im": 0}'),
     report_of('{"g": "a\\qb", "re": 1, "im": 0}'),
+    report_of('{"g": "\\u00g9", "re": 1, "im": 0}'),
+    report_of('{"g": "\\u00e", "re": 1, "im": 0}'),
     report_of('{"g": "a\tb", "re": 1, "im": 0}'),
     report_of('{"g": "\u00e9", "re": 1, "im": 0}'),
     '{"groups": ["2"], "values": [%s], "n_runs": 1}' % entries_with("3"),
@@ -907,6 +916,11 @@ NEAR_MISSES = [
     report_of('{"g": "0", "re": 1, "im": 0, "x": 1}'),
     report_of('{"g": "x", "re": 1, ""}'),
 ]
+# Labels whose backslashes each start \uXXXX, as jchar writes non-ASCII
+# symbols, in either case of hex digit and as a surrogate pair.
+UNICODE_ESCAPED = report_of(
+    '{"g": "\\u00e9", "re": 1, "im": 0}, {"g": "x\\u00E9\\ud83d\\ude00", "re": -2, "im": 3}'
+)
 # Two values members; the last one, which json.loads keeps, is in jchar's layout.
 TWO_VALUES = report_of(entries_with("5"), '"values": [%s], "groups": ["2"], "n_runs": 1, '
                        % entries_with("4"))
@@ -927,7 +941,7 @@ SPLICE_EDGES = [
     ["", "}", "{}", " {\n} ", "{} x", "{}}", '{"a": 1,}', '{"a" 1}', '{"a": }', '{"a": 1 "b": 2}',
      "[]", "\ufeff{}", '{"values": [{"re": 1, "im": 2}], "values": 1}', '{"values": [{"re": 1}]]}',
      *(report_of(entries_with(token)) for token in TOKENS_TAKEN), *NEAR_MISSES, TWO_VALUES,
-     *SPLICE_EDGES],
+     *SPLICE_EDGES, UNICODE_ESCAPED],
 )
 def test_odd_documents_load_as_json_loads(text):
     assert_loads_as_json_loads(text)
@@ -948,6 +962,13 @@ def test_layout_reader_takes_every_json_number(token, taken):
 @pytest.mark.parametrize("text", NEAR_MISSES)
 def test_layout_reader_takes_no_near_miss(text):
     assert all(_layout_values(text, m.end()) is None for m in re.finditer('"values": ', text))
+
+
+def test_layout_reader_takes_unicode_escaped_labels():
+    values, end = _layout_values(UNICODE_ESCAPED, UNICODE_ESCAPED.index("[{"))
+    assert values.tolist() == [1, -2 + 3j] and UNICODE_ESCAPED[end:] == "}"
+    labels = [e["g"] for e in json.loads(UNICODE_ESCAPED)["values"]]
+    assert labels == ["\u00e9", "x\u00e9\U0001f600"]
 
 
 def test_layout_reader_takes_the_last_of_two_values_members():

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import render
 from .design import Design, margins, parse_design
@@ -254,17 +251,8 @@ def _run_jchar(args) -> tuple[int, str]:
     design = _load_design(args.design)
     jchar = j_characteristics(design, args.groups.split(","), args.algorithm)
     if args.json:
-        payload = {
-            "design": {
-                **_design_summary(args.design, design),
-                "symbols": [list(a) for a in design.levels],
-            },
-            "groups": [st.literal() for st in jchar.structures],
-            "algorithm": args.algorithm,
-            "n_runs": jchar.n_runs,
-            "values": render.Spectrum(design.levels, jchar.values),
-        }
-        return 0, render.dumps(payload) + "\n"
+        summary = _design_summary(args.design, design)
+        return 0, render.jchar_report(summary, design.levels, jchar, args.algorithm)
     lines = []
     for label, z in zip(render.element_labels(design.levels), jchar.values.tolist()):
         if abs(z) <= INTERNAL_TOL:
@@ -274,41 +262,7 @@ def _run_jchar(args) -> tuple[int, str]:
 
 
 def _run_reconstruct(args) -> tuple[int, str]:
-    text = _read_text(args.spectrum)
-    try:
-        doc = _load_report(text)
-        del text  # megabytes for a large report, which reconstruct's peak need not hold
-        if not isinstance(doc, dict):
-            raise TypeError("report is not a JSON object")
-        for key in ("groups", "n_runs", "values"):
-            if key not in doc:
-                raise ValueError(f"no {key!r} key")
-        raw_runs = doc["n_runs"]
-        if isinstance(raw_runs, bool):  # before int(): bool is an int subclass
-            raise TypeError(f"n_runs {raw_runs!r} is not a number")
-        n_runs = int(raw_runs)
-        if n_runs != raw_runs:
-            raise ValueError(f"n_runs {raw_runs!r} is not an integer")
-        summary = doc.get("design", {})
-        if not isinstance(summary, dict):
-            raise TypeError("design is not an object")
-        symbols = summary.get("symbols")
-        values = _read_values(doc["values"])
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        jchar = JCharVector(values, n_runs, _strings(doc["groups"], "groups"))
-        if symbols is not None:
-            if not isinstance(symbols, list):
-                raise TypeError(f"symbols {symbols!r} is not a list of lists")
-            symbols = [_strings(a, "a symbols entry") for a in symbols]
-            orders = [st.order for st in jchar.structures]
-            if list(map(len, symbols)) != orders or [len(set(a)) for a in symbols] != orders:
-                raise ValueError("symbols do not fit the groups")
-    except (  # ResourceLimitError: a group past groups.MAX_ORDER, which no report lists
-        AttributeError, KeyError, OverflowError, RecursionError, ResourceLimitError, TypeError,
-        ValueError,  # RecursionError: JSON nested past the parser's depth
-    ) as exc:
-        raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
+    jchar, symbols = render.read_jchar_report(_read_text(args.spectrum), args.spectrum)
     if args.groups is not None:
         jchar = JCharVector(jchar.values, jchar.n_runs, args.groups.split(","))
         orders = [st.order for st in jchar.structures]
@@ -338,213 +292,6 @@ def _run_reconstruct(args) -> tuple[int, str]:
         return 0, design.serialize()
     except ValueError as exc:  # a symbol that JSON holds but a design file does not
         raise DesignParseError(f"{args.spectrum} is not a jchar report: {exc}") from exc
-
-
-def _strings(value, name: str) -> list[str]:
-    """``value`` if it is a JSON list of strings; a TypeError naming ``name`` if not."""
-    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-        raise TypeError(f"{name} {value!r} is not a list of strings")
-    return value
-
-
-def _load_report(text: str):
-    """``json.loads(text)``, but a ``values`` list in jchar's layout is one complex array.
-
-    If the list after the first ``"values": `` is in that layout,
-    ``_layout_values`` reads it a slice of text at a time, so no entry's dict
-    or label is ever made.  A JSON string holds no unescaped ``s"``, so the
-    hit ends a key, and ``json.loads`` reads the text with ``NaN`` in the
-    list's place.  The array is kept if that ``NaN`` is the one constant read
-    and the top-level ``values``.  Any other text goes to ``json.loads``
-    whole, which returns the same document or raises the stdlib's error.
-    """
-    key = text.find('"values": ')
-    read = _layout_values(text, key + len('"values": ')) if key >= 0 else None
-    if read is not None:
-        values, end = read
-        constants = []  # NaN, Infinity and -Infinity each load as this list
-        try:
-            doc = json.loads(
-                text[:key] + '"values": NaN' + text[end:],
-                parse_constant=lambda name: constants.append(name) or constants,
-            )
-        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
-            doc = None
-        if isinstance(doc, dict) and len(constants) == 1 and doc.get("values") is constants:
-            doc["values"] = values
-            return doc
-    return json.loads(text)
-
-
-# Characters per slice of _layout_values.  A slice that is not the last ends
-# at an entry's "}" that _ENTRY_CUT starts; no label holds it, for no label
-# holds a quote.
-_SLICE = 2**18
-_ENTRY_CUT = '}, {"g": "'
-
-
-def _word(piece: bytes) -> np.uint64:
-    return np.frombuffer(piece, "<u8")[0]
-
-
-# Behind "}, ", an entry {"g": "<label>", "re": <part>, "im": <part>} holds
-# these 8-byte words, as (which of its eight quotes, offset from that quote,
-# word).  They fix every byte but the label's and the parts'.
-_WORDS = (
-    (0, -4, _word(b'}, {"g":')), (0, -2, _word(b' {"g": "')),
-    (3, 0, _word(b'", "re":')), (3, 1, _word(b', "re": ')),
-    (6, -2, _word(b', "im": ')),
-)
-
-
-def _layout_values(text: str, idx: int):
-    """The list at ``idx`` as a complex array and its end, if it is in jchar's layout; None if not.
-
-    Accepted: ``[]``, and exactly ``[{"g": "<label>", "re": <part>, "im":
-    <part>}, ...]`` with each label free of quotes, control and non-ASCII
-    characters, and of backslashes but those that start ``\\uXXXX``; each
-    part a JSON number; and no quote after the list.  ``json.loads`` reads
-    such a list as these entries, and each part converts to float64 as
-    ``_read_values`` converts it.  The list is checked in slices of about
-    ``_SLICE`` characters, so one of another form is given up within the
-    first slice where it differs.
-    """
-    if text.startswith("[]", idx):
-        return np.empty(0, np.complex128), idx + 2
-    if not text.startswith('[{"g": "', idx):
-        return None
-    chunks = []
-    start = idx + 1
-    while True:
-        cut = text.find(_ENTRY_CUT, start + _SLICE)
-        try:  # "}, " in front gives the slice's first entry the others' lead
-            raw = b"}, " + text[start : len(text) if cut < 0 else cut + 1].encode("ascii")
-        except UnicodeEncodeError:
-            return None
-        read = _layout_entries(raw, last=cut < 0)
-        if read is None:
-            return None
-        values, close = read
-        chunks.append(values)
-        if cut < 0:  # the "]" after raw[close] is text[start + close - 2]
-            return np.concatenate(chunks), start + close - 1
-        start = cut + 3
-
-
-def _layout_entries(raw: bytes, last: bool):
-    """The values of the entries in ``raw`` and the index of its last "}", which
-    a "]" follows if ``last``; None if ``raw`` is not such a slice."""
-    b = np.frombuffer(raw, np.uint8)
-    quotes = np.flatnonzero(b == ord('"'))
-    if not quotes.size or quotes.size % 8 or quotes[0] != 4:
-        return None
-    q = quotes.reshape(-1, 8)
-    close = raw.find(b"}]", q[-1, 7]) if last else len(raw) - 1
-    if close < 0 or (b[:close] < 0x20).any() or not _unicode_escapes(b[:close]):
-        return None
-    # The 8-byte word at every offset of raw; each quote the words hold is the
-    # next one in ``quotes``, so they also fix where the entry's quotes are.
-    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    if q[-1, 6] - 2 >= len(words):  # the last word of the last entry would pass the end
-        return None
-    for quote, offset, word in _WORDS:
-        if (words[q[:, quote] + offset] != word).any():
-            return None
-    # Every re, then every im, each the text between fixed bytes of the layout.
-    starts = np.concatenate((q[:, 5], q[:, 7])) + 3
-    stops = np.concatenate((q[:, 6] - 2, q[1:, 0] - 4, [close]))
-    parts = _integers(b, starts, stops)
-    if parts is None:
-        parts = _numbers(b, starts, stops)
-    if parts is None:
-        return None
-    values = np.empty(len(q), dtype=np.complex128)
-    values.real = parts[: len(q)]
-    values.imag = parts[len(q) :]
-    return values, close
-
-
-def _unicode_escapes(b: np.ndarray) -> bool:
-    """Whether every backslash in ``b`` starts a ``\\uXXXX`` escape, the form in
-    which jchar writes a label's non-ASCII characters.  Such an escape holds no
-    quote and escapes none, so the quotes still mark the entries out."""
-    slashes = np.flatnonzero(b == ord("\\"))
-    if not slashes.size:
-        return True
-    if slashes[-1] + 5 >= len(b):
-        return False
-    digits = b[slashes[:, None] + np.arange(2, 6)]
-    hex_digits = np.isin(digits, np.frombuffer(b"0123456789abcdefABCDEF", np.uint8))
-    return bool((b[slashes + 1] == ord("u")).all() and hex_digits.all())
-
-
-def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """The integers written at ``b[starts:stops]``; None unless each matches
-    ``-?(0|[1-9][0-9]{0,14})``.  Those have at most 15 digits, so float64 holds them exactly."""
-    negative = b[starts] == ord("-")
-    starts = starts + negative
-    width = stops - starts
-    if width.min() < 1 or width.max() > 15:
-        return None
-    if ((b[starts] == ord("0")) & (width > 1)).any():  # a leading zero
-        return None
-    # One row per digit column, by its distance from the stop: numpy runs
-    # along rows, and a row is as long as the slice has integers.
-    columns = np.arange(width.max(), 0, -1)[:, None]
-    digits = (b[stops - columns] - np.uint8(ord("0"))) * (columns <= width)
-    if (digits > 9).any():  # bytes below "0" wrap past 9 in uint8
-        return None
-    values = 10 ** (columns[:, 0] - 1) @ digits
-    return np.where(negative, -values, values)  # "-0" is int 0, which loads as 0.0
-
-
-def _numbers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """The JSON numbers at ``b[starts:stops]`` as float64, each read as ``json.loads``
-    reads it in the whole report and converted as ``_read_values`` converts it;
-    None unless each span holds exactly one int or float."""
-    width = stops - starts + 1  # each span and the byte after it, which becomes "," or "]"
-    ends = np.cumsum(width)
-    joined = b[np.arange(ends[-1]) + np.repeat(stops + 1 - ends, width)]
-    joined[ends - 1] = ord(",")
-    joined[-1] = ord("]")
-    try:  # parse_constant=str leaves NaN and Infinity, which are not JSON, as strings
-        numbers = json.loads(b"[" + joined.tobytes(), parse_constant=str)
-        if len(numbers) != len(starts) or not set(map(type, numbers)) <= {int, float}:
-            return None
-        return np.fromiter(numbers, np.float64, len(numbers))
-    except (ValueError, OverflowError, RecursionError):
-        return None
-
-
-def _read_values(entries) -> np.ndarray:
-    """The ``re`` and ``im`` of a report's entries as one complex array.
-
-    JSON numbers load as int or float; true, false, null and strings are
-    rejected with a TypeError, as is an entry that is not an object with both.
-    An array, which ``_load_report`` has already read, passes through.
-    """
-    if isinstance(entries, np.ndarray):
-        return entries
-    if not isinstance(entries, list):
-        raise TypeError("values is not a list")
-    try:
-        res = [e["re"] for e in entries]
-        ims = [e["im"] for e in entries]
-    except (KeyError, TypeError):  # name the first bad entry
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise TypeError(f"values entry {i} is not an object") from None
-            for part in ("re", "im"):
-                if part not in entry:
-                    raise TypeError(f"values entry {i} has no {part!r}") from None
-        raise
-    if not set(map(type, res)) | set(map(type, ims)) <= {int, float}:
-        bad = next(x for x in res + ims if type(x) not in (int, float))
-        raise TypeError(f"value {bad!r} is not a number")
-    values = np.empty(len(res), dtype=np.complex128)
-    values.real = np.fromiter(res, np.float64, len(res))
-    values.imag = np.fromiter(ims, np.float64, len(ims))
-    return values
 
 
 def _run_invariance(args) -> tuple[int, str]:

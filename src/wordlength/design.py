@@ -232,8 +232,14 @@ def _dense(cells: np.ndarray, values, sizes: tuple[int, ...], what: str) -> np.n
     if size > DENSIFY_CAP:
         raise ResourceLimitError(f"dense {what} {size} exceeds the cap {DENSIFY_CAP}")
     dense = np.zeros(size, dtype=np.float64)
-    np.put(dense, np.ravel_multi_index(cells.T, sizes), values)
+    np.put(dense, cells @ _strides(sizes), values)
     return dense
+
+
+def _strides(sizes: Sequence[int]) -> np.ndarray:
+    """The Yates index of a cell is its levels times these, for any number of
+    factors, and an index's levels are ``index // strides % sizes``."""
+    return np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))], np.intp)
 
 
 def margins(design: Design, subset: Iterable[int]) -> MarginTable:
@@ -265,11 +271,9 @@ def _tally(rows: np.ndarray, mults: np.ndarray, sizes: tuple[int, ...]):
         # Too many cells for one flat index: rank the distinct columns instead.
         codes = np.unique(rows.T, axis=0, return_inverse=True)[1].ravel()
     else:
-        # Each column's code in Yates order, Horner's rule written out as its
-        # levels times their strides: one call, and with the levels in range
-        # already, no bounds pass.
-        strides = itertools.accumulate(reversed(sizes[1:]), operator.mul, initial=1)
-        codes = np.array([*strides][::-1], np.intp) @ rows
+        # Each column's code in Yates order: one call, and with the levels in
+        # range already, no bounds pass.
+        codes = _strides(sizes) @ rows
         if cells <= _DENSE_TALLY_CELLS_PER_CODE * len(codes) and mults.dtype != object:
             totals = np.zeros(cells, mults.dtype)
             np.add.at(totals, codes, mults)

@@ -1,4 +1,4 @@
-"""Deterministic text and JSON rendering.
+"""Deterministic text and JSON rendering, and the ``jchar --json`` report.
 
 Floats are always formatted with 12 significant digits and negative zero
 normalized away, so identical inputs produce byte-identical output.  Complex
@@ -9,10 +9,14 @@ trimmed, the way spectrum tables are conventionally printed.
 from __future__ import annotations
 
 import itertools
+import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .errors import DesignParseError, ResourceLimitError
+from .spectra import JCharVector
 
 
 def fmt_float(x: float) -> str:
@@ -105,24 +109,31 @@ def _write(value: Any, out: list[str]) -> None:
 # blocks of 1024 took 10.3 ms and of 16,384 9.4 ms, at the same peak.
 _BLOCK = 4096
 
+# The bytes of a spectrum list around its labels and parts, as the writer
+# writes them and the layout reader checks them.
+_OPEN = '[{"g": "'  # before the first label
+_RE = '", "re": '  # after a label
+_IM = ', "im": '  # after a real part
+_NEXT = '}, {"g": "'  # after an imaginary part, before the next label
+_CLOSE = "}]"  # after the last imaginary part
+
 
 def _write_spectrum(spectrum: Spectrum, out: list[str]) -> None:
     # Four pieces per entry, filled a block at a time by strided assignment:
     # the head, the escaped symbols of every factor but the last; the tail,
-    # the last factor's, then '", "re": '; the re part, then ', "im": '; and
-    # the im part, then the separator up to the next entry's label.  Each
-    # head is built once and leads len(last) entries in a row, under which
-    # the tails cycle.  Escaping maps each character on its own, so escaped
-    # symbols join into the escaped label.
+    # the last factor's and _RE; the re part and _IM; the im part and _NEXT.
+    # Each head is built once and leads len(last) entries in a row, under
+    # which the tails cycle.  Escaping maps each character on its own, so
+    # escaped symbols join into the escaped label.
     escaped = [[encode_basestring_ascii(sym)[1:-1] for sym in a] for a in spectrum.levels]
     joiner = _joiner(spectrum.levels)
     *front, last = escaped
     heads = map(joiner.join, itertools.product(*front))
-    tails = itertools.cycle([joiner * bool(front) + sym + '", "re": ' for sym in last])
-    res = _formatted(spectrum.values.real, ', "im": ')
-    ims = _formatted(spectrum.values.imag, '}, {"g": "')
-    ims[-1] = fmt_float(spectrum.values[-1].imag) + "}]"
-    out.append('[{"g": "')
+    tails = itertools.cycle([joiner * bool(front) + sym + _RE for sym in last])
+    res = _formatted(spectrum.values.real, _IM)
+    ims = _formatted(spectrum.values.imag, _NEXT)
+    ims[-1] = fmt_float(spectrum.values[-1].imag) + _CLOSE
+    out.append(_OPEN)
     pieces = [""] * 4 * min(len(res), _BLOCK)  # every block but the last fills the same list
     held: list[str] = []
     for start in range(0, len(res), _BLOCK):
@@ -151,6 +162,263 @@ def _formatted(parts: np.ndarray, suffix: str) -> np.ndarray:
     distinct, inverse = np.unique(parts + 0.0, return_inverse=True)
     text = (f"%.12g{suffix}\0" * len(distinct))[:-1] % tuple(distinct.tolist())
     return np.array(text.split("\0"), dtype=object)[inverse]
+
+
+def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> str:
+    """The ``jchar --json`` report of ``jchar``, the spectrum of a design with
+    ``summary`` and the symbols ``levels``, in one ``dumps`` call."""
+    payload = {
+        "design": {**summary, "symbols": [list(a) for a in levels]},
+        "groups": [st.literal() for st in jchar.structures],
+        "algorithm": algorithm,
+        "n_runs": jchar.n_runs,
+        "values": Spectrum(levels, jchar.values),
+    }
+    return dumps(payload) + "\n"
+
+
+def read_jchar_report(text: str, source: str) -> tuple[JCharVector, list[list[str]] | None]:
+    """The spectrum of a ``jchar --json`` report and its symbols, None if it has none;
+    a DesignParseError naming ``source`` if ``text`` is no such report."""
+    try:
+        doc = _load_report(text)
+        del text  # megabytes for a large report, which the caller's peak need not hold
+        if not isinstance(doc, dict):
+            raise TypeError("report is not a JSON object")
+        for key in ("groups", "n_runs", "values"):
+            if key not in doc:
+                raise ValueError(f"no {key!r} key")
+        raw_runs = doc["n_runs"]
+        if isinstance(raw_runs, bool):  # before int(): bool is an int subclass
+            raise TypeError(f"n_runs {raw_runs!r} is not a number")
+        n_runs = int(raw_runs)
+        if n_runs != raw_runs:
+            raise ValueError(f"n_runs {raw_runs!r} is not an integer")
+        summary = doc.get("design", {})
+        if not isinstance(summary, dict):
+            raise TypeError("design is not an object")
+        symbols = summary.get("symbols")
+        values = _read_values(doc["values"])
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
+        jchar = JCharVector(values, n_runs, _strings(doc["groups"], "groups"))
+        if symbols is not None:
+            if not isinstance(symbols, list):
+                raise TypeError(f"symbols {symbols!r} is not a list of lists")
+            symbols = [_strings(a, "a symbols entry") for a in symbols]
+            orders = [st.order for st in jchar.structures]
+            if list(map(len, symbols)) != orders or [len(set(a)) for a in symbols] != orders:
+                raise ValueError("symbols do not fit the groups")
+        return jchar, symbols
+    except (  # ResourceLimitError: a group past groups.MAX_ORDER, which no report lists
+        AttributeError, KeyError, OverflowError, RecursionError, ResourceLimitError, TypeError,
+        ValueError,  # RecursionError: JSON nested past the parser's depth
+    ) as exc:
+        raise DesignParseError(f"{source} is not a jchar report: {exc}") from exc
+
+
+def _strings(value, name: str) -> list[str]:
+    """``value`` if it is a JSON list of strings; a TypeError naming ``name`` if not."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise TypeError(f"{name} {value!r} is not a list of strings")
+    return value
+
+
+def _load_report(text: str):
+    """``json.loads(text)``, but a ``values`` list in jchar's layout is one complex array.
+
+    If the list after the first ``"values": `` is in that layout,
+    ``_layout_values`` reads it a slice of text at a time, so no entry's dict
+    or label is ever made.  A JSON string holds no unescaped ``s"``, so the
+    hit ends a key, and ``json.loads`` reads the text with ``NaN`` in the
+    list's place.  The array is kept if that ``NaN`` is the one constant read
+    and the top-level ``values``.  Any other text goes to ``json.loads``
+    whole, which returns the same document or raises the stdlib's error.
+    """
+    key = text.find('"values": ')
+    read = _layout_values(text, key + len('"values": ')) if key >= 0 else None
+    if read is not None:
+        values, end = read
+        constants = []  # NaN, Infinity and -Infinity each load as this list
+        try:
+            doc = json.loads(
+                text[:key] + '"values": NaN' + text[end:],
+                parse_constant=lambda name: constants.append(name) or constants,
+            )
+        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+            doc = None
+        if isinstance(doc, dict) and len(constants) == 1 and doc.get("values") is constants:
+            doc["values"] = values
+            return doc
+    return json.loads(text)
+
+
+# Characters per slice of _layout_values.  A slice but the last ends at the "}"
+# of a _NEXT, which no label holds, for no label holds a quote.
+_SLICE = 2**18
+# With _LEAD, "}, ", in place of the list's "[", each entry is _NEXT, label,
+# _RE, re, _IM, im; _QUOTES counts the quotes before each of these separators.
+_LEAD = _NEXT.removesuffix(_OPEN[1:]).encode("ascii")
+_ENTRY = (_NEXT, _RE, _IM)
+_QUOTES = tuple(itertools.accumulate((sep.count('"') for sep in _ENTRY), initial=0))
+# The 8-byte words that cover each separator, as (which of _ENTRY, offset in
+# it, word).  They fix every byte of an entry but the label's and the parts'.
+_WORDS = tuple(
+    (i, offset, np.frombuffer(sep[offset : offset + 8].encode("ascii"), "<u8")[0])
+    for i, sep in enumerate(_ENTRY)
+    for offset in sorted({*range(0, len(sep) - 8, 8), len(sep) - 8})
+)
+
+
+def _layout_values(text: str, idx: int):
+    """The list at ``idx`` as a complex array and its end, if it is in jchar's layout; None if not.
+
+    Accepted: ``[]``, and exactly the list ``_write_spectrum`` writes, with
+    each label free of quotes, control and non-ASCII characters, and of
+    backslashes but those that start ``\\uXXXX``; each part a JSON number;
+    and no quote after the list.  ``json.loads`` reads such a list as its
+    entries, and each part converts to float64 as ``_read_values`` converts
+    it.  The list is checked in slices of about ``_SLICE`` characters, so one
+    of another form is given up within the first slice where it differs.
+    """
+    if text.startswith("[]", idx):
+        return np.empty(0, np.complex128), idx + 2
+    if not text.startswith(_OPEN, idx):
+        return None
+    chunks = []
+    start = idx + 1  # past the "[", in whose place _LEAD goes
+    while True:
+        cut = text.find(_NEXT, start + _SLICE)
+        try:
+            raw = _LEAD + text[start : len(text) if cut < 0 else cut + 1].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        read = _layout_entries(raw, last=cut < 0)
+        if read is None:
+            return None
+        values, close = read
+        chunks.append(values)
+        if cut < 0:  # _CLOSE ends the list at raw[close]
+            return np.concatenate(chunks), start + close - len(_LEAD) + len(_CLOSE)
+        start = cut + len(_LEAD)
+
+
+def _layout_entries(raw: bytes, last: bool):
+    """The values of the entries in ``raw`` and the index of its last "}", which
+    starts _CLOSE if ``last``; None if ``raw`` is not such a slice."""
+    b = np.frombuffer(raw, np.uint8)
+    quotes = np.flatnonzero(b == ord('"'))
+    if not quotes.size or quotes.size % _QUOTES[-1] or quotes[0] != _NEXT.index('"'):
+        return None
+    close = raw.find(_CLOSE.encode("ascii"), quotes[-1]) if last else len(raw) - 1
+    if close < 0 or (b[:close] < 0x20).any() or not _unicode_escapes(b[:close]):
+        return None
+    # Where each separator of each entry starts, by the first of its quotes,
+    # and the 8-byte word at every offset of raw.  Each quote the words hold is
+    # the next one in ``quotes``, so they also fix where the entry's quotes are.
+    at = [quotes[n :: _QUOTES[-1]] - sep.index('"') for n, sep in zip(_QUOTES, _ENTRY)]
+    del quotes  # for a lower peak in the number readers
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    if at[-1][-1] + len(_ENTRY[-1]) > len(raw):  # the last separator would pass the end
+        return None
+    for i, offset, word in _WORDS:
+        if (words[at[i] + offset] != word).any():
+            return None
+    # Every re, then every im, each the text between two separators.
+    starts = np.concatenate((at[1] + len(_RE), at[2] + len(_IM)))
+    stops = np.concatenate((at[2], at[0][1:], [close]))
+    parts = _integers(b, starts, stops)
+    if parts is None:
+        parts = _numbers(b, starts, stops)
+    if parts is None:
+        return None
+    values = np.empty(len(at[0]), dtype=np.complex128)
+    values.real = parts[: len(values)]
+    values.imag = parts[len(values) :]
+    return values, close
+
+
+def _unicode_escapes(b: np.ndarray) -> bool:
+    """Whether every backslash in ``b`` starts a ``\\uXXXX`` escape, the form in
+    which jchar writes a label's non-ASCII characters.  Such an escape holds no
+    quote and escapes none, so the quotes still mark the entries out."""
+    slashes = np.flatnonzero(b == ord("\\"))
+    if not slashes.size:
+        return True
+    if slashes[-1] + 5 >= len(b):
+        return False
+    digits = b[slashes[:, None] + np.arange(2, 6)]
+    hex_digits = np.isin(digits, np.frombuffer(b"0123456789abcdefABCDEF", np.uint8))
+    return bool((b[slashes + 1] == ord("u")).all() and hex_digits.all())
+
+
+def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The integers written at ``b[starts:stops]``; None unless each matches
+    ``-?(0|[1-9][0-9]{0,14})``.  Those have at most 15 digits, so float64 holds them exactly."""
+    negative = b[starts] == ord("-")
+    starts = starts + negative
+    width = stops - starts
+    if width.min() < 1 or width.max() > 15:
+        return None
+    if ((b[starts] == ord("0")) & (width > 1)).any():  # a leading zero
+        return None
+    # One row per digit column, by its distance from the stop: numpy runs
+    # along rows, and a row is as long as the slice has integers.
+    columns = np.arange(width.max(), 0, -1)[:, None]
+    digits = (b[stops - columns] - np.uint8(ord("0"))) * (columns <= width)
+    if (digits > 9).any():  # bytes below "0" wrap past 9 in uint8
+        return None
+    values = 10 ** (columns[:, 0] - 1) @ digits
+    return np.where(negative, -values, values)  # "-0" is int 0, which loads as 0.0
+
+
+def _numbers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The JSON numbers at ``b[starts:stops]`` as float64, each read as ``json.loads``
+    reads it in the whole report and converted as ``_read_values`` converts it;
+    None unless each span holds exactly one int or float."""
+    width = stops - starts + 1  # each span and the byte after it, which becomes "," or "]"
+    ends = np.cumsum(width)
+    joined = b[np.arange(ends[-1]) + np.repeat(stops + 1 - ends, width)]
+    joined[ends - 1] = ord(",")
+    joined[-1] = ord("]")
+    try:  # parse_constant=str leaves NaN and Infinity, which are not JSON, as strings
+        numbers = json.loads(b"[" + joined.tobytes(), parse_constant=str)
+        if len(numbers) != len(starts) or not set(map(type, numbers)) <= {int, float}:
+            return None
+        return np.fromiter(numbers, np.float64, len(numbers))
+    except (ValueError, OverflowError, RecursionError):
+        return None
+
+
+def _read_values(entries) -> np.ndarray:
+    """The ``re`` and ``im`` of a report's entries as one complex array.
+
+    JSON numbers load as int or float; true, false, null and strings are
+    rejected with a TypeError, as is an entry that is not an object with both.
+    An array, which ``_load_report`` has already read, passes through.
+    """
+    if isinstance(entries, np.ndarray):
+        return entries
+    if not isinstance(entries, list):
+        raise TypeError("values is not a list")
+    try:
+        res = [e["re"] for e in entries]
+        ims = [e["im"] for e in entries]
+    except (KeyError, TypeError):  # name the first bad entry
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise TypeError(f"values entry {i} is not an object") from None
+            for part in ("re", "im"):
+                if part not in entry:
+                    raise TypeError(f"values entry {i} has no {part!r}") from None
+        raise
+    if not set(map(type, res)) | set(map(type, ims)) <= {int, float}:
+        bad = next(x for x in res + ims if type(x) not in (int, float))
+        raise TypeError(f"value {bad!r} is not a number")
+    values = np.empty(len(res), dtype=np.complex128)
+    values.real = np.fromiter(res, np.float64, len(res))
+    values.imag = np.fromiter(ims, np.float64, len(ims))
+    return values
 
 
 def element_label(levels: Sequence[Sequence[str]], components: Iterable[int]) -> str:

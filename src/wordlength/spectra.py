@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import Design, Run
+from .design import Design, Run, _strides
 from .errors import InconsistentSpectrumError
 from .groups import (
     AbelianStructure,
@@ -98,11 +98,10 @@ def element_weights(structures: Sequence[AbelianStructure]) -> np.ndarray:
 # Two entries: a sweep's factor orders, and gwlp_margin's (2,) * k (subset bit counts).
 @functools.lru_cache(maxsize=2)
 def _order_weights(orders: tuple[int, ...]) -> np.ndarray:
-    weights = np.zeros(orders, dtype=np.int64)
-    # Factor i's digit varies along axis i; C order is Yates order.
-    for digits in np.ix_(*map(np.arange, orders)):
-        weights += digits != 0
-    weights = weights.ravel()
+    weights = np.zeros(math.prod(orders), dtype=np.int64)
+    # Factor i's digit is the middle axis of each view; C order is Yates order.
+    for d, stride in zip(orders, _strides(orders).tolist()):
+        weights.reshape(-1, d, stride)[:, 1:] += 1
     weights.flags.writeable = False
     return weights
 
@@ -399,8 +398,7 @@ def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run
             f"cell {index} reconstructs to negative multiplicity {int(mults[index])}"
         )
     nonzero = np.flatnonzero(mults)
-    digits = np.unravel_index(nonzero, orders)
-    runs = zip(*(d.tolist() for d in digits))
+    runs = map(tuple, (nonzero[:, None] // _strides(orders) % orders).tolist())
     counts = list(map(int, mults[nonzero].tolist()))  # exact past int64 too
     total = sum(counts)
     if total != jchar.n_runs:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import FIXTURES, spectrum_entries
-from wordlength import cli, parse_design
+from wordlength import cli, parse_design, render
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
@@ -978,13 +978,13 @@ class TestReconstructAllocation:
         # label it is in: 3.0 MiB of report.  Read as one dict per entry, that
         # report peaked at 23.1 MiB.
         reads = []
-        layout_entries = cli._layout_entries
+        layout_entries = render._layout_entries
 
         def spy(raw, last):
             reads.append(layout_entries(raw, last))
             return reads[-1]
 
-        monkeypatch.setattr(cli, "_layout_entries", spy)
+        monkeypatch.setattr(render, "_layout_entries", spy)
         sizes, groups = (4,) * 8, "4,2x2,4,2x2,4,4,2x2,4"
         peak = self.reconstruct_peak(tmp_path, sizes, groups, 48, ["0", "1", "2", "\u00e9"])
         capsys.readouterr()
@@ -998,7 +998,7 @@ class TestReconstructAllocation:
         def refuse(*args):
             raise AssertionError("an integer report reached _numbers")
 
-        monkeypatch.setattr(cli, "_numbers", refuse)
+        monkeypatch.setattr(render, "_numbers", refuse)
         self.reconstruct_peak(tmp_path, (4,) * 6, "4,2x2,4,2x2,2x2,4", 6)
         capsys.readouterr()
 
@@ -1019,4 +1019,19 @@ def test_no_private_json_names_in_the_package():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.startswith(("json.decoder", "json.scanner")) or "scan_once" in name]
+    assert found == []
+
+
+def test_only_render_spells_the_jchar_report_format():
+    # render writes the jchar --json report and reads it back; a string of
+    # its bytes anywhere else would be a second statement of the format.
+    found = []
+    for path in sorted((FIXTURES.parent / "src" / "wordlength").glob("*.py")):
+        if path.name == "render.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+                text = node.value if isinstance(node.value, str) else node.value.decode("latin-1")
+                if '{"g": ' in text or '"values": ' in text:
+                    found.append(f"{path.name}:{node.lineno} {text!r}")
     assert found == []

@@ -51,12 +51,19 @@ from wordlength import (
     verify_invariance,
     weight,
 )
-from wordlength import cli, invariance, render
-from wordlength.cli import _layout_values, _load_report, _read_values, main
+from wordlength import invariance, render
+from wordlength.cli import main
 from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
-from wordlength.render import Spectrum, dumps, fmt_float
+from wordlength.render import (
+    Spectrum,
+    _layout_values,
+    _load_report,
+    _read_values,
+    dumps,
+    fmt_float,
+)
 from wordlength.spectra import (
     RECONSTRUCT_TOL,
     _PrefixWalk,
@@ -707,13 +714,18 @@ SPECIAL_FLOATS = (
 FINITE = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 # Any non-empty text: multi-character, non-ASCII, quotes and control characters.
 LABEL_SYMBOLS = st.text(min_size=1, max_size=3)
+# Text that JSON writes without a short escape (\", \\, \b, \f, \n, \r, \t):
+# non-ASCII and other control characters are written as \uXXXX.
+LAYOUT_SYMBOLS = st.text(
+    st.characters(exclude_characters='"\\\b\f\n\r\t'), min_size=1, max_size=3
+)
 
 
 @st.composite
-def spectra(draw, parts=FINITE) -> Spectrum:
+def spectra(draw, parts=FINITE, symbols=LABEL_SYMBOLS) -> Spectrum:
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     levels = tuple(
-        tuple(draw(st.lists(LABEL_SYMBOLS, min_size=s, max_size=s, unique=True))) for s in shape
+        tuple(draw(st.lists(symbols, min_size=s, max_size=s, unique=True))) for s in shape
     )
     column = st.lists(parts, min_size=math.prod(shape), max_size=math.prod(shape))
     values = np.empty(math.prod(shape), dtype=np.complex128)
@@ -756,6 +768,24 @@ def test_spectrum_in_small_blocks_renders_as_its_list_of_entries(spectrum, block
     # Blocks of a few entries end inside a run of one head, or hold several.
     with mock.patch.object(render, "_BLOCK", block):
         assert_renders_as_its_list_of_entries(spectrum)
+
+
+@PROPERTY
+@given(spectra(symbols=LAYOUT_SYMBOLS), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 100]))
+def test_layout_reader_reads_what_the_writer_writes(spectrum, block, slice_chars):
+    # One-level factors, and blocks and slices of a few entries or of one.
+    levels = spectrum.levels
+    jchar = JCharVector(spectrum.values, 1, [str(len(a)) for a in levels])
+    with (
+        mock.patch.object(render, "_BLOCK", block),
+        mock.patch.object(render, "_SLICE", slice_chars),
+    ):
+        text = render.jchar_report({}, levels, jchar, "factorized")
+        assert _layout_values(text, text.index('"values": ') + len('"values": ')) is not None
+        read, symbols = render.read_jchar_report(text, "report")
+    expected = _read_values(json.loads(text)["values"])
+    assert read.values.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+    assert symbols == [list(a) for a in levels]
 
 
 # JSON numbers as json.loads returns them: ints past 2**53 and 2**64 round on
@@ -870,7 +900,7 @@ def test_edited_report_loads_as_json_loads(small_report, data):
             piece = "" if kind == "delete" else data.draw(CHARS)
             text = text[:start] + piece + text[start + (kind != "insert") :]
     # Slices of a few entries, or of one, put slice ends among the edits.
-    with mock.patch.object(cli, "_SLICE", data.draw(st.sampled_from([cli._SLICE, 1, 100]))):
+    with mock.patch.object(render, "_SLICE", data.draw(st.sampled_from([render._SLICE, 1, 100]))):
         assert_loads_as_json_loads(text)
 
 

@@ -445,6 +445,23 @@ class TestReconstruct:
                 jchar = j_characteristics(design, assignment)
                 assert reconstruct(jchar) == dict(design.counts)
 
+    @pytest.mark.parametrize("algorithm", ["factorized", "dense"])
+    @pytest.mark.parametrize("k", [64, 71])
+    def test_one_level_factors_past_numpys_axis_limit(self, paper_design, algorithm, k):
+        # A numpy array has at most 64 axes (32 on numpy 1.x).  One-level
+        # factors leave the cell count as it is, so such a design is small.
+        extra = k - paper_design.k
+        wide = Design(
+            paper_design.levels + (("0",),) * extra,
+            {run + (0,) * extra: mult for run, mult in paper_design.counts.items()},
+        )
+        assignment = [Z4, V, Z4]
+        base = j_characteristics(paper_design, assignment, algorithm)
+        jchar = j_characteristics(wide, assignment + ["1"] * extra, algorithm)
+        assert jchar.values.tobytes() == base.values.tobytes()
+        assert gwlp_char(jchar).values == gwlp_char(base).values + (0.0,) * extra
+        assert reconstruct(jchar) == dict(wide.counts)
+
     def test_all_ones_spectrum_is_single_identity_run(self):
         structures = (Z4, V)
         jchar = JCharVector(np.ones(16, dtype=np.complex128), 1, structures)

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DesignParseError, ResourceLimitError
+from .groups import yates_strides
 
 #: Largest full-factorial size densified into a count vector, or declared in a levels header.
 DENSIFY_CAP = 2**20
@@ -232,14 +233,8 @@ def _dense(cells: np.ndarray, values, sizes: tuple[int, ...], what: str) -> np.n
     if size > DENSIFY_CAP:
         raise ResourceLimitError(f"dense {what} {size} exceeds the cap {DENSIFY_CAP}")
     dense = np.zeros(size, dtype=np.float64)
-    np.put(dense, cells @ _strides(sizes), values)
+    np.put(dense, cells @ np.array(yates_strides(sizes), np.intp), values)
     return dense
-
-
-def _strides(sizes: Sequence[int]) -> np.ndarray:
-    """The Yates index of a cell is its levels times these, for any number of
-    factors, and an index's levels are ``index // strides % sizes``."""
-    return np.array([math.prod(sizes[i + 1 :]) for i in range(len(sizes))], np.intp)
 
 
 def margins(design: Design, subset: Iterable[int]) -> MarginTable:
@@ -273,7 +268,7 @@ def _tally(rows: np.ndarray, mults: np.ndarray, sizes: tuple[int, ...]):
     else:
         # Each column's code in Yates order: one call, and with the levels in
         # range already, no bounds pass.
-        codes = _strides(sizes) @ rows
+        codes = np.array(yates_strides(sizes), np.intp) @ rows
         if cells <= _DENSE_TALLY_CELLS_PER_CODE * len(codes) and mults.dtype != object:
             totals = np.zeros(cells, mults.dtype)
             np.add.at(totals, codes, mults)

@@ -25,6 +25,9 @@ from .kron import kron_all
 #: Largest order of a dense character table, of a product group or of one cyclic part.
 DENSE_TABLE_CAP = 2**12
 
+#: Entries of a dense head or block (or D * s, if more) and of the largest kept cyclic table.
+DENSE_BLOCK_ENTRIES = 2**16
+
 #: Largest group or cyclic order that may be factored (by trial division).
 MAX_ORDER = 2**32
 
@@ -117,6 +120,12 @@ class AbelianStructure:
         return "x".join(str(d) for d in self.cyclic_orders)
 
 
+def yates_strides(orders: Sequence[int]) -> list[int]:
+    """Place values of Yates indices, exact at any size: an element's index is
+    its components times these, and its components are ``index // stride % order``."""
+    return [math.prod(orders[i + 1 :]) for i in range(len(orders))]
+
+
 def element_components(g: Sequence[int] | int, orders: Sequence[int]) -> Element:
     """Validated mixed-radix components of an element, first order most significant.
 
@@ -124,10 +133,10 @@ def element_components(g: Sequence[int] | int, orders: Sequence[int]) -> Element
     one per order.
     """
     if isinstance(g, (int, np.integer)):
-        total = math.prod(orders)
+        g, total = int(g), math.prod(orders)
         if not 0 <= g < total:
             raise ValueError(f"element index {g} out of range for order {total}")
-        return tuple(int(r) for r in np.unravel_index(int(g), orders))
+        return tuple(g // stride % order for stride, order in zip(yates_strides(orders), orders))
     g = tuple(int(c) for c in g)
     if len(g) != len(orders):
         raise ValueError(f"element {g} has {len(g)} components, expected {len(orders)}")
@@ -168,13 +177,19 @@ def enumerate_structures(order: int) -> list[AbelianStructure]:
     return structures
 
 
-@functools.lru_cache(maxsize=64)
 def cyclic_character_table(order: int) -> np.ndarray:
     """Character table of the cyclic group Z_order: entry (g, h) is exp(2*pi*i*g*h/order).
 
-    Built once per order, read-only, and refused above ``DENSE_TABLE_CAP``
-    before anything is allocated.  Every route reads these arrays.
+    Read-only and refused above ``DENSE_TABLE_CAP`` before anything is allocated;
+    every route reads these.  One within ``DENSE_BLOCK_ENTRIES`` (order <= 256)
+    is built once and shared, a larger one on each call, freed with its last reader.
     """
+    if order * order <= DENSE_BLOCK_ENTRIES:
+        return _shared_cyclic_table(order)
+    return _cyclic_table(order)
+
+
+def _cyclic_table(order: int) -> np.ndarray:
     if order > DENSE_TABLE_CAP:
         raise ResourceLimitError(f"character table of Z_{order} exceeds the cap {DENSE_TABLE_CAP}")
     roots = [root_of_unity(m, order) for m in range(order)]
@@ -187,6 +202,9 @@ def cyclic_character_table(order: int) -> np.ndarray:
     return table
 
 
+_shared_cyclic_table = functools.lru_cache(maxsize=64)(_cyclic_table)
+
+
 def character_table(structure: AbelianStructure) -> np.ndarray:
     """Kronecker product of the cyclic tables, refused above ``DENSE_TABLE_CAP`` as each is."""
     return _dense_table(structure.cyclic_orders)
@@ -195,7 +213,7 @@ def character_table(structure: AbelianStructure) -> np.ndarray:
 def _dense_table(cyclic_orders: Sequence[int]) -> np.ndarray:
     """Kronecker product of the cyclic tables, refused above the table cap."""
     _check_dense_order(cyclic_orders)
-    return kron_all([cyclic_character_table(d) for d in cyclic_orders])  # s*s <= kron cap
+    return kron_all([cyclic_character_table(d) for d in cyclic_orders])
 
 
 def _check_dense_order(cyclic_orders: Sequence[int]) -> None:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .design import Design, MarginTable, margins
 from .errors import ResourceLimitError
-from .groups import AbelianStructure, enumerate_structures
+from .groups import AbelianStructure, element_components, enumerate_structures
 from .spectra import (
     INTERNAL_TOL,
     Assignment,
@@ -336,7 +336,7 @@ def verify_invariance(
         element, neg_delta, pos = best_witness
         jchar = j_characteristics(design, resolved[pos], walk=walk)
         witness = JCharWitness(
-            components=tuple(int(r) for r in np.unravel_index(element, design.sizes)),
+            components=element_components(element, design.sizes),
             first_assignment=resolved[0],
             other_assignment=resolved[pos],
             first_value=complex(first_values[element]),

@@ -11,21 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
-
-#: Largest entry count for a dense Kronecker product (covers 4096 x 4096 tables).
-DENSE_KRON_CAP = 2**24
-
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense Kronecker product, refused above ``DENSE_KRON_CAP`` entries."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    entries = a.size * b.size
-    if entries > DENSE_KRON_CAP:
-        raise ResourceLimitError(
-            f"kron result with {entries} entries exceeds the cap {DENSE_KRON_CAP}"
-        )
+    """``np.kron``, uncapped: no table or block the package builds has more than 4096² entries."""
     return np.kron(a, b)
 
 

@@ -17,15 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import Design, Run, _strides
+from .design import Design, Run
 from .errors import InconsistentSpectrumError
 from .groups import (
+    DENSE_BLOCK_ENTRIES,
     AbelianStructure,
     _check_dense_order,
     _dense_table,
     cyclic_character_table,
     element_components,
     parse_structure,
+    yates_strides,
 )
 from .kron import _contract_axis, kron, kron_all
 
@@ -38,10 +40,6 @@ INTERNAL_TOL = 1e-9
 #: rendered at 12 significant digits put each cell within about 5e-12 * N of
 #: its count, whatever s is.
 RECONSTRUCT_TOL = 1e-6
-
-# Table entries per block of the dense route (or D * s, if more); a table
-# within it (s <= 256) is built whole.
-_DENSE_BLOCK_ENTRIES = 2**16
 
 
 def _assignment(structures: Sequence[AbelianStructure | str]) -> Assignment:
@@ -100,7 +98,7 @@ def element_weights(structures: Sequence[AbelianStructure]) -> np.ndarray:
 def _order_weights(orders: tuple[int, ...]) -> np.ndarray:
     weights = np.zeros(math.prod(orders), dtype=np.int64)
     # Factor i's digit is the middle axis of each view; C order is Yates order.
-    for d, stride in zip(orders, _strides(orders).tolist()):
+    for d, stride in zip(orders, yates_strides(orders)):
         weights.reshape(-1, d, stride)[:, 1:] += 1
     weights.flags.writeable = False
     return weights
@@ -184,20 +182,21 @@ def _dense_spectrum(parts: Sequence[int], counts: np.ndarray) -> np.ndarray:
     """``_dense_table(parts) @ counts``, bit for bit, built a block of rows at a time.
 
     The head folds the part tables as ``kron_all`` does: the first, then each
-    next one while it has at most ``_DENSE_BLOCK_ENTRIES`` entries.  A block
-    is a range of head rows with the other tables (order D) folded on, at
-    most max(_DENSE_BLOCK_ENTRIES, D * s) entries, so every entry is the whole
-    table's product of the same factors in the same order.  The cap is
-    checked before any table is built.
+    next one while it has at most ``DENSE_BLOCK_ENTRIES`` entries.  A lone first
+    part is its own table, not ``kron_all``'s copy, which differs only in making
+    the -0.0 real part of -i +0.0.  A block is a range of head rows with the
+    other tables (order D) folded on, at most max(DENSE_BLOCK_ENTRIES, D * s)
+    entries, each the whole table's product of the same factors in that order.
+    The cap is checked before any table is built.
     """
     _check_dense_order(parts)
     tables = [cyclic_character_table(d) for d in parts]
     cut = min(1, len(parts))
-    while cut < len(parts) and math.prod(parts[: cut + 1]) ** 2 <= _DENSE_BLOCK_ENTRIES:
+    while cut < len(parts) and math.prod(parts[: cut + 1]) ** 2 <= DENSE_BLOCK_ENTRIES:
         cut += 1
-    head = kron_all(tables[:cut])
+    head = tables[0] if cut == 1 else kron_all(tables[:cut])
     tail = tables[cut:]
-    rows = max(1, _DENSE_BLOCK_ENTRIES // (math.prod(parts[cut:]) * len(counts)))
+    rows = max(1, DENSE_BLOCK_ENTRIES // (math.prod(parts[cut:]) * len(counts)))
     # The head rows split into blocks of at most ``rows`` whose sizes differ
     # by at most one, so a block has D >= 2 table rows per head row under a
     # tail of order D, is the whole table, or has at least 8 rows of one part
@@ -398,7 +397,7 @@ def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run
             f"cell {index} reconstructs to negative multiplicity {int(mults[index])}"
         )
     nonzero = np.flatnonzero(mults)
-    runs = map(tuple, (nonzero[:, None] // _strides(orders) % orders).tolist())
+    runs = map(tuple, (nonzero[:, None] // np.array(yates_strides(orders)) % orders).tolist())
     counts = list(map(int, mults[nonzero].tolist()))  # exact past int64 too
     total = sum(counts)
     if total != jchar.n_runs:

@@ -1035,3 +1035,21 @@ def test_only_render_spells_the_jchar_report_format():
                 if '{"g": ' in text or '"values": ' in text:
                     found.append(f"{path.name}:{node.lineno} {text!r}")
     assert found == []
+
+
+def test_no_numpy_mixed_radix_calls_in_the_package():
+    # np.ravel_multi_index and np.unravel_index take at most 64 axes (32 on
+    # numpy 1.x) and intp indices; the package encodes and decodes Yates
+    # indices with groups.yates_strides, which has neither limit.
+    banned = {"ravel_multi_index", "unravel_index"}
+    found = []
+    for path in sorted((FIXTURES.parent / "src" / "wordlength").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+    assert found == []

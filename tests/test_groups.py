@@ -229,7 +229,7 @@ class TestCharacterTables:
         roots = np.array([root_of_unity(m, order) for m in range(order)])
         r = np.arange(order, dtype=np.int64)
         expected = roots[np.outer(r, r) % order]
-        table = cyclic_character_table.__wrapped__(order)  # leaves the cache as it was
+        table = groups._cyclic_table(order)  # leaves the cache as it was
         assert table.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
         # The int32 exponent index holds every product below the cap.
         assert (DENSE_TABLE_CAP - 1) ** 2 < 2**31
@@ -238,7 +238,7 @@ class TestCharacterTables:
         # An int64 index beside the table took about 1.5 times its size.
         tracemalloc.start()
         try:
-            table = cyclic_character_table.__wrapped__(1021)
+            table = groups._cyclic_table(1021)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -256,6 +256,17 @@ class TestCharacterTables:
                 part = cyclic_character_table(d)
                 assert part is cyclic_character_table(d)
                 assert not part.flags.writeable
+
+    def test_only_tables_within_the_block_budget_are_kept(self):
+        # A kept Z_2039 table held 63 MiB for the life of the process.
+        assert groups.DENSE_BLOCK_ENTRIES == 256**2
+        assert cyclic_character_table(256) is cyclic_character_table(256)
+        for order in (257, 509):
+            table = cyclic_character_table(order)
+            again = cyclic_character_table(order)
+            assert again is not table
+            assert not table.flags.writeable and not again.flags.writeable
+            assert np.array_equal(table.view(np.float64), again.view(np.float64))
 
     def test_cyclic_cap_is_checked_before_building(self, monkeypatch):
         def unexpected(*args):

@@ -678,6 +678,7 @@ def two_factor_case(a: int, b: int):
 @given(blocked_dense_cases())
 @example(two_factor_case(181, 2))  # blocks of 61, 60 and 60 head rows (at most 90), 2 rows each
 @example(two_factor_case(3, 509))  # the tail alone is past the budget: blocks of D * s entries
+@example(two_factor_case(4, 260))  # a lone Z_4 head: its -i entries hold a real part of -0.0
 def test_blocked_dense_spectra_are_the_whole_table_product_bit_for_bit(case):
     design, structures = case
     counts = design.dense_counts().astype(np.complex128)
@@ -697,6 +698,7 @@ def one_factor_case(p: int):
 @example(one_factor_case(509))  # one part past 256 levels: blocks of its head rows
 @example(one_factor_case(1021))
 @example(one_factor_case(571))  # 571 rows in blocks of at most 114: none may have one row
+@example(one_factor_case(512))  # the head is the part's own table, -0.0 real parts included
 def test_small_and_one_part_dense_spectra_are_the_whole_table_product_bit_for_bit(case):
     design, structures = case
     counts = design.dense_counts().astype(np.complex128)

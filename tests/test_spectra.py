@@ -99,6 +99,15 @@ class TestWeight:
             digits.reverse()
             assert weight(structures, index) == weight(structures, tuple(digits))
 
+    @pytest.mark.parametrize("literals", [["2"] * 63, ["2"] * 64, ["1"] * 70 + ["2"]])
+    def test_flat_index_past_numpys_index_and_axis_limits(self, literals):
+        # np.unravel_index refused 2**63 elements (intp) and 71 axes (at most 64).
+        structures = [parse_structure(lit) for lit in literals]
+        last = math.prod(st.order for st in structures) - 1
+        assert weight(structures, last) == sum(st.order > 1 for st in structures)
+        assert weight(structures, np.int64(1)) == 1
+        assert weight(structures, 0) == 0
+
     def test_element_weights_vectorized(self):
         structures = (Z4, parse_structure("3"), V)
         weights = element_weights(structures)
@@ -253,6 +262,25 @@ class TestJCharacteristics:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("algorithm", ["dense", "factorized"])
+    def test_a_part_past_256_levels_leaves_no_table_behind(self, algorithm):
+        # Z_2039's table is 63.4 MiB. The dense route's head was a copy of it
+        # (127 MiB peak), and the table cache kept it after the call.
+        rng = np.random.default_rng(2039)
+        levels = tuple(map(str, range(2039)))
+        design = Design((levels,), {(int(x),): 1 for x in rng.choice(2039, 300, replace=False)})
+        table_bytes = 2039**2 * 16
+        tracemalloc.start()
+        try:
+            jchar = j_characteristics(design, ["2039"], algorithm)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        if algorithm == "dense":
+            assert peak < 1.3 * table_bytes
+        assert jchar.values[0] == 300
 
     def test_dense_cap_is_checked_before_the_table_is_built(self):
         design = Design((tuple(ALPHABET),) * 7, {(0,) * 7: 1})

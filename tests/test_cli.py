@@ -907,6 +907,29 @@ class TestRendering:
         back = parse_design((tmp_path / "back.txt").read_text(encoding="utf-8"))
         assert back == parse_design((tmp_path / "design.txt").read_text(encoding="utf-8"))
 
+    @pytest.mark.parametrize(
+        "sizes, groups, seed, symbols, digest",
+        [  # the reports of TestReconstructAllocation: integer parts, irrational parts, "é"
+            ((4,) * 8, "4,2x2,4,2x2,4,4,2x2,4", 48, None,
+             "12168df10217bc2f18eccd8ef18f9c2fa483a456f79ae0afafced2b7346d5392"),
+            ((3,) * 10, ",".join(["3"] * 10), 310, None,
+             "762c304b82877c4c288e465a7873620feda86fd82ebd6c1db1d1c4d02f84f406"),
+            ((4,) * 8, "4,2x2,4,2x2,4,4,2x2,4", 48, ["0", "1", "2", "é"],
+             "4bb2a0f8c842d0954bfa2b2ae25510e71f8f3416985a18fb2560a8aeef1a1bea"),
+        ],
+    )
+    def test_reconstruct_reports_are_pinned(
+        self, capsys, tmp_path, monkeypatch, sizes, groups, seed, symbols, digest
+    ):
+        # The sha256 of each `reconstruct --json` report as an earlier build wrote it.
+        monkeypatch.chdir(tmp_path)
+        write_sampled_design(tmp_path / "design.txt", sizes, seed, symbols)
+        argv = ["jchar", "design.txt", "--groups", groups, "--json", "--output", "report.json"]
+        assert main(argv) == 0
+        assert main(["reconstruct", "report.json", "--json", "--output", "back.json"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "back.json").read_bytes()).hexdigest() == digest
+
 
 class TestMarginRouteAllocation:
     def test_never_densifies_at_twelve_to_the_sixth(self, capsys, tmp_path):
@@ -1001,6 +1024,27 @@ class TestReconstructAllocation:
         monkeypatch.setattr(render, "_numbers", refuse)
         self.reconstruct_peak(tmp_path, (4,) * 6, "4,2x2,4,2x2,2x2,4", 6)
         capsys.readouterr()
+
+
+def test_jchar_writes_a_four_to_the_eighth_report_in_blocks(capsys, tmp_path):
+    # The report reconstruct_peak reads above: 65,536 entries, 2.4 MiB of
+    # text, held twice (the report and the report with its newline) as
+    # --output writes it.  _write_spectrum joins its entries a block at a
+    # time; one list of all of them raised the traced peak of dumps from 4.8
+    # to 6.9 MiB.
+    design_file = tmp_path / "design.txt"
+    write_sampled_design(design_file, (4,) * 8, 48)
+    argv = ["jchar", str(design_file), "--groups", "4,2x2,4,2x2,4,4,2x2,4", "--json"]
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--output", str(tmp_path / "report.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    # 6,163,691 bytes (5.88 MiB) measured, with 64 KiB to spare.
+    assert peak <= 6_163_691 + 2**16, f"jchar --json allocated {peak} bytes"
 
 
 def test_no_private_json_names_in_the_package():

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import render
 from .design import Design, margins, parse_design
@@ -253,11 +256,13 @@ def _run_jchar(args) -> tuple[int, str]:
     if args.json:
         summary = _design_summary(args.design, design)
         return 0, render.jchar_report(summary, design.levels, jchar, args.algorithm)
-    lines = []
-    for label, z in zip(render.element_labels(design.levels), jchar.values.tolist()):
-        if abs(z) <= INTERNAL_TOL:
-            continue  # zero entries are omitted, as spectrum tables usually are
-        lines.append(f"{label} {render.fmt_complex(z)}")
+    # Zero entries are omitted, as spectrum tables usually are; each distinct
+    # value kept is formatted once.
+    keep = ~(np.abs(jchar.values) <= INTERNAL_TOL)
+    kept = jchar.values[keep].tolist()
+    text = {z: render.fmt_complex(z) for z in set(kept)}
+    labels = itertools.compress(render.element_labels(design.levels), keep.tolist())
+    lines = [f"{label} {text[z]}" for label, z in zip(labels, kept)]
     return 0, "\n".join(lines) + "\n"
 
 
@@ -274,20 +279,9 @@ def _run_reconstruct(args) -> tuple[int, str]:
     counts = reconstruct(jchar, tol=args.tol)
     if symbols is None:
         symbols = [[str(j) for j in range(st.order)] for st in jchar.structures]
-    design = Design(symbols, counts)
     if args.json:
-        payload = {
-            "groups": [st.literal() for st in jchar.structures],
-            "n_runs": design.n_runs,
-            "counts": [
-                {
-                    "run": [design.levels[i][r] for i, r in enumerate(run)],
-                    "multiplicity": mult,
-                }
-                for run, mult in design.runs()
-            ],
-        }
-        return 0, render.dumps(payload) + "\n"
+        return 0, render.reconstruct_report(jchar, symbols, counts)
+    design = Design(symbols, counts)
     try:
         return 0, design.serialize()
     except ValueError as exc:  # a symbol that JSON holds but a design file does not

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +60,21 @@ class Spectrum:
         self.values = values
 
 
+class RunCounts:
+    """Run multiplicities over a design's symbols, as ``reconstruct`` returns them.
+
+    ``dumps`` writes it as the list ``[{"run": [symbol, ...], "multiplicity": m}, ...]``
+    in the order of ``counts``, which for ``reconstruct``'s map is Yates order,
+    in bulk: each symbol is escaped once and each run written as one string.
+    """
+
+    __slots__ = ("levels", "counts")
+
+    def __init__(self, levels: Sequence[Sequence[str]], counts: Mapping[tuple[int, ...], int]):
+        self.levels = levels
+        self.counts = counts
+
+
 def dumps(payload: Any) -> str:
     """Canonical JSON: insertion-ordered keys, floats at 12 significant digits."""
     pieces: list[str] = []
@@ -99,6 +114,8 @@ def _write(value: Any, out: list[str]) -> None:
         out.append("]")
     elif isinstance(value, Spectrum):  # after the common types, which then pay nothing
         _write_spectrum(value, out)
+    elif isinstance(value, RunCounts):
+        _write_counts(value, out)
     else:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
@@ -122,28 +139,26 @@ def _write_spectrum(spectrum: Spectrum, out: list[str]) -> None:
     # Four pieces per entry, filled a block at a time by strided assignment:
     # the head, the escaped symbols of every factor but the last; the tail,
     # the last factor's and _RE; the re part and _IM; the im part and _NEXT.
-    # Each head is built once and leads len(last) entries in a row, under
-    # which the tails cycle.  Escaping maps each character on its own, so
-    # escaped symbols join into the escaped label.
+    # Each head leads len(last) entries in a row, under which the tails
+    # cycle.  Escaping maps each character on its own, so escaped symbols
+    # join into the escaped label.
     escaped = [[encode_basestring_ascii(sym)[1:-1] for sym in a] for a in spectrum.levels]
     joiner = _joiner(spectrum.levels)
     *front, last = escaped
-    heads = map(joiner.join, itertools.product(*front))
+    heads = np.fromiter(map(joiner.join, itertools.product(*front)), object)
     tails = itertools.cycle([joiner * bool(front) + sym + _RE for sym in last])
     res = _formatted(spectrum.values.real, _IM)
     ims = _formatted(spectrum.values.imag, _NEXT)
     ims[-1] = fmt_float(spectrum.values[-1].imag) + _CLOSE
     out.append(_OPEN)
     pieces = [""] * 4 * min(len(res), _BLOCK)  # every block but the last fills the same list
-    held: list[str] = []
     for start in range(0, len(res), _BLOCK):
         block = slice(start, start + _BLOCK)
         n = len(res[block])
         del pieces[4 * n :]
-        rows = np.arange(start, start + n) // len(last)  # the head of each entry
-        held = held[-1:] if start % len(last) else []  # a head the last block ended inside
-        held += itertools.islice(heads, rows[-1] - rows[0] + 1 - len(held))
-        pieces[0::4] = np.array(held, dtype=object)[rows - rows[0]].tolist()
+        first, skip = divmod(start, len(last))  # the head of the block's first entry
+        rows = heads[first : (start + n - 1) // len(last) + 1]
+        pieces[0::4] = np.repeat(rows, len(last))[skip : skip + n].tolist()
         pieces[1::4] = itertools.islice(tails, n)
         pieces[2::4] = res[block].tolist()
         pieces[3::4] = ims[block].tolist()
@@ -154,14 +169,27 @@ def _formatted(parts: np.ndarray, suffix: str) -> np.ndarray:
     """``fmt_float(x) + suffix`` of every part x, as an object array, formatting
     each distinct value once.
 
-    Spectra of integer counts repeat few values; "+ 0.0" drops the sign of
-    -0.0 as ``fmt_float`` does, and one "%.12g" template (the same digits as
-    ``format(x, ".12g")``) formats all distinct values in one call.
-    ``suffix`` holds no "%" and no NUL, which parts the formatted values.
+    Spectra of integer counts repeat few values.  Integer parts that span no
+    more values than there are parts are told apart by their offset from the
+    least, in one linear pass; others by ``np.unique``, which sorts.  Adding
+    0.0 drops the sign of -0.0 as ``fmt_float`` does, and one "%.12g"
+    template (the same digits as ``format(x, ".12g")``) formats all distinct
+    values in one call.  ``suffix`` holds no "%" and no NUL, which parts the
+    formatted values.
     """
-    distinct, inverse = np.unique(parts + 0.0, return_inverse=True)
+    lo, hi = float(parts.min()), float(parts.max())
+    # NaN and infinities fail the span, and a part that is no integer the sum.
+    offsets = (parts - lo).astype(np.intp) if hi - lo < len(parts) and lo.is_integer() else None
+    if offsets is not None and (offsets + lo == parts).all():
+        keys = np.flatnonzero(np.bincount(offsets))
+        distinct, inverse = keys + lo, offsets  # key 0 and lo -0.0 add up to 0.0
+    else:
+        distinct, inverse = np.unique(parts + 0.0, return_inverse=True)
+        keys = np.arange(len(distinct))
     text = (f"%.12g{suffix}\0" * len(distinct))[:-1] % tuple(distinct.tolist())
-    return np.array(text.split("\0"), dtype=object)[inverse]
+    table = np.empty(keys[-1] + 1, dtype=object)
+    table[keys] = text.split("\0")
+    return table[inverse]
 
 
 def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> str:
@@ -173,6 +201,27 @@ def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> s
         "algorithm": algorithm,
         "n_runs": jchar.n_runs,
         "values": Spectrum(levels, jchar.values),
+    }
+    return dumps(payload) + "\n"
+
+
+def _write_counts(runs: RunCounts, out: list[str]) -> None:
+    escaped = [[encode_basestring_ascii(sym) for sym in a] for a in runs.levels]
+    entries = (
+        '{"run": [' + ", ".join(map(list.__getitem__, escaped, run)) + '], "multiplicity": '
+        + int.__repr__(mult) + "}"
+        for run, mult in runs.counts.items()
+    )
+    out.append("[" + ", ".join(entries) + "]")
+
+
+def reconstruct_report(jchar: JCharVector, levels, counts: Mapping[tuple[int, ...], int]) -> str:
+    """The ``reconstruct --json`` report of ``counts``, the runs ``reconstruct``
+    recovers from ``jchar`` over the symbols ``levels``, in one ``dumps`` call."""
+    payload = {
+        "groups": [st.literal() for st in jchar.structures],
+        "n_runs": jchar.n_runs,
+        "counts": RunCounts(levels, counts),
     }
     return dumps(payload) + "\n"
 
@@ -261,13 +310,6 @@ _SLICE = 2**18
 _LEAD = _NEXT.removesuffix(_OPEN[1:]).encode("ascii")
 _ENTRY = (_NEXT, _RE, _IM)
 _QUOTES = tuple(itertools.accumulate((sep.count('"') for sep in _ENTRY), initial=0))
-# The 8-byte words that cover each separator, as (which of _ENTRY, offset in
-# it, word).  They fix every byte of an entry but the label's and the parts'.
-_WORDS = tuple(
-    (i, offset, np.frombuffer(sep[offset : offset + 8].encode("ascii"), "<u8")[0])
-    for i, sep in enumerate(_ENTRY)
-    for offset in sorted({*range(0, len(sep) - 8, 8), len(sep) - 8})
-)
 
 
 def _layout_values(text: str, idx: int):
@@ -286,11 +328,11 @@ def _layout_values(text: str, idx: int):
     if not text.startswith(_OPEN, idx):
         return None
     chunks = []
-    start = idx + 1  # past the "[", in whose place _LEAD goes
+    lead, start = _LEAD, idx + 1  # _LEAD goes in the place of the "["
     while True:
         cut = text.find(_NEXT, start + _SLICE)
         try:
-            raw = _LEAD + text[start : len(text) if cut < 0 else cut + 1].encode("ascii")
+            raw = lead + text[start : len(text) if cut < 0 else cut + 1].encode("ascii")
         except UnicodeEncodeError:
             return None
         read = _layout_entries(raw, last=cut < 0)
@@ -299,8 +341,8 @@ def _layout_values(text: str, idx: int):
         values, close = read
         chunks.append(values)
         if cut < 0:  # _CLOSE ends the list at raw[close]
-            return np.concatenate(chunks), start + close - len(_LEAD) + len(_CLOSE)
-        start = cut + len(_LEAD)
+            return np.concatenate(chunks), start - len(lead) + close + len(_CLOSE)
+        lead, start = b"", cut  # the next slice starts with this _NEXT, "}, " and all
 
 
 def _layout_entries(raw: bytes, last: bool):
@@ -311,18 +353,19 @@ def _layout_entries(raw: bytes, last: bool):
     if not quotes.size or quotes.size % _QUOTES[-1] or quotes[0] != _NEXT.index('"'):
         return None
     close = raw.find(_CLOSE.encode("ascii"), quotes[-1]) if last else len(raw) - 1
-    if close < 0 or (b[:close] < 0x20).any() or not _unicode_escapes(b[:close]):
+    if close < 0 or b[:close].min() < 0x20 or not _unicode_escapes(raw, close):
         return None
-    # Where each separator of each entry starts, by the first of its quotes,
-    # and the 8-byte word at every offset of raw.  Each quote the words hold is
-    # the next one in ``quotes``, so they also fix where the entry's quotes are.
+    # Where each separator of each entry starts, by the first of its quotes.
+    # Each separator found there holds its quotes, and they are the next ones
+    # in ``quotes``, so the separators also fix where the entry's quotes are.
     at = [quotes[n :: _QUOTES[-1]] - sep.index('"') for n, sep in zip(_QUOTES, _ENTRY)]
     del quotes  # for a lower peak in the number readers
-    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
     if at[-1][-1] + len(_ENTRY[-1]) > len(raw):  # the last separator would pass the end
         return None
-    for i, offset, word in _WORDS:
-        if (words[at[i] + offset] != word).any():
+    for sep, starts in zip(_ENTRY, at):
+        # The len(sep) bytes at every offset of raw, as one item each.
+        runs = np.ndarray((len(raw) - len(sep) + 1,), f"V{len(sep)}", raw, strides=(1,))
+        if runs[starts].tobytes() != sep.encode("ascii") * len(starts):
             return None
     # Every re, then every im, each the text between two separators.
     starts = np.concatenate((at[1] + len(_RE), at[2] + len(_IM)))
@@ -338,18 +381,23 @@ def _layout_entries(raw: bytes, last: bool):
     return values, close
 
 
-def _unicode_escapes(b: np.ndarray) -> bool:
-    """Whether every backslash in ``b`` starts a ``\\uXXXX`` escape, the form in
-    which jchar writes a label's non-ASCII characters.  Such an escape holds no
-    quote and escapes none, so the quotes still mark the entries out."""
-    slashes = np.flatnonzero(b == ord("\\"))
-    if not slashes.size:
+def _unicode_escapes(raw: bytes, stop: int) -> bool:
+    """Whether every backslash in ``raw[:stop]`` starts a ``\\uXXXX`` escape, the
+    form in which jchar writes a label's non-ASCII characters.  Such an escape
+    holds no quote and escapes none, so the quotes still mark the entries out."""
+    if raw.find(b"\\", 0, stop) < 0:
         return True
+    b = np.frombuffer(raw, np.uint8, stop)
+    slashes = np.flatnonzero(b == ord("\\"))
     if slashes[-1] + 5 >= len(b):
         return False
     digits = b[slashes[:, None] + np.arange(2, 6)]
     hex_digits = np.isin(digits, np.frombuffer(b"0123456789abcdefABCDEF", np.uint8))
     return bool((b[slashes + 1] == ord("u")).all() and hex_digits.all())
+
+
+# The least integer of each width in digits that has no leading zero: 0 for one digit.
+_LEAST = np.array([0.0, 0.0, *10.0 ** np.arange(1, 15)])
 
 
 def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
@@ -360,16 +408,16 @@ def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     width = stops - starts
     if width.min() < 1 or width.max() > 15:
         return None
-    if ((b[starts] == ord("0")) & (width > 1)).any():  # a leading zero
-        return None
     # One row per digit column, by its distance from the stop: numpy runs
     # along rows, and a row is as long as the slice has integers.
     columns = np.arange(width.max(), 0, -1)[:, None]
     digits = (b[stops - columns] - np.uint8(ord("0"))) * (columns <= width)
     if (digits > 9).any():  # bytes below "0" wrap past 9 in uint8
         return None
-    values = 10 ** (columns[:, 0] - 1) @ digits
-    return np.where(negative, -values, values)  # "-0" is int 0, which loads as 0.0
+    values = 10.0 ** (columns[:, 0] - 1) @ digits  # every sum is exact below 2**53
+    if (values < _LEAST[width]).any():  # a leading zero
+        return None
+    return np.where(negative, 0.0 - values, values)  # "-0" is int 0, which loads as 0.0
 
 
 def _numbers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):

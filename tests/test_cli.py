@@ -1066,18 +1066,31 @@ def test_no_private_json_names_in_the_package():
     assert found == []
 
 
-def test_only_render_spells_the_jchar_report_format():
-    # render writes the jchar --json report and reads it back; a string of
-    # its bytes anywhere else would be a second statement of the format.
-    found = []
+def strings_outside_render():
+    """(where, text) of every str or bytes constant in the package but render.py."""
     for path in sorted((FIXTURES.parent / "src" / "wordlength").glob("*.py")):
         if path.name == "render.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
                 text = node.value if isinstance(node.value, str) else node.value.decode("latin-1")
-                if '{"g": ' in text or '"values": ' in text:
-                    found.append(f"{path.name}:{node.lineno} {text!r}")
+                yield f"{path.name}:{node.lineno}", text
+
+
+def test_only_render_spells_the_jchar_report_format():
+    # render writes the jchar --json report and reads it back; a string of
+    # its bytes anywhere else would be a second statement of the format.
+    found = [f"{where} {text!r}" for where, text in strings_outside_render()
+             if '{"g": ' in text or '"values": ' in text]
+    assert found == []
+
+
+def test_only_render_spells_the_reconstruct_report_keys():
+    # render writes the reconstruct --json report: its keys as payload keys
+    # or as JSON text anywhere else would be a second statement of the format.
+    keys = ("counts", "multiplicity")
+    found = [f"{where} {text!r}" for where, text in strings_outside_render()
+             if text in keys or any(f'"{key}"' in text for key in keys)]
     assert found == []
 
 

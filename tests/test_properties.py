@@ -57,6 +57,7 @@ from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import (
+    RunCounts,
     Spectrum,
     _layout_values,
     _load_report,
@@ -772,6 +773,37 @@ def test_spectrum_in_small_blocks_renders_as_its_list_of_entries(spectrum, block
         assert_renders_as_its_list_of_entries(spectrum)
 
 
+@st.composite
+def integer_spectra(draw) -> Spectrum:
+    """Integer parts, as floats, within ``span`` of a base anywhere up to 2**60:
+    spans shorter than the spectrum, as long and longer, at magnitudes where
+    floats hold every integer and past 2**53, where they do not."""
+    base = draw(st.one_of(st.integers(-8, 8), st.integers(-(2**60), 2**60)))
+    span = draw(st.integers(0, 80))
+    return draw(spectra(st.integers(base, base + span).map(float)))
+
+
+def one_factor_spectrum(re, im) -> Spectrum:
+    """The spectrum over one factor with these real and imaginary parts."""
+    values = np.empty(len(re), dtype=np.complex128)
+    values.real, values.imag = re, im
+    return Spectrum((tuple(map(str, range(len(re)))),), values)
+
+
+@PROPERTY
+@given(integer_spectra())
+@example(one_factor_spectrum([1e12, 1e12 + 1, 1e12 + 2], [-1e12, 1e12 - 1, 2e12]))  # "1e+12"
+@example(one_factor_spectrum([2.0**53, -(2.0**53), -0.0], [-0.0, 0.0, 2.0**53 - 1]))
+@example(one_factor_spectrum([2.0**53, 2.0**53 - 2, 2.0**53 + 2], [-(2.0**53), -0.0, 1.0]))
+@example(one_factor_spectrum([-0.0, 0.0, 1.0], [-0.0, -1.0, -0.0]))
+@example(one_factor_spectrum([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]))  # a span as long
+@example(one_factor_spectrum([0.0, 1.0, 2.0, 4.0], [-4.0, 0.0, -1.0, -2.0]))  # one longer
+@example(one_factor_spectrum([0.0, 1.0, 2.5, 3.0], [1.0, 0.5, 2.0, 1.0]))  # one non-integer
+@example(one_factor_spectrum([3.0, 1e-300, 2.0], [-3.0, -1e-300, -2.0]))  # 1e-300 - (-3) is 3.0
+def test_integer_spectrum_renders_as_its_list_of_entries(spectrum):
+    assert_renders_as_its_list_of_entries(spectrum)
+
+
 @PROPERTY
 @given(spectra(symbols=LAYOUT_SYMBOLS), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 100]))
 def test_layout_reader_reads_what_the_writer_writes(spectrum, block, slice_chars):
@@ -788,6 +820,38 @@ def test_layout_reader_reads_what_the_writer_writes(spectrum, block, slice_chars
     expected = _read_values(json.loads(text)["values"])
     assert read.values.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
     assert symbols == [list(a) for a in levels]
+
+
+@st.composite
+def runs_over_symbols(draw) -> tuple[list[list[str]], set[int]]:
+    """Alphabets of any text, one-level ones among them, and the Yates indices
+    of distinct runs over them."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    levels = [draw(st.lists(LABEL_SYMBOLS, min_size=s, max_size=s, unique=True)) for s in shape]
+    return levels, draw(st.sets(st.integers(0, math.prod(shape) - 1), min_size=1))
+
+
+@PROPERTY
+@given(runs_over_symbols())
+@example(([['"'], ["\\", "\x01\u2028"], ["\U0001f600"]], {0, 1}))
+def test_reconstruct_report_renders_as_its_list_of_runs(case):
+    # Symbols with quotes, backslashes, control and non-ASCII characters, and
+    # the runs in the order reconstruct returns them.
+    levels, cells = case
+    shape = [len(a) for a in levels]
+    design = Design(levels, {digits_of(c, shape): c % 3 + 1 for c in cells})
+    jchar = j_characteristics(design, [str(s) for s in shape])
+    counts = reconstruct(jchar)
+    payload = {  # the list of one dict per run that the report held before it was written in bulk
+        "groups": [str(s) for s in shape],
+        "n_runs": design.n_runs,
+        "counts": [
+            {"run": [levels[i][r] for i, r in enumerate(run)], "multiplicity": mult}
+            for run, mult in design.runs()
+        ],
+    }
+    assert render.reconstruct_report(jchar, levels, counts) == dumps(payload) + "\n"
+    assert dumps(RunCounts(levels, counts)) == dumps(payload["counts"])
 
 
 # JSON numbers as json.loads returns them: ints past 2**53 and 2**64 round on

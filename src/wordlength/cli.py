@@ -256,8 +256,8 @@ def _run_jchar(args) -> tuple[int, str]:
     if args.json:
         summary = _design_summary(args.design, design)
         return 0, render.jchar_report(summary, design.levels, jchar, args.algorithm)
-    # Zero entries are omitted, as spectrum tables usually are; each distinct
-    # value kept is formatted once.
+    # Zero entries are omitted, as spectrum tables usually are, and NaN ones
+    # kept; each distinct value kept is formatted once.
     keep = ~(np.abs(jchar.values) <= INTERNAL_TOL)
     kept = jchar.values[keep].tolist()
     text = {z: render.fmt_complex(z) for z in set(kept)}

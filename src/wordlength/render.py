@@ -121,9 +121,9 @@ def _write(value: Any, out: list[str]) -> None:
 
 
 # Entries joined per block.  On a 4^8 spectrum of integer counts (2-vCPU
-# x86-64 guest, best of 40), one block for all 65,536 entries raised the
-# traced peak of dumps from 4.8 to 6.9 MiB and took 10.2 against 9.0 ms;
-# blocks of 1024 took 10.3 ms and of 16,384 9.4 ms, at the same peak.
+# x86-64 guest, best of 40, three runs), one block for all 65,536 entries
+# raised the traced peak of dumps from 4.9 to 6.5 MiB and took 11.4 against
+# 11.2 ms; blocks of 1024 took 11.2 ms and of 16,384 11.5 ms, at 4.9 MiB.
 _BLOCK = 4096
 
 # The bytes of a spectrum list around its labels and parts, as the writer

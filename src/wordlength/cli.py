@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import render
 from .design import Design, margins, parse_design
@@ -256,14 +253,7 @@ def _run_jchar(args) -> tuple[int, str]:
     if args.json:
         summary = _design_summary(args.design, design)
         return 0, render.jchar_report(summary, design.levels, jchar, args.algorithm)
-    # Zero entries are omitted, as spectrum tables usually are, and NaN ones
-    # kept; each distinct value kept is formatted once.
-    keep = ~(np.abs(jchar.values) <= INTERNAL_TOL)
-    kept = jchar.values[keep].tolist()
-    text = {z: render.fmt_complex(z) for z in set(kept)}
-    labels = itertools.compress(render.element_labels(design.levels), keep.tolist())
-    lines = [f"{label} {text[z]}" for label, z in zip(labels, kept)]
-    return 0, "\n".join(lines) + "\n"
+    return 0, render.jchar_text(design.levels, jchar, INTERNAL_TOL)
 
 
 def _run_reconstruct(args) -> tuple[int, str]:

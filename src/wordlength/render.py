@@ -205,6 +205,17 @@ def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> s
     return dumps(payload) + "\n"
 
 
+def jchar_text(levels, jchar: JCharVector, tol: float) -> str:
+    """The text-mode ``jchar`` table: one ``label value`` line per entry of
+    ``jchar`` farther than ``tol`` from zero (a NaN one included), as spectrum
+    tables usually omit zeros, with each distinct value formatted once."""
+    keep = ~(np.abs(jchar.values) <= tol)
+    kept = jchar.values[keep].tolist()
+    text = {z: fmt_complex(z) for z in set(kept)}
+    labels = itertools.compress(element_labels(levels), keep.tolist())
+    return "\n".join([f"{label} {text[z]}" for label, z in zip(labels, kept)]) + "\n"
+
+
 def _write_counts(runs: RunCounts, out: list[str]) -> None:
     escaped = [[encode_basestring_ascii(sym) for sym in a] for a in runs.levels]
     entries = (

@@ -1027,11 +1027,12 @@ class TestReconstructAllocation:
 
 
 def test_jchar_writes_a_four_to_the_eighth_report_in_blocks(capsys, tmp_path):
-    # The report reconstruct_peak reads above: 65,536 entries, 2.4 MiB of
-    # text, held twice (the report and the report with its newline) as
-    # --output writes it.  _write_spectrum joins its entries a block at a
-    # time; one list of all of them raised the traced peak of dumps from 4.8
-    # to 6.9 MiB.
+    # The report reconstruct_peak reads above: 65,536 entries, 2.5 MB of
+    # text.  The peak is dumps joining the report's blocks, with the blocks
+    # and the report both held.  _write_spectrum stays under it by writing
+    # 4096 entries a block and repeating the heads per block: one list of
+    # all entries raised the traced peak of dumps from 4.9 to 6.5 MiB, and
+    # one repeat of the heads over the whole spectrum this peak by 157 KB.
     design_file = tmp_path / "design.txt"
     write_sampled_design(design_file, (4,) * 8, 48)
     argv = ["jchar", str(design_file), "--groups", "4,2x2,4,2x2,4,4,2x2,4", "--json"]

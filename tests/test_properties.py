@@ -57,7 +57,6 @@ from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import (
-    RunCounts,
     Spectrum,
     _layout_values,
     _load_report,
@@ -851,7 +850,6 @@ def test_reconstruct_report_renders_as_its_list_of_runs(case):
         ],
     }
     assert render.reconstruct_report(jchar, levels, counts) == dumps(payload) + "\n"
-    assert dumps(RunCounts(levels, counts)) == dumps(payload["counts"])
 
 
 # JSON numbers as json.loads returns them: ints past 2**53 and 2**64 round on

@@ -171,7 +171,7 @@ def _formatted(parts: np.ndarray, suffix: str) -> np.ndarray:
 
     Spectra of integer counts repeat few values.  Integer parts that span no
     more values than there are parts are told apart by their offset from the
-    least, in one linear pass; others by ``np.unique``, which sorts.  Adding
+    least, in linear passes; others by ``np.unique``, which sorts.  Adding
     0.0 drops the sign of -0.0 as ``fmt_float`` does, and one "%.12g"
     template (the same digits as ``format(x, ".12g")``) formats all distinct
     values in one call.  ``suffix`` holds no "%" and no NUL, which parts the
@@ -218,6 +218,7 @@ def jchar_text(levels, jchar: JCharVector, tol: float) -> str:
 
 def _write_counts(runs: RunCounts, out: list[str]) -> None:
     escaped = [[encode_basestring_ascii(sym) for sym in a] for a in runs.levels]
+    # map(list.__getitem__, escaped, run) gives escaped[i][run[i]] for each factor i.
     entries = (
         '{"run": [' + ", ".join(map(list.__getitem__, escaped, run)) + '], "multiplicity": '
         + int.__repr__(mult) + "}"

@@ -202,7 +202,7 @@ def _design_summary(path: str, design: Design) -> dict:
     return {
         "path": path,
         "k": design.k,
-        "sizes": list(design.sizes),
+        "sizes": design.sizes,
         "n_runs": design.n_runs,
     }
 
@@ -234,7 +234,7 @@ def _run_gwlp(args) -> tuple[int, str]:
             "design": _design_summary(args.design, design),
             "algorithm": algorithm,
             "groups": groups,
-            "gwlp": [float(a) for a in pattern],
+            "gwlp": pattern,
             "resolution": resolution,
             "strength": strength,
             "tolerance": args.tol,
@@ -253,7 +253,7 @@ def _run_jchar(args) -> tuple[int, str]:
     if args.json:
         summary = _design_summary(args.design, design)
         return 0, render.jchar_report(summary, design.levels, jchar, args.algorithm)
-    return 0, render.jchar_text(design.levels, jchar, INTERNAL_TOL)
+    return 0, render.jchar_text(design.levels, jchar)
 
 
 def _run_reconstruct(args) -> tuple[int, str]:
@@ -312,9 +312,9 @@ def _run_invariance(args) -> tuple[int, str]:
         payload = {
             "design": _design_summary(args.design, design),
             "assignments": [_assignment_literal(a) for a in report.assignments],
-            "gwlps": [[float(x) for x in g] for g in report.gwlps],
-            "margin_gwlp": [float(x) for x in report.margin_gwlp],
-            "max_deviation_by_j": [float(x) for x in report.max_deviation_by_j],
+            "gwlps": report.gwlps,
+            "margin_gwlp": report.margin_gwlp,
+            "max_deviation_by_j": report.max_deviation_by_j,
             "max_deviation": report.max_deviation,
             "tolerance": args.tol,
             "invariant": report.invariant,
@@ -389,8 +389,8 @@ def _run_compare(args) -> tuple[int, str]:
     verdict = compare_aberration(patterns[0], patterns[1], tol=args.tol)
     if args.json:
         payload = {
-            "first": {"path": args.first, "gwlp": [float(a) for a in patterns[0]]},
-            "second": {"path": args.second, "gwlp": [float(a) for a in patterns[1]]},
+            "first": {"path": args.first, "gwlp": patterns[0]},
+            "second": {"path": args.second, "gwlp": patterns[1]},
             "verdict": verdict.ordering,
             "index": verdict.index,
             "tolerance": args.tol,

@@ -343,7 +343,7 @@ def verify_invariance(
             other_value=complex(jchar.values[element]),
         )
 
-    columns = zip(margin.values, *(g.values for g in gwlps))
+    columns = zip(margin, *gwlps)
     by_j = [max(column) - min(column) for column in columns]
     max_dev = max(by_j)
     resolution, strength = resolution_and_strength(margin)

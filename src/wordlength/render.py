@@ -8,6 +8,7 @@ trimmed, the way spectrum tables are conventionally printed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from json.encoder import encode_basestring_ascii
@@ -16,7 +17,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DesignParseError, ResourceLimitError
-from .spectra import JCharVector
+from .spectra import INTERNAL_TOL, JCharVector
 
 
 def fmt_float(x: float) -> str:
@@ -44,39 +45,12 @@ def complex_json(z: complex) -> dict[str, float]:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-class Spectrum:
-    """Complex values over a design's group elements, in Yates order.
-
-    ``dumps`` writes it as the list ``[{"g": label, "re": x, "im": y}, ...]``
-    with ``element_labels(levels)`` as the labels, in bulk: each symbol is
-    escaped once and each distinct real or imaginary part formatted once.
-    """
-
-    # A plain class: a dataclass would add about 1 ms to every command's import.
-    __slots__ = ("levels", "values")
-
-    def __init__(self, levels: Sequence[Sequence[str]], values: np.ndarray) -> None:
-        self.levels = levels
-        self.values = values
-
-
-class RunCounts:
-    """Run multiplicities over a design's symbols, as ``reconstruct`` returns them.
-
-    ``dumps`` writes it as the list ``[{"run": [symbol, ...], "multiplicity": m}, ...]``
-    in the order of ``counts``, which for ``reconstruct``'s map is Yates order,
-    in bulk: each symbol is escaped once and each run written as one string.
-    """
-
-    __slots__ = ("levels", "counts")
-
-    def __init__(self, levels: Sequence[Sequence[str]], counts: Mapping[tuple[int, ...], int]):
-        self.levels = levels
-        self.counts = counts
-
-
 def dumps(payload: Any) -> str:
-    """Canonical JSON: insertion-ordered keys, floats at 12 significant digits."""
+    """Canonical JSON: insertion-ordered keys, floats at 12 significant digits.
+
+    A callable in ``payload`` is a writer: it is called with the list of
+    pieces, to which it appends its value's JSON.
+    """
     pieces: list[str] = []
     _write(payload, pieces)
     return "".join(pieces)
@@ -112,10 +86,8 @@ def _write(value: Any, out: list[str]) -> None:
                 out.append(", ")
             _write(item, out)
         out.append("]")
-    elif isinstance(value, Spectrum):  # after the common types, which then pay nothing
-        _write_spectrum(value, out)
-    elif isinstance(value, RunCounts):
-        _write_counts(value, out)
+    elif callable(value):  # a bulk writer, after the common types, which then pay nothing
+        value(out)
     else:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
@@ -135,21 +107,25 @@ _NEXT = '}, {"g": "'  # after an imaginary part, before the next label
 _CLOSE = "}]"  # after the last imaginary part
 
 
-def _write_spectrum(spectrum: Spectrum, out: list[str]) -> None:
+def _write_spectrum(levels: Sequence[Sequence[str]], values: np.ndarray, out: list[str]) -> None:
+    """Write ``values``, complex values over a design's group elements in Yates
+    order, as the list ``[{"g": label, "re": x, "im": y}, ...]`` with
+    ``element_labels(levels)`` as the labels, in bulk: each symbol is escaped
+    once and each distinct real or imaginary part formatted once."""
     # Four pieces per entry, filled a block at a time by strided assignment:
     # the head, the escaped symbols of every factor but the last; the tail,
     # the last factor's and _RE; the re part and _IM; the im part and _NEXT.
     # Each head leads len(last) entries in a row, under which the tails
     # cycle.  Escaping maps each character on its own, so escaped symbols
     # join into the escaped label.
-    escaped = [[encode_basestring_ascii(sym)[1:-1] for sym in a] for a in spectrum.levels]
-    joiner = _joiner(spectrum.levels)
+    escaped = [[encode_basestring_ascii(sym)[1:-1] for sym in a] for a in levels]
+    joiner = _joiner(levels)
     *front, last = escaped
     heads = np.fromiter(map(joiner.join, itertools.product(*front)), object)
     tails = itertools.cycle([joiner * bool(front) + sym + _RE for sym in last])
-    res = _formatted(spectrum.values.real, _IM)
-    ims = _formatted(spectrum.values.imag, _NEXT)
-    ims[-1] = fmt_float(spectrum.values[-1].imag) + _CLOSE
+    res = _formatted(values.real, _IM)
+    ims = _formatted(values.imag, _NEXT)
+    ims[-1] = fmt_float(values[-1].imag) + _CLOSE
     out.append(_OPEN)
     pieces = [""] * 4 * min(len(res), _BLOCK)  # every block but the last fills the same list
     for start in range(0, len(res), _BLOCK):
@@ -196,33 +172,40 @@ def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> s
     """The ``jchar --json`` report of ``jchar``, the spectrum of a design with
     ``summary`` and the symbols ``levels``, in one ``dumps`` call."""
     payload = {
-        "design": {**summary, "symbols": [list(a) for a in levels]},
+        "design": {**summary, "symbols": levels},
         "groups": [st.literal() for st in jchar.structures],
         "algorithm": algorithm,
         "n_runs": jchar.n_runs,
-        "values": Spectrum(levels, jchar.values),
+        "values": functools.partial(_write_spectrum, levels, jchar.values),
     }
     return dumps(payload) + "\n"
 
 
-def jchar_text(levels, jchar: JCharVector, tol: float) -> str:
+def jchar_text(levels, jchar: JCharVector) -> str:
     """The text-mode ``jchar`` table: one ``label value`` line per entry of
-    ``jchar`` farther than ``tol`` from zero (a NaN one included), as spectrum
-    tables usually omit zeros, with each distinct value formatted once."""
-    keep = ~(np.abs(jchar.values) <= tol)
+    ``jchar`` farther than ``INTERNAL_TOL`` from zero (a NaN one included), as
+    spectrum tables usually omit zeros, with each distinct value formatted once."""
+    keep = ~(np.abs(jchar.values) <= INTERNAL_TOL)
     kept = jchar.values[keep].tolist()
     text = {z: fmt_complex(z) for z in set(kept)}
     labels = itertools.compress(element_labels(levels), keep.tolist())
     return "\n".join([f"{label} {text[z]}" for label, z in zip(labels, kept)]) + "\n"
 
 
-def _write_counts(runs: RunCounts, out: list[str]) -> None:
-    escaped = [[encode_basestring_ascii(sym) for sym in a] for a in runs.levels]
+def _write_counts(
+    levels: Sequence[Sequence[str]], counts: Mapping[tuple[int, ...], int], out: list[str]
+) -> None:
+    """Write ``counts``, run multiplicities over the symbols ``levels`` as
+    ``reconstruct`` returns them, as the list ``[{"run": [symbol, ...],
+    "multiplicity": m}, ...]`` in the order of ``counts``, which for
+    ``reconstruct``'s map is Yates order, in bulk: each symbol is escaped once
+    and each run written as one string."""
+    escaped = [[encode_basestring_ascii(sym) for sym in a] for a in levels]
     # map(list.__getitem__, escaped, run) gives escaped[i][run[i]] for each factor i.
     entries = (
         '{"run": [' + ", ".join(map(list.__getitem__, escaped, run)) + '], "multiplicity": '
         + int.__repr__(mult) + "}"
-        for run, mult in runs.counts.items()
+        for run, mult in counts.items()
     )
     out.append("[" + ", ".join(entries) + "]")
 
@@ -233,7 +216,7 @@ def reconstruct_report(jchar: JCharVector, levels, counts: Mapping[tuple[int, ..
     payload = {
         "groups": [st.literal() for st in jchar.structures],
         "n_runs": jchar.n_runs,
-        "counts": RunCounts(levels, counts),
+        "counts": functools.partial(_write_counts, levels, counts),
     }
     return dumps(payload) + "\n"
 

@@ -134,43 +134,35 @@ class JCharVector:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class GWLP:
-    """Generalized wordlength pattern (A_0, A_1, ..., A_k) of a design.
+class GWLP(tuple):
+    """Generalized wordlength pattern (A_0, A_1, ..., A_k) of a design: a tuple of floats.
 
     A plain value: every route computes it without a tolerance, A_0 comes out
     as exactly 1 and every entry is finite and not negative.  Tolerances belong to the
     decisions made from a pattern (resolution, aberration order, cross-route
-    agreement), which take them as arguments.  ``raw`` is another name for
-    ``values``.
+    agreement), which take them as arguments.  ``values`` and ``raw`` are the
+    plain tuple of its entries.
     """
 
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = tuple(float(a) for a in self.values)
+    def __new__(cls, values) -> GWLP:
+        values = tuple(float(a) for a in values)
         if any(a < 0 for a in values):
             raise ValueError(f"wordlength pattern has a negative entry: {values}")
         if not all(map(math.isfinite, values)):
             raise ValueError(f"wordlength pattern has a non-finite entry: {values}")
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, values)
 
     @property
-    def raw(self) -> tuple[float, ...]:
-        return self.values
+    def values(self) -> tuple[float, ...]:
+        return tuple(self)
+
+    raw = values
 
     @property
     def k(self) -> int:
-        return len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, j: int) -> float:
-        return self.values[j]
-
-    def __iter__(self):
-        return iter(self.values)
+        return len(self) - 1
 
 
 def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.ndarray:
@@ -368,13 +360,16 @@ def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run
     InconsistentSpectrumError if any cell is farther than ``tol`` from a
     nonnegative integer, which happens when the values were computed under a
     different structure assignment than the one they are paired with, or if
-    the multiplicities do not add up to ``jchar.n_runs``.
+    the multiplicities do not add up to ``jchar.n_runs``; a ValueError unless
+    ``tol`` is a number >= 0.
 
     The cells are ``conj(H conj(chi)) / s`` (every cyclic table is
     symmetric, so H* = conj(H)), by the part steps of ``j_characteristics``.
     So while N <= 2**53 the spectrum of a design whose parts all have order
     2 or 4 reconstructs exactly, even with ``tol=0``.
     """
+    if not tol >= 0:  # NaN too
+        raise ValueError("tolerance must be a number >= 0")
     orders = [st.order for st in jchar.structures]
     parts = [d for st in jchar.structures for d in st.cyclic_orders]
     exact = _exact_parts(parts, jchar.n_runs)

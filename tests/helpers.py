@@ -18,7 +18,7 @@ import numpy as np
 from wordlength import Design, enumerate_structures, j_characteristics
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import JCharWitness, expand_assignments
-from wordlength.render import Spectrum, element_labels
+from wordlength.render import element_labels
 from wordlength.spectra import INTERNAL_TOL
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -91,16 +91,16 @@ def part_tables(structures) -> list[np.ndarray]:
     return [cyclic_character_table(d) for st in structures for d in st.cyclic_orders]
 
 
-def spectrum_entries(spectrum: Spectrum) -> list[dict]:
-    """The ``{"g", "re", "im"}`` entry of every element of ``spectrum``: ``dumps``
-    of this list writes each entry on its own, the reference that the bulk
-    spectrum writer must match byte for byte."""
+def spectrum_entries(levels, values: np.ndarray) -> list[dict]:
+    """The ``{"g", "re", "im"}`` entry of every element of the spectrum ``values``
+    over the symbols ``levels``: ``dumps`` of this list writes each entry on its
+    own, the reference that the bulk spectrum writer must match byte for byte."""
     return [
         {"g": label, "re": re, "im": im}
         for label, re, im in zip(
-            element_labels(spectrum.levels),
-            spectrum.values.real.tolist(),
-            spectrum.values.imag.tolist(),
+            element_labels(levels),
+            values.real.tolist(),
+            values.imag.tolist(),
         )
     ]
 

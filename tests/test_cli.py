@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import itertools
 import json
@@ -840,18 +841,19 @@ class TestRendering:
         assert expected[:2] == first
 
     def test_one_element_spectrum(self):
-        from wordlength.render import Spectrum, dumps
+        from wordlength.render import _write_spectrum, dumps
 
         values = np.array([complex(-0.0, 2.5)])
-        assert dumps(Spectrum((("a",),), values)) == '[{"g": "a", "re": 0, "im": 2.5}]'
+        spectrum = functools.partial(_write_spectrum, (("a",),), values)
+        assert dumps(spectrum) == '[{"g": "a", "re": 0, "im": 2.5}]'
 
     def test_all_distinct_spectrum(self):
-        from wordlength.render import Spectrum, dumps
+        from wordlength.render import _write_spectrum, dumps
 
         levels = (("0", "a", "b"), ("x", "y"))
         values = np.arange(6) / 3 + 1j * (np.arange(6) + 0.5) * 1e-20  # no value repeats
-        text = dumps(Spectrum(levels, values))
-        assert text == dumps(spectrum_entries(Spectrum(levels, values)))
+        text = dumps(functools.partial(_write_spectrum, levels, values))
+        assert text == dumps(spectrum_entries(levels, values))
         first_two = '[{"g": "0x", "re": 0, "im": 5e-21}, {"g": "0y", "re": 0.333333333333, '
         assert text.startswith(first_two)
 
@@ -865,21 +867,21 @@ class TestRendering:
         # The writer's blocks hold 4096 entries: 4095, 4096 and 4097 entries
         # end at, or one either side of, a block's end; a last factor of 5000
         # levels runs one head across every block.
-        from wordlength.render import Spectrum, dumps
+        from wordlength.render import _write_spectrum, dumps
 
         levels = tuple(tuple(map(str, range(s))) for s in sizes)
         index = np.arange(math.prod(sizes))
         values = (index % 7 - 2j * (index % 3)) / np.where(index % 5, 1, 3)
-        spectrum = Spectrum(levels, values)
-        assert dumps(spectrum) == dumps(spectrum_entries(spectrum))
+        spectrum = functools.partial(_write_spectrum, levels, values)
+        assert dumps(spectrum) == dumps(spectrum_entries(levels, values))
 
     def test_comma_joined_labels_escape_every_symbol(self):
-        from wordlength.render import Spectrum, dumps
+        from wordlength.render import _write_spectrum, dumps
 
         levels = (('q"', "\\t\t"), ("\x01\u2028", "\U0001f600", "lo"))
         values = np.array([1, -0.0, 2, 1, 1j, 2 - 1j])
-        text = dumps(Spectrum(levels, values))
-        assert text == dumps(spectrum_entries(Spectrum(levels, values)))
+        text = dumps(functools.partial(_write_spectrum, levels, values))
+        assert text == dumps(spectrum_entries(levels, values))
         assert text.isascii()
         assert '"g": "q\\",\\ud83d\\ude00"' in text
         assert [e["g"] for e in json.loads(text)][:2] == ['q",\x01\u2028', 'q",\U0001f600']

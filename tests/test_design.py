@@ -288,6 +288,7 @@ class TestDesignType:
         assert runs.flags.c_contiguous and runs.dtype == np.intp
         assert mults.dtype == np.int64 and mults.tolist() == [1, 2, 5]
         assert design == Design((("0", "1"), ("0", "1", "2")), {(1, 2): 5, (0, 1): 2, (0, 0): 1})
+        assert design != object()  # Design.__eq__ leaves other types to them
 
     # Two distinct runs take the pair kernel; the full 3^3 factorial, the margin kernel.
     @pytest.mark.parametrize("runs", [["012", "102"], list(itertools.product("012", repeat=3))])

@@ -9,6 +9,7 @@ reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -57,10 +58,10 @@ from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.render import (
-    Spectrum,
     _layout_values,
     _load_report,
     _read_values,
+    _write_spectrum,
     dumps,
     fmt_float,
 )
@@ -724,7 +725,7 @@ LAYOUT_SYMBOLS = st.text(
 
 
 @st.composite
-def spectra(draw, parts=FINITE, symbols=LABEL_SYMBOLS) -> Spectrum:
+def spectra(draw, parts=FINITE, symbols=LABEL_SYMBOLS) -> functools.partial:
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     levels = tuple(
         tuple(draw(st.lists(symbols, min_size=s, max_size=s, unique=True))) for s in shape
@@ -732,18 +733,18 @@ def spectra(draw, parts=FINITE, symbols=LABEL_SYMBOLS) -> Spectrum:
     column = st.lists(parts, min_size=math.prod(shape), max_size=math.prod(shape))
     values = np.empty(math.prod(shape), dtype=np.complex128)
     values.real, values.imag = draw(column), draw(column)  # no arithmetic: keeps -0.0
-    return Spectrum(levels, values)
+    return functools.partial(_write_spectrum, levels, values)
 
 
 @st.composite
-def repeating_spectra(draw) -> Spectrum:
+def repeating_spectra(draw) -> functools.partial:
     """Real and imaginary parts from one small pool, so values repeat across entries and parts."""
     pool = [0.0, -0.0, *draw(st.lists(FINITE, min_size=1, max_size=3))]
     return draw(spectra(st.sampled_from(pool)))
 
 
-def assert_renders_as_its_list_of_entries(spectrum: Spectrum) -> None:
-    entries = spectrum_entries(spectrum)
+def assert_renders_as_its_list_of_entries(spectrum: functools.partial) -> None:
+    entries = spectrum_entries(*spectrum.args)
     text = dumps(spectrum)
     assert text == dumps(entries)
     assert json.loads(text) == [
@@ -773,7 +774,7 @@ def test_spectrum_in_small_blocks_renders_as_its_list_of_entries(spectrum, block
 
 
 @st.composite
-def integer_spectra(draw) -> Spectrum:
+def integer_spectra(draw) -> functools.partial:
     """Integer parts, as floats, within ``span`` of a base anywhere up to 2**60:
     spans shorter than the spectrum, as long and longer, at magnitudes where
     floats hold every integer and past 2**53, where they do not."""
@@ -782,11 +783,11 @@ def integer_spectra(draw) -> Spectrum:
     return draw(spectra(st.integers(base, base + span).map(float)))
 
 
-def one_factor_spectrum(re, im) -> Spectrum:
+def one_factor_spectrum(re, im) -> functools.partial:
     """The spectrum over one factor with these real and imaginary parts."""
     values = np.empty(len(re), dtype=np.complex128)
     values.real, values.imag = re, im
-    return Spectrum((tuple(map(str, range(len(re)))),), values)
+    return functools.partial(_write_spectrum, (tuple(map(str, range(len(re)))),), values)
 
 
 @PROPERTY
@@ -807,8 +808,8 @@ def test_integer_spectrum_renders_as_its_list_of_entries(spectrum):
 @given(spectra(symbols=LAYOUT_SYMBOLS), st.sampled_from([1, 2, 3, 7]), st.sampled_from([1, 100]))
 def test_layout_reader_reads_what_the_writer_writes(spectrum, block, slice_chars):
     # One-level factors, and blocks and slices of a few entries or of one.
-    levels = spectrum.levels
-    jchar = JCharVector(spectrum.values, 1, [str(len(a)) for a in levels])
+    levels, values = spectrum.args
+    jchar = JCharVector(values, 1, [str(len(a)) for a in levels])
     with (
         mock.patch.object(render, "_BLOCK", block),
         mock.patch.object(render, "_SLICE", slice_chars),
@@ -994,7 +995,8 @@ TOKENS_TAKEN = {"-0": True, "7": True, "999999999999999": True, "-99999999999999
 # holding an escape other than \uXXXX (also \\ before four hex digits), an
 # invalid escape, a \u with a non-hex or a missing digit, a control or a
 # non-ASCII character, values before another member, a tab for a space, an
-# extra key, and quotes too near the end for an "im".
+# extra key, quotes too near the end for an "im", and a backslash too near
+# the list's end to start a \uXXXX.
 NEAR_MISSES = [
     report_of('{"g": "a\\"b", "re": 1, "im": 0}'),
     report_of('{"g": "a\\\\b", "re": 1, "im": 0}'),
@@ -1009,6 +1011,7 @@ NEAR_MISSES = [
     report_of('{"g":\t"0", "re": 1, "im": 0}'),
     report_of('{"g": "0", "re": 1, "im": 0, "x": 1}'),
     report_of('{"g": "x", "re": 1, ""}'),
+    report_of('{"g": "0", "re": 1, "im": 1\\u}'),
 ]
 # Labels whose backslashes each start \uXXXX, as jchar writes non-ASCII
 # symbols, in either case of hex digit and as a surrogate pair.

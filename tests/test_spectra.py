@@ -40,6 +40,7 @@ from wordlength import (
 )
 from wordlength import spectra
 from wordlength.groups import cyclic_character_table
+from wordlength.render import dumps
 from wordlength.spectra import JCharVector, _PrefixWalk
 
 Z4 = parse_structure("4")
@@ -465,6 +466,13 @@ class TestReconstruct:
             jchar = j_characteristics(paper_design, assignment)
             assert reconstruct(jchar) == dict(paper_design.counts)
 
+    def test_tolerance_must_be_a_number_at_least_zero(self, paper_design):
+        jchar = j_characteristics(paper_design, [Z4] * 3)
+        assert reconstruct(jchar, tol=0) == dict(paper_design.counts)
+        for tol in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
+                reconstruct(jchar, tol=tol)
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
@@ -568,6 +576,12 @@ class TestGwlp:
         assert pattern.values == (1.0, 0.0, 3.0)
         assert pattern.raw == pattern.values
         assert pattern.k == 2
+
+    def test_is_the_tuple_of_its_floats(self):
+        pattern = GWLP(np.array([1, 0, 3]))
+        assert pattern == (1.0, 0.0, 3.0) and hash(pattern) == hash((1.0, 0.0, 3.0))
+        assert type(pattern[2]) is float and repr(pattern) == "(1.0, 0.0, 3.0)"
+        assert dumps({"gwlp": pattern}) == '{"gwlp": [1, 0, 3]}'
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="negative entry"):

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import render
 from .design import Design, margins, parse_design
 from .errors import DesignParseError, InconsistentSpectrumError, ResourceLimitError
-from .groups import enumerate_structures
+from .groups import enumerate_structures, parse_structure
 from .invariance import (
     CROSS_ROUTE_TOL,
     compare_aberration,
@@ -354,38 +354,47 @@ def _run_margins(args) -> tuple[int, str]:
         positions = []
     table = margins(design, positions)
     norm = table_norm(table, design.space_size)
+    cells = [
+        ([design.levels[i][r] for i, r in zip(table.subset, cell)], count)
+        for cell, count in table.items()
+    ]
     if args.json:
         payload = {
             "design": _design_summary(args.design, design),
             "subset": [i + 1 for i in table.subset],
-            "cells": [
-                {
-                    "levels": [design.levels[i][r] for i, r in zip(table.subset, cell)],
-                    "count": count,
-                }
-                for cell, count in table.items()
-            ],
+            "cells": [{"levels": symbols, "count": count} for symbols, count in cells],
             "n_runs": table.n_runs,
             "subset_norm": norm,
         }
         return 0, render.dumps(payload) + "\n"
-    lines = []
-    for cell, count in table.items():
-        symbols = [design.levels[i][r] for i, r in zip(table.subset, cell)]
-        label = "()" if not symbols else " ".join(symbols)
-        lines.append(f"{label} {count}")
+    lines = [f"{' '.join(symbols) if symbols else '()'} {count}" for symbols, count in cells]
     lines.append(f"subset_norm = {render.fmt_float(norm)}")
     return 0, "\n".join(lines) + "\n"
 
 
+def _naming(path: str, call, *args):
+    """``call(*args)``, re-raising a ValueError from it with ``path: `` before its message."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _run_compare(args) -> tuple[int, str]:
-    first, second = _load_design(args.first), _load_design(args.second)
+    paths = (args.first, args.second)
+    first, second = designs = [_naming(path, parse_design, _read_text(path)) for path in paths]
     if first.k != second.k:
         raise ValueError(
             f"{args.first} has {first.k} factors but {args.second} has {second.k}; "
             "only designs with the same number of factors compare"
         )
-    patterns = [_pattern(design, args.groups, None)[0] for design in (first, second)]
+    # A read error names its path already, and a bad --groups literal or a cap met in
+    # rating holds for both designs, so none of these is named.
+    if args.groups is not None:
+        for literal in args.groups.split(","):
+            parse_structure(literal)
+    patterns = [_naming(p, _pattern, d, args.groups, None)[0] for p, d in zip(paths, designs)]
     verdict = compare_aberration(patterns[0], patterns[1], tol=args.tol)
     if args.json:
         payload = {

@@ -74,12 +74,10 @@ class Design:
         if not counts:
             raise ValueError("a design needs at least one run")
         try:  # any integer, numpy's included, is stored as a Python int
-            types = set(map(type, itertools.chain.from_iterable(counts)))
-            if types | set(map(type, counts.values())) != {int}:
-                counts = {
-                    tuple(map(operator.index, run)): operator.index(mult)
-                    for run, mult in counts.items()
-                }
+            counts = {
+                tuple(map(operator.index, run)): operator.index(mult)
+                for run, mult in counts.items()
+            }
         except TypeError:
             raise ValueError("runs and multiplicities must be integers") from None
         sizes = tuple(map(len, levels))
@@ -126,10 +124,6 @@ class Design:
         """Full-factorial cell count s = prod(s_i)."""
         return math.prod(self.sizes)
 
-    def runs(self) -> Iterator[tuple[Run, int]]:
-        """(run, multiplicity) pairs in Yates order of the run tuples."""
-        return iter(sorted(self.counts.items()))
-
     def dense_counts(self) -> np.ndarray:
         """Count vector O over all s cells in Yates order (refused above ``DENSIFY_CAP``)."""
         runs, mults = self._run_matrix
@@ -155,7 +149,7 @@ class Design:
                         f"factor {i}'s symbol {symbol!r} cannot be written to a design file"
                     )
         lines = ["symbols: " + " | ".join(" ".join(a) for a in self.levels)]
-        for run, mult in self.runs():
+        for run, mult in sorted(self.counts.items()):
             tokens = [self.levels[i][r] for i, r in enumerate(run)]
             if mult > 1:
                 tokens.append(f"x{mult}")

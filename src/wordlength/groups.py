@@ -47,7 +47,7 @@ def _factorize(n: int) -> dict[int, int]:
         d += 1
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
-    return dict(sorted(factors.items()))
+    return factors  # trial division finds the primes in ascending order
 
 
 def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -169,12 +169,12 @@ def enumerate_structures(order: int) -> list[AbelianStructure]:
     per_prime: list[list[tuple[int, ...]]] = []
     for p, e in _factorize(order).items():
         per_prime.append([tuple(p**part for part in la) for la in _partitions(e)])
-    structures = [
+    # Each prime's partitions come largest first, and no partition of an exponent
+    # is a prefix of another, so the product is already in descending order.
+    return [
         AbelianStructure(tuple(part for group in combo for part in group))
         for combo in itertools.product(*per_prime)
     ]
-    structures.sort(key=lambda st: st.cyclic_orders, reverse=True)
-    return structures
 
 
 def cyclic_character_table(order: int) -> np.ndarray:

@@ -241,16 +241,17 @@ def _quarter_step(flat: np.ndarray, d: int) -> np.ndarray:
     return y.reshape(-1)
 
 
-def _apply_parts(w: np.ndarray, parts: list[int], start: int, stop: int, exact: int) -> np.ndarray:
+def _apply_parts(w: np.ndarray, parts: list[int], n_runs: int, start=0, stop=None) -> np.ndarray:
     """``w``, the transform after ``parts[:start]``, carried through ``parts[start:stop]``.
 
     The one factorized transform: the one-shot ``j_characteristics`` runs it
     once, a ``_PrefixWalk`` once per factor, and ``reconstruct`` on the
-    conjugate spectrum.  The first ``exact`` parts are ``_quarter_step``s on
-    a contiguous rotated array; from there on ``w`` has one axis per part,
+    conjugate spectrum.  The parts ``_exact_parts`` counts are ``_quarter_step``s
+    on a contiguous rotated array; from there on ``w`` has one axis per part,
     and each part is ``_contract_axis``'s step with its cyclic table.
     """
-    for axis in range(start, stop):
+    exact = _exact_parts(parts, n_runs)
+    for axis in range(start, len(parts) if stop is None else stop):
         if axis < exact:
             w = _quarter_step(w, parts[axis])
             continue
@@ -271,11 +272,9 @@ class _PrefixWalk:
     i below the last factor of the latest assignment, and the next one starts
     from the longest shared run.  That is at most (k - 1) * s complex values
     beside the count vector; the leaf is not kept, so a returned spectrum
-    owns its memory.  Each factor's parts run through ``_apply_parts``, as
-    in the one-shot ``j_characteristics``: exact steps while the parts have
-    order 2 or 4, table steps from the first other part on.  A kept
-    exact-phase array is a rotated one, which a later assignment resumes
-    either way.
+    owns its memory.  Each factor's parts run through ``_apply_parts``, as in
+    the one-shot ``j_characteristics``; a kept exact-phase array is a rotated
+    one, which a later assignment resumes either way.
     """
 
     def __init__(self, design: Design):
@@ -292,14 +291,13 @@ class _PrefixWalk:
         del self._orders[depth:]
         del self._prefixes[depth:]
         parts = [d for factor in orders for d in factor]
-        exact = _exact_parts(parts, self.design.n_runs)
         # A kept table-phase array has the latest assignment's part axes; the
         # values in Yates order are all that later axes read.  An exact-phase
         # one is a contiguous rotated array, which the reshape only relabels.
         w = (self._prefixes[-1] if depth else self._counts).reshape(parts)
         axis = sum(map(len, orders[:depth]))
         for i in range(depth, len(orders)):
-            w = _apply_parts(w, parts, axis, axis + len(orders[i]), exact)
+            w = _apply_parts(w, parts, self.design.n_runs, axis, axis + len(orders[i]))
             axis += len(orders[i])
             if i < len(orders) - 1:
                 self._orders.append(orders[i])
@@ -342,10 +340,9 @@ def j_characteristics(
     if algorithm == "dense":
         values = _dense_spectrum(parts, design.dense_counts().astype(np.complex128))
     elif algorithm == "factorized":
-        exact = _exact_parts(parts, design.n_runs)
         # No name keeps the count vector, so the first step frees it.
         values = _apply_parts(
-            design.dense_counts().astype(np.complex128), parts, 0, len(parts), exact
+            design.dense_counts().astype(np.complex128), parts, design.n_runs
         ).reshape(-1)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r} (want dense or factorized)")
@@ -372,11 +369,10 @@ def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run
         raise ValueError("tolerance must be a number >= 0")
     orders = [st.order for st in jchar.structures]
     parts = [d for st in jchar.structures for d in st.cyclic_orders]
-    exact = _exact_parts(parts, jchar.n_runs)
     # A non-finite or huge spectrum makes NaN or infinite cells; they fail
     # the check below.
     with np.errstate(invalid="ignore", over="ignore"):
-        cells = _apply_parts(np.conj(jchar.values), parts, 0, len(parts), exact).reshape(-1)
+        cells = _apply_parts(np.conj(jchar.values), parts, jchar.n_runs).reshape(-1)
         np.conj(cells, out=cells)
         cells /= jchar.space_size
         mults = np.rint(cells.real)

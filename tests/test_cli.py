@@ -498,6 +498,22 @@ class TestCompareCommand:
         assert doc["verdict"] == "tie"
         assert doc["index"] is None
 
+    def test_errors_name_the_design_they_come_from(self, capsys, tmp_path):
+        short = tmp_path / "short.txt"
+        short.write_text("levels: 4 4 4\n0 1 2\n0 1\n", encoding="utf-8")
+        for argv in ([PAPER, str(short)], [str(short), PAPER]):
+            code, out, err = run(capsys, "compare", *argv)
+            assert (code, out) == (2, "")
+            assert err == f"wordlength: {short}: line 3: expected 3 symbols, got 2\n"
+        code, out, err = run(capsys, "gwlp", str(short))  # one file: nothing to tell apart
+        assert (code, out) == (2, "")
+        assert err == "wordlength: line 3: expected 3 symbols, got 2\n"
+        binary = tmp_path / "binary.txt"
+        binary.write_text("levels: 4 4 2\n0 1 1\n1 0 0\n", encoding="utf-8")
+        code, out, err = run(capsys, "compare", PAPER, str(binary), "--groups", "4,4,4")
+        assert (code, out) == (1, "")
+        assert err == f"wordlength: {binary}: factor 3 has 2 levels but structure 4 has order 4\n"
+
     def test_factor_counts_are_checked_before_the_patterns(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_pattern", None)
         pb12 = str(FIXTURES / "pb12.txt")

@@ -253,6 +253,7 @@ class TestDesignType:
             ({(0, 0): 1, (0, 9): 1, (0,): 1}, "run (0, 9) has a level index out of range"),
             ({(0, 0): 1, (1, 0): 1.5}, "runs and multiplicities must be integers"),
             ({(0, 0): 1, (1, 0.0): 1}, "runs and multiplicities must be integers"),
+            ({0: 1}, "runs and multiplicities must be integers"),
         ],
     )
     def test_invalid_run_messages(self, counts, message):
@@ -274,6 +275,11 @@ class TestDesignType:
         assert type(design.n_runs) is int
         assert design.serialize() == "symbols: a b\nb x3\n"
         assert parse_design(design.serialize()) == design
+        design = Design((("a", "b"),), {(True,): True})
+        ((run, mult),) = design.counts.items()
+        assert type(run[0]) is int and type(mult) is int
+        assert type(design.n_runs) is int
+        assert design.serialize() == "symbols: a b\nb\n"
 
     def test_factors_are_numbered_from_one(self):
         with pytest.raises(ValueError, match="^factor 2 has an empty level alphabet$"):

@@ -55,6 +55,14 @@ class TestEnumerate:
             (2, 2, 3),
         ]
 
+    def test_every_order_comes_in_descending_order_unsorted(self):
+        # Neither enumerate_structures nor _factorize sorts: their loops build the order.
+        for order in range(1, 4097):
+            orders = [st.cyclic_orders for st in enumerate_structures(order)]
+            assert orders == sorted(set(orders), reverse=True), order
+            primes = list(groups._factorize(order))
+            assert primes == sorted(primes), order
+
     def test_zero_order_rejected(self):
         with pytest.raises(ValueError):
             enumerate_structures(0)

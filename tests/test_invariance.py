@@ -260,7 +260,7 @@ class TestGwlpMargin:
         # order and split multiplicities parse to the same design.
         lines = [
             " ".join(paper_design.levels[i][r] for i, r in enumerate(run))
-            for run, mult in paper_design.runs()
+            for run, mult in sorted(paper_design.counts.items())
             for _ in range(mult)
         ]
         rng = np.random.default_rng(48)

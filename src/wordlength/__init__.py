@@ -17,7 +17,6 @@ from .errors import (
 )
 from .groups import (
     AbelianStructure,
-    character_table,
     enumerate_structures,
     parse_structure,
 )
@@ -31,7 +30,6 @@ from .invariance import (
     subset_norm,
     verify_invariance,
 )
-from .kron import factored_apply
 from .spectra import (
     GWLP,
     JCharVector,
@@ -40,7 +38,6 @@ from .spectra import (
     gwlp_char,
     j_characteristics,
     reconstruct,
-    weight,
 )
 
 __version__ = "0.1.0"
@@ -57,12 +54,10 @@ __all__ = [
     "MarginTable",
     "ResourceLimitError",
     "WordlengthError",
-    "character_table",
     "check_assignment",
     "compare_aberration",
     "element_weights",
     "enumerate_structures",
-    "factored_apply",
     "gwlp_char",
     "gwlp_margin",
     "j_characteristics",
@@ -75,5 +70,4 @@ __all__ = [
     "resolution_and_strength",
     "subset_norm",
     "verify_invariance",
-    "weight",
 ]

@@ -310,16 +310,14 @@ _QUOTES = tuple(itertools.accumulate((sep.count('"') for sep in _ENTRY), initial
 def _layout_values(text: str, idx: int):
     """The list at ``idx`` as a complex array and its end, if it is in jchar's layout; None if not.
 
-    Accepted: ``[]``, and exactly the list ``_write_spectrum`` writes, with
-    each label free of quotes, control and non-ASCII characters, and of
-    backslashes but those that start ``\\uXXXX``; each part a JSON number;
-    and no quote after the list.  ``json.loads`` reads such a list as its
-    entries, and each part converts to float64 as ``_read_values`` converts
-    it.  The list is checked in slices of about ``_SLICE`` characters, so one
-    of another form is given up within the first slice where it differs.
+    Accepted: exactly the list ``_write_spectrum`` writes, with each label
+    free of quotes, control and non-ASCII characters, and of backslashes but
+    those that start ``\\uXXXX``; each part a JSON number; and no quote after
+    the list.  ``json.loads`` reads such a list as its entries, and each part
+    converts to float64 as ``_read_values`` converts it.  The list is checked
+    in slices of about ``_SLICE`` characters, so one of another form is given
+    up within the first slice where it differs.
     """
-    if text.startswith("[]", idx):
-        return np.empty(0, np.complex128), idx + 2
     if not text.startswith(_OPEN, idx):
         return None
     chunks = []

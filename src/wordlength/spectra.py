@@ -399,8 +399,15 @@ def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run
 
 
 def gwlp_char(jchar: JCharVector) -> GWLP:
-    """Wordlength pattern A_j = N^-2 * sum over weight-j elements of |chi_g|^2."""
+    """Wordlength pattern A_j = N^-2 * sum over weight-j elements of |chi_g|^2.
+
+    Exact when every part has order 2 or 4 and s * N^2 <= 2**53: the spectrum
+    is Gaussian integers, so each re^2 + im^2 and each class total (at most
+    s * N^2) is a float64 integer, divided once as ``gwlp_margin`` divides.
+    """
     weights = element_weights(jchar.structures)
-    k = len(jchar.structures)
-    power = np.abs(jchar.values) ** 2
-    return GWLP(np.bincount(weights, weights=power, minlength=k + 1) / jchar.n_runs**2)
+    k, values, n_squared = len(jchar.structures), jchar.values, jchar.n_runs**2
+    parts = {d for st in jchar.structures for d in st.cyclic_orders}
+    exact = parts <= {2, 4} and jchar.space_size * n_squared <= 2**53
+    power = values.real**2 + values.imag**2 if exact else np.abs(values) ** 2
+    return GWLP(np.bincount(weights, weights=power, minlength=k + 1) / n_squared)

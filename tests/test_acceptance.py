@@ -18,7 +18,6 @@ import pytest
 from helpers import FIXTURES, all_assignments, random_design, yates_elements
 from wordlength import (
     Design,
-    character_table,
     enumerate_structures,
     gwlp_char,
     gwlp_margin,
@@ -27,6 +26,7 @@ from wordlength import (
     projector_norms,
     reconstruct,
 )
+from wordlength.groups import character_table
 from wordlength.kron import build_projector
 from wordlength.spectra import assignment_character_table
 

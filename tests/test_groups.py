@@ -14,7 +14,6 @@ from helpers import oracle_character, yates_elements
 from wordlength import (
     AbelianStructure,
     ResourceLimitError,
-    character_table,
     enumerate_structures,
     parse_structure,
 )
@@ -23,6 +22,7 @@ from wordlength.groups import (
     DENSE_TABLE_CAP,
     MAX_ORDER,
     canonical_cyclic_orders,
+    character_table,
     cyclic_character_table,
     element_components,
     root_of_unity,

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wordlength import factored_apply
-from wordlength import character_table, parse_structure
-from wordlength.kron import build_projector, kron, kron_all, projector_factors
+from wordlength import parse_structure
+from wordlength.groups import character_table
+from wordlength.kron import build_projector, factored_apply, kron, kron_all, projector_factors
 
 
 def random_complex(rng, *shape):

@@ -26,22 +26,20 @@ from wordlength import (
     Design,
     InconsistentSpectrumError,
     ResourceLimitError,
-    character_table,
     check_assignment,
     element_weights,
-    factored_apply,
     gwlp_char,
     j_characteristics,
     parse_structure,
     reconstruct,
     relabel_levels,
     verify_invariance,
-    weight,
 )
 from wordlength import spectra
-from wordlength.groups import cyclic_character_table
+from wordlength.groups import character_table, cyclic_character_table
+from wordlength.kron import factored_apply
 from wordlength.render import dumps
-from wordlength.spectra import JCharVector, _PrefixWalk
+from wordlength.spectra import JCharVector, _PrefixWalk, weight
 
 Z4 = parse_structure("4")
 V = parse_structure("2x2")

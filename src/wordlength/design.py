@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DesignParseError, ResourceLimitError
 from .groups import yates_strides
 
-#: Largest full-factorial size densified into a count vector, or declared in a levels header.
+#: Largest full-factorial size densified into a count vector; also caps a levels header's total.
 DENSIFY_CAP = 2**20
 
 # _tally's codes stay below the product of the sizes, so they fit intp while it does.
@@ -80,10 +80,16 @@ class Design:
             }
         except TypeError:
             raise ValueError("runs and multiplicities must be integers") from None
-        sizes = tuple(map(len, levels))
-        runs = _factor_major(counts, sizes)
-        if runs is None or min(counts.values()) < 1:
-            raise ValueError(_first_bad_run(counts, sizes))
+        k, sizes = len(levels), tuple(map(len, levels))
+        for run, mult in counts.items():  # the first invalid run in insertion order is named
+            if len(run) != k:
+                raise ValueError(f"run {run} does not have {k} coordinates")
+            if min(run) < 0 or not all(map(operator.lt, run, sizes)):
+                raise ValueError(f"run {run} has a level index out of range")
+            if mult < 1:
+                raise ValueError(f"run {run} has multiplicity {mult} < 1")
+        runs = np.fromiter(itertools.chain.from_iterable(counts), np.intp, len(counts) * k)
+        runs = runs.reshape(-1, k).T.copy()  # (k, n) and C-contiguous
         self.__dict__.update(levels=levels, _run_matrix=(runs, _multiplicities(counts.values())))
 
     @classmethod
@@ -168,33 +174,6 @@ def _multiplicities(values: Iterable[int]) -> np.ndarray:
     """Python-int multiplicities as an int64 array while N^2 fits int64, else objects."""
     values = list(values)
     return np.array(values, np.int64 if sum(values) <= _MAX_INT64_ROOT else object)
-
-
-def _factor_major(counts: Mapping[Run, int], sizes: tuple[int, ...]) -> np.ndarray | None:
-    """The runs as a (k, n) array, or None unless each has k in-range indices."""
-    k = len(sizes)
-    if set(map(len, counts)) != {k}:
-        return None
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(counts), np.intp, len(counts) * k)
-    except OverflowError:  # an index past intp
-        return None
-    runs = flat.reshape(-1, k)
-    if not ((runs >= 0).all() and (runs < sizes).all()):
-        return None
-    return np.ascontiguousarray(runs.T)
-
-
-def _first_bad_run(counts: Mapping[Run, int], sizes: tuple[int, ...]) -> str:
-    """What is wrong with the first invalid run, in insertion order."""
-    for run, mult in counts.items():
-        if len(run) != len(sizes):
-            return f"run {run} does not have {len(sizes)} coordinates"
-        if min(run) < 0 or not all(map(operator.lt, run, sizes)):
-            return f"run {run} has a level index out of range"
-        if mult < 1:
-            return f"run {run} has multiplicity {mult} < 1"
-    raise AssertionError("every run is valid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,8 +320,9 @@ def parse_design(text: str) -> Design:
             declared_sizes = list(map(int, tokens))
             if not declared_sizes or any(s < 1 for s in declared_sizes):
                 raise DesignParseError("levels header must list positive sizes", lineno)
-            if max(declared_sizes) > DENSIFY_CAP:  # before 0..s-1 alphabets are built
-                message = f"levels header size {max(declared_sizes)} exceeds the cap {DENSIFY_CAP}"
+            total = sum(declared_sizes)
+            if total > DENSIFY_CAP:  # before 0..s-1 alphabets are built
+                message = f"levels header declares {total} levels, above the cap {DENSIFY_CAP}"
                 raise DesignParseError(message, lineno)
         elif name == "symbols":
             declared_symbols = [chunk.split() for chunk in rest.split("|")]

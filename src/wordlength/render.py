@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -442,23 +443,18 @@ def _read_values(entries) -> np.ndarray:
         return entries
     if not isinstance(entries, list):
         raise TypeError("values is not a list")
-    try:
-        res = [e["re"] for e in entries]
-        ims = [e["im"] for e in entries]
-    except (KeyError, TypeError):  # name the first bad entry
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise TypeError(f"values entry {i} is not an object") from None
-            for part in ("re", "im"):
-                if part not in entry:
-                    raise TypeError(f"values entry {i} has no {part!r}") from None
-        raise
-    if not set(map(type, res)) | set(map(type, ims)) <= {int, float}:
-        bad = next(x for x in res + ims if type(x) not in (int, float))
-        raise TypeError(f"value {bad!r} is not a number")
-    values = np.empty(len(res), dtype=np.complex128)
-    values.real = np.fromiter(res, np.float64, len(res))
-    values.imag = np.fromiter(ims, np.float64, len(ims))
+    for i, entry in enumerate(entries):  # the first bad entry in list order is named
+        if not isinstance(entry, dict):
+            raise TypeError(f"values entry {i} is not an object")
+        if "re" not in entry or "im" not in entry:
+            raise TypeError(f"values entry {i} has no {'im' if 're' in entry else 're'!r}")
+        if type(entry["re"]) not in (int, float):
+            raise TypeError(f"value {entry['re']!r} is not a number")
+        if type(entry["im"]) not in (int, float):
+            raise TypeError(f"value {entry['im']!r} is not a number")
+    values = np.empty(len(entries), dtype=np.complex128)
+    values.real = np.fromiter(map(operator.itemgetter("re"), entries), np.float64, len(entries))
+    values.imag = np.fromiter(map(operator.itemgetter("im"), entries), np.float64, len(entries))
     return values
 
 

@@ -221,6 +221,14 @@ class TestReconstructCommand:
             doc["values"][3]["g"] = {"h": 1}
             doc["values"][9].pop("re")
 
+        def string_re_then_no_im(doc):
+            doc["values"][3]["re"] = "x"
+            doc["values"][9].pop("im")
+
+        def null_im_then_bool_re(doc):
+            doc["values"][2]["im"] = None
+            doc["values"][5]["re"] = True
+
         def huge_value_and_bool_runs(doc):
             doc["values"][2]["re"] = 10**400
             doc["n_runs"] = True
@@ -260,6 +268,9 @@ class TestReconstructCommand:
             # Reports the lean values reader cannot take read as json.loads reads them.
             (out.rstrip()[:-1] + ', "values": [1, 2]}', "values entry 0 is not an object"),
             (edited(object_in_g_then_no_re), "values entry 9 has no 're'"),
+            # Of several bad entries, the first in list order is named, whatever is wrong with it.
+            (edited(string_re_then_no_im), "value 'x' is not a number"),
+            (edited(null_im_then_bool_re), "value None is not a number"),
             (edited(lambda doc: doc.__setitem__("values", [])), "spans 64 elements, spectrum has 0"),
             ("\ufeff\ufeff" + out, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1"),
             # The values are read with the document, but n_runs is still checked first.
@@ -577,14 +588,23 @@ class TestEnumerateGroupsCommand:
             assert (code, out) == (1, ""), argv
             assert err == "wordlength: character table of Z_4099 exceeds the cap 4096\n"
 
-    def test_levels_header_past_the_densify_cap_is_data_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, total",
+        [
+            ("levels: 3000000\n0\n1\n", 3000000),
+            # Each size is within the cap; the header's total is not.
+            ("levels: 1048576 2\n0 0\n", 1048578),
+        ],
+    )
+    def test_levels_header_past_the_densify_cap_is_data_error(self, capsys, tmp_path, text, total):
         design = tmp_path / "design.txt"
-        design.write_text("levels: 3000000\n0\n1\n", encoding="utf-8")
+        design.write_text(text, encoding="utf-8")
         start = time.perf_counter()
         code, out, err = run(capsys, "gwlp", str(design))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == "wordlength: line 1: levels header size 3000000 exceeds the cap 1048576\n"
+        message = f"levels header declares {total} levels, above the cap 1048576"
+        assert err == f"wordlength: line 1: {message}\n"
 
 
 class TestErrorsAndPlumbing:

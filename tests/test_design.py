@@ -180,12 +180,22 @@ class TestParse:
             ("levels: 2 \u0662\n0 1\n", 1, "levels header must list integers"),
             ("# sizes\nlevels: 2 0\n0 1\n", 2, "levels header must list positive sizes"),
             ("levels:\n0\n", 1, "levels header must list positive sizes"),
-            # A size past design.DENSIFY_CAP is refused before its alphabet is built.
-            ("levels: 3000000\n0\n1\n", 1, "levels header size 3000000 exceeds the cap 1048576"),
+            # Sizes summing past design.DENSIFY_CAP are refused before any alphabet is built.
+            (
+                "levels: 3000000\n0\n1\n",
+                1,
+                "levels header declares 3000000 levels, above the cap 1048576",
+            ),
             (
                 "# sizes\nlevels: 2 1048577\n0 1\n",
                 2,
-                "levels header size 1048577 exceeds the cap 1048576",
+                "levels header declares 1048579 levels, above the cap 1048576",
+            ),
+            # Each size is within the cap, but their sum is not.
+            (
+                "levels: 1048576 2\n0 0\n",
+                1,
+                "levels header declares 1048578 levels, above the cap 1048576",
             ),
             ("symbols: a b | | c d\na c\n", 1, "factor 2 has no symbols"),
             ("symbols: a b | c c\na c\n", 1, "factor 2 has duplicate symbols"),

@@ -151,3 +151,12 @@ class TestProjectors:
     def test_unknown_kind(self, kind):
         with pytest.raises(ValueError, match="P, Q or I"):
             projector_factors([kind], [2])
+
+    def test_one_kind_per_coordinate(self):
+        with pytest.raises(ValueError, match="^one kind per coordinate required$"):
+            projector_factors(["P", "Q"], [2])
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_nonpositive_size(self, size):
+        with pytest.raises(ValueError, match=f"^coordinate size must be positive, got {size}$"):
+            projector_factors(["P"], [size])

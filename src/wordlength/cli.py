@@ -28,7 +28,6 @@ from .invariance import (
 )
 from .spectra import (
     INTERNAL_TOL,
-    RECONSTRUCT_TOL,
     JCharVector,
     gwlp_char,
     j_characteristics,
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover a design from a jchar JSON report")
     p.add_argument("spectrum", help="JSON file produced by `jchar --json`")
     p.add_argument("--groups", help="override the structure assignment")
-    add_common(p, RECONSTRUCT_TOL, "max distance from integers (default 1e-6)")
+    add_common(p, None, "max distance from integers (default max(1e-6, 1e-11*N))")
 
     p = sub.add_parser("invariance", help="verify GWLP invariance across assignments")
     p.add_argument("design", help="design file")

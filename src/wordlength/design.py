@@ -224,9 +224,6 @@ def margins(design: Design, subset: Iterable[int]) -> MarginTable:
         raise ValueError(f"subset {positions} out of range for {design.k} factors")
     sizes = tuple(map(design.sizes.__getitem__, positions))
     runs, mults = design._run_matrix
-    if not positions:
-        total = np.array([design.n_runs], dtype=mults.dtype)
-        return MarginTable(positions, sizes, np.zeros((1, 0), np.intp), total, design.n_runs)
     cells, totals = _tally(runs.take(positions, axis=0), mults, sizes)
     return MarginTable(positions, sizes, cells.T, totals, design.n_runs)
 

@@ -201,9 +201,11 @@ def resolution_and_strength(gwlp: GWLP, tol: float = INTERNAL_TOL) -> tuple[int 
     """Resolution = smallest j >= 1 with A_j > tol (None if all vanish).
 
     Strength is reported as resolution - 1, or k when no A_j exceeds tol.
+    ``tol=0`` decides by A_j > 0, which is exact on a ``gwlp_margin`` pattern.
+    A ValueError unless ``tol`` is a number >= 0.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError("tolerance must be positive")
+    if not tol >= 0:  # NaN too
+        raise ValueError("tolerance must be a number >= 0")
     for j in range(1, len(gwlp)):
         if gwlp[j] > tol:
             return j, j - 1

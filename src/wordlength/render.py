@@ -22,10 +22,7 @@ from .spectra import INTERNAL_TOL, JCharVector
 
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # drop the sign of -0.0
-    return format(x, ".12g")
+    return "%.12g" % (float(x) + 0.0)  # + 0.0 drops the sign of -0.0
 
 
 def fmt_complex(z: complex) -> str:

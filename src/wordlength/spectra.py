@@ -36,9 +36,9 @@ Assignment = tuple[AbelianStructure, ...]
 #: Default tolerance for internal numeric comparisons.
 INTERNAL_TOL = 1e-9
 
-#: Default largest distance of a reconstructed cell from an integer.  Spectra
+#: Least default distance of a reconstructed cell from an integer.  Spectra
 #: rendered at 12 significant digits put each cell within about 5e-12 * N of
-#: its count, whatever s is.
+#: its count, whatever s is, so ``reconstruct`` allows twice that past N = 10^5.
 RECONSTRUCT_TOL = 1e-6
 
 
@@ -349,7 +349,7 @@ def j_characteristics(
     return JCharVector(values, design.n_runs, structures)
 
 
-def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run, int]:
+def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, int]:
     """Recover run multiplicities from a spectrum: O = H* chi / s.
 
     The spectrum is read under its own ``jchar.structures``.  Returns a sparse
@@ -358,13 +358,16 @@ def reconstruct(jchar: JCharVector, *, tol: float = RECONSTRUCT_TOL) -> dict[Run
     nonnegative integer, which happens when the values were computed under a
     different structure assignment than the one they are paired with, or if
     the multiplicities do not add up to ``jchar.n_runs``; a ValueError unless
-    ``tol`` is a number >= 0.
+    ``tol`` is None or a number >= 0.  None means
+    ``max(RECONSTRUCT_TOL, 1e-11 * jchar.n_runs)``.
 
     The cells are ``conj(H conj(chi)) / s`` (every cyclic table is
     symmetric, so H* = conj(H)), by the part steps of ``j_characteristics``.
     So while N <= 2**53 the spectrum of a design whose parts all have order
     2 or 4 reconstructs exactly, even with ``tol=0``.
     """
+    if tol is None:  # min: a report's n_runs may lie past the float range
+        tol = max(RECONSTRUCT_TOL, 1e-11 * min(jchar.n_runs, 2**1000))
     if not tol >= 0:  # NaN too
         raise ValueError("tolerance must be a number >= 0")
     orders = [st.order for st in jchar.structures]

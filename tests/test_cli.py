@@ -35,6 +35,7 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # pin the column layout with inferred alphabets and repeated columns, so both
 # layouts are gated byte for byte; the pb12.txt entries (12
 # runs, k = 11) pin the group-free commands where the pair kernel runs; the
+# near_balanced.txt entry pins `gwlp --tol 0` deciding resolution by A_j > 0; the
 # quarter_then_table.txt entries pin spectra whose transform switches from
 # exact steps on parts of order 2 and 4 to table steps at a 3-level factor;
 # the last five entries pin each route that passes --groups literals to the
@@ -96,6 +97,17 @@ class TestGwlpCommand:
         code, out, _ = run(capsys, "gwlp", str(design), "--tol", "0.5")
         assert code == 0
         assert "resolution = 2, strength = 1" in out
+
+    def test_zero_tol_decides_by_a_positive_a_j(self, capsys, monkeypatch):
+        # Counts 100000 and 100001: A_1 = 1 / 200001^2, below the default 1e-9.
+        monkeypatch.chdir(FIXTURES.parent)
+        code, out, _ = run(capsys, "gwlp", "fixtures/near_balanced.txt", "--tol", "0", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["resolution"], doc["strength"], doc["tolerance"]) == (1, 0, 0)
+        code, out, _ = run(capsys, "gwlp", "fixtures/near_balanced.txt")
+        assert code == 0
+        assert "resolution = none, strength = 1" in out
 
     def test_margin_with_groups_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gwlp", PAPER, "--groups", "4,4,4", "--algorithm", "margin")
@@ -169,6 +181,24 @@ class TestReconstructCommand:
         original = parse_design((FIXTURES / "paper_oa.txt").read_text())
         assert reconstructed == original
 
+    def test_round_trip_past_a_hundred_million_runs(self, capsys, tmp_path):
+        # N is about 1.5e8: cells of the rendered spectrum come back about 5e-6
+        # from their counts, past 1e-6 but within the default 1e-11 * N.
+        rng = np.random.default_rng(0)
+        counts = rng.integers(1, 9 * 10**6, size=(5, 7), endpoint=True)
+        lines = [f"{a} {b} x{counts[a, b]}" for a in range(5) for b in range(7)]
+        design = tmp_path / "design.txt"
+        design.write_text("levels: 5 7\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        spectrum = tmp_path / "spectrum.json"
+        run(capsys, "jchar", str(design), "--groups", "5,7", "--json", "--output", str(spectrum))
+        code, text, err = run(capsys, "reconstruct", str(spectrum))
+        assert (code, err) == (0, "")
+        assert parse_design(text) == parse_design(design.read_text(encoding="utf-8"))
+        # An explicit tolerance still wins.
+        code, _, err = run(capsys, "reconstruct", str(spectrum), "--tol", "1e-6")
+        assert code == 2
+        assert "not an integer within 1e-06" in err
+
     def test_json_counts(self, capsys, tmp_path):
         _, out, _ = run(capsys, "jchar", PAPER, "--groups", "2x2,2x2,2x2", "--json")
         spectrum = tmp_path / "spectrum.json"
@@ -206,6 +236,8 @@ class TestReconstructCommand:
             edited(lambda doc: doc["values"][0].__setitem__("im", float("inf"))),
             edited(lambda doc: doc.__setitem__("n_runs", 99)),
             edited(lambda doc: doc.__setitem__("n_runs", 16.5)),
+            # Past the float range: the default tolerance is still worked out.
+            edited(lambda doc: doc.__setitem__("n_runs", 10**400)),
         ):
             bad.write_text(text, encoding="utf-8")
             code, _, err = run(capsys, "reconstruct", str(bad))
@@ -296,6 +328,19 @@ class TestReconstructCommand:
         ):
             bad.write_text(text, encoding="utf-8")
             assert run(capsys, "reconstruct", str(bad)) == expected, text
+
+    def test_values_that_open_no_list_go_to_json_loads(self, capsys, tmp_path):
+        # The lean reader takes over only at the "[" of its layout; past any
+        # other character it would read the entries and accept the report.
+        _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
+        text = out.replace('"values": [', '"values": x', 1)
+        with pytest.raises(json.JSONDecodeError) as refusal:
+            json.loads(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "reconstruct", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"wordlength: {bad} is not a jchar report: {refusal.value}\n"
 
     def test_symbols_no_design_file_holds_are_a_data_error_in_text_only(self, capsys, tmp_path):
         _, out, _ = run(capsys, "jchar", PAPER, "--groups", "4,4,4", "--json")
@@ -655,14 +700,12 @@ class TestErrorsAndPlumbing:
         spectrum.write_text(out, encoding="utf-8")
         for argv in (
             ["compare", PAPER, PAPER],
+            ["gwlp", PAPER],
             ["invariance", PAPER],
             ["reconstruct", str(spectrum)],
         ):
             code, _, _ = run(capsys, *argv, "--tol", "0")
             assert code == 0, argv
-        code, _, err = run(capsys, "gwlp", PAPER, "--tol", "0")  # resolution needs tol > 0
-        assert code == 1
-        assert "tolerance must be positive" in err
 
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "gwlp", "/nonexistent/design.txt")

@@ -459,11 +459,11 @@ class TestResolutionAndStrength:
         design = Design((("0", "1", "2", "3"),) * 3, {(0, 1, 2): 1})
         assert resolution_and_strength(gwlp_margin(design)) == (1, 0)
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            resolution_and_strength(gwlp_of(0.0, 1.0), 0.0)
-        with pytest.raises(ValueError):
-            resolution_and_strength(gwlp_of(0.0, 1.0), math.nan)
+    def test_tolerance_must_be_a_number_at_least_zero(self):
+        assert resolution_and_strength(gwlp_of(0.0, 1.0), 0.0) == (2, 1)
+        for tol in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="^tolerance must be a number >= 0$"):
+                resolution_and_strength(gwlp_of(0.0, 1.0), tol)
 
 
 class TestCompareAberration:

@@ -48,6 +48,7 @@ from wordlength import (
     projector_norms,
     reconstruct,
     relabel_levels,
+    resolution_and_strength,
     verify_invariance,
 )
 from wordlength import invariance, render
@@ -480,6 +481,25 @@ def test_parse_merges_runs_on_both_sides_of_the_dense_threshold(case, columns, d
 @given(designs(multiplicities=MULTIPLICITIES))
 def test_margin_gwlp_is_the_correctly_rounded_exact_pattern(design):
     assert gwlp_margin(design).raw == tuple(float(a) for a in exact_gwlp(design))
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1, max_size=3),
+    st.integers(1, 2**40),
+    st.integers(0, 2**64 - 1),
+)
+@example(shape=[2], base=100_000, bumps=0b10)
+def test_zero_tol_resolution_is_exact_on_near_balanced_designs(shape, base, bumps):
+    # Cell i of the full factorial counted base + bit i of bumps: the A_j are
+    # of order 1 / base^2, below any fixed positive tolerance.
+    cells = list(itertools.product(*map(range, shape)))
+    counts = {cell: base + (bumps >> i & 1) for i, cell in enumerate(cells)}
+    design = Design(tuple(tuple(map(str, range(s))) for s in shape), counts)
+    exact = exact_gwlp(design)
+    resolution = next((j for j in range(1, design.k + 1) if exact[j] > 0), None)
+    strength = design.k if resolution is None else resolution - 1
+    assert resolution_and_strength(gwlp_margin(design), 0) == (resolution, strength)
 
 
 @PROPERTY

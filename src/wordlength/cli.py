@@ -29,6 +29,7 @@ from .invariance import (
 from .spectra import (
     INTERNAL_TOL,
     JCharVector,
+    _residue_bound,
     gwlp_char,
     j_characteristics,
     reconstruct,
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(
         p,
         CROSS_ROUTE_TOL,
-        "cross-route tolerance (default 1e-8); resolution and the witness use 1e-9",
+        "cross-route tolerance (default 1e-8); resolution is exact; the witness scales with N",
     )
 
     p = sub.add_parser("margins", help="margin counts over a factor subset")
@@ -291,7 +292,8 @@ def _run_invariance(args) -> tuple[int, str]:
     report = verify_invariance(design, assignments, tol=args.tol)
     witness = report.witness
     witness_payload = None
-    witness_text = f"J-characteristics agree across all assignments (within {render.fmt_float(INTERNAL_TOL)})"
+    bound = render.fmt_float(max(_residue_bound(a, design.n_runs) for a in report.assignments))
+    witness_text = f"J-characteristics agree across all assignments (within {bound})"
     if witness is not None:
         label = render.element_label(design.levels, witness.components)
         witness_payload = {

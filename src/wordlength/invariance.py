@@ -51,6 +51,7 @@ from .spectra import (
     GWLP,
     _PrefixWalk,
     _order_weights,
+    _residue_bound,
     check_assignment,
     gwlp_char,
     j_characteristics,
@@ -296,12 +297,12 @@ def verify_invariance(
 
     Computes the character-route pattern under every requested assignment plus
     the margin-route pattern once, and reports the largest pairwise deviation
-    per weight class.  When spectra differ between the first assignment and a
-    later one, the witness records the first Yates element where they do
-    (taking, among later assignments, the one differing most there, and the
-    earlier of two that differ equally).  ``tol``
-    decides only cross-route agreement; the witness and the resolution are
-    decided at ``INTERNAL_TOL``.
+    per weight class.  When a later spectrum differs from the first one by more
+    than the larger of their two ``spectra._residue_bound``s, the witness
+    records the first Yates element where it does (taking, among later
+    assignments, the one differing most there, and the earlier of two that
+    differ equally).  ``tol`` decides only cross-route agreement; the
+    resolution is read off the margin pattern exactly.
 
     Every spectrum, the witness's included, comes from one ``_PrefixWalk``
     passed to ``j_characteristics`` as ``walk``, so an assignment starts
@@ -314,19 +315,20 @@ def verify_invariance(
     margin = gwlp_margin(design)
 
     gwlps: list[GWLP] = []
-    first_values = None
+    first_values = first_bound = None
     best_witness: tuple[int, float, int] | None = None  # (element, -delta, assignment)
     walk = _PrefixWalk(design)
     for pos, assignment in enumerate(resolved):
         jchar = j_characteristics(design, assignment, walk=walk)
         gwlps.append(gwlp_char(jchar))
+        bound = _residue_bound(assignment, design.n_runs)
         if pos == 0:
-            first_values = jchar.values
+            first_values, first_bound = jchar.values, bound
             continue
         # Only elements up to the best witness so far can take its place.
         end = None if best_witness is None else best_witness[0] + 1
         deltas = abs(jchar.values[:end] - first_values[:end])
-        differing = deltas > INTERNAL_TOL
+        differing = deltas > max(first_bound, bound)
         element = int(differing.argmax())
         if differing[element]:
             candidate = (element, -float(deltas[element]), pos)
@@ -348,7 +350,7 @@ def verify_invariance(
     columns = zip(margin, *gwlps)
     by_j = [max(column) - min(column) for column in columns]
     max_dev = max(by_j)
-    resolution, strength = resolution_and_strength(margin)
+    resolution, strength = resolution_and_strength(margin, 0)
     return InvarianceReport(
         assignments=tuple(resolved),
         gwlps=tuple(gwlps),

@@ -12,13 +12,14 @@ import functools
 import itertools
 import json
 import operator
+import re
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DesignParseError, ResourceLimitError
-from .spectra import INTERNAL_TOL, JCharVector
+from .spectra import JCharVector, _residue_bound
 
 
 def fmt_float(x: float) -> str:
@@ -181,9 +182,9 @@ def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> s
 
 def jchar_text(levels, jchar: JCharVector) -> str:
     """The text-mode ``jchar`` table: one ``label value`` line per entry of
-    ``jchar`` farther than ``INTERNAL_TOL`` from zero (a NaN one included), as
-    spectrum tables usually omit zeros, with each distinct value formatted once."""
-    keep = ~(np.abs(jchar.values) <= INTERNAL_TOL)
+    ``jchar`` farther than ``spectra._residue_bound`` from zero (a NaN one included),
+    as spectrum tables usually omit zeros, with each distinct value formatted once."""
+    keep = ~(np.abs(jchar.values) <= _residue_bound(jchar.structures, jchar.n_runs))
     kept = jchar.values[keep].tolist()
     text = {z: fmt_complex(z) for z in set(kept)}
     labels = itertools.compress(element_labels(levels), keep.tolist())
@@ -303,6 +304,9 @@ _SLICE = 2**18
 _LEAD = _NEXT.removesuffix(_OPEN[1:]).encode("ascii")
 _ENTRY = (_NEXT, _RE, _IM)
 _QUOTES = tuple(itertools.accumulate((sep.count('"') for sep in _ENTRY), initial=0))
+# A backslash that starts no \uXXXX escape, jchar's form for non-ASCII characters, which
+# holds no quote and escapes none; the search's end bounds the lookahead too.
+_STRAY_ESCAPE = re.compile(rb"\\(?!u[0-9a-fA-F]{4})")
 
 
 def _layout_values(text: str, idx: int):
@@ -344,7 +348,9 @@ def _layout_entries(raw: bytes, last: bool):
     if not quotes.size or quotes.size % _QUOTES[-1] or quotes[0] != _NEXT.index('"'):
         return None
     close = raw.find(_CLOSE.encode("ascii"), quotes[-1]) if last else len(raw) - 1
-    if close < 0 or b[:close].min() < 0x20 or not _unicode_escapes(raw, close):
+    if close < 0 or b[:close].min() < 0x20 or (
+        raw.find(b"\\", 0, close) >= 0 and _STRAY_ESCAPE.search(raw, 0, close)
+    ):
         return None
     # Where each separator of each entry starts, by the first of its quotes.
     # Each separator found there holds its quotes, and they are the next ones
@@ -370,21 +376,6 @@ def _layout_entries(raw: bytes, last: bool):
     values.real = parts[: len(values)]
     values.imag = parts[len(values) :]
     return values, close
-
-
-def _unicode_escapes(raw: bytes, stop: int) -> bool:
-    """Whether every backslash in ``raw[:stop]`` starts a ``\\uXXXX`` escape, the
-    form in which jchar writes a label's non-ASCII characters.  Such an escape
-    holds no quote and escapes none, so the quotes still mark the entries out."""
-    if raw.find(b"\\", 0, stop) < 0:
-        return True
-    b = np.frombuffer(raw, np.uint8, stop)
-    slashes = np.flatnonzero(b == ord("\\"))
-    if slashes[-1] + 5 >= len(b):
-        return False
-    digits = b[slashes[:, None] + np.arange(2, 6)]
-    hex_digits = np.isin(digits, np.frombuffer(b"0123456789abcdefABCDEF", np.uint8))
-    return bool((b[slashes + 1] == ord("u")).all() and hex_digits.all())
 
 
 # The least integer of each width in digits that has no leading zero: 0 for one digit.

@@ -33,7 +33,7 @@ from .kron import _contract_axis, kron, kron_all
 
 Assignment = tuple[AbelianStructure, ...]
 
-#: Default tolerance for internal numeric comparisons.
+#: Default tolerance of the pattern verdicts, and the floor of ``_residue_bound``.
 INTERNAL_TOL = 1e-9
 
 #: Least default distance of a reconstructed cell from an integer.  Spectra
@@ -214,6 +214,15 @@ def _exact_parts(parts: Sequence[int], n_runs: int) -> int:
     if n_runs > 2**53:
         return 0
     return next((i for i, d in enumerate(parts) if d not in (2, 4)), len(parts))
+
+
+def _residue_bound(structures: Sequence[AbelianStructure], n_runs: int) -> float:
+    """Twice the float error of an N-run design's spectrum under ``structures``, so two equal
+    in exact arithmetic lie within the larger of their bounds: max(INTERNAL_TOL, 7 u N D), u =
+    2**-53, D the sum of table-step parts, N capped at 2**1000 (README derives the 7)."""
+    parts = [d for st in structures for d in st.cyclic_orders]
+    table = sum(parts[_exact_parts(parts, n_runs) :])
+    return max(INTERNAL_TOL, 7 * 2.0**-53 * min(n_runs, 2**1000) * table)
 
 
 def _quarter_step(flat: np.ndarray, d: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from wordlength import Design, enumerate_structures, j_characteristics
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import JCharWitness, expand_assignments
 from wordlength.render import element_labels
-from wordlength.spectra import INTERNAL_TOL
+from wordlength.spectra import _residue_bound
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -210,15 +210,17 @@ def full_scan_witness(design: Design, assignments="all") -> JCharWitness | None:
     """The invariance witness from a full scan of every later spectrum.
 
     Each later assignment offers the first Yates element where its spectrum
-    differs from the first assignment's by more than INTERNAL_TOL; the least
-    element wins, then the larger |delta| there, then the earlier assignment.
+    differs from the first assignment's by more than the larger of their two
+    ``_residue_bound``s; the least element wins, then the larger |delta|
+    there, then the earlier assignment.
     """
     resolved = expand_assignments(design, assignments)
     spectra = [j_characteristics(design, a).values for a in resolved]
+    bounds = [_residue_bound(a, design.n_runs) for a in resolved]
     best = None
     for pos, values in enumerate(spectra[1:], start=1):
         deltas = abs(values - spectra[0])
-        differing = (deltas > INTERNAL_TOL).nonzero()[0]
+        differing = (deltas > max(bounds[0], bounds[pos])).nonzero()[0]
         if differing.size:
             element = int(differing[0])
             candidate = (element, -float(deltas[element]), pos)

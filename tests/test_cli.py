@@ -35,7 +35,9 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # pin the column layout with inferred alphabets and repeated columns, so both
 # layouts are gated byte for byte; the pb12.txt entries (12
 # runs, k = 11) pin the group-free commands where the pair kernel runs; the
-# near_balanced.txt entry pins `gwlp --tol 0` deciding resolution by A_j > 0; the
+# near_balanced.txt entries pin `gwlp --tol 0` and `invariance` deciding
+# resolution by A_j > 0; the crossed_3x8.txt entries pin a spectrum at
+# N = 1.96e10 whose float residues are neither a witness nor listed; the
 # quarter_then_table.txt entries pin spectra whose transform switches from
 # exact steps on parts of order 2 and 4 to table steps at a 3-level factor;
 # the last five entries pin each route that passes --groups literals to the
@@ -1192,3 +1194,36 @@ def test_no_numpy_mixed_radix_calls_in_the_package():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
     assert found == []
+
+
+def test_internal_tol_is_only_a_verdict_default_and_the_residue_floor():
+    # INTERNAL_TOL is the default tolerance of the pattern verdicts.  Spectra
+    # are compared against spectra._residue_bound, which grows with N, so a
+    # fixed threshold on them would report float residues as values at large
+    # N.  A read may be the default of a ``tol`` parameter, the value passed
+    # for one (the CLI's --tol default), or inside _residue_bound.
+    params = {"tol", "tol_default"}
+    found, kept = [], []
+    for path in sorted((FIXTURES.parent / "src" / "wordlength").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        names = {f.name: [a.arg for a in f.args.posonlyargs + f.args.args] for f in functions}
+        allowed = set()
+        for node in functions:
+            args = node.args
+            defaults = [*zip((args.posonlyargs + args.args)[::-1], args.defaults[::-1]),
+                        *zip(args.kwonlyargs, args.kw_defaults)]
+            allowed |= {id(value) for arg, value in defaults if arg.arg in params}
+            if node.name == "_residue_bound":
+                allowed |= set(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                bound = zip(names.get(node.func.id, []), node.args)
+                allowed |= {id(value) for name, value in bound if name in params}
+                allowed |= {id(k.value) for k in node.keywords if k.arg in params}
+        for node in ast.walk(tree):
+            read = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id
+            if (read or getattr(node, "attr", None)) == "INTERNAL_TOL":
+                (kept if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert {where.split(":")[0] for where in kept} == {"cli.py", "invariance.py", "spectra.py"}

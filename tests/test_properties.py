@@ -592,6 +592,32 @@ def test_invariance_witness_is_the_full_scan_witness(case):
     assert verify_invariance(design, assignments).witness == full_scan_witness(design, assignments)
 
 
+@st.composite
+def crossed_designs(draw):
+    """A factor of 3, 5 or 7 levels crossed in full with one or two of 4 to 12
+    levels, each run counted by its first level alone, at most 2**53 / s, so
+    N <= 2**53.  Then chi_g = 0 under every group wherever g has a nonzero later component."""
+    shape = [draw(st.sampled_from((3, 5, 7)))]
+    shape += draw(st.lists(st.sampled_from((4, 6, 8, 9, 12)), min_size=1, max_size=2))
+    limit = 2**53 // math.prod(shape)
+    counts = draw(st.lists(st.integers(1, limit), min_size=shape[0], max_size=shape[0]))
+    runs = itertools.product(*map(range, shape))
+    return Design(tuple(tuple(map(str, range(n))) for n in shape), {r: counts[r[0]] for r in runs})
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossed_designs(), st.sampled_from(["factorized", "dense"]))
+def test_no_float_residue_counts_as_a_value_at_any_n(design, algorithm):
+    # The differences and the zeros here are float residues, which grow with N.
+    report = verify_invariance(design)
+    assert report.witness is None
+    zeros = [0] * (design.k - 1)
+    labels = {render.element_label(design.levels, (a, *zeros)) for a in range(design.sizes[0])}
+    for assignment in report.assignments:
+        text = render.jchar_text(design.levels, j_characteristics(design, assignment, algorithm))
+        assert {line.split(" ")[0] for line in text.splitlines()} <= labels
+
+
 # Orders whose structures split as 2x2, 4x2, 2x2x2, 3x3, 4x4 and 2x2x2x2, so
 # that a later factor is often split otherwise than in the previous assignment.
 WALK_SIZES = (2, 3, 4, 6, 8, 9, 12, 16)

@@ -245,7 +245,7 @@ def _tally(rows: np.ndarray, mults: np.ndarray, sizes: tuple[int, ...]):
             column = np.empty(cells, np.intp)
             column[codes] = np.arange(len(codes))  # a column of each cell hit
             hit = totals.nonzero()[0]  # every multiplicity is >= 1
-            return rows[:, column[hit]], totals[hit]
+            return rows.take(column[hit], axis=1), totals[hit]
     # Sort the codes into Yates order; each stretch of one code is a cell.
     order = codes.argsort()
     codes = codes[order]
@@ -253,7 +253,7 @@ def _tally(rows: np.ndarray, mults: np.ndarray, sizes: tuple[int, ...]):
     first[0] = True
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    return rows[:, order[starts]], np.add.reduceat(mults[order], starts)
+    return rows.take(order[starts], axis=1), np.add.reduceat(mults[order], starts)
 
 
 def relabel_levels(design: Design, perms: Sequence[Sequence[int] | None]) -> Design:

@@ -41,6 +41,9 @@ INTERNAL_TOL = 1e-9
 #: its count, whatever s is, so ``reconstruct`` allows twice that past N = 10^5.
 RECONSTRUCT_TOL = 1e-6
 
+# Built once at import, so an order-4 step looks up no table.
+_Z4_TABLE = cyclic_character_table(4)
+
 
 def _assignment(structures: Sequence[AbelianStructure | str]) -> Assignment:
     """The structures as a tuple, structure literals (e.g. ``"2x2"``) parsed in place.
@@ -102,6 +105,17 @@ def _order_weights(orders: tuple[int, ...]) -> np.ndarray:
         weights.reshape(-1, d, stride)[:, 1:] += 1
     weights.flags.writeable = False
     return weights
+
+
+# gwlp_char's exact class sums: the Yates indices sorted stably by weight, and
+# where each weight's run starts among their float64 parts (two per element).
+# No weight exceeds the number of factors of order > 1, so the runs are those
+# of the leading classes.
+@functools.lru_cache(maxsize=2)
+def _weight_runs(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    weights = _order_weights(orders)
+    order = weights.argsort(kind="stable")
+    return order, 2 * np.flatnonzero(np.diff(weights[order], prepend=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,25 +242,20 @@ def _residue_bound(structures: Sequence[AbelianStructure], n_runs: int) -> float
 def _quarter_step(flat: np.ndarray, d: int) -> np.ndarray:
     """Z_d's table (d = 2 or 4) along the leading axis of ``flat`` in C order, moved last.
 
-    Only adds, subtracts and one product by 1j.  After parts 0..m-1 the
-    array holds parts m.., 0..m-1 in C order, so after the last part it is
-    in Yates order with no transpose copy.
+    Z_2's is an add and a subtract; Z_4's is one product with its table,
+    whose entries are 1, i, -1 and -i, so each output is a sum of four exact
+    terms: on Gaussian integers whose parts add up to at most 2**53 in
+    magnitude, every partial sum is exact and the step gives the add/subtract
+    butterfly's numbers (the sign of a zero is not promised).  After parts 0..m-1 the
+    array holds parts m.., 0..m-1 in C order, so after the last part it is in
+    Yates order with no transpose copy.
     """
     x = flat.reshape(d, -1)
-    y = np.empty((x.shape[1], d), dtype=np.complex128)
-    if d == 2:
-        np.add(x[0], x[1], out=y[:, 0])
-        np.subtract(x[0], x[1], out=y[:, 1])
-    else:  # y_g = sum_h i^(gh) x_h: y0, y2 = a +- b and y1, y3 = c +- i(x1 - x3)
-        b = np.add(x[1], x[3])
-        np.add(x[0], x[2], out=y[:, 0])  # a
-        np.subtract(y[:, 0], b, out=y[:, 2])
-        y[:, 0] += b
-        ie = np.subtract(x[1], x[3], out=b)
-        ie *= 1j
-        np.subtract(x[0], x[2], out=y[:, 1])  # c
-        np.subtract(y[:, 1], ie, out=y[:, 3])
-        y[:, 1] += ie
+    if d == 4:
+        return (x.T @ _Z4_TABLE).reshape(-1)
+    y = np.empty((x.shape[1], 2), dtype=np.complex128)
+    np.add(x[0], x[1], out=y[:, 0])
+    np.subtract(x[0], x[1], out=y[:, 1])
     return y.reshape(-1)
 
 
@@ -415,11 +424,21 @@ def gwlp_char(jchar: JCharVector) -> GWLP:
 
     Exact when every part has order 2 or 4 and s * N^2 <= 2**53: the spectrum
     is Gaussian integers, so each re^2 + im^2 and each class total (at most
-    s * N^2) is a float64 integer, divided once as ``gwlp_margin`` divides.
+    s * N^2) is a float64 integer in any summation order, divided once as
+    ``gwlp_margin`` divides.  Those classes are summed by one gather into
+    weight order and ``np.add.reduceat`` over the squared parts; other spectra
+    by ``np.bincount`` of ``np.abs(values) ** 2``, whose float sums keep their
+    order.
     """
-    weights = element_weights(jchar.structures)
-    k, values, n_squared = len(jchar.structures), jchar.values, jchar.n_runs**2
+    orders = tuple(st.order for st in jchar.structures)
+    k, values, n_squared = len(orders), jchar.values, jchar.n_runs**2
     parts = {d for st in jchar.structures for d in st.cyclic_orders}
-    exact = parts <= {2, 4} and jchar.space_size * n_squared <= 2**53
-    power = values.real**2 + values.imag**2 if exact else np.abs(values) ** 2
-    return GWLP(np.bincount(weights, weights=power, minlength=k + 1) / n_squared)
+    if not (parts <= {2, 4} and jchar.space_size * n_squared <= 2**53):
+        weights = element_weights(jchar.structures)
+        return GWLP(np.bincount(weights, np.abs(values) ** 2, minlength=k + 1) / n_squared)
+    order, starts = _weight_runs(orders)
+    squares = values.take(order).view(np.float64)  # re, im of each element in weight order
+    squares *= squares
+    sums = np.zeros(k + 1)
+    sums[: len(starts)] = np.add.reduceat(squares, starts)
+    return GWLP(sums / n_squared)

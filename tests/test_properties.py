@@ -30,6 +30,7 @@ from helpers import (
     naive_margin_counts,
     pair_subset_norm,
     part_tables,
+    quarter_turn_butterfly,
     spectrum_entries,
     tensordot_apply,
 )
@@ -69,7 +70,9 @@ from wordlength.spectra import (
     RECONSTRUCT_TOL,
     _PrefixWalk,
     _apply_parts,
+    _quarter_step,
     assignment_character_table,
+    element_weights,
     weight,
 )
 
@@ -695,6 +698,48 @@ def test_walk_and_one_shot_spectra_are_the_table_route_spectra(case):
         for walked in (walk, None):
             jchar = j_characteristics(design, structures, walk=walked)
             assert np.array_equal(jchar.values.view(np.float64), reference)
+
+
+@st.composite
+def gaussian_columns(draw):
+    """A (4, m) array of Gaussian integers, m from 1 to 4096, whose parts are at
+    most 2**50 in magnitude: each column's |re| + |im| adds up to at most 2**53."""
+    m, bits = draw(st.integers(1, 4096)), draw(st.integers(0, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    re, im = rng.integers(-(2**bits), 2**bits, size=(2, 4, m), endpoint=True)
+    return re + 1j * im
+
+
+@PROPERTY
+@given(gaussian_columns())
+@example(np.full((4, 3), 2**50 * (1 + 1j)))  # every column at the bound
+@example(2**50 * np.array([[1, -1j], [1j, 1], [-1, 1j], [-1j, -1]]))
+def test_quarter_turn_step_is_the_butterfly_as_numbers(columns):
+    flat = columns.reshape(-1)
+    assert np.array_equal(_quarter_step(flat, 4), quarter_turn_butterfly(flat))
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from(["1", "2", "4", "2x2"]), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example(["2"] * 8, 0, True)
+@example(["1", "4", "1", "2x2", "1"], 0, True)
+def test_exact_class_sums_are_the_bincount_sums(literals, seed, at_bound):
+    # One-level factors leave the top weight classes empty; N is at most
+    # sqrt(2**53 / s), so every spectrum here takes the exact class sums.
+    structures = tuple(map(parse_structure, literals))
+    s = math.prod(structure.order for structure in structures)
+    rng = np.random.default_rng(seed)
+    top = math.isqrt(2**53 // s)
+    n_runs = top if at_bound else int(rng.integers(1, top, endpoint=True))
+    re, im = rng.integers(-(n_runs // 2), n_runs // 2, (2, s), endpoint=True)
+    values = re + 1j * im  # |re| + |im| <= N, so each class total is at most s * N^2
+    power = values.real**2 + values.imag**2
+    sums = np.bincount(element_weights(structures), power, minlength=len(structures) + 1)
+    assert gwlp_char(JCharVector(values, n_runs, structures)).values == tuple(sums / n_runs**2)
 
 
 # Factor sizes for dense spectra past the route's 2**16-entry block budget

@@ -164,7 +164,9 @@ def main(argv=None) -> int:
     except (DesignParseError, InconsistentSpectrumError, OSError) as exc:
         print(f"wordlength: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ResourceLimitError, ValueError) as exc:
+    except (ResourceLimitError, ValueError, OverflowError) as exc:
+        if isinstance(exc, OverflowError):  # as a cap: float64 cannot hold the value
+            exc = f"a count, spectrum or norm passed the float range ({exc})"
         print(f"wordlength: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if not args.output:

@@ -50,6 +50,7 @@ from .spectra import (
     Assignment,
     GWLP,
     _PrefixWalk,
+    _check_tolerance,
     _order_weights,
     _residue_bound,
     check_assignment,
@@ -205,8 +206,7 @@ def resolution_and_strength(gwlp: GWLP, tol: float = INTERNAL_TOL) -> tuple[int 
     ``tol=0`` decides by A_j > 0, which is exact on a ``gwlp_margin`` pattern.
     A ValueError unless ``tol`` is a number >= 0.
     """
-    if not tol >= 0:  # NaN too
-        raise ValueError("tolerance must be a number >= 0")
+    _check_tolerance(tol)
     for j in range(1, len(gwlp)):
         if gwlp[j] > tol:
             return j, j - 1
@@ -227,8 +227,7 @@ class AberrationVerdict:
 
 def compare_aberration(a: GWLP, b: GWLP, *, tol: float = INTERNAL_TOL) -> AberrationVerdict:
     """Lexicographic comparison of (A_1..A_k); the smaller first difference wins."""
-    if not tol >= 0:
-        raise ValueError("tolerance must be a number >= 0")
+    _check_tolerance(tol)
     if a.k != b.k:
         raise ValueError(f"patterns have different lengths ({a.k} vs {b.k})")
     for j in range(1, a.k + 1):
@@ -309,8 +308,7 @@ def verify_invariance(
     from the transform of the leading factors it shares with the previous
     one; the walk keeps at most (k - 1) * s complex values.
     """
-    if not tol >= 0:
-        raise ValueError("tolerance must be a number >= 0")
+    _check_tolerance(tol)
     resolved = expand_assignments(design, assignments)
     margin = gwlp_margin(design)
 

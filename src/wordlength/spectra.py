@@ -41,8 +41,10 @@ INTERNAL_TOL = 1e-9
 #: its count, whatever s is, so ``reconstruct`` allows twice that past N = 10^5.
 RECONSTRUCT_TOL = 1e-6
 
-# Built once at import, so an order-4 step looks up no table.
-_Z4_TABLE = cyclic_character_table(4)
+
+def _check_tolerance(tol: float) -> None:
+    if not tol >= 0:  # NaN too; every verdict's tolerance follows this one rule
+        raise ValueError("tolerance must be a number >= 0")
 
 
 def _assignment(structures: Sequence[AbelianStructure | str]) -> Assignment:
@@ -223,7 +225,7 @@ def _exact_parts(parts: Sequence[int], n_runs: int) -> int:
     magnitude, exact in any evaluation order: the steps and the table route
     give the same numbers.  In ``reconstruct``'s inverse each partial sum is
     a power of two times such an integer, so it is still exact while
-    N <= 2**53.
+    N <= 2**53.  The one rule of which parts run exact; ``gwlp_char`` asks it too.
     """
     if n_runs > 2**53:
         return 0
@@ -252,7 +254,7 @@ def _quarter_step(flat: np.ndarray, d: int) -> np.ndarray:
     """
     x = flat.reshape(d, -1)
     if d == 4:
-        return (x.T @ _Z4_TABLE).reshape(-1)
+        return (x.T @ cyclic_character_table(4)).reshape(-1)
     y = np.empty((x.shape[1], 2), dtype=np.complex128)
     np.add(x[0], x[1], out=y[:, 0])
     np.subtract(x[0], x[1], out=y[:, 1])
@@ -298,28 +300,25 @@ class _PrefixWalk:
     def __init__(self, design: Design):
         self.design = design
         self._counts = design.dense_counts().astype(np.complex128)
-        self._orders: list[tuple[int, ...]] = []  # factor i's cyclic orders
-        self._prefixes: list[np.ndarray] = []  # the array after factors 0..i
+        self._prefixes: list[tuple] = []  # (factor i's cyclic orders, the array after 0..i)
 
     def spectrum(self, structures: Assignment) -> np.ndarray:
         orders = [st.cyclic_orders for st in structures]
         depth = 0
-        while depth < len(self._prefixes) and self._orders[depth] == orders[depth]:
+        while depth < len(self._prefixes) and self._prefixes[depth][0] == orders[depth]:
             depth += 1
-        del self._orders[depth:]
         del self._prefixes[depth:]
         parts = [d for factor in orders for d in factor]
         # A kept table-phase array has the latest assignment's part axes; the
         # values in Yates order are all that later axes read.  An exact-phase
         # one is a contiguous rotated array, which the reshape only relabels.
-        w = (self._prefixes[-1] if depth else self._counts).reshape(parts)
+        w = (self._prefixes[-1][1] if depth else self._counts).reshape(parts)
         axis = sum(map(len, orders[:depth]))
         for i in range(depth, len(orders)):
             w = _apply_parts(w, parts, self.design.n_runs, axis, axis + len(orders[i]))
             axis += len(orders[i])
             if i < len(orders) - 1:
-                self._orders.append(orders[i])
-                self._prefixes.append(w)
+                self._prefixes.append((orders[i], w))
         # A one-level last factor has no parts, so w is still a kept array.
         return w.reshape(-1) if orders[-1] else w.flatten()
 
@@ -337,12 +336,12 @@ def j_characteristics(
     ``groups.DENSE_TABLE_CAP``) a block of rows at a time, bit for bit as one
     product (``_dense_spectrum``); ``"factorized"`` applies the per-part tables,
     each under that cap, as a mixed-radix transform on the dense count vector
-    (capped at ``design.DENSIFY_CAP``).  While N <= 2**53 its leading parts of
-    order 2 or 4 run as exact add/subtract steps instead of table products,
-    and the parts from the first other order on as the table steps of
-    ``kron.factored_apply``, so the values equal its product with the part
-    tables as numbers (the sign of a zero is not promised).  A sweep passes
-    one ``_PrefixWalk`` of the design as ``walk`` to every call, which starts
+    (capped at ``design.DENSIFY_CAP``).  The leading parts ``_exact_parts``
+    counts run as exact ``_quarter_step``s (order 2 an add and a subtract,
+    order 4 one Z_4 table product), the rest as ``kron.factored_apply``'s
+    table steps, so the values equal its product with the part tables as
+    numbers (the sign of a zero is not promised).  A sweep passes one
+    ``_PrefixWalk`` of the design as ``walk`` to every call, which starts
     each factorized transform from the arrays kept for the previous
     assignment, bit for bit the same; the default ``None`` keeps nothing.
     A walk with ``"dense"`` is a ValueError.
@@ -386,8 +385,7 @@ def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, in
     """
     if tol is None:  # min: a report's n_runs may lie past the float range
         tol = max(RECONSTRUCT_TOL, 1e-11 * min(jchar.n_runs, 2**1000))
-    if not tol >= 0:  # NaN too
-        raise ValueError("tolerance must be a number >= 0")
+    _check_tolerance(tol)
     orders = [st.order for st in jchar.structures]
     parts = [d for st in jchar.structures for d in st.cyclic_orders]
     # A non-finite or huge spectrum makes NaN or infinite cells; they fail
@@ -422,20 +420,21 @@ def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, in
 def gwlp_char(jchar: JCharVector) -> GWLP:
     """Wordlength pattern A_j = N^-2 * sum over weight-j elements of |chi_g|^2.
 
-    Exact when every part has order 2 or 4 and s * N^2 <= 2**53: the spectrum
-    is Gaussian integers, so each re^2 + im^2 and each class total (at most
-    s * N^2) is a float64 integer in any summation order, divided once as
-    ``gwlp_margin`` divides.  Those classes are summed by one gather into
-    weight order and ``np.add.reduceat`` over the squared parts; other spectra
-    by ``np.bincount`` of ``np.abs(values) ** 2``, whose float sums keep their
-    order.
+    Exact when ``_exact_parts`` runs every part exact and s * N^2 <= 2**53:
+    the spectrum is Gaussian integers, so each re^2 + im^2 and each class
+    total (at most s * N^2, a bound of its own) is a float64 integer in any
+    summation order, divided once as ``gwlp_margin`` divides.  Those classes
+    are summed by one gather into weight order and ``np.add.reduceat`` over
+    the squared parts; other spectra by ``np.bincount`` of
+    ``np.abs(values) ** 2``, whose float sums keep their order.
     """
     orders = tuple(st.order for st in jchar.structures)
     k, values, n_squared = len(orders), jchar.values, jchar.n_runs**2
-    parts = {d for st in jchar.structures for d in st.cyclic_orders}
-    if not (parts <= {2, 4} and jchar.space_size * n_squared <= 2**53):
+    parts = [d for st in jchar.structures for d in st.cyclic_orders]
+    if _exact_parts(parts, jchar.n_runs) < len(parts) or jchar.space_size * n_squared > 2**53:
         weights = element_weights(jchar.structures)
-        return GWLP(np.bincount(weights, np.abs(values) ** 2, minlength=k + 1) / n_squared)
+        with np.errstate(over="ignore"):  # a square past the float range has N^2 past it too
+            return GWLP(np.bincount(weights, np.abs(values) ** 2, minlength=k + 1) / n_squared)
     order, starts = _weight_runs(orders)
     squares = values.take(order).view(np.float64)  # re, im of each element in weight order
     squares *= squares

@@ -3,22 +3,27 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import FIXTURES, spectrum_entries
-from wordlength import cli, parse_design, render
+from wordlength import cli, enumerate_structures, parse_design, render
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
@@ -781,6 +786,33 @@ class TestErrorsAndPlumbing:
             "above the cap 1048576\n"
         )
 
+    @pytest.mark.parametrize(
+        ("power", "argv"),
+        [
+            (200, ["margins", "D"]),
+            (200, ["gwlp", "D", "--groups", "2,2"]),
+            (200, ["invariance", "D"]),
+            (200, ["compare", "D", "D", "--groups", "2,2"]),
+            (400, ["jchar", "D", "--groups", "2,2"]),
+        ],
+    )
+    def test_a_value_past_the_float_range_is_a_usage_error(self, capsys, tmp_path, power, argv):
+        # N^2 (and the margin norm) pass float64's range at N = 10^200, and the
+        # count itself at 10^400; each command exits 1 as at a cap.
+        design = tmp_path / "huge.txt"
+        design.write_text(f"levels: 2 2\n0 0 x{10**power}\n1 1\n", encoding="utf-8")
+        code, out, err = run(capsys, *(str(design) if a == "D" else a for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("wordlength: a count, spectrum or norm passed the float range (")
+        assert err.count("\n") == 1
+
+    def test_the_margin_route_has_no_float_range(self, capsys, tmp_path):
+        design = tmp_path / "huge.txt"
+        design.write_text(f"levels: 2 2\n0 0 x{10**200}\n1 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "gwlp", str(design))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "A = (1, 2, 1)"
+
     def test_json_is_byte_identical_across_runs(self, capsys):
         results = set()
         for _ in range(2):
@@ -1227,3 +1259,49 @@ def test_internal_tol_is_only_a_verdict_default_and_the_residue_floor():
                 (kept if id(node) in allowed else found).append(f"{path.name}:{node.lineno}")
     assert found == []
     assert {where.split(":")[0] for where in kept} == {"cli.py", "invariance.py", "spectra.py"}
+
+
+@st.composite
+def design_texts(draw) -> tuple[str, str, str]:
+    """Two design files over one ``levels:`` header (k <= 4, sizes 1-9, at most
+    12 run lines, multipliers up to 10^450) and a structure literal per factor."""
+    shape = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    run = st.tuples(*(st.integers(0, s - 1) for s in shape), st.none() | st.integers(1, 10**450))
+    header = "levels: " + " ".join(map(str, shape))
+    texts = []
+    for _ in range(2):
+        lines = [header]
+        for *cell, mult in draw(st.lists(run, max_size=12)):
+            lines.append(" ".join(map(str, cell)) + ("" if mult is None else f" x{mult}"))
+        texts.append("\n".join(lines) + "\n")
+    groups = ",".join(draw(st.sampled_from(enumerate_structures(s))).literal() for s in shape)
+    return *texts, groups
+
+
+@settings(max_examples=50, deadline=None)
+@given(design_texts())
+def test_every_command_exits_with_a_documented_code(case):
+    # No input a command reads may end in a traceback: each call returns 0-3.
+    first_text, second_text, groups = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second, report = (os.path.join(tmp, name) for name in ("a", "b", "r.json"))
+        for path, text in ((first, first_text), (second, second_text)):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        calls = [
+            ["gwlp", first],
+            ["gwlp", first, "--groups", groups],
+            ["gwlp", first, "--groups", groups, "--algorithm", "dense"],
+            ["jchar", first, "--groups", groups],
+            ["jchar", first, "--groups", groups, "--json", "--output", report],
+            ["reconstruct", report],
+            ["reconstruct", report, "--json"],
+            ["invariance", first],
+            ["margins", first],
+            ["compare", first, second],
+            ["compare", first, second, "--groups", groups],
+        ]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for argv in calls:
+                assert main(argv) in (0, 1, 2, 3), argv

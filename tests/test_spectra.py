@@ -429,12 +429,30 @@ class TestQuarterTurnSteps:
         # At 4^8 the check holds the cells and their difference from the
         # rounded counts (1 MiB each), the rounded counts and the distances
         # (0.5 MiB each).  A transform that kept the conjugated spectrum
-        # beside a step's input and output would peak at 3 MiB too, so
-        # this bound does not tell it apart.
+        # beside a step's input and output would peak at 3 MiB too; the
+        # step-entry bound of the next test tells it apart.
         jchar = j_characteristics(self.design_4_8(), groups)
         reconstruct(jchar)
         peak = self.traced_peak(lambda: reconstruct(jchar))
         assert peak <= 3 * 2**20 + 2**16
+
+    @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
+    def test_reconstruct_steps_start_with_one_cell_array(self, groups, monkeypatch):
+        # Each step of reconstruct's transform starts holding its input alone
+        # (1 MiB at 4^8); one that kept the conjugated spectrum would hold two
+        # from the second step on.
+        jchar = j_characteristics(self.design_4_8(), groups)
+        entries = []
+        step = spectra._quarter_step
+
+        def spy(flat, d):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            return step(flat, d)
+
+        monkeypatch.setattr(spectra, "_quarter_step", spy)
+        self.traced_peak(lambda: reconstruct(jchar))
+        assert len(entries) == sum(len(parse_structure(g).cyclic_orders) for g in groups)
+        assert max(entries) <= 2**20 + 2**16
 
 
 class TestJCharVector:

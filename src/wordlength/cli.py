@@ -26,14 +26,7 @@ from .invariance import (
     table_norm,
     verify_invariance,
 )
-from .spectra import (
-    INTERNAL_TOL,
-    JCharVector,
-    _residue_bound,
-    gwlp_char,
-    j_characteristics,
-    reconstruct,
-)
+from .spectra import INTERNAL_TOL, JCharVector, gwlp_char, j_characteristics, reconstruct
 
 USAGE_ERROR, DATA_ERROR, VERIFICATION_FAILURE = 1, 2, 3
 
@@ -54,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, tol_default=None, tol_help=None):
+    def add_common(p, run, tol_default=None, tol_help=None):
+        p.set_defaults(run=run)  # the command's handler, which main calls
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--output", metavar="PATH", help="write the report to a file")
         if tol_help:
@@ -68,18 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dense", "factorized", "margin"],
         help="margin (default without --groups) needs no group structures",
     )
-    add_common(p, INTERNAL_TOL, "resolution tolerance (default 1e-9)")
+    add_common(p, _run_gwlp, INTERNAL_TOL, "resolution tolerance (default 1e-9)")
 
     p = sub.add_parser("jchar", help="J-characteristics under a structure assignment")
     p.add_argument("design", help="design file")
     p.add_argument("--groups", required=True, help="per-factor structure literals")
     p.add_argument("--algorithm", choices=["dense", "factorized"], default="factorized")
-    add_common(p)
+    add_common(p, _run_jchar)
 
     p = sub.add_parser("reconstruct", help="recover a design from a jchar JSON report")
     p.add_argument("spectrum", help="JSON file produced by `jchar --json`")
     p.add_argument("--groups", help="override the structure assignment")
-    add_common(p, None, "max distance from integers (default max(1e-6, 1e-11*N))")
+    add_common(
+        p, _run_reconstruct, None, "max distance from integers (default max(1e-6, 1e-11*N))"
+    )
 
     p = sub.add_parser("invariance", help="verify GWLP invariance across assignments")
     p.add_argument("design", help="design file")
@@ -90,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(
         p,
+        _run_invariance,
         CROSS_ROUTE_TOL,
         "cross-route tolerance (default 1e-8); resolution is exact; the witness scales with N",
     )
@@ -97,17 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("margins", help="margin counts over a factor subset")
     p.add_argument("design", help="design file")
     p.add_argument("--subset", default="", help="1-based factor positions, e.g. 1,3")
-    add_common(p)
+    add_common(p, _run_margins)
 
     p = sub.add_parser("compare", help="rank two designs by aberration")
     p.add_argument("first", help="first design file")
     p.add_argument("second", help="second design file")
     p.add_argument("--groups", help="structure literals applied to both designs")
-    add_common(p, INTERNAL_TOL, "comparison tolerance (default 1e-9)")
+    add_common(p, _run_compare, INTERNAL_TOL, "comparison tolerance (default 1e-9)")
 
     p = sub.add_parser("enumerate-groups", help="abelian structures of a given order")
     p.add_argument("order", help="a group order in ASCII digits, e.g. 16")
-    add_common(p)
+    add_common(p, _run_enumerate)
 
     return parser
 
@@ -150,17 +147,8 @@ def _tolerance(text: str) -> float:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handler = {
-        "gwlp": _run_gwlp,
-        "jchar": _run_jchar,
-        "reconstruct": _run_reconstruct,
-        "invariance": _run_invariance,
-        "margins": _run_margins,
-        "compare": _run_compare,
-        "enumerate-groups": _run_enumerate,
-    }[args.command]
     try:
-        code, report = handler(args)
+        code, report = args.run(args)
     except (DesignParseError, InconsistentSpectrumError, OSError) as exc:
         print(f"wordlength: {exc}", file=sys.stderr)
         return DATA_ERROR
@@ -196,10 +184,6 @@ def _read_text(path: str) -> str:
         ) from exc
 
 
-def _load_design(path: str) -> Design:
-    return parse_design(_read_text(path))
-
-
 def _design_summary(path: str, design: Design) -> dict:
     return {
         "path": path,
@@ -228,7 +212,7 @@ def _pattern(design: Design, groups: str | None, algorithm: str | None):
 
 
 def _run_gwlp(args) -> tuple[int, str]:
-    design = _load_design(args.design)
+    design = parse_design(_read_text(args.design))
     pattern, algorithm, groups = _pattern(design, args.groups, args.algorithm)
     resolution, strength = resolution_and_strength(pattern, args.tol)
     if args.json:
@@ -250,7 +234,7 @@ def _run_gwlp(args) -> tuple[int, str]:
 
 
 def _run_jchar(args) -> tuple[int, str]:
-    design = _load_design(args.design)
+    design = parse_design(_read_text(args.design))
     jchar = j_characteristics(design, args.groups.split(","), args.algorithm)
     if args.json:
         summary = _design_summary(args.design, design)
@@ -262,12 +246,8 @@ def _run_reconstruct(args) -> tuple[int, str]:
     jchar, symbols = render.read_jchar_report(_read_text(args.spectrum), args.spectrum)
     if args.groups is not None:
         jchar = JCharVector(jchar.values, jchar.n_runs, args.groups.split(","))
-        orders = [st.order for st in jchar.structures]
-        if symbols is not None and orders != list(map(len, symbols)):
-            raise ValueError(
-                f"--groups {args.groups} has orders {orders}, "
-                f"but the report's symbols have sizes {list(map(len, symbols))}"
-            )
+        if symbols is not None:
+            render.check_symbols(symbols, jchar.structures)
     counts = reconstruct(jchar, tol=args.tol)
     if symbols is None:
         symbols = [[str(j) for j in range(st.order)] for st in jchar.structures]
@@ -281,7 +261,7 @@ def _run_reconstruct(args) -> tuple[int, str]:
 
 
 def _run_invariance(args) -> tuple[int, str]:
-    design = _load_design(args.design)
+    design = parse_design(_read_text(args.design))
     specs = args.groups or ["all"]
     if "all" in specs:
         if specs.count("all") > 1:
@@ -294,7 +274,7 @@ def _run_invariance(args) -> tuple[int, str]:
     report = verify_invariance(design, assignments, tol=args.tol)
     witness = report.witness
     witness_payload = None
-    bound = render.fmt_float(max(_residue_bound(a, design.n_runs) for a in report.assignments))
+    bound = render.fmt_float(report.residue_bound)
     witness_text = f"J-characteristics agree across all assignments (within {bound})"
     if witness is not None:
         label = render.element_label(design.levels, witness.components)
@@ -344,7 +324,7 @@ def _run_invariance(args) -> tuple[int, str]:
 
 
 def _run_margins(args) -> tuple[int, str]:
-    design = _load_design(args.design)
+    design = parse_design(_read_text(args.design))
     if args.subset.strip():
         positions = [_whole_number(tok, "subset position") - 1 for tok in args.subset.split(",")]
         if any(p < 0 for p in positions):

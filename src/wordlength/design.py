@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -131,7 +132,10 @@ class Design:
         return math.prod(self.sizes)
 
     def dense_counts(self) -> np.ndarray:
-        """Count vector O over all s cells in Yates order (refused above ``DENSIFY_CAP``)."""
+        """Count vector O over all s cells in Yates order (refused above ``DENSIFY_CAP``), and
+        an OverflowError if 2N, which a transform's partial sums reach (README), passes float64."""
+        if 2 * self.n_runs > sys.float_info.max:
+            raise OverflowError("a spectrum's partial sums reach 2N, past float64's largest value")
         runs, mults = self._run_matrix
         return _dense(runs.T, mults, self.sizes, "count vector of length")
 

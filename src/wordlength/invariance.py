@@ -282,6 +282,7 @@ class InvarianceReport:
     max_deviation: float
     invariant: bool
     witness: JCharWitness | None
+    residue_bound: float  # the sweep's largest spectra._residue_bound
     resolution: int | None
     strength: int
 
@@ -313,20 +314,21 @@ def verify_invariance(
     margin = gwlp_margin(design)
 
     gwlps: list[GWLP] = []
-    first_values = first_bound = None
+    first_values = None
+    bounds: list[float] = []  # each assignment's spectra._residue_bound
     best_witness: tuple[int, float, int] | None = None  # (element, -delta, assignment)
     walk = _PrefixWalk(design)
     for pos, assignment in enumerate(resolved):
         jchar = j_characteristics(design, assignment, walk=walk)
         gwlps.append(gwlp_char(jchar))
-        bound = _residue_bound(assignment, design.n_runs)
+        bounds.append(_residue_bound(assignment, design.n_runs))
         if pos == 0:
-            first_values, first_bound = jchar.values, bound
+            first_values = jchar.values
             continue
         # Only elements up to the best witness so far can take its place.
         end = None if best_witness is None else best_witness[0] + 1
         deltas = abs(jchar.values[:end] - first_values[:end])
-        differing = deltas > max(first_bound, bound)
+        differing = deltas > max(bounds[0], bounds[-1])
         element = int(differing.argmax())
         if differing[element]:
             candidate = (element, -float(deltas[element]), pos)
@@ -357,6 +359,7 @@ def verify_invariance(
         max_deviation=max_dev,
         invariant=max_dev <= tol,
         witness=witness,
+        residue_bound=max(bounds),
         resolution=resolution,
         strength=strength,
     )

@@ -249,15 +249,24 @@ def read_jchar_report(text: str, source: str) -> tuple[JCharVector, list[list[st
             if not isinstance(symbols, list):
                 raise TypeError(f"symbols {symbols!r} is not a list of lists")
             symbols = [_strings(a, "a symbols entry") for a in symbols]
-            orders = [st.order for st in jchar.structures]
-            if list(map(len, symbols)) != orders or [len(set(a)) for a in symbols] != orders:
-                raise ValueError("symbols do not fit the groups")
+            check_symbols(symbols, jchar.structures)
         return jchar, symbols
     except (  # ResourceLimitError: a group past groups.MAX_ORDER, which no report lists
         AttributeError, KeyError, OverflowError, RecursionError, ResourceLimitError, TypeError,
         ValueError,  # RecursionError: JSON nested past the parser's depth
     ) as exc:
         raise DesignParseError(f"{source} is not a jchar report: {exc}") from exc
+
+
+def check_symbols(symbols: Sequence[Sequence[str]], structures) -> None:
+    """A ValueError unless ``symbols`` gives each group of ``structures`` one distinct symbol
+    per element: the check of a report's symbols against its groups or a --groups override."""
+    orders, sizes = [st.order for st in structures], list(map(len, symbols))
+    distinct = [len(set(a)) for a in symbols]
+    if sizes != orders or distinct != orders:
+        raise ValueError(
+            f"symbols of sizes {sizes} ({distinct} distinct) do not fit the orders {orders}"
+        )
 
 
 def _strings(value, name: str) -> list[str]:

@@ -235,10 +235,11 @@ def _exact_parts(parts: Sequence[int], n_runs: int) -> int:
 def _residue_bound(structures: Sequence[AbelianStructure], n_runs: int) -> float:
     """Twice the float error of an N-run design's spectrum under ``structures``, so two equal
     in exact arithmetic lie within the larger of their bounds: max(INTERNAL_TOL, 7 u N D), u =
-    2**-53, D the sum of table-step parts, N capped at 2**1000 (README derives the 7)."""
+    2**-53, D the sum of table-step parts (README derives the 7); N is a design's, which
+    ``Design.dense_counts`` keeps below half float64's maximum."""
     parts = [d for st in structures for d in st.cyclic_orders]
     table = sum(parts[_exact_parts(parts, n_runs) :])
-    return max(INTERNAL_TOL, 7 * 2.0**-53 * min(n_runs, 2**1000) * table)
+    return max(INTERNAL_TOL, 7 * 2.0**-53 * n_runs * table)
 
 
 def _quarter_step(flat: np.ndarray, d: int) -> np.ndarray:

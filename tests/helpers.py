@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,6 +218,41 @@ def random_design(
         run = tuple(int(rng.integers(0, s)) for s in sizes)
         counts[run] = int(rng.integers(1, max_mult + 1))
     return Design(levels, counts)
+
+
+def complement(design: Design, c: int) -> Design:
+    """The design c·1 − m: every cell of the full factorial counted c less its
+    multiplicity in ``design``, cells that fall to 0 left out.  Its chi is
+    -chi at every element but the identity, since c·1 transforms to zero there."""
+    if max(design.counts.values()) > c:
+        raise ValueError(f"a multiplicity of the design exceeds c = {c}")
+    cells = itertools.product(*map(range, design.sizes))
+    rest = {cell: c - design.counts.get(cell, 0) for cell in cells}
+    return Design(design.levels, {cell: m for cell, m in rest.items() if m})
+
+
+def linear_code(generator, q: int) -> Design:
+    """The code spanned by the rows of ``generator`` over Z_q (q prime, or 4), as a
+    design with one q-level factor per column: each u in Z_q^r gives the run u·G
+    mod q, so every codeword is counted alike and N = q^r."""
+    matrix = np.asarray(generator, dtype=np.int64) % q
+    rows, n = matrix.shape
+    combinations = itertools.product(range(q), repeat=rows)
+    words = Counter(tuple((np.array(u) @ matrix % q).tolist()) for u in combinations)
+    return Design([tuple(map(str, range(q)))] * n, words)
+
+
+def dual_weights(generator, q: int) -> list[int]:
+    """How many words of each Hamming weight 0..n the dual code {v : G v = 0 mod q}
+    has, by a scan of Z_q^n.  Under Z_q on every factor, chi_v of ``linear_code``
+    is N on the dual and 0 off it, so these counts are the code's GWLP."""
+    matrix = np.asarray(generator, dtype=np.int64) % q
+    n = matrix.shape[1]
+    counts = [0] * (n + 1)
+    for v in itertools.product(range(q), repeat=n):
+        if not (matrix @ v % q).any():
+            counts[n - v.count(0)] += 1
+    return counts
 
 
 def all_assignments(design: Design):

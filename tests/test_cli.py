@@ -813,6 +813,54 @@ class TestErrorsAndPlumbing:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "A = (1, 2, 1)"
 
+    @pytest.mark.parametrize(
+        ("sizes", "options"),
+        [
+            ((2, 2), ["--groups", "2,2"]),
+            ((2, 2), ["--groups", "2,2", "--json"]),
+            ((2, 2), ["--groups", "2,2", "--algorithm", "dense"]),
+            ((4,), ["--groups", "4"]),
+        ],
+    )
+    def test_jchar_refuses_a_run_total_past_the_float_range(
+        self, capsys, tmp_path, sizes, options
+    ):
+        # Each count fits float64 but N = 3e308 does not, so the transform's
+        # first sum is inf; the dense counts refuse 2N past the range first.
+        design = tmp_path / "big.txt"
+        design.write_text(huge_pair_design(sizes, 15 * 10**307), encoding="utf-8")
+        code, out, err = run(capsys, "jchar", str(design), *options)
+        assert (code, out) == (1, "")
+        assert err.startswith("wordlength: a count, spectrum or norm passed the float range (")
+        assert err.count("\n") == 1
+
+    def test_jchar_takes_a_run_total_up_to_half_the_float_range(self, capsys, tmp_path):
+        # 2N = 1.6e308 is in range: every value is finite (a RuntimeWarning
+        # would fail the test), and the text lists the two nonzero entries.
+        design = tmp_path / "big.txt"
+        design.write_text(huge_pair_design((2, 2), 4 * 10**307), encoding="utf-8")
+        code, out, err = run(capsys, "jchar", str(design), "--groups", "2,2")
+        assert (code, err) == (0, "")
+        assert out == "00 8e+307\n11 8e+307\n"
+
+    def test_jchar_lists_no_residue_at_a_run_total_past_two_to_the_thousand(
+        self, capsys, tmp_path
+    ):
+        # N = 3e305 > 2^1000: the residue bound scales with N itself, so the
+        # 1e289 float residues of the two zero values are not listed.
+        design = tmp_path / "big.txt"
+        runs = "".join(f"{level} x{10**305}\n" for level in range(3))
+        design.write_text("levels: 3\n" + runs, encoding="utf-8")
+        code, out, err = run(capsys, "jchar", str(design), "--groups", "3")
+        assert (code, out, err) == (0, "0 3e+305\n", "")
+
+    def test_the_margin_route_reads_a_run_total_past_the_float_range(self, capsys, tmp_path):
+        design = tmp_path / "big.txt"
+        design.write_text(huge_pair_design((2, 2), 15 * 10**307), encoding="utf-8")
+        code, out, err = run(capsys, "gwlp", str(design))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "A = (1, 0, 1)"
+
     def test_json_is_byte_identical_across_runs(self, capsys):
         results = set()
         for _ in range(2):
@@ -822,6 +870,12 @@ class TestErrorsAndPlumbing:
             _, out, _ = run(capsys, "invariance", PAPER, "--json")
             results.add(out)
         assert len(results) == 2  # one string per command
+
+
+def huge_pair_design(sizes, count) -> str:
+    """A design file of two runs, all zeros and all ones, each counted ``count`` times."""
+    runs = "".join(" ".join([str(level)] * len(sizes)) + f" x{count}\n" for level in (0, 1))
+    return "levels: " + " ".join(map(str, sizes)) + "\n" + runs
 
 
 class TestGoldenOutput:
@@ -1182,6 +1236,28 @@ def test_no_private_json_names_in_the_package():
     assert found == []
 
 
+def test_the_package_imports_the_standard_library_numpy_and_itself():
+    # src/ depends on numpy alone, and cli.py takes no private name from the
+    # package: a rule the CLI needs has a public home beside its other users.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "wordlength"}
+    foreign, private = [], []
+    for path in sorted((FIXTURES.parent / "src" / "wordlength").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["wordlength" if node.level else node.module]
+                if path.name == "cli.py" and modules[0].partition(".")[0] == "wordlength":
+                    private += [f"cli.py:{node.lineno} {alias.name}" for alias in node.names
+                                if alias.name.startswith("_")]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {module}" for module in modules
+                        if module.partition(".")[0] not in allowed]
+    assert foreign == []
+    assert private == []
+
+
 def strings_outside_render():
     """(where, text) of every str or bytes constant in the package but render.py."""
     for path in sorted((FIXTURES.parent / "src" / "wordlength").glob("*.py")):
@@ -1261,27 +1337,40 @@ def test_internal_tol_is_only_a_verdict_default_and_the_residue_floor():
     assert {where.split(":")[0] for where in kept} == {"cli.py", "invariance.py", "spectra.py"}
 
 
+# Multipliers near 10^308, each below float64's maximum (about 1.8e308), so
+# that N and 2N fall on either side of it: integers up to 10^450 seldom do.
+FLOAT_EDGE_COUNTS = st.integers(10**307, 17 * 10**307)
+
+
 @st.composite
 def design_texts(draw) -> tuple[str, str, str]:
     """Two design files over one ``levels:`` header (k <= 4, sizes 1-9, at most
-    12 run lines, multipliers up to 10^450) and a structure literal per factor."""
+    12 run lines, multipliers up to 10^450, or all near 10^308 in about half
+    the draws) and a structure literal per factor."""
     shape = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
-    run = st.tuples(*(st.integers(0, s - 1) for s in shape), st.none() | st.integers(1, 10**450))
+    edge = draw(st.booleans())
+    mults = FLOAT_EDGE_COUNTS if edge else st.none() | st.integers(1, 10**450)
+    run = st.tuples(*(st.integers(0, s - 1) for s in shape), mults)
     header = "levels: " + " ".join(map(str, shape))
     texts = []
     for _ in range(2):
         lines = [header]
-        for *cell, mult in draw(st.lists(run, max_size=12)):
+        for *cell, mult in draw(st.lists(run, min_size=2 * edge, max_size=12)):
             lines.append(" ".join(map(str, cell)) + ("" if mult is None else f" x{mult}"))
         texts.append("\n".join(lines) + "\n")
     groups = ",".join(draw(st.sampled_from(enumerate_structures(s))).literal() for s in shape)
     return *texts, groups
 
 
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=50, deadline=None)
 @given(design_texts())
 def test_every_command_exits_with_a_documented_code(case):
-    # No input a command reads may end in a traceback: each call returns 0-3.
+    # No input a command reads may end in a traceback: each call returns 0-3,
+    # and a jchar --json report that exits 0 loads as strict JSON.
     first_text, second_text, groups = case
     with tempfile.TemporaryDirectory() as tmp:
         first, second, report = (os.path.join(tmp, name) for name in ("a", "b", "r.json"))
@@ -1304,4 +1393,8 @@ def test_every_command_exits_with_a_documented_code(case):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             for argv in calls:
-                assert main(argv) in (0, 1, 2, 3), argv
+                code = main(argv)
+                assert code in (0, 1, 2, 3), argv
+                if code == 0 and "--output" in argv:  # a report is JSON: no NaN or Infinity
+                    with open(report, encoding="utf-8") as handle:
+                        json.loads(handle.read(), parse_constant=refuse_constant)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    FIXTURES,
     all_assignments,
     exact_gwlp,
     full_scan_witness,
@@ -39,7 +40,7 @@ from wordlength import invariance
 from wordlength.design import _MAX_INT64_ROOT
 from wordlength.invariance import table_norm
 from wordlength.kron import build_projector
-from wordlength.spectra import assignment_character_table
+from wordlength.spectra import INTERNAL_TOL, _residue_bound, assignment_character_table
 
 Z4 = parse_structure("4")
 V = parse_structure("2x2")
@@ -407,6 +408,15 @@ class TestVerifyInvariance:
         assert len(report.assignments) == 8
         assert report.max_deviation < 1e-9
         assert len(report.max_deviation_by_j) == 4
+
+    def test_residue_bound_is_the_largest_of_the_sweep(self):
+        # crossed_3x8.txt: the 3-level factor comes first, so every part runs
+        # as a table step, and D is 11 under 3,8 but 9 under 3,4x2 and 3,2x2x2.
+        design = parse_design((FIXTURES / "crossed_3x8.txt").read_text(encoding="utf-8"))
+        report = verify_invariance(design, "all")
+        bounds = [_residue_bound(a, design.n_runs) for a in report.assignments]
+        assert report.residue_bound == max(bounds) > min(bounds) > INTERNAL_TOL
+        assert report.witness is None
 
     def test_prime_sizes_have_unique_assignment(self):
         design = Design((("0", "1"), ("0", "1", "2")), {(0, 0): 1, (1, 2): 2})

@@ -19,12 +19,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    complement,
+    dual_weights,
     exact_gwlp,
     full_scan_witness,
+    linear_code,
     list_assigned_values,
     mobius_alternating_list,
     naive_margin_counts,
@@ -33,6 +36,7 @@ from helpers import (
     quarter_turn_butterfly,
     spectrum_entries,
     tensordot_apply,
+    yates_elements,
 )
 from wordlength import (
     Design,
@@ -414,6 +418,74 @@ def test_relabelling_levels_keeps_the_margin_gwlp(data):
     design = data.draw(designs())
     perms = [data.draw(st.permutations(range(s))) for s in design.sizes]
     assert gwlp_margin(relabel_levels(design, perms)) == gwlp_margin(design)
+
+
+@st.composite
+def capped_designs(draw) -> tuple[Design, int]:
+    """A design on k <= 4 factors of 2-5 levels, every cell counted 0..c, and
+    c <= 3, with some cell counted above 0 and some below c."""
+    shape = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    c = draw(st.integers(1, 3))
+    cells = list(itertools.product(*map(range, shape)))
+    mults = draw(st.lists(st.integers(0, c), min_size=len(cells), max_size=len(cells)))
+    assume(max(mults) > 0 and min(mults) < c)
+    levels = [tuple(map(str, range(s))) for s in shape]
+    return Design(levels, {cell: m for cell, m in zip(cells, mults) if m}), c
+
+
+@PROPERTY
+@given(capped_designs())
+def test_a_complement_keeps_every_projector_norm_exactly(case):
+    # c·1 − m negates chi at every element but the identity, so each nonempty
+    # subset's s·||M_J U O||^2 is the same integer on the margin route.
+    design, c = case
+    norms = [_scaled_projector_norms(d).tolist() for d in (design, complement(design, c))]
+    assert norms[0][1:] == norms[1][1:]
+
+
+@PROPERTY
+@given(capped_designs(), st.data())
+def test_a_complement_keeps_every_scaled_class_sum(case, data):
+    # The same on the character route under any assignment: N^2 A_j for j >= 1.
+    design, c = case
+    assignment = [data.draw(st.sampled_from(enumerate_structures(s))) for s in design.sizes]
+    scaled = [
+        np.array(gwlp_char(j_characteristics(d, assignment))) * d.n_runs**2
+        for d in (design, complement(design, c))
+    ]
+    bound = 1e-9 * (c * design.space_size) ** 2
+    np.testing.assert_allclose(scaled[0][1:], scaled[1][1:], rtol=0, atol=bound)
+
+
+@st.composite
+def linear_codes(draw) -> tuple[list[list[int]], int]:
+    """A random r x n generator matrix over Z_q, q in {2, 3, 4, 5}, r <= 3, n <= 4."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=r, max_size=r)), q
+
+
+@PROPERTY
+@given(linear_codes())
+def test_a_linear_code_has_the_dual_weights_as_its_margin_gwlp(case):
+    generator, q = case
+    design = linear_code(generator, q)
+    assert list(gwlp_margin(design)) == dual_weights(generator, q)
+
+
+@PROPERTY
+@given(linear_codes())
+def test_a_linear_code_has_chi_n_on_its_dual_and_zero_elsewhere(case):
+    # Under Z_q on every factor, chi_v sums a character of Z_q^r over all of it.
+    generator, q = case
+    design = linear_code(generator, q)
+    digits, _ = yates_elements([q] * design.k)
+    on_dual = ~(digits @ np.array(generator).T % q).any(axis=1)
+    values = j_characteristics(design, [str(q)] * design.k).values
+    np.testing.assert_allclose(
+        np.abs(values), design.n_runs * on_dual, rtol=0, atol=1e-9 * design.n_runs
+    )
 
 
 @PROPERTY

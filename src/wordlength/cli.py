@@ -157,31 +157,54 @@ def main(argv=None) -> int:
             exc = f"a count, spectrum or norm passed the float range ({exc})"
         print(f"wordlength: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if isinstance(report, str):
+        report = [report]
     if not args.output:
-        sys.stdout.write(report)
+        sys.stdout.writelines(report)
         return code
-    try:
-        Path(args.output).write_text(report, encoding="utf-8")
+    try:  # every piece exists before the file is opened, so a data error leaves no file
+        with open(args.output, "w", encoding="utf-8") as file:
+            file.writelines(report)
     except OSError as exc:
         print(f"wordlength: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return DATA_ERROR
     return code
 
 
-def _read_text(path: str) -> str:
-    """The file's text without a leading byte-order mark.
-
-    Decoded as ``utf-8`` and then stripped, not as ``utf-8-sig``, so that a
-    decode error names its byte offset in the file.
-    """
+def _read_bytes(path: str) -> bytes:
+    """The file's bytes."""
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise DesignParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _text(data: bytes, path: str) -> str:
+    """``data``, the bytes of the file at ``path``, as text without a leading byte-order mark.
+
+    Decoded as ``utf-8`` and then stripped, not as ``utf-8-sig``, so that a
+    decode error names its byte offset in the file; line ends are read as
+    ``Path.read_text`` reads them, each ``\r\n`` and ``\r`` as ``\n``.
+    """
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DesignParseError(
             f"cannot read {path}: byte {exc.start} is not UTF-8 ({exc.reason})"
         ) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
+
+
+def _read_text(path: str) -> str:
+    """The file's text, as ``_text`` reads its bytes."""
+    return _text(_read_bytes(path), path)
+
+
+def _read_report(path: str) -> bytes | str:
+    """The file's bytes if ``_text`` would read them unchanged, as ASCII with no
+    ``\r``; else ``_text`` of them."""
+    data = _read_bytes(path)
+    return data if data.isascii() and b"\r" not in data else _text(data, path)
 
 
 def _design_summary(path: str, design: Design) -> dict:
@@ -233,7 +256,7 @@ def _run_gwlp(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _run_jchar(args) -> tuple[int, str]:
+def _run_jchar(args) -> tuple[int, str | list[str]]:
     design = parse_design(_read_text(args.design))
     jchar = j_characteristics(design, args.groups.split(","), args.algorithm)
     if args.json:
@@ -243,7 +266,8 @@ def _run_jchar(args) -> tuple[int, str]:
 
 
 def _run_reconstruct(args) -> tuple[int, str]:
-    jchar, symbols = render.read_jchar_report(_read_text(args.spectrum), args.spectrum)
+    # The report is bound to no name here, so the reader can free it once it is parsed.
+    jchar, symbols = render.read_jchar_report(_read_report(args.spectrum), args.spectrum)
     if args.groups is not None:
         jchar = JCharVector(jchar.values, jchar.n_runs, args.groups.split(","))
         if symbols is not None:

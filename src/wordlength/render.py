@@ -50,9 +50,14 @@ def dumps(payload: Any) -> str:
     A callable in ``payload`` is a writer: it is called with the list of
     pieces, to which it appends its value's JSON.
     """
+    return "".join(_pieces(payload))
+
+
+def _pieces(payload: Any) -> list[str]:
+    """The strings that ``dumps(payload)`` joins, in order."""
     pieces: list[str] = []
     _write(payload, pieces)
-    return "".join(pieces)
+    return pieces
 
 
 def _write(value: Any, out: list[str]) -> None:
@@ -112,16 +117,24 @@ def _write_spectrum(levels: Sequence[Sequence[str]], values: np.ndarray, out: li
     ``element_labels(levels)`` as the labels, in bulk: each symbol is escaped
     once and each distinct real or imaginary part formatted once."""
     # Four pieces per entry, filled a block at a time by strided assignment:
-    # the head, the escaped symbols of every factor but the last; the tail,
-    # the last factor's and _RE; the re part and _IM; the im part and _NEXT.
-    # Each head leads len(last) entries in a row, under which the tails
-    # cycle.  Escaping maps each character on its own, so escaped symbols
-    # join into the escaped label.
+    # the head, the escaped symbols of the leading factors; the tail, those
+    # of the trailing factors and _RE; the re part and _IM; the im part and
+    # _NEXT.  The trailing factors are the fewest, the last among them, whose
+    # elements number at least sqrt(s), so about sqrt(s) heads and tails are
+    # joined.  Each head leads one entry per tail in a row, under which the
+    # tails cycle.  Escaping maps each character on its own, so escaped
+    # symbols join into the escaped label.
     escaped = [[encode_basestring_ascii(sym)[1:-1] for sym in a] for a in levels]
     joiner = _joiner(levels)
-    *front, last = escaped
-    heads = np.fromiter(map(joiner.join, itertools.product(*front)), object)
-    tails = itertools.cycle([joiner * bool(front) + sym + _RE for sym in last])
+    split, n_tails = len(escaped) - 1, len(escaped[-1])
+    while n_tails * n_tails < len(values):
+        split -= 1
+        n_tails *= len(escaped[split])
+    front, back = escaped[:split], escaped[split:]
+    lead = joiner * bool(front)  # between a head and its tail
+    tails = itertools.cycle([lead + joiner.join(syms) + _RE for syms in itertools.product(*back)])
+    heads = map(joiner.join, itertools.product(*front))
+    heads = itertools.chain.from_iterable(map(itertools.repeat, heads, itertools.repeat(n_tails)))
     res = _formatted(values.real, _IM)
     ims = _formatted(values.imag, _NEXT)
     ims[-1] = fmt_float(values[-1].imag) + _CLOSE
@@ -131,9 +144,7 @@ def _write_spectrum(levels: Sequence[Sequence[str]], values: np.ndarray, out: li
         block = slice(start, start + _BLOCK)
         n = len(res[block])
         del pieces[4 * n :]
-        first, skip = divmod(start, len(last))  # the head of the block's first entry
-        rows = heads[first : (start + n - 1) // len(last) + 1]
-        pieces[0::4] = np.repeat(rows, len(last))[skip : skip + n].tolist()
+        pieces[0::4] = itertools.islice(heads, n)
         pieces[1::4] = itertools.islice(tails, n)
         pieces[2::4] = res[block].tolist()
         pieces[3::4] = ims[block].tolist()
@@ -167,9 +178,11 @@ def _formatted(parts: np.ndarray, suffix: str) -> np.ndarray:
     return table[inverse]
 
 
-def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> str:
+def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> list[str]:
     """The ``jchar --json`` report of ``jchar``, the spectrum of a design with
-    ``summary`` and the symbols ``levels``, in one ``dumps`` call."""
+    ``summary`` and the symbols ``levels``: the pieces ``dumps`` would join and
+    a newline, which are written in turn, so the megabytes of a large report
+    are never joined or copied whole."""
     payload = {
         "design": {**summary, "symbols": levels},
         "groups": [st.literal() for st in jchar.structures],
@@ -177,7 +190,7 @@ def jchar_report(summary: dict, levels, jchar: JCharVector, algorithm: str) -> s
         "n_runs": jchar.n_runs,
         "values": functools.partial(_write_spectrum, levels, jchar.values),
     }
-    return dumps(payload) + "\n"
+    return [*_pieces(payload), "\n"]
 
 
 def jchar_text(levels, jchar: JCharVector) -> str:
@@ -220,12 +233,15 @@ def reconstruct_report(jchar: JCharVector, levels, counts: Mapping[tuple[int, ..
     return dumps(payload) + "\n"
 
 
-def read_jchar_report(text: str, source: str) -> tuple[JCharVector, list[list[str]] | None]:
+def read_jchar_report(
+    data: bytes | str, source: str
+) -> tuple[JCharVector, list[list[str]] | None]:
     """The spectrum of a ``jchar --json`` report and its symbols, None if it has none;
-    a DesignParseError naming ``source`` if ``text`` is no such report."""
+    a DesignParseError naming ``source`` if ``data``, the report's UTF-8 bytes or
+    its text, is no such report."""
     try:
-        doc = _load_report(text)
-        del text  # megabytes for a large report, which the caller's peak need not hold
+        doc = _load_report(data)
+        del data  # megabytes for a large report, which the caller's peak need not hold
         if not isinstance(doc, dict):
             raise TypeError("report is not a JSON object")
         for key in ("groups", "n_runs", "values"):
@@ -276,36 +292,44 @@ def _strings(value, name: str) -> list[str]:
     return value
 
 
-def _load_report(text: str):
-    """``json.loads(text)``, but a ``values`` list in jchar's layout is one complex array.
+def _load_report(data: bytes | str):
+    """``json.loads`` of ``data``, a report's UTF-8 bytes or its text, but in
+    bytes a ``values`` list in jchar's layout is one complex array.
 
     If the list after the first ``"values": `` is in that layout,
-    ``_layout_values`` reads it a slice of text at a time, so no entry's dict
-    or label is ever made.  A JSON string holds no unescaped ``s"``, so the
-    hit ends a key, and ``json.loads`` reads the text with ``NaN`` in the
-    list's place.  The array is kept if that ``NaN`` is the one constant read
-    and the top-level ``values``.  Any other text goes to ``json.loads``
-    whole, which returns the same document or raises the stdlib's error.
+    ``_layout_values`` reads it a slice of bytes at a time, so no entry's dict
+    or label is ever made and the report is never decoded whole.  A JSON
+    string holds no unescaped ``s"``, so the hit ends a key, and
+    ``json.loads`` reads the text around the list with ``NaN`` in its place.
+    The array is kept if that ``NaN`` is the one constant read and the
+    top-level ``values``.  Any other report goes to ``json.loads`` whole, as
+    text, which returns the same document or raises the stdlib's error.
+    Bytes are decoded first, for ``json.loads`` would read bytes that lead with
+    a NUL as UTF-16.
     """
-    key = text.find('"values": ')
-    read = _layout_values(text, key + len('"values": ')) if key >= 0 else None
+    if isinstance(data, str):
+        return json.loads(data)
+    key = data.find(_VALUES)
+    read = _layout_values(data, key + len(_VALUES)) if key >= 0 else None
     if read is not None:
         values, end = read
         constants = []  # NaN, Infinity and -Infinity each load as this list
         try:
             doc = json.loads(
-                text[:key] + '"values": NaN' + text[end:],
+                (data[:key] + _VALUES + b"NaN" + data[end:]).decode("utf-8"),
                 parse_constant=lambda name: constants.append(name) or constants,
             )
-        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError too
             doc = None
         if isinstance(doc, dict) and len(constants) == 1 and doc.get("values") is constants:
             doc["values"] = values
             return doc
-    return json.loads(text)
+    return json.loads(data.decode("utf-8"))
 
 
-# Characters per slice of _layout_values.  A slice but the last ends at the "}"
+# The key before a report's values, and _OPEN and _NEXT, as the reader finds them.
+_VALUES, _OPEN_BYTES, _NEXT_BYTES = (sep.encode("ascii") for sep in ('"values": ', _OPEN, _NEXT))
+# Bytes per slice of _layout_values.  A slice but the last ends at the "}"
 # of a _NEXT, which no label holds, for no label holds a quote.
 _SLICE = 2**18
 # With _LEAD, "}, ", in place of the list's "[", each entry is _NEXT, label,
@@ -318,27 +342,25 @@ _QUOTES = tuple(itertools.accumulate((sep.count('"') for sep in _ENTRY), initial
 _STRAY_ESCAPE = re.compile(rb"\\(?!u[0-9a-fA-F]{4})")
 
 
-def _layout_values(text: str, idx: int):
-    """The list at ``idx`` as a complex array and its end, if it is in jchar's layout; None if not.
+def _layout_values(data: bytes, idx: int):
+    """The list at ``data[idx]`` as a complex array and its end, if it is in jchar's
+    layout; None if not.
 
     Accepted: exactly the list ``_write_spectrum`` writes, with each label
     free of quotes, control and non-ASCII characters, and of backslashes but
     those that start ``\\uXXXX``; each part a JSON number; and no quote after
     the list.  ``json.loads`` reads such a list as its entries, and each part
     converts to float64 as ``_read_values`` converts it.  The list is checked
-    in slices of about ``_SLICE`` characters, so one of another form is given
+    in slices of about ``_SLICE`` bytes, so one of another form is given
     up within the first slice where it differs.
     """
-    if not text.startswith(_OPEN, idx):
+    if not data.startswith(_OPEN_BYTES, idx):
         return None
     chunks = []
     lead, start = _LEAD, idx + 1  # _LEAD goes in the place of the "["
     while True:
-        cut = text.find(_NEXT, start + _SLICE)
-        try:
-            raw = lead + text[start : len(text) if cut < 0 else cut + 1].encode("ascii")
-        except UnicodeEncodeError:
-            return None
+        cut = data.find(_NEXT_BYTES, start + _SLICE)
+        raw = lead + data[start : len(data) if cut < 0 else cut + 1]
         read = _layout_entries(raw, last=cut < 0)
         if read is None:
             return None
@@ -357,7 +379,8 @@ def _layout_entries(raw: bytes, last: bool):
     if not quotes.size or quotes.size % _QUOTES[-1] or quotes[0] != _NEXT.index('"'):
         return None
     close = raw.find(_CLOSE.encode("ascii"), quotes[-1]) if last else len(raw) - 1
-    if close < 0 or b[:close].min() < 0x20 or (
+    # As int8, a control byte and a non-ASCII one are both below 0x20.
+    if close < 0 or b[:close].view(np.int8).min() < 0x20 or (
         raw.find(b"\\", 0, close) >= 0 and _STRAY_ESCAPE.search(raw, 0, close)
     ):
         return None

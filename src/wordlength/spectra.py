@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -427,15 +428,21 @@ def gwlp_char(jchar: JCharVector) -> GWLP:
     summation order, divided once as ``gwlp_margin`` divides.  Those classes
     are summed by one gather into weight order and ``np.add.reduceat`` over
     the squared parts; other spectra by ``np.bincount`` of
-    ``np.abs(values) ** 2``, whose float sums keep their order.
+    ``np.abs(values) ** 2``, whose float sums keep their order.  Where N^2 or
+    a class sum passes the float range, each ``|chi_g|`` is divided by N
+    before it is squared instead: each ratio is at most 1.
     """
     orders = tuple(st.order for st in jchar.structures)
     k, values, n_squared = len(orders), jchar.values, jchar.n_runs**2
     parts = [d for st in jchar.structures for d in st.cyclic_orders]
     if _exact_parts(parts, jchar.n_runs) < len(parts) or jchar.space_size * n_squared > 2**53:
         weights = element_weights(jchar.structures)
-        with np.errstate(over="ignore"):  # a square past the float range has N^2 past it too
-            return GWLP(np.bincount(weights, np.abs(values) ** 2, minlength=k + 1) / n_squared)
+        moduli = np.abs(values)
+        with np.errstate(over="ignore"):
+            sums = np.bincount(weights, moduli**2, minlength=k + 1)
+        if n_squared <= sys.float_info.max and not np.isinf(sums).any():
+            return GWLP(sums / n_squared)
+        return GWLP(np.bincount(weights, (moduli / float(jchar.n_runs)) ** 2, minlength=k + 1))
     order, starts = _weight_runs(orders)
     squares = values.take(order).view(np.float64)  # re, im of each element in weight order
     squares *= squares

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from wordlength import cli, enumerate_structures, parse_design, render
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
+MIXED = str(FIXTURES / "mixed_symbols.txt")
 WIDE = str(FIXTURES / "wide_binary.txt")
 
 # stdout and exit code of every command, text and --json, on the paper fixture
@@ -63,6 +65,11 @@ def write_sampled_design(path, sizes, seed, symbols=None):
         lines = ["symbols: " + " | ".join([" ".join(symbols)] * len(sizes))]
     lines += [" ".join(symbols[j] for j in run) for run in zip(*runs)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def unescaped(text: str) -> str:
+    """``text`` with each ``\\uXXXX`` escape, which holds no backslash here, as its character."""
+    return re.sub(r"\\u([0-9a-f]{4})", lambda m: chr(int(m[1], 16)), text)
 
 
 def run(capsys, *argv):
@@ -380,6 +387,68 @@ class TestReconstructCommand:
         code, out, err = run(capsys, "reconstruct", str(bad))
         assert (code, out) == (2, "")
         assert err == f"wordlength: cannot read {bad}: byte 13 is not UTF-8 (invalid start byte)\n"
+
+    # reconstruct reads a report's bytes as they are when they are ASCII with no
+    # carriage return, and any other report as text, decoded as a design file is.
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: "\ufeff" + text,
+            lambda text: unescaped(text),
+            lambda text: "\ufeff" + unescaped(text),
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r"),
+        ],
+        ids=["bom", "raw-non-ascii", "bom-raw-non-ascii", "crlf", "cr"],
+    )
+    def test_reports_read_as_text_give_the_runs_of_the_bytes(self, capsys, tmp_path, edit):
+        _, out, _ = run(capsys, "jchar", MIXED, "--groups", "3,5,2x2", "--json")
+        assert "\\u00e4" in out and out.isascii()
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text(out, encoding="utf-8")
+        expected = run(capsys, "reconstruct", str(spectrum))
+        assert expected[0] == 0
+        spectrum.write_bytes(edit(out).encode("utf-8"))
+        assert run(capsys, "reconstruct", str(spectrum)) == expected
+
+    @pytest.mark.parametrize(
+        ("byte", "reason"),
+        [(b"\xff", "invalid start byte"), (b"\xc3", "invalid continuation byte")],
+    )
+    def test_an_invalid_byte_in_the_values_names_its_offset(self, capsys, tmp_path, byte, reason):
+        _, out, _ = run(capsys, "jchar", MIXED, "--groups", "3,5,2x2", "--json")
+        data = out.encode("ascii")
+        at = data.index(b'"g": "', data.index(b'"values": ')) + len(b'"g": "')
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data[:at] + byte + data[at:])
+        code, text, err = run(capsys, "reconstruct", str(bad))
+        assert (code, text) == (2, "")
+        assert err == f"wordlength: cannot read {bad}: byte {at} is not UTF-8 ({reason})\n"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r"),
+            lambda text: "\x00" + text,
+            lambda text: "\x00" + text.replace("\n", "\r\n"),
+        ],
+        ids=["crlf", "cr", "nul", "nul-crlf"],
+    )
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_a_malformed_report_is_named_as_its_text_is(self, capsys, tmp_path, edit, indent):
+        # json.loads of the text with each line end read as "\n" gives the
+        # message, offsets and all; a NUL first does not make the bytes UTF-16.
+        _, out, _ = run(capsys, "jchar", MIXED, "--groups", "3,5,2x2", "--json")
+        text = out if indent is None else json.dumps(json.loads(out), indent=indent) + "\n"
+        text = text.replace('"n_runs": 16', '"n_runs": 16 17')
+        with pytest.raises(json.JSONDecodeError) as refusal:
+            json.loads(edit(text).replace("\r\n", "\n").replace("\r", "\n"))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(edit(text).encode("ascii"))
+        code, out, err = run(capsys, "reconstruct", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"wordlength: {bad} is not a jchar report: {refusal.value}\n"
 
     def test_counts_past_int64_are_exact(self, capsys, tmp_path):
         # Each cell reconstructs to 1e19, past the largest int64.
@@ -790,21 +859,76 @@ class TestErrorsAndPlumbing:
         ("power", "argv"),
         [
             (200, ["margins", "D"]),
-            (200, ["gwlp", "D", "--groups", "2,2"]),
-            (200, ["invariance", "D"]),
-            (200, ["compare", "D", "D", "--groups", "2,2"]),
+            (400, ["gwlp", "D", "--groups", "2,2"]),
+            (400, ["invariance", "D"]),
+            (400, ["compare", "D", "D", "--groups", "2,2"]),
             (400, ["jchar", "D", "--groups", "2,2"]),
         ],
     )
     def test_a_value_past_the_float_range_is_a_usage_error(self, capsys, tmp_path, power, argv):
-        # N^2 (and the margin norm) pass float64's range at N = 10^200, and the
-        # count itself at 10^400; each command exits 1 as at a cap.
+        # The margin norm passes float64's range at N = 10^200, and the count
+        # itself at 10^400; each command exits 1 as at a cap.
         design = tmp_path / "huge.txt"
         design.write_text(f"levels: 2 2\n0 0 x{10**power}\n1 1\n", encoding="utf-8")
         code, out, err = run(capsys, *(str(design) if a == "D" else a for a in argv))
         assert (code, out) == (1, "")
         assert err.startswith("wordlength: a count, spectrum or norm passed the float range (")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        ("argv", "pattern"),
+        [
+            (["gwlp", "D", "--groups", "2,2"], "A = (1, 2, 1)"),
+            (["invariance", "D"], "A = (1, 2, 1)"),
+            (["compare", "D", "D", "--groups", "2,2"], "A(first)  = (1, 2, 1)"),
+        ],
+    )
+    def test_the_character_route_reads_a_run_total_whose_square_passes_the_float_range(
+        self, capsys, tmp_path, argv, pattern
+    ):
+        # N = 10^200 + 1: N^2 passes float64's range but 2N does not, so the
+        # spectrum is finite and each |chi| is divided by N before it is squared.
+        design = tmp_path / "huge.txt"
+        design.write_text(f"levels: 2 2\n0 0 x{10**200}\n1 1\n", encoding="utf-8")
+        code, out, err = run(capsys, *(str(design) if a == "D" else a for a in argv))
+        assert (code, err) == (0, "")
+        assert pattern in out.splitlines()
+
+    @pytest.mark.parametrize(
+        ("argv", "lines"),
+        [
+            (["gwlp", "D", "--groups", "3"], ["resolution = none, strength = 1"]),
+            (["invariance", "D"], ["A = (1, 0)", "resolution = none, strength = 1"]),
+            (["compare", "D", "D", "--groups", "3"], ["tie"]),
+        ],
+    )
+    def test_three_levels_each_counted_ten_to_the_305_answer_as_the_margin_route(
+        self, capsys, tmp_path, argv, lines
+    ):
+        # N = 3e305, between 1.34e154 (N^2 past float64) and half float64's
+        # maximum; the margin route gives A = (1, 0), resolution none, strength 1.
+        design = tmp_path / "big.txt"
+        design.write_text("levels: 3\n" + f"0 x{10**305}\n1 x{10**305}\n2 x{10**305}\n",
+                          encoding="utf-8")
+        assert run(capsys, "gwlp", str(design))[1] == "A = (1, 0)\nresolution = none, strength = 1\n"
+        code, out, err = run(capsys, *(str(design) if a == "D" else a for a in argv))
+        assert (code, err) == (0, "")
+        assert set(lines) <= set(out.splitlines())
+        # The character route's A_1 is a float residue of the Z_3 table, far below 1e-9.
+        for line in out.splitlines():
+            if line.startswith("A"):
+                assert float(line.partition("(1, ")[2].rstrip(")")) < 1e-20
+
+    def test_a_class_sum_past_the_float_range_is_scaled_first(self, capsys, tmp_path):
+        # N = 10^154 on one level: N^2 = 1e308 is in range, but A_1's class
+        # sum, 2N^2, is not: squared before the division, A_1 would read inf.
+        design = tmp_path / "big.txt"
+        design.write_text(f"levels: 3\n0 x{10**154}\n", encoding="utf-8")
+        for argv in (["gwlp", str(design)], ["gwlp", str(design), "--groups", "3"],
+                     ["invariance", str(design)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert "A = (1, 2)" in out.splitlines()
 
     def test_the_margin_route_has_no_float_range(self, capsys, tmp_path):
         design = tmp_path / "huge.txt"
@@ -1146,15 +1270,16 @@ class TestReconstructAllocation:
 
     def test_holds_no_dict_per_entry_of_a_four_to_the_eighth_report(self, capsys, tmp_path):
         # 65,536 entries with integer parts, 2.4 MiB of report, which
-        # _layout_values reads in slices.  The peak is the text, the values
-        # (1 MiB) in slices and then concatenated (1 MiB), and one slice's
-        # arrays; reconstruct's own 3 MiB comes after the text is freed.
-        # Read as one dict and one label per entry, the values alone would
-        # take some 17 MiB; the hooked scanner peaked at 10.1 MiB.
+        # _layout_values reads in slices of its bytes.  The peak is the
+        # bytes, the values (1 MiB) in slices and then concatenated (1 MiB),
+        # and one slice's arrays; reconstruct's own 3 MiB comes after the
+        # bytes are freed.  Read as one dict and one label per entry, the
+        # values alone would take some 17 MiB; the hooked scanner peaked at
+        # 10.1 MiB, and the decoded text read in slices at 4.85 MiB.
         peak = self.reconstruct_peak(tmp_path, (4,) * 8, "4,2x2,4,2x2,4,4,2x2,4", 48)
         capsys.readouterr()
-        # 5,086,120 bytes (4.85 MiB) measured, with 64 KiB to spare.
-        assert peak <= 5_086_120 + 2**16, f"reconstruct allocated {peak} bytes"
+        # 4,822,169 bytes (4.60 MiB) measured, with 64 KiB to spare.
+        assert peak <= 4_822_169 + 2**16, f"reconstruct allocated {peak} bytes"
 
     def test_holds_no_dict_per_entry_of_a_three_to_the_tenth_report(self, capsys, tmp_path):
         # 59,049 entries with irrational parts, 3 MiB of report, which
@@ -1162,8 +1287,8 @@ class TestReconstructAllocation:
         # of numbers.  The hooked scanner that read it before peaked at 11.2 MiB.
         peak = self.reconstruct_peak(tmp_path, (3,) * 10, ",".join(["3"] * 10), 310)
         capsys.readouterr()
-        # 6,450,862 bytes (6.15 MiB) measured, with 64 KiB to spare.
-        assert peak <= 6_450_862 + 2**16, f"reconstruct allocated {peak} bytes"
+        # 6,255,965 bytes (5.97 MiB) measured, with 64 KiB to spare.
+        assert peak <= 6_255_965 + 2**16, f"reconstruct allocated {peak} bytes"
 
     def test_reads_unicode_escaped_labels_in_the_layout(self, capsys, tmp_path, monkeypatch):
         # jchar writes the non-ASCII symbol as a 6-byte \uXXXX escape in each
@@ -1181,8 +1306,8 @@ class TestReconstructAllocation:
         peak = self.reconstruct_peak(tmp_path, sizes, groups, 48, ["0", "1", "2", "\u00e9"])
         capsys.readouterr()
         assert len(reads) > 1 and all(read is not None for read in reads)  # every slice taken
-        # 6,396,940 bytes (6.10 MiB) measured, with 64 KiB to spare.
-        assert peak <= 6_396_940 + 2**16, f"reconstruct allocated {peak} bytes"
+        # 5,347,293 bytes (5.10 MiB) measured, with 64 KiB to spare.
+        assert peak <= 5_347_293 + 2**16, f"reconstruct allocated {peak} bytes"
 
     def test_reads_integer_parts_without_the_number_reader(self, capsys, tmp_path, monkeypatch):
         # The reports the spectrum round trip benchmark reads: integer parts
@@ -1197,11 +1322,10 @@ class TestReconstructAllocation:
 
 def test_jchar_writes_a_four_to_the_eighth_report_in_blocks(capsys, tmp_path):
     # The report reconstruct_peak reads above: 65,536 entries, 2.5 MB of
-    # text.  The peak is dumps joining the report's blocks, with the blocks
-    # and the report both held.  _write_spectrum stays under it by writing
-    # 4096 entries a block and repeating the heads per block: one list of
-    # all entries raised the traced peak of dumps from 4.9 to 6.5 MiB, and
-    # one repeat of the heads over the whole spectrum this peak by 157 KB.
+    # text, written as its blocks of 4096 entries, which are never joined.
+    # The peak is those blocks and the spectrum's formatted parts; joined
+    # into one string and copied with a newline, the report peaked at
+    # 5.88 MiB.
     design_file = tmp_path / "design.txt"
     write_sampled_design(design_file, (4,) * 8, 48)
     argv = ["jchar", str(design_file), "--groups", "4,2x2,4,2x2,4,4,2x2,4", "--json"]
@@ -1213,8 +1337,8 @@ def test_jchar_writes_a_four_to_the_eighth_report_in_blocks(capsys, tmp_path):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    # 6,163,691 bytes (5.88 MiB) measured, with 64 KiB to spare.
-    assert peak <= 6_163_691 + 2**16, f"jchar --json allocated {peak} bytes"
+    # 4,893,363 bytes (4.67 MiB) measured, with 64 KiB to spare.
+    assert peak <= 4_893_363 + 2**16, f"jchar --json allocated {peak} bytes"
 
 
 def test_no_private_json_names_in_the_package():

@@ -903,8 +903,9 @@ LAYOUT_SYMBOLS = st.text(
 
 
 @st.composite
-def spectra(draw, parts=FINITE, symbols=LABEL_SYMBOLS) -> functools.partial:
-    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def spectra(draw, parts=FINITE, symbols=LABEL_SYMBOLS, shape=None) -> functools.partial:
+    if shape is None:
+        shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     levels = tuple(
         tuple(draw(st.lists(symbols, min_size=s, max_size=s, unique=True))) for s in shape
     )
@@ -951,6 +952,48 @@ def test_spectrum_in_small_blocks_renders_as_its_list_of_entries(spectrum, block
         assert_renders_as_its_list_of_entries(spectrum)
 
 
+# Symbols of one ASCII character (labels concatenate them), of several (labels
+# join them with ","), and non-ASCII ones, which JSON writes as \uXXXX escapes.
+SPLIT_SYMBOLS = {
+    "one": st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters='"\\'),
+    "several": st.text(st.sampled_from("ab,0"), min_size=2, max_size=3),
+    "escaped": st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=2),
+}
+
+
+@st.composite
+def split_spectra(draw) -> functools.partial:
+    """Spectra of up to five factors of 1-4 levels, so at most 1024 entries,
+    below one block of the writer, whose labels split into heads and tails
+    at every factor; in half of them the last factor has one level."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        shape[-1] = 1
+    symbols = draw(st.sampled_from(sorted(SPLIT_SYMBOLS)))
+    return draw(spectra(st.integers(-3, 3).map(float), SPLIT_SYMBOLS[symbols], shape))
+
+
+def shaped_spectrum(shape, symbols) -> functools.partial:
+    """The spectrum over alphabets of ``shape`` drawn in order from ``symbols``."""
+    pool = iter(symbols)
+    levels = tuple(tuple(next(pool) for _ in range(s)) for s in shape)
+    index = np.arange(math.prod(shape))
+    return functools.partial(_write_spectrum, levels, index % 5 - 2 + 1j * (index % 3))
+
+
+@PROPERTY
+@given(split_spectra(), st.sampled_from([1, 3, 16, render._BLOCK]))
+@example(shaped_spectrum((4, 4, 4, 1), "abcdefghijkl0"), render._BLOCK)  # one-level last
+@example(shaped_spectrum((2, 3, 2), ["lo", "hi", "a", "b", "c", "x,", "y"]), 3)  # "," joiner
+@example(shaped_spectrum((3, 2, 2), "\u00e4\u00f6\u00fc\U0001f600xyz"), 16)  # \uXXXX escapes
+@example(shaped_spectrum((1, 1), "ab"), render._BLOCK)  # s = 1
+def test_spectrum_renders_as_its_list_of_entries_wherever_its_labels_split(spectrum, block):
+    # The tails are the fewest trailing factors whose elements number at
+    # least sqrt(s); blocks of a few entries end inside a run of one head.
+    with mock.patch.object(render, "_BLOCK", block):
+        assert_renders_as_its_list_of_entries(spectrum)
+
+
 @st.composite
 def integer_spectra(draw) -> functools.partial:
     """Integer parts, as floats, within ``span`` of a base anywhere up to 2**60:
@@ -992,10 +1035,10 @@ def test_layout_reader_reads_what_the_writer_writes(spectrum, block, slice_chars
         mock.patch.object(render, "_BLOCK", block),
         mock.patch.object(render, "_SLICE", slice_chars),
     ):
-        text = render.jchar_report({}, levels, jchar, "factorized")
-        assert _layout_values(text, text.index('"values": ') + len('"values": ')) is not None
-        read, symbols = render.read_jchar_report(text, "report")
-    expected = _read_values(json.loads(text)["values"])
+        data = "".join(render.jchar_report({}, levels, jchar, "factorized")).encode("ascii")
+        assert _layout_values(data, data.index(b'"values": ') + len(b'"values": ')) is not None
+        read, symbols = render.read_jchar_report(data, "report")
+    expected = _read_values(json.loads(data)["values"])
     assert read.values.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
     assert symbols == [list(a) for a in levels]
 
@@ -1065,24 +1108,27 @@ def assert_loads_as_json_loads(text: str) -> None:
     """``_load_report`` fails as ``json.loads`` fails, or reads the same document,
     with a values array holding the bits ``_read_values`` makes of the entries.
 
-    Wherever ``_layout_values`` takes a values list, the stdlib's scanner
-    reads the same values there and ends the list at the same index.
+    Both read the text's UTF-8 bytes.  Wherever ``_layout_values`` takes a
+    values list, the stdlib's scanner reads the same values there and ends the
+    list at the same index, counted in bytes.
     """
+    data = text.encode("utf-8")
     for member in re.finditer('"values": ', text):
-        read = _layout_values(text, member.end())
+        read = _layout_values(data, len(text[: member.end()].encode("utf-8")))
         if read is not None:
             entries, end = json.JSONDecoder().raw_decode(text, member.end())
             values = _read_values(entries)
+            end = len(text[:end].encode("utf-8"))
             assert read[0].view(np.float64).tobytes() == values.view(np.float64).tobytes()
             assert read[1] == end
     try:
         expected = json.loads(text)
     except (ValueError, RecursionError) as exc:
         with pytest.raises(type(exc)) as raised:
-            _load_report(text)
+            _load_report(data)
         assert str(raised.value) == str(exc)
         return
-    doc = _load_report(text)
+    doc = _load_report(data)
     if isinstance(doc, dict) and isinstance(doc.get("values"), np.ndarray):
         values = _read_values(expected["values"])
         assert doc["values"].view(np.float64).tobytes() == values.view(np.float64).tobytes()
@@ -1113,8 +1159,9 @@ def small_report(request, tmp_path_factory) -> str:
     text = report.read_text(encoding="utf-8")
     assert request.param != "3x3" or re.search(r'"im": -?[0-9.]+e-', text)
     # Unedited, every report is read by _layout_values, and the whole loader keeps its array.
-    assert _layout_values(text, text.index('"values": ') + len('"values": ')) is not None
-    assert isinstance(_load_report(text)["values"], np.ndarray)
+    data = report.read_bytes()
+    assert _layout_values(data, data.index(b'"values": ') + len(b'"values": ')) is not None
+    assert isinstance(_load_report(data)["values"], np.ndarray)
     return text
 
 
@@ -1225,31 +1272,34 @@ def test_odd_documents_load_as_json_loads(text):
 @pytest.mark.parametrize("text", SPLICE_EDGES)
 def test_layout_reader_takes_each_splice_edge(text):
     # So each edge reaches _load_report's check of what stands in the list's place.
-    assert _layout_values(text, text.index('"values": ') + len('"values": ')) is not None
+    data = text.encode("ascii")
+    assert _layout_values(data, data.index(b'"values": ') + len(b'"values": ')) is not None
 
 
 @pytest.mark.parametrize("token, taken", TOKENS_TAKEN.items())
 def test_layout_reader_takes_every_json_number(token, taken):
-    text = report_of(entries_with(token))
-    assert (_layout_values(text, text.index("[{")) is not None) == taken
+    data = report_of(entries_with(token)).encode("ascii")
+    assert (_layout_values(data, data.index(b"[{")) is not None) == taken
 
 
 @pytest.mark.parametrize("text", NEAR_MISSES)
 def test_layout_reader_takes_no_near_miss(text):
-    assert all(_layout_values(text, m.end()) is None for m in re.finditer('"values": ', text))
+    data = text.encode("utf-8")
+    assert all(_layout_values(data, m.end()) is None for m in re.finditer(b'"values": ', data))
 
 
 def test_layout_reader_takes_unicode_escaped_labels():
-    values, end = _layout_values(UNICODE_ESCAPED, UNICODE_ESCAPED.index("[{"))
+    values, end = _layout_values(UNICODE_ESCAPED.encode("ascii"), UNICODE_ESCAPED.index("[{"))
     assert values.tolist() == [1, -2 + 3j] and UNICODE_ESCAPED[end:] == "}"
     labels = [e["g"] for e in json.loads(UNICODE_ESCAPED)["values"]]
     assert labels == ["\u00e9", "x\u00e9\U0001f600"]
 
 
 def test_layout_reader_takes_the_last_of_two_values_members():
-    first, last = (m.end() for m in re.finditer('"values": ', TWO_VALUES))
-    assert _layout_values(TWO_VALUES, first) is None
-    values, end = _layout_values(TWO_VALUES, last)
+    data = TWO_VALUES.encode("ascii")
+    first, last = (m.end() for m in re.finditer(b'"values": ', data))
+    assert _layout_values(data, first) is None
+    values, end = _layout_values(data, last)
     assert values.tolist() == [5 + 1j, -2 + 5j] and TWO_VALUES[end:] == "}"
 
 
@@ -1262,5 +1312,5 @@ def test_report_values_load_bit_for_bit(pairs):
     entries = [{"g": "x", "re": re, "im": im} for re, im in pairs]
     text = json.dumps({"groups": ["2"], "n_runs": 1, "values": entries})
     # jchar writes no empty list, so the layout reader leaves [] to json.loads.
-    assert isinstance(_load_report(text)["values"], np.ndarray if pairs else list)
+    assert isinstance(_load_report(text.encode("ascii"))["values"], np.ndarray if pairs else list)
     assert_loads_as_json_loads(text)

@@ -184,15 +184,15 @@ def _text(data: bytes, path: str) -> str:
 
     Decoded as ``utf-8`` and then stripped, not as ``utf-8-sig``, so that a
     decode error names its byte offset in the file; line ends are read as
-    ``Path.read_text`` reads them, each ``\r\n`` and ``\r`` as ``\n``.
+    ``Path.read_text`` reads them, each ``\\r\\n`` and ``\\r`` as ``\\n``.
     """
-    try:
-        text = data.decode("utf-8")
+    try:  # the mark goes first, so the text with it, two bytes a character, is freed first
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DesignParseError(
             f"cannot read {path}: byte {exc.start} is not UTF-8 ({exc.reason})"
         ) from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n").removeprefix("\ufeff")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_text(path: str) -> str:
@@ -200,11 +200,18 @@ def _read_text(path: str) -> str:
     return _text(_read_bytes(path), path)
 
 
-def _read_report(path: str) -> bytes | str:
-    """The file's bytes if ``_text`` would read them unchanged, as ASCII with no
-    ``\r``; else ``_text`` of them."""
+def _read_report(path: str) -> bytes:
+    """The file's text as ``_text`` reads it, in UTF-8 bytes.
+
+    ASCII bytes are not decoded: of them ``_text`` changes only the line ends,
+    which are replaced in the bytes, and only if there is a ``\\r``.
+    """
     data = _read_bytes(path)
-    return data if data.isascii() and b"\r" not in data else _text(data, path)
+    if not data.isascii():
+        return _text(data, path).encode("utf-8")
+    if b"\r" in data:
+        return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _design_summary(path: str, design: Design) -> dict:

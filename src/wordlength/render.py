@@ -233,12 +233,10 @@ def reconstruct_report(jchar: JCharVector, levels, counts: Mapping[tuple[int, ..
     return dumps(payload) + "\n"
 
 
-def read_jchar_report(
-    data: bytes | str, source: str
-) -> tuple[JCharVector, list[list[str]] | None]:
+def read_jchar_report(data: bytes, source: str) -> tuple[JCharVector, list[list[str]] | None]:
     """The spectrum of a ``jchar --json`` report and its symbols, None if it has none;
-    a DesignParseError naming ``source`` if ``data``, the report's UTF-8 bytes or
-    its text, is no such report."""
+    a DesignParseError naming ``source`` if ``data``, the report's UTF-8 bytes,
+    is no such report."""
     try:
         doc = _load_report(data)
         del data  # megabytes for a large report, which the caller's peak need not hold
@@ -292,9 +290,9 @@ def _strings(value, name: str) -> list[str]:
     return value
 
 
-def _load_report(data: bytes | str):
-    """``json.loads`` of ``data``, a report's UTF-8 bytes or its text, but in
-    bytes a ``values`` list in jchar's layout is one complex array.
+def _load_report(data: bytes):
+    """``json.loads`` of ``data``, a report's UTF-8 bytes, but a ``values`` list
+    in jchar's layout is one complex array.
 
     If the list after the first ``"values": `` is in that layout,
     ``_layout_values`` reads it a slice of bytes at a time, so no entry's dict
@@ -307,8 +305,6 @@ def _load_report(data: bytes | str):
     Bytes are decoded first, for ``json.loads`` would read bytes that lead with
     a NUL as UTF-16.
     """
-    if isinstance(data, str):
-        return json.loads(data)
     key = data.find(_VALUES)
     read = _layout_values(data, key + len(_VALUES)) if key >= 0 else None
     if read is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import codecs
 import contextlib
 import functools
 import hashlib
@@ -1248,15 +1249,18 @@ class TestMarginRouteAllocation:
 
 class TestReconstructAllocation:
     @staticmethod
-    def reconstruct_peak(tmp_path, sizes, groups, seed, symbols=None):
+    def reconstruct_peak(tmp_path, sizes, groups, seed, symbols=None, edit=None):
         """The traced peak of `reconstruct` on the `jchar --json` report of 256
-        distinct runs drawn from a full factorial, checking the runs it gives back."""
+        distinct runs drawn from a full factorial, its bytes passed through
+        ``edit`` if given, checking the runs it gives back."""
         design_file = tmp_path / "design.txt"
         write_sampled_design(design_file, sizes, seed, symbols)
         report = tmp_path / "report.json"
         out_file = tmp_path / "reconstructed.txt"
         argv = ["jchar", str(design_file), "--groups", groups, "--json"]
         assert main([*argv, "--output", str(report)]) == 0
+        if edit is not None:
+            report.write_bytes(edit(report.read_bytes()))
 
         tracemalloc.start()
         try:
@@ -1280,6 +1284,28 @@ class TestReconstructAllocation:
         capsys.readouterr()
         # 4,822,169 bytes (4.60 MiB) measured, with 64 KiB to spare.
         assert peak <= 4_822_169 + 2**16, f"reconstruct allocated {peak} bytes"
+
+    @pytest.mark.parametrize(
+        "edit, measured",
+        [
+            # One copy of the bytes, with \r\n replaced, beside the file's bytes.
+            (lambda data: data.replace(b"\n", b"\r\n"), 5_080_819),
+            # The bytes, their text at two bytes a character while the mark
+            # is in it, and that text without the mark: about four copies.
+            (lambda data: codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n"), 10_161_140),
+        ],
+        ids=["crlf", "bom-crlf"],
+    )
+    def test_reads_a_four_to_the_eighth_report_with_crlf_or_a_mark_in_the_layout(
+        self, capsys, tmp_path, edit, measured
+    ):
+        # A report saved with \r\n line ends or a byte-order mark still goes
+        # to _layout_values; read by json.loads whole, as one dict and one
+        # label per entry, it peaked at 19.1 MiB.
+        peak = self.reconstruct_peak(tmp_path, (4,) * 8, "4,2x2,4,2x2,4,4,2x2,4", 48, edit=edit)
+        capsys.readouterr()
+        # Measured as given, with 64 KiB to spare.
+        assert peak <= measured + 2**16, f"reconstruct allocated {peak} bytes"
 
     def test_holds_no_dict_per_entry_of_a_three_to_the_tenth_report(self, capsys, tmp_path):
         # 59,049 entries with irrational parts, 3 MiB of report, which

@@ -1,16 +1,19 @@
 """Command-line interface: parse designs, run analyses, emit text or JSON.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 verification
-failure (an invariance deviation above tolerance, which a correct build
-should never produce).  Human-readable diagnostics go to stderr; reports go
-to stdout or to ``--output``.
+Exit codes: 0 success, 1 usage error, 2 data/parse error or a failed write,
+3 verification failure (an invariance deviation above tolerance, which a
+correct build should never produce).  Human-readable diagnostics go to
+stderr; reports go to stdout or to ``--output``.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
+import errno
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -159,58 +162,46 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     if isinstance(report, str):
         report = [report]
-    if not args.output:
-        sys.stdout.writelines(report)
-        return code
     try:  # every piece exists before the file is opened, so a data error leaves no file
-        with open(args.output, "w", encoding="utf-8") as file:
-            file.writelines(report)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as file:
+                file.writelines(report)
+        elif sys.stdout is None:  # the process started with standard output closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.writelines(report)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"wordlength: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        if not args.output and sys.stdout is not None:
+            # The flush at exit would write what stays buffered, and fail, again.
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        target = args.output or "standard output"
+        print(f"wordlength: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return DATA_ERROR
     return code
 
 
-def _read_bytes(path: str) -> bytes:
-    """The file's bytes."""
+def _read(path: str) -> bytes:
+    """The file's text in UTF-8 bytes: one leading byte-order mark dropped, each
+    ``\\r\\n`` and ``\\r`` read as ``\\n``, and a byte that is not UTF-8 a
+    DesignParseError naming its offset.  Only bytes that are not all ASCII are
+    decoded, to check them, and only bytes with a ``\\r`` are copied: no
+    multi-byte UTF-8 character holds a ``\\r`` or ``\\n``.
+    """
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
+        if not data.isascii():
+            data.decode("utf-8")
+            data = data.removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise DesignParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _text(data: bytes, path: str) -> str:
-    """``data``, the bytes of the file at ``path``, as text without a leading byte-order mark.
-
-    Decoded as ``utf-8`` and then stripped, not as ``utf-8-sig``, so that a
-    decode error names its byte offset in the file; line ends are read as
-    ``Path.read_text`` reads them, each ``\\r\\n`` and ``\\r`` as ``\\n``.
-    """
-    try:  # the mark goes first, so the text with it, two bytes a character, is freed first
-        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DesignParseError(
             f"cannot read {path}: byte {exc.start} is not UTF-8 ({exc.reason})"
         ) from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _read_text(path: str) -> str:
-    """The file's text, as ``_text`` reads its bytes."""
-    return _text(_read_bytes(path), path)
-
-
-def _read_report(path: str) -> bytes:
-    """The file's text as ``_text`` reads it, in UTF-8 bytes.
-
-    ASCII bytes are not decoded: of them ``_text`` changes only the line ends,
-    which are replaced in the bytes, and only if there is a ``\\r``.
-    """
-    data = _read_bytes(path)
-    if not data.isascii():
-        return _text(data, path).encode("utf-8")
     if b"\r" in data:
-        return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return data
 
 
@@ -242,7 +233,7 @@ def _pattern(design: Design, groups: str | None, algorithm: str | None):
 
 
 def _run_gwlp(args) -> tuple[int, str]:
-    design = parse_design(_read_text(args.design))
+    design = parse_design(_read(args.design).decode("utf-8"))
     pattern, algorithm, groups = _pattern(design, args.groups, args.algorithm)
     resolution, strength = resolution_and_strength(pattern, args.tol)
     if args.json:
@@ -264,7 +255,7 @@ def _run_gwlp(args) -> tuple[int, str]:
 
 
 def _run_jchar(args) -> tuple[int, str | list[str]]:
-    design = parse_design(_read_text(args.design))
+    design = parse_design(_read(args.design).decode("utf-8"))
     jchar = j_characteristics(design, args.groups.split(","), args.algorithm)
     if args.json:
         summary = _design_summary(args.design, design)
@@ -274,7 +265,7 @@ def _run_jchar(args) -> tuple[int, str | list[str]]:
 
 def _run_reconstruct(args) -> tuple[int, str]:
     # The report is bound to no name here, so the reader can free it once it is parsed.
-    jchar, symbols = render.read_jchar_report(_read_report(args.spectrum), args.spectrum)
+    jchar, symbols = render.read_jchar_report(_read(args.spectrum), args.spectrum)
     if args.groups is not None:
         jchar = JCharVector(jchar.values, jchar.n_runs, args.groups.split(","))
         if symbols is not None:
@@ -292,7 +283,7 @@ def _run_reconstruct(args) -> tuple[int, str]:
 
 
 def _run_invariance(args) -> tuple[int, str]:
-    design = parse_design(_read_text(args.design))
+    design = parse_design(_read(args.design).decode("utf-8"))
     specs = args.groups or ["all"]
     if "all" in specs:
         if specs.count("all") > 1:
@@ -355,7 +346,7 @@ def _run_invariance(args) -> tuple[int, str]:
 
 
 def _run_margins(args) -> tuple[int, str]:
-    design = parse_design(_read_text(args.design))
+    design = parse_design(_read(args.design).decode("utf-8"))
     if args.subset.strip():
         positions = [_whole_number(tok, "subset position") - 1 for tok in args.subset.split(",")]
         if any(p < 0 for p in positions):
@@ -397,7 +388,9 @@ def _naming(path: str, call, *args):
 
 def _run_compare(args) -> tuple[int, str]:
     paths = (args.first, args.second)
-    first, second = designs = [_naming(path, parse_design, _read_text(path)) for path in paths]
+    first, second = designs = [
+        _naming(path, parse_design, _read(path).decode("utf-8")) for path in paths
+    ]
     if first.k != second.k:
         raise ValueError(
             f"{args.first} has {first.k} factors but {args.second} has {second.k}; "

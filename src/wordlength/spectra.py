@@ -182,9 +182,14 @@ class GWLP(tuple):
         return len(self) - 1
 
 
+def _parts(structures: Sequence[AbelianStructure]) -> list[int]:
+    """The cyclic orders of every factor's group in factor order: the transform's parts."""
+    return [d for st in structures for d in st.cyclic_orders]
+
+
 def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.ndarray:
     """Dense character table of the product group, Yates-ordered by factors."""
-    return _dense_table([d for st in structures for d in st.cyclic_orders])
+    return _dense_table(_parts(structures))
 
 
 def _dense_spectrum(parts: Sequence[int], counts: np.ndarray) -> np.ndarray:
@@ -238,7 +243,7 @@ def _residue_bound(structures: Sequence[AbelianStructure], n_runs: int) -> float
     in exact arithmetic lie within the larger of their bounds: max(INTERNAL_TOL, 7 u N D), u =
     2**-53, D the sum of table-step parts (README derives the 7); N is a design's, which
     ``Design.dense_counts`` keeps below half float64's maximum."""
-    parts = [d for st in structures for d in st.cyclic_orders]
+    parts = _parts(structures)
     table = sum(parts[_exact_parts(parts, n_runs) :])
     return max(INTERNAL_TOL, 7 * 2.0**-53 * n_runs * table)
 
@@ -355,7 +360,7 @@ def j_characteristics(
         if walk.design is not design:
             raise ValueError("the prefix walk was made for another design")
         return JCharVector(walk.spectrum(structures), design.n_runs, structures)
-    parts = [d for st in structures for d in st.cyclic_orders]
+    parts = _parts(structures)
     if algorithm == "dense":
         values = _dense_spectrum(parts, design.dense_counts().astype(np.complex128))
     elif algorithm == "factorized":
@@ -389,7 +394,7 @@ def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, in
         tol = max(RECONSTRUCT_TOL, 1e-11 * min(jchar.n_runs, 2**1000))
     _check_tolerance(tol)
     orders = [st.order for st in jchar.structures]
-    parts = [d for st in jchar.structures for d in st.cyclic_orders]
+    parts = _parts(jchar.structures)
     # A non-finite or huge spectrum makes NaN or infinite cells; they fail
     # the check below.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -434,7 +439,7 @@ def gwlp_char(jchar: JCharVector) -> GWLP:
     """
     orders = tuple(st.order for st in jchar.structures)
     k, values, n_squared = len(orders), jchar.values, jchar.n_runs**2
-    parts = [d for st in jchar.structures for d in st.cyclic_orders]
+    parts = _parts(jchar.structures)
     if _exact_parts(parts, jchar.n_runs) < len(parts) or jchar.space_size * n_squared > 2**53:
         weights = element_weights(jchar.structures)
         moduli = np.abs(values)

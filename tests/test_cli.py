@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import codecs
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import FIXTURES, spectrum_entries
-from wordlength import cli, enumerate_structures, parse_design, render
+from wordlength import DesignParseError, cli, enumerate_structures, parse_design, render
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
@@ -77,6 +78,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CLI = [sys.executable, "-m", "wordlength.cli"]
+
+
+def cli_env(unbuffered: bool = False) -> dict:
+    """The environment of a ``python -m wordlength.cli`` process, whose
+    standard output is block-buffered unless ``unbuffered``."""
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
 class TestGwlpCommand:
@@ -840,14 +852,48 @@ class TestErrorsAndPlumbing:
             assert err.startswith(f"wordlength: cannot write {target}: ")
             assert err.count("\n") == 1
 
+    # A block-buffered stdout still holds what a failed write left, which the
+    # interpreter's flush at exit writes again, so each case runs both ways.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        ("redirect", "error"), [(">/dev/full", errno.ENOSPC), (">&-", errno.EBADF)],
+        ids=["full", "closed"],
+    )
+    def test_a_failed_write_to_standard_output_is_data_error(self, unbuffered, redirect, error):
+        if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        result = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", *CLI, "enumerate-groups", "8"],
+            capture_output=True, text=True, timeout=30, env=cli_env(unbuffered),
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            f"wordlength: cannot write standard output: {os.strerror(error)}\n"
+        )
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_pipe_closed_early_is_data_error(self, tmp_path, unbuffered):
+        # The 4^8 report is 2.5 MB, more than a pipe holds, so a write meets
+        # the closed pipe.
+        design_file = tmp_path / "design.txt"
+        write_sampled_design(design_file, (4,) * 8, 48)
+        argv = ["jchar", str(design_file), "--groups", "4,2x2,4,2x2,4,4,2x2,4", "--json"]
+        with subprocess.Popen(
+            [*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(unbuffered)
+        ) as proc:
+            assert proc.stdout.read(10) == b'{"design":'
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 2
+        assert err == f"wordlength: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
     @pytest.mark.parametrize("argv", [["gwlp"], ["invariance"], ["compare", WIDE]])
     def test_margin_route_refuses_forty_factors(self, argv):
         # A fresh process with a timeout, so that an uncapped 2^40-subset loop
         # fails the test instead of hanging the suite.
         result = subprocess.run(
-            [sys.executable, "-m", "wordlength.cli", *argv, WIDE],
-            capture_output=True, text=True, timeout=30,
-            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")},
+            [*CLI, *argv, WIDE], capture_output=True, text=True, timeout=30, env=cli_env()
         )
         assert result.returncode == 1
         assert result.stdout == ""
@@ -1548,3 +1594,30 @@ def test_every_command_exits_with_a_documented_code(case):
                 if code == 0 and "--output" in argv:  # a report is JSON: no NaN or Infinity
                     with open(report, encoding="utf-8") as handle:
                         json.loads(handle.read(), parse_constant=refuse_constant)
+
+
+# Pieces of a file: ASCII, line ends, a mark, characters of two to four
+# bytes, and bytes that are not UTF-8 alone or cut a character short.
+FILE_PIECES = [b"a", b" ", b"\r", b"\n", b"\r\n", codecs.BOM_UTF8, "\u00e4".encode(),
+               "\u20ac".encode(), "\U0001f600".encode(), b"\xff", b"\xc3", b"\x80", b"\xe2\x82"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(st.sampled_from(FILE_PIECES), max_size=12))
+def test_read_gives_the_text_with_one_mark_dropped_and_line_ends_as_newlines(marked, pieces):
+    data = (codecs.BOM_UTF8 if marked else b"") + b"".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            with pytest.raises(DesignParseError) as refusal:
+                cli._read(path)
+            assert str(refusal.value) == (
+                f"cannot read {path}: byte {exc.start} is not UTF-8 ({exc.reason})"
+            )
+        else:
+            text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+            assert cli._read(path) == text.encode("utf-8")

@@ -12,6 +12,7 @@ import argparse
 import codecs
 import errno
 import functools
+import io
 import math
 import os
 import sys
@@ -168,6 +169,11 @@ def main(argv=None) -> int:
                 file.writelines(report)
         elif sys.stdout is None:  # the process started with standard output closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        elif isinstance(raw := getattr(sys.stdout, "buffer", None), io.RawIOBase):
+            for piece in report:  # unbuffered (-u): TextIOWrapper drops a short write's rest
+                data = memoryview(piece.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[raw.write(data) :]
         else:
             sys.stdout.writelines(report)
             sys.stdout.flush()

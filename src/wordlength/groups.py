@@ -25,7 +25,8 @@ from .kron import kron_all
 #: Largest order of a dense character table, of a product group or of one cyclic part.
 DENSE_TABLE_CAP = 2**12
 
-#: Entries of a dense head or block (or D * s, if more) and of the largest kept cyclic table.
+#: Entries of a dense head or block (or D * s, if more), of the largest kept cyclic table,
+#: and run pairs in a block of the pair kernel: 1 MiB of 16-byte cells in each.
 DENSE_BLOCK_ENTRIES = 2**16
 
 #: Largest group or cyclic order that may be factored (by trial division).

@@ -44,7 +44,7 @@ import numpy as np
 
 from .design import Design, MarginTable, margins
 from .errors import ResourceLimitError
-from .groups import AbelianStructure, element_components, enumerate_structures
+from .groups import DENSE_BLOCK_ENTRIES, AbelianStructure, element_components, enumerate_structures
 from .spectra import (
     INTERNAL_TOL,
     Assignment,
@@ -71,9 +71,6 @@ MARGIN_SUBSET_CAP = 2**20
 # subset: at n = 2 * 2^k it took 0.2-0.5 of the margin kernel's time, and
 # 0.6-1.1 of it at n = 4 * 2^k (k = 6-12, random designs).
 _PAIR_RUNS_PER_SUBSET = 2
-
-# Run pairs per block of the pair kernel, which bounds its working memory.
-_PAIR_BLOCK_CELLS = 2**16
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -123,7 +120,7 @@ def _pair_subset_norms(design: Design) -> np.ndarray:
     h[J] is the total m_x * m_y over the ordered pairs of distinct runs (x, y)
     that agree on exactly J; then G[K] = sum_{J >= K} h[J].  The upper
     triangle of pairs is read in blocks of whole rows, as many as fit in
-    ``_PAIR_BLOCK_CELLS`` pairs and at least one.  A pair past the block's
+    ``DENSE_BLOCK_ENTRIES`` pairs and at least one.  A pair past the block's
     own rows stands for both of its orders.  The cap keeps k <= 20, so a
     mask fits int32.
     """
@@ -132,7 +129,7 @@ def _pair_subset_norms(design: Design) -> np.ndarray:
     agree = np.zeros(1 << k, mults.dtype)  # h sums to N^2, which the dtype holds
     start = 0
     while start < n:
-        stop = min(n, start + max(1, _PAIR_BLOCK_CELLS // (n - start)))
+        stop = min(n, start + max(1, DENSE_BLOCK_ENTRIES // (n - start)))
         masks = np.zeros((stop - start, n - start), np.int32)
         bit = np.empty_like(masks)
         for i in range(k):

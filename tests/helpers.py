@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and a random-design generator.
+"""Shared test utilities: independent oracles, a random-design generator and
+the one measure of a call's traced memory peak.
 
 The oracles recompute quantities from their defining formulas with plain
 Python loops and cmath, touching none of the package's transform, table or
@@ -10,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +25,17 @@ from wordlength.render import element_labels
 from wordlength.spectra import _residue_bound
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def traced(call):
+    """``(call(), peak)``: the result and the peak bytes that tracemalloc traced
+    while ``call`` ran.  A bound on a CLI command runs the command once before
+    this, so that the peak leaves out the parser the process builds once."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle_character(structure_orders, g, h) -> complex:
@@ -231,14 +244,16 @@ def complement(design: Design, c: int) -> Design:
     return Design(design.levels, {cell: m for cell, m in rest.items() if m})
 
 
-def linear_code(generator, q: int) -> Design:
+def linear_code(generator, q: int, shift=None) -> Design:
     """The code spanned by the rows of ``generator`` over Z_q (q prime, or 4), as a
     design with one q-level factor per column: each u in Z_q^r gives the run u·G
-    mod q, so every codeword is counted alike and N = q^r."""
+    mod q, or u·G + ``shift`` mod q for the coset, so every codeword is counted
+    alike and N = q^r."""
     matrix = np.asarray(generator, dtype=np.int64) % q
     rows, n = matrix.shape
+    offset = np.zeros(n, np.int64) if shift is None else np.asarray(shift, np.int64)
     combinations = itertools.product(range(q), repeat=rows)
-    words = Counter(tuple((np.array(u) @ matrix % q).tolist()) for u in combinations)
+    words = Counter(tuple(((np.array(u) @ matrix + offset) % q).tolist()) for u in combinations)
     return Design([tuple(map(str, range(q)))] * n, words)
 
 

@@ -9,13 +9,12 @@ import itertools
 import json
 import math
 import time
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, all_assignments, random_design, yates_elements
+from helpers import FIXTURES, all_assignments, random_design, traced, yates_elements
 from wordlength import (
     Design,
     enumerate_structures,
@@ -185,6 +184,7 @@ def test_criterion_7_parseval(paper_design, random_suite):
             assert abs(sum(pattern.raw) - expected) <= 1e-8 * max(1.0, expected)
 
 
+@pytest.mark.memory_bound
 def test_criterion_8_performance():
     with criterion(8, "performance: factorized 4^8, dense match, margin 12^6"):
         rng = np.random.default_rng(2003)
@@ -222,12 +222,9 @@ def test_criterion_8_performance():
         }
         big = Design(levels, counts)
         assert big.space_size == 12**6
-        tracemalloc.start()
         start = time.perf_counter()
-        pattern = gwlp_margin(big)
+        pattern, peak = traced(lambda: gwlp_margin(big))
         elapsed = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
         assert elapsed < 5.0, f"margin route took {elapsed:.1f}s"
         dense_bytes = big.space_size * 16
         assert peak < dense_bytes / 4, f"peak allocation {peak} bytes"

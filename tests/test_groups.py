@@ -5,12 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import oracle_character, yates_elements
+from helpers import oracle_character, traced, yates_elements
 from wordlength import (
     AbelianStructure,
     ResourceLimitError,
@@ -242,14 +241,10 @@ class TestCharacterTables:
         # The int32 exponent index holds every product below the cap.
         assert (DENSE_TABLE_CAP - 1) ** 2 < 2**31
 
+    @pytest.mark.memory_bound
     def test_uncached_cyclic_table_peaks_near_its_size(self):
         # An int64 index beside the table took about 1.5 times its size.
-        tracemalloc.start()
-        try:
-            table = groups._cyclic_table(1021)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, peak = traced(lambda: groups._cyclic_table(1021))
         assert peak <= 1.4 * table.nbytes, f"{peak} bytes for a {table.nbytes}-byte table"
 
     def test_one_source_of_tables(self):

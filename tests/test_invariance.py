@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +12,16 @@ import pytest
 from helpers import (
     FIXTURES,
     all_assignments,
+    dual_weights,
     exact_gwlp,
     full_scan_witness,
+    linear_code,
     mobius_alternating_list,
     pair_subset_norm,
+    part_tables,
     random_design,
+    tensordot_apply,
+    traced,
 )
 from wordlength import (
     Design,
@@ -338,44 +342,32 @@ class TestKernelSwitch:
         pairs = invariance._pair_subset_norms(design)
         assert pairs.tolist() == invariance._margin_subset_norms(design).tolist()
 
+    @pytest.mark.memory_bound
     def test_pair_side_memory_is_bounded_by_the_block(self):
         # k = 12, n = 2048 is on the pair side; 2048 rows of masks alone
         # would take 16 MiB.
         design = _sampled_runs(50, 2048, (4,) * 12, max_mult=1)
         assert len(design.counts) <= invariance._PAIR_RUNS_PER_SUBSET << design.k
-        tracemalloc.start()
-        try:
-            gwlp_margin(design)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: gwlp_margin(design))
         assert peak < 8 * 2**20
 
+    @pytest.mark.memory_bound
     def test_lattice_memory_at_eighteen_binary_factors(self):
         # 2^18 subsets: an int64 array over them is 2 MiB, a list of Python
         # ints about 10 MiB.
         design = _sampled_runs(52, 100, (2,) * 18, max_mult=3)
-        tracemalloc.start()
-        try:
-            gwlp_margin(design)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: gwlp_margin(design))
         assert peak < 8 * 2**20
 
 
 class TestVerifyInvariance:
+    @pytest.mark.memory_bound
     def test_sweep_memory_is_one_array_per_depth(self):
         # 4^8 cells: each complex array is 1 MiB.  The sweep keeps the count
         # vector and at most 7 prefixes; a tree of every prefix would keep
         # hundreds of them.
         design = _sampled_runs(53, 300, (4,) * 8, max_mult=1)
-        tracemalloc.start()
-        try:
-            report = verify_invariance(design, "all")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced(lambda: verify_invariance(design, "all"))
         assert len(report.assignments) == 256
         assert peak <= 16 * 2**20
 
@@ -452,6 +444,45 @@ class TestVerifyInvariance:
             design = random_design(rng, max_k=3)
             report = verify_invariance(design, "all")
             assert report.invariant, (design.sizes, report.max_deviation)
+
+
+class TestOctacode:
+    """fixtures/octacode.txt, the Z_4-linear octacode, checked against the oracles
+    that its golden CLI entries are not: the dual code and the table route."""
+
+    GENERATOR = [[int(c) for c in row] for row in ("10003121", "01001231", "00103332", "00012311")]
+
+    @pytest.fixture(scope="class")
+    def octacode(self) -> Design:
+        return parse_design((FIXTURES / "octacode.txt").read_text(encoding="utf-8"))
+
+    def test_fixture_is_the_code_with_the_dual_pattern(self, octacode):
+        assert octacode == linear_code(self.GENERATOR, 4)
+        assert octacode.n_runs == len(octacode.counts) == 256
+        weights = dual_weights(self.GENERATOR, 4)
+        assert weights == [1, 0, 0, 0, 14, 112, 0, 112, 17]
+        assert list(gwlp_margin(octacode)) == weights
+
+    @pytest.mark.parametrize(("groups", "nonzero", "full"), [("4", 256, 256), ("2x2", 928, 32)])
+    def test_spectrum_counts_match_the_table_route(self, octacode, groups, nonzero, full):
+        # Under Z_4, |chi| is 256 on the 256 dual words and 0 off them; under
+        # 2x2 on every factor, 32 entries have modulus 256 and 896 have 128.
+        structures = [parse_structure(groups)] * 8
+        values = j_characteristics(octacode, structures).values
+        reference = tensordot_apply(part_tables(structures), octacode.dense_counts())
+        np.testing.assert_allclose(values, reference, rtol=0, atol=1e-9)
+        modulus = np.abs(values)
+        assert (np.count_nonzero(modulus), np.count_nonzero(modulus == 256)) == (nonzero, full)
+
+    def test_every_assignment_gives_the_pattern_but_not_the_spectrum(self, octacode):
+        report = verify_invariance(octacode, "all")
+        assert len(report.assignments) == 256 and report.invariant
+        assert list(report.margin_gwlp) == dual_weights(self.GENERATOR, 4)
+        two = [[Z4] * 8, [V] * 8]
+        witness = verify_invariance(octacode, two).witness
+        assert witness == full_scan_witness(octacode, two)
+        assert report.witness.components == witness.components == (0, 0, 0, 1, 0, 1, 1, 1)
+        assert (witness.first_value, witness.other_value) == (0, 256)
 
 
 class TestResolutionAndStrength:

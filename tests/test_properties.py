@@ -59,7 +59,7 @@ from wordlength import (
 from wordlength import invariance, render
 from wordlength.cli import main
 from wordlength.design import _DENSE_TALLY_CELLS_PER_CODE, _MAX_INT64_ROOT
-from wordlength.groups import cyclic_character_table
+from wordlength.groups import DENSE_TABLE_CAP, cyclic_character_table
 from wordlength.invariance import _scaled_projector_norms
 from wordlength.kron import factored_apply
 from wordlength.render import (
@@ -458,34 +458,55 @@ def test_a_complement_keeps_every_scaled_class_sum(case, data):
 
 
 @st.composite
-def linear_codes(draw) -> tuple[list[list[int]], int]:
-    """A random r x n generator matrix over Z_q, q in {2, 3, 4, 5}, r <= 3, n <= 4."""
+def linear_codes(draw) -> tuple[list[list[int]], int, list[int]]:
+    """A random r x n generator matrix over Z_q, q in {2, 3, 4, 5}, r <= 3, n <= 6,
+    and a shift in Z_q^n, which moves the code to one of its cosets."""
     q = draw(st.sampled_from([2, 3, 4, 5]))
-    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 3))
     row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-    return draw(st.lists(row, min_size=r, max_size=r)), q
+    return draw(st.lists(row, min_size=r, max_size=r)), q, draw(row)
 
 
 @PROPERTY
-@given(linear_codes())
-def test_a_linear_code_has_the_dual_weights_as_its_margin_gwlp(case):
-    generator, q = case
-    design = linear_code(generator, q)
-    assert list(gwlp_margin(design)) == dual_weights(generator, q)
+@given(linear_codes(), st.data())
+def test_a_linear_code_coset_has_the_dual_weights_on_every_route(case, data):
+    # Each route's N^2 A_j is N^2 times the dual's weight count: exactly where
+    # N is a power of 2, and rounded to it where N is a power of 3 or 5.  It
+    # stays so when the levels are relabelled, which need not leave a coset.
+    generator, q, shift = case
+    code = linear_code(generator, q, shift)
+    n_squared = code.n_runs**2
+    expected = [n_squared * count for count in dual_weights(generator, q)]
+    perms = [data.draw(st.permutations(range(q))) for _ in range(code.k)]
+    other = [data.draw(st.sampled_from(enumerate_structures(q))) for _ in range(code.k)]
+    cyclic = [str(q)] * code.k
+    algorithms = ["factorized", "dense"] if q**code.k <= DENSE_TABLE_CAP else ["factorized"]
+    for design in (code, relabel_levels(code, perms)):
+        patterns = []
+        for runs_per_subset in (0, 2**30):  # the margin kernel, then the pair kernel
+            with mock.patch.object(invariance, "_PAIR_RUNS_PER_SUBSET", runs_per_subset):
+                patterns.append(gwlp_margin(design))
+        patterns += [gwlp_char(j_characteristics(design, cyclic, a)) for a in algorithms]
+        patterns.append(gwlp_char(j_characteristics(design, other)))
+        for pattern in patterns:
+            scaled = [a * n_squared for a in pattern]
+            assert (scaled if q in (2, 4) else [round(a) for a in scaled]) == expected
 
 
 @PROPERTY
 @given(linear_codes())
 def test_a_linear_code_has_chi_n_on_its_dual_and_zero_elsewhere(case):
-    # Under Z_q on every factor, chi_v sums a character of Z_q^r over all of it.
-    generator, q = case
-    design = linear_code(generator, q)
+    # Under Z_q on every factor, chi_v sums a character of Z_q^r over all of
+    # it, times the character at the shift, so |chi_v| is N or 0.
+    generator, q, shift = case
+    design = linear_code(generator, q, shift)
     digits, _ = yates_elements([q] * design.k)
     on_dual = ~(digits @ np.array(generator).T % q).any(axis=1)
     values = j_characteristics(design, [str(q)] * design.k).values
     np.testing.assert_allclose(
         np.abs(values), design.n_runs * on_dual, rtol=0, atol=1e-9 * design.n_runs
     )
+    assert on_dual.sum() == sum(dual_weights(generator, q))
 
 
 @PROPERTY
@@ -615,7 +636,7 @@ def kernel_designs(draw) -> Design:
 def test_pair_and_margin_kernels_give_the_same_integers(design, block_cells):
     # Both kernels, whichever the switch would pick; small blocks split the
     # pairs into many blocks, down to one row each.
-    with mock.patch.object(invariance, "_PAIR_BLOCK_CELLS", block_cells):
+    with mock.patch.object(invariance, "DENSE_BLOCK_ENTRIES", block_cells):
         pairs = invariance._pair_subset_norms(design)
     assert pairs.tolist() == invariance._margin_subset_norms(design).tolist()
 

@@ -19,6 +19,7 @@ from helpers import (
     oracle_jchar,
     part_tables,
     random_design,
+    traced,
     yates_elements,
 )
 from wordlength import (
@@ -247,6 +248,7 @@ class TestJCharacteristics:
         with pytest.raises(ResourceLimitError):
             j_characteristics(too_big_table, [Z4] * 7, "dense")
 
+    @pytest.mark.memory_bound
     def test_dense_route_memory_is_bounded_by_its_blocks(self):
         # At s = 4096 the whole table is 256 MiB; the head and a block are
         # 1 MiB each.
@@ -254,14 +256,10 @@ class TestJCharacteristics:
         codes = rng.choice(4**6, 300, replace=False)
         runs = zip(*(d.tolist() for d in np.unravel_index(codes, (4,) * 6)))
         design = Design((tuple(ALPHABET),) * 6, dict.fromkeys(runs, 1))
-        tracemalloc.start()
-        try:
-            j_characteristics(design, [Z4] * 6, "dense")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: j_characteristics(design, [Z4] * 6, "dense"))
         assert peak <= 8 * 2**20
 
+    @pytest.mark.memory_bound
     @pytest.mark.parametrize("algorithm", ["dense", "factorized"])
     def test_a_part_past_256_levels_leaves_no_table_behind(self, algorithm):
         # Z_2039's table is 63.4 MiB. The dense route's head was a copy of it
@@ -281,6 +279,7 @@ class TestJCharacteristics:
             assert peak < 1.3 * table_bytes
         assert jchar.values[0] == 300
 
+    @pytest.mark.memory_bound
     def test_dense_cap_is_checked_before_the_table_is_built(self):
         design = Design((tuple(ALPHABET),) * 7, {(0,) * 7: 1})
         message = "^dense character table of order 16384 exceeds the cap 4096$"
@@ -398,21 +397,13 @@ class TestQuarterTurnSteps:
         assert orders == steps
 
     @staticmethod
-    def traced_peak(call) -> int:
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    @staticmethod
     def design_4_8() -> Design:
         rng = np.random.default_rng(53)
         codes = rng.choice(4**8, 300, replace=False)
         runs = zip(*(d.tolist() for d in np.unravel_index(codes, (4,) * 8)))
         return Design((tuple(ALPHABET),) * 8, dict.fromkeys(runs, 1))
 
+    @pytest.mark.memory_bound
     @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
     def test_one_shot_memory_stays_within_the_table_route_peak(self, groups):
         # 4^8 cells: each complex array is 1 MiB.  A step holds its input and
@@ -421,9 +412,10 @@ class TestQuarterTurnSteps:
         # (3 MiB) or its prefixes would exceed that.
         design = self.design_4_8()
         j_characteristics(design, groups)  # builds the cached tables
-        peak = self.traced_peak(lambda: j_characteristics(design, groups))
+        _, peak = traced(lambda: j_characteristics(design, groups))
         assert peak <= 9 * 2**18 + 2**16
 
+    @pytest.mark.memory_bound
     @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
     def test_reconstruct_memory_is_three_cell_arrays(self, groups):
         # At 4^8 the check holds the cells and their difference from the
@@ -433,9 +425,10 @@ class TestQuarterTurnSteps:
         # step-entry bound of the next test tells it apart.
         jchar = j_characteristics(self.design_4_8(), groups)
         reconstruct(jchar)
-        peak = self.traced_peak(lambda: reconstruct(jchar))
+        _, peak = traced(lambda: reconstruct(jchar))
         assert peak <= 3 * 2**20 + 2**16
 
+    @pytest.mark.memory_bound
     @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
     def test_reconstruct_steps_start_with_one_cell_array(self, groups, monkeypatch):
         # Each step of reconstruct's transform starts holding its input alone
@@ -450,7 +443,7 @@ class TestQuarterTurnSteps:
             return step(flat, d)
 
         monkeypatch.setattr(spectra, "_quarter_step", spy)
-        self.traced_peak(lambda: reconstruct(jchar))
+        traced(lambda: reconstruct(jchar))
         assert len(entries) == sum(len(parse_structure(g).cyclic_orders) for g in groups)
         assert max(entries) <= 2**20 + 2**16
 

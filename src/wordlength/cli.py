@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dense", "factorized", "margin"],
         help="margin (default without --groups) needs no group structures",
     )
-    add_common(p, _run_gwlp, INTERNAL_TOL, "resolution tolerance (default 1e-9)")
+    add_common(p, _run_gwlp, INTERNAL_TOL, "resolution tolerance (default %(default)s)")
 
     p = sub.add_parser("jchar", help="J-characteristics under a structure assignment")
     p.add_argument("design", help="design file")
@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         _run_invariance,
         CROSS_ROUTE_TOL,
-        "cross-route tolerance (default 1e-8); resolution is exact; the witness scales with N",
+        "cross-route tolerance (default %(default)s); resolution is exact; "
+        "the witness scales with N",
     )
 
     p = sub.add_parser("margins", help="margin counts over a factor subset")
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first", help="first design file")
     p.add_argument("second", help="second design file")
     p.add_argument("--groups", help="structure literals applied to both designs")
-    add_common(p, _run_compare, INTERNAL_TOL, "comparison tolerance (default 1e-9)")
+    add_common(p, _run_compare, INTERNAL_TOL, "comparison tolerance (default %(default)s)")
 
     p = sub.add_parser("enumerate-groups", help="abelian structures of a given order")
     p.add_argument("order", help="a group order in ASCII digits, e.g. 16")

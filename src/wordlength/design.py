@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DesignParseError, ResourceLimitError
 from .groups import yates_strides
 
-#: Largest full-factorial size densified into a count vector; also caps a levels header's total.
+#: Largest dense array: a count vector, margin table, levels total or margin route's 2^k subsets.
 DENSIFY_CAP = 2**20
 
 # _tally's codes stay below the product of the sizes, so they fit intp while it does.

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .design import Design, MarginTable, margins
+from .design import DENSIFY_CAP, Design, MarginTable, margins
 from .errors import ResourceLimitError
 from .groups import DENSE_BLOCK_ENTRIES, AbelianStructure, element_components, enumerate_structures
 from .spectra import (
@@ -63,9 +63,6 @@ CROSS_ROUTE_TOL = 1e-8
 
 #: Largest number of assignments one invariance check may compare.
 MAX_ASSIGNMENTS = 256
-
-#: Largest number of factor subsets, 2^k, the margin route may count.
-MARGIN_SUBSET_CAP = 2**20
 
 # The pair kernel runs when the distinct runs are at most this many per factor
 # subset: at n = 2 * 2^k it took 0.2-0.5 of the margin kernel's time, and
@@ -121,8 +118,8 @@ def _pair_subset_norms(design: Design) -> np.ndarray:
     that agree on exactly J; then G[K] = sum_{J >= K} h[J].  The upper
     triangle of pairs is read in blocks of whole rows, as many as fit in
     ``DENSE_BLOCK_ENTRIES`` pairs and at least one.  A pair past the block's
-    own rows stands for both of its orders.  The cap keeps k <= 20, so a
-    mask fits int32.
+    own rows stands for both of its orders.  ``DENSIFY_CAP`` keeps k <= 20,
+    so a mask fits int32.
     """
     runs, mults = design._run_matrix
     k, n = runs.shape
@@ -155,10 +152,9 @@ def _scaled_projector_norms(design: Design) -> np.ndarray:
     lattice step and their sum, and Python ints past that.
     """
     k = design.k
-    if 1 << k > MARGIN_SUBSET_CAP:
+    if 1 << k > DENSIFY_CAP:
         raise ResourceLimitError(
-            f"margin route over k = {k} factors needs 2^{k} subsets, "
-            f"above the cap {MARGIN_SUBSET_CAP}"
+            f"margin route over k = {k} factors needs 2^{k} subsets, above the cap {DENSIFY_CAP}"
         )
     pairs = design._run_matrix[0].shape[1] <= _PAIR_RUNS_PER_SUBSET << k
     kernel = _pair_subset_norms if pairs else _margin_subset_norms

@@ -1,5 +1,5 @@
-"""Shared test utilities: independent oracles, a random-design generator and
-the one measure of a call's traced memory peak.
+"""Shared test utilities: independent oracles, a random-design generator, the
+one measure of a call's traced memory peak and the paper's Table 1 aids.
 
 The oracles recompute quantities from their defining formulas with plain
 Python loops and cmath, touching none of the package's transform, table or
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -18,13 +19,24 @@ from pathlib import Path
 
 import numpy as np
 
-from wordlength import Design, enumerate_structures, j_characteristics
+from wordlength import Design, enumerate_structures, j_characteristics, parse_structure
 from wordlength.groups import cyclic_character_table
 from wordlength.invariance import JCharWitness, expand_assignments
 from wordlength.render import element_labels
 from wordlength.spectra import _residue_bound
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+#: The paper's two groups of order 4, Z_4 and the Klein group Z_2 x Z_2.
+Z4 = parse_structure("4")
+V = parse_structure("2x2")
+
+#: The paper's symbols of the four levels, in level order.
+ALPHABET = "0abc"
+
+#: Bytes a traced peak may exceed its bound by, for the allocator's and the
+#: interpreter's own small objects.
+PEAK_MARGIN = 2**16
 
 
 def traced(call):
@@ -36,6 +48,24 @@ def traced(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def paper_index(label: str) -> int:
+    """Yates index of a Table-style element label like 'aab'."""
+    index = 0
+    for ch in label:
+        index = index * 4 + ALPHABET.index(ch)
+    return index
+
+
+def load_table1() -> dict[str, dict[str, complex]]:
+    """``fixtures/table1.json``: each listed element label to its values under
+    ``"Z4"`` and ``"V"``."""
+    doc = json.loads((FIXTURES / "table1.json").read_text(encoding="utf-8"))
+    return {
+        label: {key: complex(val["re"], val["im"]) for key, val in entry.items()}
+        for label, entry in doc["values"].items()
+    }
 
 
 def oracle_character(structure_orders, g, h) -> complex:

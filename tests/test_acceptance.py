@@ -6,7 +6,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the PASS/FAIL lines.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -14,24 +13,28 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, all_assignments, random_design, traced, yates_elements
+from helpers import (
+    V,
+    Z4,
+    all_assignments,
+    load_table1,
+    paper_index,
+    random_design,
+    traced,
+    yates_elements,
+)
 from wordlength import (
     Design,
     enumerate_structures,
     gwlp_char,
     gwlp_margin,
     j_characteristics,
-    parse_structure,
     projector_norms,
     reconstruct,
 )
 from wordlength.groups import character_table
 from wordlength.kron import build_projector
 from wordlength.spectra import assignment_character_table
-
-Z4 = parse_structure("4")
-V = parse_structure("2x2")
-ALPHABET = "0abc"
 
 
 @contextmanager
@@ -44,13 +47,6 @@ def criterion(number: int, name: str):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
-def paper_index(label: str) -> int:
-    index = 0
-    for ch in label:
-        index = index * 4 + ALPHABET.index(ch)
-    return index
-
-
 @pytest.fixture(scope="module")
 def random_suite():
     """200 random designs: k <= 4, s_i in {2,3,4,6,8,9,12}, N <= 60, mult 1-3."""
@@ -61,17 +57,15 @@ def random_suite():
 def test_criterion_1_table1_reproduction(paper_design):
     with criterion(1, "Table-1 reproduction"):
         start = time.perf_counter()
-        table = json.loads((FIXTURES / "table1.json").read_text(encoding="utf-8"))
+        table = load_table1()
         jz = j_characteristics(paper_design, [Z4] * 3).values
         jv = j_characteristics(paper_design, [V] * 3).values
         listed = set()
-        for label, entry in table["values"].items():
+        for label, entry in table.items():
             index = paper_index(label)
             listed.add(index)
-            expected_z4 = complex(entry["Z4"]["re"], entry["Z4"]["im"])
-            expected_v = complex(entry["V"]["re"], entry["V"]["im"])
-            assert abs(jz[index] - expected_z4) < 1e-9, label
-            assert abs(jv[index] - expected_v) < 1e-9, label
+            assert abs(jz[index] - entry["Z4"]) < 1e-9, label
+            assert abs(jv[index] - entry["V"]) < 1e-9, label
         assert len(listed) == 28
         for index in set(range(64)) - listed:
             assert abs(jz[index]) < 1e-9 and abs(jv[index]) < 1e-9

@@ -11,6 +11,8 @@ import pytest
 
 from helpers import (
     FIXTURES,
+    V,
+    Z4,
     all_assignments,
     dual_weights,
     exact_gwlp,
@@ -45,9 +47,6 @@ from wordlength.design import _MAX_INT64_ROOT
 from wordlength.invariance import table_norm
 from wordlength.kron import build_projector
 from wordlength.spectra import INTERNAL_TOL, _residue_bound, assignment_character_table
-
-Z4 = parse_structure("4")
-V = parse_structure("2x2")
 
 
 def gwlp_of(*wordlengths: float) -> GWLP:
@@ -463,16 +462,33 @@ class TestOctacode:
         assert weights == [1, 0, 0, 0, 14, 112, 0, 112, 17]
         assert list(gwlp_margin(octacode)) == weights
 
-    @pytest.mark.parametrize(("groups", "nonzero", "full"), [("4", 256, 256), ("2x2", 928, 32)])
-    def test_spectrum_counts_match_the_table_route(self, octacode, groups, nonzero, full):
+    @pytest.mark.parametrize(
+        ("groups", "perm", "nonzero", "full"),
+        [
+            ("4", [0, 1, 2, 3], 256, 256),
+            ("4", [0, 3, 2, 1], 256, 256),
+            ("4", [0, 2, 1, 3], 576, 64),
+            ("2x2", [0, 1, 2, 3], 928, 32),
+            ("2x2", [0, 3, 2, 1], 928, 32),
+            ("2x2", [0, 2, 1, 3], 928, 32),
+        ],
+    )
+    def test_spectrum_counts_match_the_table_route(self, octacode, groups, perm, nonzero, full):
         # Under Z_4, |chi| is 256 on the 256 dual words and 0 off them; under
         # 2x2 on every factor, 32 entries have modulus 256 and 896 have 128.
+        # Relabelling factor 1 by x -> 3x, an automorphism of Z_4, keeps that
+        # support; the swap of 1 and 2 is not one, and moves it.  Every
+        # permutation that fixes 0 is an automorphism of 2x2.  The pattern
+        # stays the dual code's in all six cases.
+        design = relabel_levels(octacode, [perm] + [None] * 7)
         structures = [parse_structure(groups)] * 8
-        values = j_characteristics(octacode, structures).values
-        reference = tensordot_apply(part_tables(structures), octacode.dense_counts())
-        np.testing.assert_allclose(values, reference, rtol=0, atol=1e-9)
-        modulus = np.abs(values)
+        jchar = j_characteristics(design, structures)
+        reference = tensordot_apply(part_tables(structures), design.dense_counts())
+        np.testing.assert_allclose(jchar.values, reference, rtol=0, atol=1e-9)
+        modulus = np.abs(jchar.values)
         assert (np.count_nonzero(modulus), np.count_nonzero(modulus == 256)) == (nonzero, full)
+        pattern = [1, 0, 0, 0, 14, 112, 0, 112, 17]
+        assert list(gwlp_char(jchar)) == list(gwlp_margin(design)) == pattern
 
     def test_every_assignment_gives_the_pattern_but_not_the_spectrum(self, octacode):
         report = verify_invariance(octacode, "all")
@@ -483,6 +499,31 @@ class TestOctacode:
         assert witness == full_scan_witness(octacode, two)
         assert report.witness.components == witness.components == (0, 0, 0, 1, 0, 1, 1, 1)
         assert (witness.first_value, witness.other_value) == (0, 256)
+
+
+class TestTernarySimplex:
+    """fixtures/simplex_3_13.txt, the 27 words of the ternary [13, 3] simplex code.
+    Its 3^13 cells are above the dense cap, so only the margin route rates it."""
+
+    GENERATOR = [
+        [int(c) for c in row] for row in ("0000111111111", "0111000111222", "1012012012012")
+    ]
+
+    def test_margin_route_gives_the_hamming_dual_pattern(self):
+        design = parse_design((FIXTURES / "simplex_3_13.txt").read_text(encoding="utf-8"))
+        assert design == linear_code(self.GENERATOR, 3)
+        # One column per point of PG(2, 3), each with first nonzero coordinate 1.
+        columns = list(zip(*self.GENERATOR))
+        assert len(set(columns)) == 13 and all(next(filter(None, c)) == 1 for c in columns)
+        n_squared = design.n_runs**2
+        exact = exact_gwlp(design)
+        pattern = gwlp_margin(design)
+        assert [a * n_squared for a in pattern] == [a * n_squared for a in exact]
+        assert exact[3:6] == [104, 468, 1404]
+        assert sum(exact) == 3**10  # the dual [13, 10] Hamming code
+        assert resolution_and_strength(pattern) == (3, 2)
+        with pytest.raises(ResourceLimitError, match="exceeds the cap 1048576"):
+            j_characteristics(design, ["3"] * 13)
 
 
 class TestResolutionAndStrength:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 import tracemalloc
@@ -13,10 +12,15 @@ import numpy as np
 import pytest
 
 from helpers import (
-    FIXTURES,
+    ALPHABET,
+    PEAK_MARGIN,
+    V,
+    Z4,
     all_assignments,
+    load_table1,
     oracle_gwlp,
     oracle_jchar,
+    paper_index,
     part_tables,
     random_design,
     traced,
@@ -41,30 +45,6 @@ from wordlength.groups import character_table, cyclic_character_table
 from wordlength.kron import factored_apply
 from wordlength.render import dumps
 from wordlength.spectra import JCharVector, _PrefixWalk, weight
-
-Z4 = parse_structure("4")
-V = parse_structure("2x2")
-
-ALPHABET = "0abc"
-
-
-def paper_index(label: str) -> int:
-    """Yates index of a Table-style element label like 'aab'."""
-    index = 0
-    for ch in label:
-        index = index * 4 + ALPHABET.index(ch)
-    return index
-
-
-def load_table1():
-    doc = json.loads((FIXTURES / "table1.json").read_text(encoding="utf-8"))
-    table = {}
-    for label, entry in doc["values"].items():
-        table[label] = {
-            key: complex(val["re"], val["im"]) for key, val in entry.items()
-        }
-    return table
-
 
 def half_fraction() -> Design:
     """The even-parity half of the 2^3 full factorial."""
@@ -413,7 +393,7 @@ class TestQuarterTurnSteps:
         design = self.design_4_8()
         j_characteristics(design, groups)  # builds the cached tables
         _, peak = traced(lambda: j_characteristics(design, groups))
-        assert peak <= 9 * 2**18 + 2**16
+        assert peak <= 9 * 2**18 + PEAK_MARGIN
 
     @pytest.mark.memory_bound
     @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
@@ -426,7 +406,7 @@ class TestQuarterTurnSteps:
         jchar = j_characteristics(self.design_4_8(), groups)
         reconstruct(jchar)
         _, peak = traced(lambda: reconstruct(jchar))
-        assert peak <= 3 * 2**20 + 2**16
+        assert peak <= 3 * 2**20 + PEAK_MARGIN
 
     @pytest.mark.memory_bound
     @pytest.mark.parametrize("groups", [["4"] * 8, ["2x2"] * 8, ["4", "2x2", "2x2", "4"] * 2])
@@ -445,7 +425,7 @@ class TestQuarterTurnSteps:
         monkeypatch.setattr(spectra, "_quarter_step", spy)
         traced(lambda: reconstruct(jchar))
         assert len(entries) == sum(len(parse_structure(g).cyclic_orders) for g in groups)
-        assert max(entries) <= 2**20 + 2**16
+        assert max(entries) <= 2**20 + PEAK_MARGIN
 
 
 class TestJCharVector:

@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spectrum", help="JSON file produced by `jchar --json`")
     p.add_argument("--groups", help="override the structure assignment")
     add_common(
-        p, _run_reconstruct, None, "max distance from integers (default max(1e-6, 1e-11*N))"
+        p, _run_reconstruct, None,
+        "max distance from integers, below 0.5 (default max(1e-6, 1e-11*N) for N < 5e10, else 0)",
     )
 
     p = sub.add_parser("invariance", help="verify GWLP invariance across assignments")

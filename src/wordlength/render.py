@@ -1,9 +1,9 @@
 """Deterministic text and JSON rendering, and the ``jchar --json`` report.
 
-Floats are always formatted with 12 significant digits and negative zero
-normalized away, so identical inputs produce byte-identical output.  Complex
-values render as ``a``, ``bi`` or ``a+bi`` / ``a-bi`` with trailing zeros
-trimmed, the way spectrum tables are conventionally printed.
+Floats are formatted with 12 significant digits, integral ones below 2**53 whole,
+and negative zero normalized away, so identical inputs produce byte-identical
+output.  Complex values render as ``a``, ``bi`` or ``a+bi`` / ``a-bi`` with
+trailing zeros trimmed, the way spectrum tables are conventionally printed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .spectra import JCharVector, _residue_bound
 
 
 def fmt_float(x: float) -> str:
-    return "%.12g" % (float(x) + 0.0)  # + 0.0 drops the sign of -0.0
+    x = float(x) + 0.0  # + 0.0 drops the sign of -0.0
+    return "%d" % x if x.is_integer() and abs(x) < 2**53 else "%.12g" % x
 
 
 def fmt_complex(z: complex) -> str:
@@ -45,7 +46,7 @@ def complex_json(z: complex) -> dict[str, float]:
 
 
 def dumps(payload: Any) -> str:
-    """Canonical JSON: insertion-ordered keys, floats at 12 significant digits.
+    """Canonical JSON: insertion-ordered keys, floats as ``fmt_float`` writes them.
 
     A callable in ``payload`` is a writer: it is called with the list of
     pieces, to which it appends its value's JSON.
@@ -159,9 +160,9 @@ def _formatted(parts: np.ndarray, suffix: str) -> np.ndarray:
     more values than there are parts are told apart by their offset from the
     least, in linear passes; others by ``np.unique``, which sorts.  Adding
     0.0 drops the sign of -0.0 as ``fmt_float`` does, and one "%.12g"
-    template (the same digits as ``format(x, ".12g")``) formats all distinct
-    values in one call.  ``suffix`` holds no "%" and no NUL, which parts the
-    formatted values.
+    template formats all distinct values in one call, then ``fmt_float`` those
+    of magnitude 1e12 or more, which it may print whole.  ``suffix`` holds no
+    "%" and no NUL, which parts the formatted values.
     """
     lo, hi = float(parts.min()), float(parts.max())
     # NaN and infinities fail the span, and a part that is no integer the sum.
@@ -175,6 +176,8 @@ def _formatted(parts: np.ndarray, suffix: str) -> np.ndarray:
     text = (f"%.12g{suffix}\0" * len(distinct))[:-1] % tuple(distinct.tolist())
     table = np.empty(keys[-1] + 1, dtype=object)
     table[keys] = text.split("\0")
+    big = np.flatnonzero(abs(distinct) >= 1e12)
+    table[keys[big]] = [fmt_float(x) + suffix for x in distinct[big].tolist()]
     return table[inverse]
 
 
@@ -406,17 +409,13 @@ def _layout_entries(raw: bytes, last: bool):
     return values, close
 
 
-# The least integer of each width in digits that has no leading zero: 0 for one digit.
-_LEAST = np.array([0.0, 0.0, *10.0 ** np.arange(1, 15)])
-
-
 def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     """The integers written at ``b[starts:stops]``; None unless each matches
-    ``-?(0|[1-9][0-9]{0,14})``.  Those have at most 15 digits, so float64 holds them exactly."""
+    ``-?(0|[1-9][0-9]{0,15})`` below 2**53, where every sum of its digits is exact."""
     negative = b[starts] == ord("-")
     starts = starts + negative
     width = stops - starts
-    if width.min() < 1 or width.max() > 15:
+    if width.min() < 1 or width.max() > 16:
         return None
     # One row per digit column, by its distance from the stop: numpy runs
     # along rows, and a row is as long as the slice has integers.
@@ -424,10 +423,10 @@ def _integers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     digits = (b[stops - columns] - np.uint8(ord("0"))) * (columns <= width)
     if (digits > 9).any():  # bytes below "0" wrap past 9 in uint8
         return None
-    values = 10.0 ** (columns[:, 0] - 1) @ digits  # every sum is exact below 2**53
-    if (values < _LEAST[width]).any():  # a leading zero
-        return None
-    return np.where(negative, 0.0 - values, values)  # "-0" is int 0, which loads as 0.0
+    values = 10.0 ** (columns[:, 0] - 1) @ digits  # exact below 2**53, and never below it above
+    if values.max() >= 2**53 or ((b[starts] == ord("0")) & (width > 1)).any():
+        return None  # a value past float64's integers, or a leading zero
+    return (1.0 - 2.0 * negative) * values + 0.0  # + 0.0: "-0" is int 0, which loads as 0.0
 
 
 def _numbers(b: np.ndarray, starts: np.ndarray, stops: np.ndarray):

@@ -39,7 +39,7 @@ INTERNAL_TOL = 1e-9
 
 #: Least default distance of a reconstructed cell from an integer.  Spectra
 #: rendered at 12 significant digits put each cell within about 5e-12 * N of
-#: its count, whatever s is, so ``reconstruct`` allows twice that past N = 10^5.
+#: its count, whatever s is, so ``reconstruct`` allows twice that for 10^5 < N < 5e10.
 RECONSTRUCT_TOL = 1e-6
 
 
@@ -382,17 +382,19 @@ def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, in
     nonnegative integer, which happens when the values were computed under a
     different structure assignment than the one they are paired with, or if
     the multiplicities do not add up to ``jchar.n_runs``; a ValueError unless
-    ``tol`` is None or a number >= 0.  None means
-    ``max(RECONSTRUCT_TOL, 1e-11 * jchar.n_runs)``.
+    ``tol`` is None or in [0, 1/2), as a finite cell is always within 1/2 of an
+    integer.  None means ``max(RECONSTRUCT_TOL, 1e-11 * N)`` for N < 5e10, else 0.
 
     The cells are ``conj(H conj(chi)) / s`` (every cyclic table is
     symmetric, so H* = conj(H)), by the part steps of ``j_characteristics``.
     So while N <= 2**53 the spectrum of a design whose parts all have order
     2 or 4 reconstructs exactly, even with ``tol=0``.
     """
-    if tol is None:  # min: a report's n_runs may lie past the float range
-        tol = max(RECONSTRUCT_TOL, 1e-11 * min(jchar.n_runs, 2**1000))
+    if tol is None:
+        tol = max(RECONSTRUCT_TOL, 1e-11 * jchar.n_runs) if jchar.n_runs < 5 * 10**10 else 0.0
     _check_tolerance(tol)
+    if tol >= 0.5:
+        raise ValueError(f"tolerance {tol} passes every cell; it must be below 1/2")
     orders = [st.order for st in jchar.structures]
     parts = _parts(jchar.structures)
     # A non-finite or huge spectrum makes NaN or infinite cells; they fail

@@ -29,6 +29,7 @@ from wordlength import DesignParseError, cli, enumerate_structures, parse_design
 from wordlength.cli import main
 
 PAPER = str(FIXTURES / "paper_oa.txt")
+HUGE = str(FIXTURES / "huge_counts.txt")
 MIXED = str(FIXTURES / "mixed_symbols.txt")
 WIDE = str(FIXTURES / "wide_binary.txt")
 
@@ -54,8 +55,9 @@ WIDE = str(FIXTURES / "wide_binary.txt")
 # the five entries after them pin each route that passes --groups literals to
 # the library: compare under groups, dense gwlp, explicit invariance
 # assignments, and a reconstruct override that fails (exit 2) and one that
-# succeeds; the last entry pins gwlp on simplex_3_13.txt, whose 3^13 cells
-# only the margin route can rate.
+# succeeds; the next entry pins gwlp on simplex_3_13.txt, whose 3^13 cells
+# only the margin route can rate; the last two pin jchar on huge_counts.txt,
+# in text and --json, whose integral parts of 13 digits print whole.
 GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -492,6 +494,44 @@ class TestReconstructCommand:
         code, out, err = run(capsys, "reconstruct", str(spectrum))
         assert (code, err) == (0, "")
         assert out == "symbols: 0 1\n0 x10000000000000000000\n1 x10000000000000000000\n"
+
+    def test_counts_past_5e10_round_trip_exactly(self, capsys, tmp_path):
+        # N = 6,351,008,287,050 under 4,4, whose steps are exact.  Written at 12
+        # significant digits and read with a default tol of 1e-11 * N, past 1/2,
+        # four cells came back off by one with exit 0.
+        report = tmp_path / "huge.json"
+        argv = ["jchar", HUGE, "--groups", "4,4", "--json", "--output", str(report)]
+        assert run(capsys, *argv)[0] == 0
+        text = report.read_text(encoding="utf-8")
+        assert json.loads(text)["values"][0] == {"g": "00", "re": 6351008287050, "im": 0}
+        code, out, err = run(capsys, "reconstruct", str(report))
+        assert (code, err) == (0, "")
+        assert parse_design(out) == parse_design((FIXTURES / "huge_counts.txt").read_text("utf-8"))
+        # The report with every part at 12 significant digits, as it was written
+        # before: nine 13-digit parts lose a digit, and no cell is an integer.
+        head, values = text.split('"values": ')
+        values = re.sub(r"-?[0-9]{13,}", lambda m: "%.12g" % float(m[0]), values)
+        assert values.startswith('[{"g": "00", "re": 6.35100828705e+12, "im": 0}')
+        rounded = tmp_path / "rounded.json"
+        rounded.write_text(head + '"values": ' + values, encoding="utf-8")
+        code, out, err = run(capsys, "reconstruct", str(rounded))
+        assert (code, out) == (2, "")
+        assert "not an integer within 0.0" in err
+        # A tolerance of 1/2 passes every cell: a usage error.
+        code, out, err = run(capsys, "reconstruct", str(report), "--tol", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "wordlength: tolerance 0.5 passes every cell; it must be below 1/2\n"
+
+    def test_counts_past_2_53_are_refused(self, capsys, tmp_path):
+        # Float64 rounds the counts to 2**53 and 2**53 + 4, and chi_0 = 2**54 + 4
+        # is written at 12 significant digits, so no cell reads back whole.
+        design = tmp_path / "past.txt"
+        design.write_text("levels: 2\n0 x9007199254740993\n1 x9007199254740995\n")
+        report = tmp_path / "past.json"
+        argv = ["jchar", str(design), "--groups", "2", "--json", "--output", str(report)]
+        assert run(capsys, *argv)[0] == 0
+        code, out, _ = run(capsys, "reconstruct", str(report))
+        assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("value", ["1", None, True, False, [1], {"re": 1}])
     @pytest.mark.parametrize("part", ["re", "im"])
@@ -1165,6 +1205,20 @@ class TestRendering:
         assert fmt_float(0.25) == "0.25"
         assert fmt_float(1e-15) == "1e-15"
         assert fmt_float(2.9999999999999996) == "3"
+
+    def test_integral_floats_below_2_53_print_whole(self):
+        from wordlength.render import fmt_float
+
+        assert fmt_float(6351008287050.0) == "6351008287050"
+        assert fmt_float(1e12) == "1000000000000"
+        assert fmt_float(float(2**53 - 1)) == "9007199254740991"
+        assert fmt_float(-float(2**53 - 1)) == "-9007199254740991"
+        assert fmt_float(999999999999.0) == "999999999999"  # as "%.12g" prints it
+        # Not integral, or past the integers float64 tells apart: 12 significant digits.
+        assert fmt_float(1e12 + 0.5) == "1e+12"
+        assert fmt_float(float(2**53)) == "9.00719925474e+15"
+        assert fmt_float(1e300) == "1e+300"
+        assert fmt_float(math.inf) == "inf"
 
     def test_complex_formatting(self):
         from wordlength.render import fmt_complex

@@ -174,6 +174,48 @@ def test_reconstruct_is_exact_under_parts_of_order_2_and_4(case):
 
 
 @st.composite
+def huge_count_cases(draw):
+    """A design of counts up to 10**15, so N may pass 5e10 and 2**53, and an
+    assignment; in about half of them every part has order 2 or 4."""
+    quarter = draw(st.booleans())
+    pool = QUARTER_TURN_SIZES if quarter else SIZES
+    design = draw(designs(multiplicities=st.integers(1, 10**15), pool=pool))
+    splits = [
+        [split for split in enumerate_structures(s) if set(split.cyclic_orders) <= {2, 4}]
+        if quarter else enumerate_structures(s)
+        for s in design.sizes
+    ]
+    return design, tuple(draw(st.sampled_from(choices)) for choices in splits)
+
+
+@PROPERTY
+@given(huge_count_cases())
+@example(  # N = 2**53 - 1, the largest whose report holds every part whole
+    (
+        Design((tuple("0123"), ("0", "1")), {(0, 0): 2**53 - 4, (1, 1): 2, (3, 0): 1}),
+        (parse_structure("4"), parse_structure("2")),
+    )
+)
+@example(  # counts past 2**53, which float64 rounds to 2**53 and 2**53 + 4
+    (Design((("0", "1"),), {(0,): 2**53 + 1, (1,): 2**53 + 3}), (parse_structure("2"),))
+)
+def test_a_report_reconstructs_to_its_design_or_is_refused(case):
+    # jchar --json then reconstruct, in-process: never other counts, and the
+    # design's own whenever its parts are exact and the report holds them whole.
+    design, assignment = case
+    jchar = j_characteristics(design, assignment)
+    data = "".join(render.jchar_report({}, design.levels, jchar, "factorized")).encode("ascii")
+    read, _ = render.read_jchar_report(data, "report")
+    parts = [order for structure in jchar.structures for order in structure.cyclic_orders]
+    try:
+        counts = reconstruct(read)
+    except InconsistentSpectrumError:
+        assert not (set(parts) <= {2, 4} and design.n_runs < 2**53)
+        return
+    assert counts == dict(design.counts)
+
+
+@st.composite
 def two_and_four_level_designs(draw) -> Design:
     """k = 2..5 factors of 2 or 4 levels, up to 60 entries of multiplicity 1..49."""
     shape = draw(st.lists(st.sampled_from((2, 4)), min_size=2, max_size=5))
@@ -1226,8 +1268,8 @@ def entries_with(token: str) -> str:
 
 
 # Number tokens and other span contents, and whether _layout_values takes
-# them: every number JSON allows, the integers of at most 15 digits through
-# _integers and the others through _numbers.  1.7763568394e-15 is
+# them: every number JSON allows, the integers of no leading zero below 2**53
+# through _integers and the others through _numbers.  1.7763568394e-15 is
 # 17763568394 * 10**-25, past the exact powers of ten (up to 10**22), and
 # 1e400 reads as inf, as json.loads reads it.
 TOKENS_TAKEN = {"-0": True, "7": True, "999999999999999": True, "-999999999999999": True,
@@ -1301,6 +1343,43 @@ def test_layout_reader_takes_each_splice_edge(text):
 def test_layout_reader_takes_every_json_number(token, taken):
     data = report_of(entries_with(token)).encode("ascii")
     assert (_layout_values(data, data.index(b"[{")) is not None) == taken
+
+
+# Integer tokens about the one bound of _integers, and the reader that takes
+# each: _integers every integer of no leading zero below 2**53, 16 digits
+# included; _numbers every other integer; neither one with a leading zero.
+BOUND_TOKENS = {"9007199254740991": "_integers", "-9007199254740991": "_integers",
+                "1000000000000000": "_integers", "-0": "_integers",
+                "9007199254740992": "_numbers", "9007199254740993": "_numbers",
+                "-9007199254740993": "_numbers", "10000000000000000": "_numbers",
+                "01": None, "-01": None, "0000000000000001": None, "09007199254740991": None}
+
+
+@pytest.mark.parametrize("token, reader", BOUND_TOKENS.items())
+def test_integers_takes_every_integer_below_2_53_and_no_other(token, reader, monkeypatch):
+    took = {}
+
+    def spy(name, read):
+        def call(*args):
+            parts = read(*args)
+            took[name] = parts is not None
+            return parts
+
+        return call
+
+    for name in ("_integers", "_numbers"):
+        monkeypatch.setattr(render, name, spy(name, getattr(render, name)))
+    data = report_of(entries_with(token)).encode("ascii")
+    read = _layout_values(data, data.index(b"[{"))
+    if reader == "_integers":  # _numbers never sees it
+        assert took == {"_integers": True}
+    else:
+        assert took == {"_integers": False, "_numbers": reader == "_numbers"}
+    if reader is None:
+        assert read is None
+    else:  # the float json.loads gives
+        number = json.loads(token)
+        assert read[0].tolist() == [complex(number, 1), complex(-2, number)]
 
 
 @pytest.mark.parametrize("text", NEAR_MISSES)

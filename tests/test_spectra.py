@@ -464,6 +464,26 @@ class TestReconstruct:
             with pytest.raises(ValueError, match="tolerance must be a number >= 0"):
                 reconstruct(jchar, tol=tol)
 
+    @pytest.mark.parametrize("tol", [0.5, 1.0, math.inf])
+    def test_tolerance_of_one_half_or_more_is_refused(self, paper_design, tol):
+        # Every finite cell lies within 1/2 of an integer, so such a check passes them all.
+        jchar = j_characteristics(paper_design, [Z4] * 3)
+        with pytest.raises(ValueError, match="it must be below 1/2"):
+            reconstruct(jchar, tol=tol)
+
+    @pytest.mark.parametrize("n_runs, refused", [(5 * 10**10 - 1, False), (5 * 10**10, True)])
+    def test_default_tolerance_is_zero_from_n_5e10(self, n_runs, refused):
+        # Under 2 the spectrum of counts n_runs - 1 and 1 is (n_runs, n_runs - 2); with
+        # 0.5 more at 0, each cell is 0.25 off.  1e-11 * N, just below 1/2, rounds
+        # them; from N = 5e10 on, where it would reach 1/2, the default is 0.
+        values = np.array([n_runs + 0.5, n_runs - 2], dtype=np.complex128)
+        jchar = JCharVector(values, n_runs, (parse_structure("2"),))
+        if refused:
+            with pytest.raises(InconsistentSpectrumError, match="not an integer within 0.0"):
+                reconstruct(jchar)
+        else:
+            assert reconstruct(jchar) == {(0,): n_runs - 1, (1,): 1}
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(35)
         for _ in range(20):

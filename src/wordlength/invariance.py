@@ -13,18 +13,21 @@ the invariance property this package exists to check.
 
 Two exact kernels give the agreement totals G[K], the sums of squared
 K-margin counts, so that s * B_K = prod_{i in K} s_i * G[K].  The margin
-kernel counts the 2^k margin tables.  The pair kernel uses the pair form of
-the same sum (Xu and Wu, Ann. Statist. 29 (2001)): a squared K-margin total
-counts the ordered run pairs (x, y) that agree on K, so
+kernel counts the 2^k margin tables, each but the full set's from the table
+of its parent subset (one factor more), so a small subset tallies its
+parent's few cells instead of the n distinct runs.  The pair kernel uses the
+pair form of the same sum (Xu and Wu, Ann. Statist. 29 (2001)): a squared
+K-margin total counts the ordered run pairs (x, y) that agree on K, so
 
     G[K] = sum_{x, y agree on K} m_x * m_y = sum_{J >= K} h[J],
 
 where h[J] totals m_x * m_y over the pairs that agree on exactly the factors
 in J.  Its cost grows with the n^2 / 2 pairs of the n distinct runs, against
-2^k sorts of n runs for the margins, so it runs when n <= 2 * 2^k; the margin
-kernel runs otherwise.  The switch reads only n and k.  Both kernels work in
-the dtype of the design's multiplicities, which is exact for these sums, and
-give the same integers, so the kernel choice never shows in a result.
+2^k tallies of at most n cells for the margins, so it runs when n <= 2 * 2^k;
+the margin kernel runs otherwise.  The switch reads only n and k.  Both
+kernels work in the dtype of the design's multiplicities, which is exact for
+these sums, and give the same integers, so the kernel choice never shows in
+a result.
 
 The route is exact: one integer step per factor scales the G[K] and inverts
 them into s * ||M_J U O||^2, so each N^2 * A_j is an integer sum and the
@@ -65,8 +68,9 @@ CROSS_ROUTE_TOL = 1e-8
 MAX_ASSIGNMENTS = 256
 
 # The pair kernel runs when the distinct runs are at most this many per factor
-# subset: at n = 2 * 2^k it took 0.2-0.5 of the margin kernel's time, and
-# 0.6-1.1 of it at n = 4 * 2^k (k = 6-12, random designs).
+# subset: at n = 2 * 2^k it took 0.2-0.5 of the time of a margin kernel that
+# tallied all n runs per subset, and 0.6-1.1 at n = 4 * 2^k (k = 6-12, random
+# designs).
 _PAIR_RUNS_PER_SUBSET = 2
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -102,13 +106,26 @@ def _scale_and_invert(totals: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
 
 def _margin_subset_norms(design: Design) -> np.ndarray:
-    """G[K], the sum of squared K-margin counts, for every subset K."""
-    tables = (
-        margins(design, [i for i in range(design.k) if mask >> i & 1])
-        for mask in range(1 << design.k)
-    )
-    dtype = design._run_matrix[1].dtype
-    return np.fromiter((t.counts @ t.counts for t in tables), dtype, 1 << design.k)
+    """G[K], the sum of squared K-margin counts, for every subset K.
+
+    A depth-first walk down the subset lattice: the full set's table is
+    ``margins(design, range(k))``, and every other K's table is one
+    ``margins`` call on its parent's table, the table of K plus the factor
+    removed last, read as a design.  Factors leave in descending order, so
+    each K is reached once, the factors below the one removed last keep their
+    positions, and at most one table per depth is alive.
+    """
+    norms = np.empty(1 << design.k, design._run_matrix[1].dtype)
+
+    def walk(table: MarginTable, levels: tuple, mask: int, below: int) -> None:
+        norms[mask] = table.counts @ table.counts
+        parent = Design._from_runs(levels, table.cells.T, table.counts)
+        for i in range(below):  # every factor below the one removed last
+            subset = [*range(i), *range(i + 1, len(levels))]
+            walk(margins(parent, subset), levels[:i] + levels[i + 1 :], mask ^ (1 << i), i)
+
+    walk(margins(design, range(design.k)), design.levels, (1 << design.k) - 1, design.k)
+    return norms
 
 
 def _pair_subset_norms(design: Design) -> np.ndarray:
@@ -166,11 +183,11 @@ def projector_norms(design: Design) -> list[float]:
     """Squared norms ||M_J U O||^2 for every factor subset J, indexed by bitmask.
 
     Bit i of the mask selects factor i.  Computed from run counts alone: the
-    margin or the pair kernel gives the agreement totals G[K] (pairs when
-    n <= 2 * 2^k; see the module docstring), and one exact step per factor
-    scales and inverts them.  Multiplying by s gives the total |chi_g|^2 over
-    the elements that are nonidentity exactly on J, under any structure
-    assignment.
+    margin kernel, each table tallied from its parent subset's table, or the
+    pair kernel gives the agreement totals G[K] (pairs when n <= 2 * 2^k; see
+    the module docstring), and one exact step per factor scales and inverts
+    them.  Multiplying by s gives the total |chi_g|^2 over the elements that
+    are nonidentity exactly on J, under any structure assignment.
     """
     s = design.space_size
     return [value / s for value in _scaled_projector_norms(design).tolist()]
@@ -179,10 +196,11 @@ def projector_norms(design: Design) -> list[float]:
 def gwlp_margin(design: Design) -> GWLP:
     """Wordlength pattern from run counts only (no characters, no dense O).
 
-    The agreement totals come from the margin tables, or from the run-pair
-    agreement masks when n <= 2 * 2^k; both kernels give the same integers.
-    Exact: the integers N^2 * A_j are summed first and divided by N^2 once,
-    so each entry is the correctly rounded float of the true A_j.
+    The agreement totals come from the margin tables, each tallied from its
+    parent subset's table, or from the run-pair agreement masks when
+    n <= 2 * 2^k; both kernels give the same integers.  Exact: the integers
+    N^2 * A_j are summed first and divided by N^2 once, so each entry is the
+    correctly rounded float of the true A_j.
     """
     values = _scaled_projector_norms(design)
     weights = _order_weights((2,) * design.k)  # the bit count of each mask

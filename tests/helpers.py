@@ -12,6 +12,7 @@ import cmath
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -228,18 +229,23 @@ def exact_gwlp(design: Design) -> list[Fraction]:
 
     A(z) = N^-2 * sum over run pairs (x, y) of m_x m_y prod_i p_i(z), with
     p_i(z) = 1 + (s_i - 1) z when x_i = y_i and 1 - z otherwise; the
-    coefficient of z^j is A_j.  Integer polynomial arithmetic throughout.
+    coefficient of z^j is A_j.  The product depends on a pair only through
+    the factors where it agrees, so the m_x m_y are totalled per agreement
+    first, each unordered pair once.  Integer polynomial arithmetic throughout.
     """
-    k = design.k
-    scaled = [0] * (k + 1)
     runs = list(design.counts.items())
-    for x, mx in runs:
-        for y, my in runs:
-            poly = [mx * my]
-            for i in range(k):
-                linear = design.sizes[i] - 1 if x[i] == y[i] else -1
-                poly = [a + linear * b for a, b in zip(poly + [0], [0] + poly)]
-            scaled = [a + b for a, b in zip(scaled, poly)]
+    totals: Counter = Counter()
+    for j, (x, mx) in enumerate(runs):
+        totals[(True,) * design.k] += mx * mx
+        for y, my in runs[j + 1 :]:
+            totals[tuple(map(operator.eq, x, y))] += 2 * mx * my
+    scaled = [0] * (design.k + 1)
+    for agreement, weight in totals.items():
+        poly = [weight]
+        for size, equal in zip(design.sizes, agreement):
+            linear = size - 1 if equal else -1
+            poly = [a + linear * b for a, b in zip(poly + [0], [0] + poly)]
+        scaled = [a + b for a, b in zip(scaled, poly)]
     return [Fraction(a, design.n_runs**2) for a in scaled]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     FIXTURES,
+    PEAK_MARGIN,
     V,
     Z4,
     all_assignments,
@@ -357,6 +358,32 @@ class TestKernelSwitch:
         design = _sampled_runs(52, 100, (2,) * 18, max_mult=3)
         _, peak = traced(lambda: gwlp_margin(design))
         assert peak < 8 * 2**20
+
+
+class TestMarginWalk:
+    def test_each_table_tallies_its_parents_cells(self, monkeypatch):
+        # 2,000 runs over 60,480 cells: the tables of small subsets have few
+        # cells, so their children scan far fewer rows than the design has.
+        design = _sampled_runs(54, 2000, (4, 5, 6, 7, 8, 9), max_mult=1)
+        scanned = []
+
+        def recorder(table_design, subset):
+            scanned.append(table_design)
+            return margins(table_design, subset)
+
+        monkeypatch.setattr(invariance, "margins", recorder)
+        assert gwlp_margin(design).values == tuple(map(float, exact_gwlp(design)))
+        assert len(scanned) == 2**6 and scanned[0] is design
+        rows = sum(table_design._run_matrix[0].shape[1] for table_design in scanned)
+        assert rows <= 2**6 * 2000 // 2
+
+    @pytest.mark.memory_bound
+    def test_walk_keeps_one_table_per_depth(self):
+        # k = 7, n = 5,000: the full set's table alone is 320 kB.  Stacking
+        # every child's table before walking it peaked at 2.45 MB.
+        design = _sampled_runs(55, 5000, (2, 3, 4, 5, 6, 7, 8), max_mult=3)
+        _, peak = traced(lambda: invariance._margin_subset_norms(design))
+        assert peak <= 1_102_064 + PEAK_MARGIN, f"the walk allocated {peak} bytes"
 
 
 class TestVerifyInvariance:

@@ -651,7 +651,7 @@ def test_scaled_subset_norms_are_exact_pair_sums(design):
     assert _scaled_projector_norms(design).tolist() == mobius_alternating_list(scaled, design.k)
 
 
-KERNEL_SIZES = (2, 3, 4, 8, 9, 12)
+KERNEL_SIZES = (1, 2, 3, 4, 8, 9, 12)
 
 
 @st.composite

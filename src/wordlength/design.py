@@ -94,10 +94,16 @@ class Design:
         self.__dict__.update(levels=levels, _run_matrix=(runs, _multiplicities(counts.values())))
 
     @classmethod
-    def _from_runs(cls, levels, runs: np.ndarray, mults: np.ndarray) -> Design:
-        """A design from valid alphabets, distinct (k, n) runs and their multiplicities."""
+    def _from_runs(cls, levels, runs: np.ndarray, mults: np.ndarray, **known) -> Design:
+        """A design from valid alphabets, distinct (k, n) runs and their multiplicities.
+
+        ``known`` presets cached properties, such as ``sizes`` and ``n_runs``,
+        to the values a caller already holds; each must be what the property
+        would derive.
+        """
         design = cls.__new__(cls)
-        design.__dict__.update(levels=levels, _run_matrix=(np.ascontiguousarray(runs), mults))
+        runs = np.ascontiguousarray(runs)
+        design.__dict__.update(levels=levels, _run_matrix=(runs, mults), **known)
         return design
 
     def __eq__(self, other):

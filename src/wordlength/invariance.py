@@ -92,17 +92,17 @@ def _scale_and_invert(totals: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 
     Scaling G[K] by prod(sizes_K) gives s * B_K, and the subset-lattice
     Moebius transform out[J] = sum_{K<=J} (-1)^|J\\K| s * B_K gives the
-    projector norms.  Both act factor by factor on a (2,)*k copy of the
-    totals, in their dtype, whose axis k-1-i is bit i: (a0, a1) -> (a0,
-    s_i * a1 - a0).  Every value along the way is s times a squared
-    projection norm of O, so it lies in [0, s * sum m^2].
+    projector norms.  Both act factor by factor on a copy of the totals, in
+    their dtype, viewed as (2^axis, 2, rest) so that the middle axis is bit
+    k-1-axis: (a0, a1) -> (a0, s_i * a1 - a0).  Every value along the way is
+    s times a squared projection norm of O, so it lies in [0, s * sum m^2].
     """
-    out = totals.reshape((2,) * len(sizes)).copy()
+    out = totals.copy()
     for axis, size in enumerate(reversed(sizes)):
-        index = (slice(None),) * axis
-        out[index + (1,)] *= size
-        out[index + (1,)] -= out[index + (0,)]
-    return out.ravel()
+        pairs = out.reshape(1 << axis, 2, -1)
+        pairs[:, 1] *= size
+        pairs[:, 1] -= pairs[:, 0]
+    return out
 
 
 def _margin_subset_norms(design: Design) -> np.ndarray:
@@ -119,7 +119,9 @@ def _margin_subset_norms(design: Design) -> np.ndarray:
 
     def walk(table: MarginTable, levels: tuple, mask: int, below: int) -> None:
         norms[mask] = table.counts @ table.counts
-        parent = Design._from_runs(levels, table.cells.T, table.counts)
+        parent = Design._from_runs(
+            levels, table.cells.T, table.counts, sizes=table.sizes, n_runs=table.n_runs
+        )
         for i in range(below):  # every factor below the one removed last
             subset = [*range(i), *range(i + 1, len(levels))]
             walk(margins(parent, subset), levels[:i] + levels[i + 1 :], mask ^ (1 << i), i)
@@ -155,11 +157,10 @@ def _pair_subset_norms(design: Design) -> np.ndarray:
         np.add.at(agree, masks.ravel(), weights.ravel())
         start = stop
     # Superset sums, the mirror of the Moebius step; each stays <= N^2.
-    sums = agree.reshape((2,) * k)
     for axis in range(k):
-        index = (slice(None),) * axis
-        sums[index + (0,)] += sums[index + (1,)]
-    return sums.ravel()
+        pairs = agree.reshape(1 << axis, 2, -1)
+        pairs[:, 0] += pairs[:, 1]
+    return agree
 
 
 def _scaled_projector_norms(design: Design) -> np.ndarray:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from helpers import traced
 from wordlength import parse_structure
-from wordlength.groups import character_table
+from wordlength.groups import character_table, cyclic_character_table
 from wordlength.kron import build_projector, factored_apply, kron, kron_all, projector_factors
 
 
@@ -14,7 +18,36 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_arrays(dtype):
+    values = st.floats(-8, 8) if dtype == np.float64 else st.complex_numbers(max_magnitude=8)
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0), elements=values)
+
+
+# Random 0-D to 3-D float and complex arrays, and the cyclic tables the dense
+# route folds.
+OPERANDS = st.one_of(
+    random_arrays(np.float64),
+    random_arrays(np.complex128),
+    st.integers(2, 16).map(cyclic_character_table),
+)
+
+
 class TestKron:
+    @settings(max_examples=300, deadline=None)
+    @given(OPERANDS, OPERANDS)
+    @example(np.array(2.5), np.array(1 + 3j))
+    @example(np.array(0.3 - 1.7j), np.array([[0.7 - 0.1j]]))  # ufunc loops can round these apart
+    @example(np.array([0.3, -1.7, 2.9]), cyclic_character_table(3))
+    @example(cyclic_character_table(16), np.arange(5.0) / 3)
+    def test_matches_numpy_bit_for_bit(self, a, b):
+        # Each multiply takes the whole larger operand, so its products must
+        # come out of the same ufunc loop as np.kron's, in either order.
+        for first, second in ((a, b), (b, a)):
+            expected, product = np.kron(first, second), kron(first, second)
+            assert type(product) is type(expected)
+            assert (product.dtype, product.shape) == (expected.dtype, expected.shape)
+            assert product.tobytes() == expected.tobytes()
+
     def test_reproduces_klein_table(self):
         z2 = np.array([[1, 1], [1, -1]], dtype=complex)
         klein = parse_structure("2x2")
@@ -64,6 +97,17 @@ class TestKron:
                 product = kron(a, b)
                 rank = np.linalg.matrix_rank(product)
                 assert rank == np.linalg.matrix_rank(a) * np.linalg.matrix_rank(b)
+
+    @pytest.mark.memory_bound
+    def test_peak_is_no_higher_than_numpys(self):
+        # A (32, 512) complex block of rows times Z_2, as the dense route folds
+        # one: the product is 1 MiB.  np.kron's own peak is the bound.
+        rng = np.random.default_rng(14)
+        block, z2 = random_complex(rng, 32, 512), cyclic_character_table(2)
+        _, numpy_peak = traced(lambda: np.kron(block, z2))
+        product, peak = traced(lambda: kron(block, z2))
+        assert product.nbytes == 2**20
+        assert peak <= numpy_peak, f"kron peaked at {peak} bytes, np.kron at {numpy_peak}"
 
 
 class TestFactoredApply:

@@ -6,6 +6,7 @@ owns the most significant mixed-radix digit, matching ``numpy.kron``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -14,48 +15,33 @@ import numpy as np
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` bit for bit: the same dtype, shape and entries.
+    """``np.kron(a, b)`` of two matrices, bit for bit: the same dtype, shape and bytes.
 
-    Each entry is the one product ``a[i] * b[j]``, ``a`` first, that
-    ``np.kron`` makes.  Both operands are padded with leading unit axes to one
-    ndim, as ``np.kron`` pads them, and the output, laid out as (a_0, b_0,
-    a_1, b_1, ...), is filled by one multiply per entry of the operand with
-    fewer entries: the whole larger operand times that entry.  The entry is
-    a one-entry view with every axis, not a scalar, so dtypes promote and
-    the ufunc picks its loop as for the arrays ``np.kron`` multiplies; a
-    flat one-entry slice rounded some one-entry products apart.
-    ``np.kron``'s one multiply runs along the smaller operand's last axis,
-    2 to 16 entries long for a cyclic table.  Uncapped: no table or block the
-    package builds has more than 4096² entries.
+    Each entry is the one product ``a[i, j] * b[k, l]``, ``a`` first, that
+    ``np.kron`` makes.  The output, laid out as (m, p, n, q) for an (m, n)
+    ``a`` and a (p, q) ``b``, is filled by one multiply per entry of the
+    operand with fewer entries: the whole larger operand times that entry.
+    The entry is a (1, 1) slice, not a scalar, so dtypes promote and the ufunc
+    picks its loop as for the arrays ``np.kron`` multiplies; a flat one-entry
+    slice rounded some one-entry products apart.  ``np.kron``'s one multiply
+    runs along the smaller operand's columns, 2 to 16 entries long for a
+    cyclic table.  Uncapped: no table or block the package builds has more
+    than 4096² entries.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    if b.ndim == 0:  # np.kron pads a to b's ndim, then multiplies outright
-        return np.multiply(a, b)
-    nd = max(a.ndim, b.ndim)
-    a = a.reshape((1,) * (nd - a.ndim) + a.shape)
-    b = b.reshape((1,) * (nd - b.ndim) + b.shape)
-    out = np.empty([n for pair in zip(a.shape, b.shape) for n in pair], np.result_type(a, b))
-    # The output's axes of the looped operand first: indexing with one of its
-    # entries' indices gives the slot of that entry's product.
+    (m, n), (p, q) = a.shape, b.shape
+    out = np.empty((m, p, n, q), np.result_type(a, b))
     if b.size <= a.size:
-        slots = out.transpose(*range(1, 2 * nd, 2), *range(0, 2 * nd, 2))
-        entries = b.reshape(b.shape + (1,) * nd)
-        for index in itertools.product(*map(range, b.shape)):
-            np.multiply(a, entries[index], out=slots[index])
+        for k, l in itertools.product(range(p), range(q)):
+            np.multiply(a, b[k : k + 1, l : l + 1], out=out[:, k, :, l])
     else:
-        slots = out.transpose(*range(0, 2 * nd, 2), *range(1, 2 * nd, 2))
-        entries = a.reshape(a.shape + (1,) * nd)
-        for index in itertools.product(*map(range, a.shape)):
-            np.multiply(entries[index], b, out=slots[index])
-    return out.reshape([m * n for m, n in zip(a.shape, b.shape)])
+        for i, j in itertools.product(range(m), range(n)):
+            np.multiply(a[i : i + 1, j : j + 1], b, out=out[i, :, j, :])
+    return out.reshape(m * p, n * q)
 
 
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence of matrices (empty product is [[1]])."""
-    result = np.ones((1, 1), dtype=np.complex128)
-    for f in factors:
-        result = kron(result, f)
-    return result
+    return functools.reduce(kron, factors, np.ones((1, 1), dtype=np.complex128))
 
 
 def factored_apply(factors: Sequence[np.ndarray], v: Sequence[complex]) -> np.ndarray:

@@ -21,16 +21,15 @@ import numpy as np
 from .design import Design, Run
 from .errors import InconsistentSpectrumError
 from .groups import (
-    DENSE_BLOCK_ENTRIES,
     AbelianStructure,
-    _check_dense_order,
+    _dense_product,
     _dense_table,
     cyclic_character_table,
     element_components,
     parse_structure,
     yates_strides,
 )
-from .kron import _contract_axis, kron, kron_all
+from .kron import _contract_axis
 
 Assignment = tuple[AbelianStructure, ...]
 
@@ -192,37 +191,6 @@ def assignment_character_table(structures: Sequence[AbelianStructure]) -> np.nda
     return _dense_table(_parts(structures))
 
 
-def _dense_spectrum(parts: Sequence[int], counts: np.ndarray) -> np.ndarray:
-    """``_dense_table(parts) @ counts``, bit for bit, built a block of rows at a time.
-
-    The head folds the part tables as ``kron_all`` does: the first, then each
-    next one while it has at most ``DENSE_BLOCK_ENTRIES`` entries.  A lone first
-    part is its own table, not ``kron_all``'s copy, which differs only in making
-    the -0.0 real part of -i +0.0.  A block is a range of head rows with the
-    other tables (order D) folded on, at most max(DENSE_BLOCK_ENTRIES, D * s)
-    entries, each the whole table's product of the same factors in that order.
-    The cap is checked before any table is built.
-    """
-    _check_dense_order(parts)
-    tables = [cyclic_character_table(d) for d in parts]
-    cut = min(1, len(parts))
-    while cut < len(parts) and math.prod(parts[: cut + 1]) ** 2 <= DENSE_BLOCK_ENTRIES:
-        cut += 1
-    head = tables[0] if cut == 1 else kron_all(tables[:cut])
-    tail = tables[cut:]
-    rows = max(1, DENSE_BLOCK_ENTRIES // (math.prod(parts[cut:]) * len(counts)))
-    # The head rows split into blocks of at most ``rows`` whose sizes differ
-    # by at most one, so a block has D >= 2 table rows per head row under a
-    # tail of order D, is the whole table, or has at least 8 rows of one part
-    # past 256 levels.  Its product then takes numpy's matrix-vector path, as
-    # the whole table's does; a one-row block (blocks of exactly ``rows``
-    # leave one of the part 571) takes another, whose last bits differ (by up
-    # to 4e-12 on parts (3, 7, 9, 13)).  Each block's product is dropped once
-    # applied.
-    blocks = np.array_split(head, math.ceil(len(head) / rows))
-    return np.concatenate([functools.reduce(kron, tail, block) @ counts for block in blocks])
-
-
 def _exact_parts(parts: Sequence[int], n_runs: int) -> int:
     """How many leading cyclic parts run as ``_quarter_step``s: those of order 2 or 4.
 
@@ -341,7 +309,7 @@ def j_characteristics(
 
     ``algorithm="dense"`` applies the full character table (capped at
     ``groups.DENSE_TABLE_CAP``) a block of rows at a time, bit for bit as one
-    product (``_dense_spectrum``); ``"factorized"`` applies the per-part tables,
+    product (``groups._dense_product``); ``"factorized"`` applies the per-part tables,
     each under that cap, as a mixed-radix transform on the dense count vector
     (capped at ``design.DENSIFY_CAP``).  The leading parts ``_exact_parts``
     counts run as exact ``_quarter_step``s (order 2 an add and a subtract,
@@ -362,7 +330,7 @@ def j_characteristics(
         return JCharVector(walk.spectrum(structures), design.n_runs, structures)
     parts = _parts(structures)
     if algorithm == "dense":
-        values = _dense_spectrum(parts, design.dense_counts().astype(np.complex128))
+        values = _dense_product(parts, design.dense_counts().astype(np.complex128))
     elif algorithm == "factorized":
         # No name keeps the count vector, so the first step frees it.
         values = _apply_parts(
@@ -381,7 +349,8 @@ def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, in
     InconsistentSpectrumError if any cell is farther than ``tol`` from a
     nonnegative integer, which happens when the values were computed under a
     different structure assignment than the one they are paired with, or if
-    the multiplicities do not add up to ``jchar.n_runs``; a ValueError unless
+    the multiplicities do not add up to ``jchar.n_runs``, or if N > 2**53, past
+    which a float64 cell need not hold its count; a ValueError unless
     ``tol`` is None or in [0, 1/2), as a finite cell is always within 1/2 of an
     integer.  None means ``max(RECONSTRUCT_TOL, 1e-11 * N)`` for N < 5e10, else 0.
 
@@ -395,6 +364,8 @@ def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, in
     _check_tolerance(tol)
     if tol >= 0.5:
         raise ValueError(f"tolerance {tol} passes every cell; it must be below 1/2")
+    if jchar.n_runs > 2**53:  # _exact_parts' bound
+        raise InconsistentSpectrumError(f"a spectrum of N = {jchar.n_runs} runs is past 2**53")
     orders = [st.order for st in jchar.structures]
     parts = _parts(jchar.structures)
     # A non-finite or huge spectrum makes NaN or infinite cells; they fail
@@ -417,7 +388,7 @@ def reconstruct(jchar: JCharVector, *, tol: float | None = None) -> dict[Run, in
         )
     nonzero = np.flatnonzero(mults)
     runs = map(tuple, (nonzero[:, None] // np.array(yates_strides(orders)) % orders).tolist())
-    counts = list(map(int, mults[nonzero].tolist()))  # exact past int64 too
+    counts = list(map(int, mults[nonzero].tolist()))
     total = sum(counts)
     if total != jchar.n_runs:
         raise InconsistentSpectrumError(

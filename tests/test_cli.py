@@ -483,8 +483,9 @@ class TestReconstructCommand:
         assert (code, out) == (2, "")
         assert err == f"wordlength: {bad} is not a jchar report: {refusal.value}\n"
 
-    def test_counts_past_int64_are_exact(self, capsys, tmp_path):
-        # Each cell reconstructs to 1e19, past the largest int64.
+    def test_counts_past_int64_are_refused(self, capsys, tmp_path):
+        # Each cell reads 1e19, past the largest int64, but N is past 2**53,
+        # where a float64 cell need not be the design's count: 1e19 + 1 reads so too.
         spectrum = tmp_path / "huge.json"
         spectrum.write_text(
             '{"groups": ["2"], "n_runs": 20000000000000000000, "values": '
@@ -492,8 +493,8 @@ class TestReconstructCommand:
             encoding="utf-8",
         )
         code, out, err = run(capsys, "reconstruct", str(spectrum))
-        assert (code, err) == (0, "")
-        assert out == "symbols: 0 1\n0 x10000000000000000000\n1 x10000000000000000000\n"
+        assert (code, out) == (2, "")
+        assert err == "wordlength: a spectrum of N = 20000000000000000000 runs is past 2**53\n"
 
     def test_counts_past_5e10_round_trip_exactly(self, capsys, tmp_path):
         # N = 6,351,008,287,050 under 4,4, whose steps are exact.  Written at 12
@@ -523,8 +524,8 @@ class TestReconstructCommand:
         assert err == "wordlength: tolerance 0.5 passes every cell; it must be below 1/2\n"
 
     def test_counts_past_2_53_are_refused(self, capsys, tmp_path):
-        # Float64 rounds the counts to 2**53 and 2**53 + 4, and chi_0 = 2**54 + 4
-        # is written at 12 significant digits, so no cell reads back whole.
+        # Float64 rounds the counts to 2**53 and 2**53 + 4, and N = 2**54 + 4 is
+        # past 2**53, where reconstruct refuses a spectrum.
         design = tmp_path / "past.txt"
         design.write_text("levels: 2\n0 x9007199254740993\n1 x9007199254740995\n")
         report = tmp_path / "past.json"

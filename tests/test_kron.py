@@ -18,16 +18,16 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_arrays(dtype):
+def random_matrices(dtype):
     values = st.floats(-8, 8) if dtype == np.float64 else st.complex_numbers(max_magnitude=8)
-    return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0), elements=values)
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0), elements=values)
 
 
-# Random 0-D to 3-D float and complex arrays, and the cyclic tables the dense
-# route folds.
+# Random float and complex matrices, sides of 0 included, and the cyclic
+# tables the dense route folds.
 OPERANDS = st.one_of(
-    random_arrays(np.float64),
-    random_arrays(np.complex128),
+    random_matrices(np.float64),
+    random_matrices(np.complex128),
     st.integers(2, 16).map(cyclic_character_table),
 )
 
@@ -35,18 +35,20 @@ OPERANDS = st.one_of(
 class TestKron:
     @settings(max_examples=300, deadline=None)
     @given(OPERANDS, OPERANDS)
-    @example(np.array(2.5), np.array(1 + 3j))
-    @example(np.array(0.3 - 1.7j), np.array([[0.7 - 0.1j]]))  # ufunc loops can round these apart
-    @example(np.array([0.3, -1.7, 2.9]), cyclic_character_table(3))
-    @example(cyclic_character_table(16), np.arange(5.0) / 3)
+    @example(np.array([[2.5]]), np.array([[1 + 3j]]))
+    @example(np.array([[0.3 - 1.7j]]), np.array([[0.7 - 0.1j]]))  # loops can round these apart
+    @example(np.array([[0.3, -1.7, 2.9]]), cyclic_character_table(3))
+    @example(cyclic_character_table(16), np.arange(5.0).reshape(1, 5) / 3)
     def test_matches_numpy_bit_for_bit(self, a, b):
         # Each multiply takes the whole larger operand, so its products must
-        # come out of the same ufunc loop as np.kron's, in either order.
-        for first, second in ((a, b), (b, a)):
-            expected, product = np.kron(first, second), kron(first, second)
-            assert type(product) is type(expected)
-            assert (product.dtype, product.shape) == (expected.dtype, expected.shape)
-            assert product.tobytes() == expected.tobytes()
+        # come out of the same ufunc loop as np.kron's, in either order, and
+        # on a transposed view and a stepped slice as on the arrays.
+        for x, y in ((a, b), (a.T, b[::-1, ::2])):
+            for first, second in ((x, y), (y, x)):
+                expected, product = np.kron(first, second), kron(first, second)
+                assert type(product) is type(expected)
+                assert (product.dtype, product.shape) == (expected.dtype, expected.shape)
+                assert product.tobytes() == expected.tobytes()
 
     def test_reproduces_klein_table(self):
         z2 = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -58,10 +60,10 @@ class TestKron:
         assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_first_axis_vectors(self):
-        e0 = np.array([1.0, 0.0])
+        e0 = np.array([[1.0, 0.0]])
         out = kron(e0, e0)
-        expected = np.zeros(4)
-        expected[0] = 1
+        expected = np.zeros((1, 4))
+        expected[0, 0] = 1
         assert np.array_equal(out, expected)
 
     def test_block_shape(self):
@@ -72,8 +74,8 @@ class TestKron:
     def test_norm_multiplicativity(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            v = random_complex(rng, int(rng.integers(1, 9)))
-            w = random_complex(rng, int(rng.integers(1, 9)))
+            v = random_complex(rng, 1, int(rng.integers(1, 9)))
+            w = random_complex(rng, 1, int(rng.integers(1, 9)))
             product = kron(v, w)
             assert np.linalg.norm(product) == pytest.approx(
                 np.linalg.norm(v) * np.linalg.norm(w), rel=1e-12

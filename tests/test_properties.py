@@ -130,8 +130,8 @@ def designs(draw, symbols=None, multiplicities=st.integers(1, 4), pool=SIZES) ->
 
 
 @st.composite
-def designs_with_assignment(draw):
-    design = draw(designs())
+def designs_with_assignment(draw, multiplicities=st.integers(1, 4)):
+    design = draw(designs(multiplicities=multiplicities))
     assignment = tuple(draw(st.sampled_from(enumerate_structures(s))) for s in design.sizes)
     return design, assignment
 
@@ -141,6 +141,23 @@ def designs_with_assignment(draw):
 def test_reconstruct_inverts_the_transform(case):
     design, assignment = case
     assert reconstruct(j_characteristics(design, assignment)) == dict(design.counts)
+
+
+@PROPERTY
+@given(designs_with_assignment(MULTIPLICITIES))
+@example(  # float64 rounds these counts to 2**53 and 2**53 + 4, whose total is still N
+    (Design((("0", "1"),), {(0,): 2**53 + 1, (1,): 2**53 + 3}), (parse_structure("2"),))
+)
+def test_reconstruct_gives_the_design_or_refuses(case):
+    # In-process, with no report between: never other counts, past 2**53 too.
+    design, assignment = case
+    parts = [order for structure in assignment for order in structure.cyclic_orders]
+    try:
+        counts = reconstruct(j_characteristics(design, assignment))
+    except InconsistentSpectrumError:
+        assert not (set(parts) <= {2, 4} and design.n_runs <= 2**53)
+        return
+    assert counts == dict(design.counts)
 
 
 # Factor sizes with structures whose cyclic parts all have order 2 or 4.

@@ -565,6 +565,13 @@ class TestReconstruct:
             with pytest.raises(InconsistentSpectrumError, match=message):
                 reconstruct(JCharVector(values, 1, (structure,)))
 
+    def test_counts_past_2_53_are_refused(self):
+        # Float64 rounds these counts to 2**53 and 2**53 + 4, whose total is still N.
+        design = Design((("0", "1"),), {(0,): 2**53 + 1, (1,): 2**53 + 3})
+        message = re.escape(f"a spectrum of N = {2**54 + 4} runs is past 2**53")
+        with pytest.raises(InconsistentSpectrumError, match=f"^{message}$"):
+            reconstruct(j_characteristics(design, ["2"]))
+
     def test_default_tolerance_holds_at_large_s(self):
         # At s = 2^19 a tolerance proportional to s would exceed 1/2 and let a
         # spectrum whose every cell is off by 0.4 through.
